@@ -1,6 +1,6 @@
 // Robustness cost curve: retry/recovery traffic overhead of the ReSync
 // protocol versus transport loss rate. A fleet of replicated filters polls
-// a mutating master through a FaultyChannel at increasing loss rates; the
+// a mutating master through a FaultyPipe at increasing loss rates; the
 // fault-free run (loss=0) is the baseline. Because cookies are replay-safe,
 // every run converges — what changes is the wire cost of getting there:
 // retransmitted polls answered from the replay cache, retries, and
@@ -46,7 +46,8 @@ int main() {
     faults.reset = loss / 4;
     faults.duplicate = loss / 2;
     faults.reorder = 0.5;
-    net::FaultyChannel channel(master, faults);
+    auto pipe = std::make_shared<net::FaultyPipe>(master, faults);
+    net::FramedChannel channel(pipe);
 
     net::RetryPolicy retry;
     retry.max_attempts = 5;
@@ -87,8 +88,8 @@ int main() {
       }
     }
     // Quiescence so every run converges before it is measured.
-    channel.set_config({faults.seed});
-    channel.flush_replays();
+    pipe->set_config({faults.seed});
+    pipe->flush_replays();
     master.pump();
     for (auto& replica : replicas) replica->poll();
 

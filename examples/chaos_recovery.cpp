@@ -3,7 +3,7 @@
 // keeps answering containment hits from its (stale) local content, and a
 // reconciliation walk heals it after the restart (DESIGN.md §12).
 //
-//   1. install (serialnumber=00*) through a lossy FaultyChannel
+//   1. install (serialnumber=00*) through a lossy FaultyPipe
 //   2. lose some polls — retries under the backoff policy cover them
 //   3. crash the master mid-update — sync() degrades the filter
 //   4. serve the filter's query anyway: hit, marked stale
@@ -43,9 +43,8 @@ int main() {
   faults.drop_request = 0.15;
   faults.drop_response = 0.10;
   faults.duplicate = 0.15;
-  auto channel =
-      std::make_shared<net::FaultyChannel>(service.resync(), faults);
-  service.set_channel(channel);
+  auto pipe = std::make_shared<net::FaultyPipe>(service.resync(), faults);
+  service.set_channel(std::make_shared<net::FramedChannel>(pipe));
 
   const ldap::Query block =
       ldap::Query::parse("", ldap::Scope::Subtree, "(serialnumber=00*)");
@@ -67,7 +66,7 @@ int main() {
 
   // Master crash: the poll fails past the retry budget and the filter
   // degrades — but it keeps answering from its last-synced content.
-  channel->crash_master();
+  pipe->crash_master();
   updates.apply(50);  // changes the replica cannot see yet
   service.sync();
   show("master down, filter degraded", service);
@@ -77,14 +76,14 @@ int main() {
               block.to_string().c_str(), outcome.hit, outcome.stale);
 
   // Staleness is measured in master clock ticks while the link is down.
-  channel->elapse(8);
+  pipe->elapse(8);
   service.sync();
   show("still down — staleness accumulating", service);
 
   // Restart: the old cookie is unknown, so recovery offers the local
   // content's digests and only the missed updates ship (the pre-
   // reconciliation path reloaded everything here).
-  channel->restart_master();
+  pipe->restart_master();
   service.resync().pump();
   service.sync();
   show("master restarted, filter healed by a reconcile walk", service);

@@ -33,7 +33,7 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       wire_roundtrip_test wire_fuzz_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes

@@ -92,7 +92,8 @@ class FilterReplicationService {
   void sync();
 
   /// Replaces the transport between this site and the master (e.g. with a
-  /// net::FaultyChannel wrapping resync() for chaos testing).
+  /// net::FramedChannel over a net::FaultyPipe wrapping resync() for chaos
+  /// testing).
   void set_channel(std::shared_ptr<net::Channel> channel);
 
   replica::FilterReplica& filter_replica() noexcept { return replica_; }

@@ -27,9 +27,10 @@ class TransportError : public std::runtime_error {
 /// The transport seam between a ReSync replica and its upstream endpoint —
 /// the enterprise master or a relay replica re-serving its content — one
 /// request/response exchange of the protocol. DirectChannel preserves the
-/// historical infallible in-process call; FaultyChannel (fault_injector.h)
-/// injects deterministic loss, duplication, reordering, delay and master
-/// restarts so the recovery paths of §5.2 can be exercised.
+/// historical infallible in-process call; a FramedChannel over a FaultyPipe
+/// (fault_injector.h) injects deterministic loss, duplication, reordering,
+/// delay, byte damage and master restarts so the recovery paths of §5.2
+/// can be exercised.
 class Channel {
  public:
   virtual ~Channel() = default;

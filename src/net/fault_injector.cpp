@@ -2,106 +2,9 @@
 
 #include <algorithm>
 
-#include "ldap/error.h"
 #include "resync/endpoint.h"
 
 namespace fbdr::net {
-
-FaultyChannel::FaultyChannel(resync::ReSyncEndpoint& endpoint, FaultConfig config)
-    : endpoint_(&endpoint), config_(config), rng_(config.seed) {}
-
-bool FaultyChannel::chance(double probability) {
-  if (probability <= 0.0) {
-    return false;
-  }
-  return std::uniform_real_distribution<double>(0.0, 1.0)(rng_) < probability;
-}
-
-void FaultyChannel::deliver_one_replay() {
-  auto [query, control] = std::move(in_flight_.front());
-  in_flight_.pop_front();
-  ++counters_.replayed;
-  try {
-    // The response to a stray duplicate goes nowhere; the master's replay
-    // cache (or its out-of-sequence rejection) keeps the session unharmed.
-    endpoint_->handle(query, control);
-  } catch (const ldap::ProtocolError&) {
-  }
-}
-
-resync::ReSyncResponse FaultyChannel::exchange(const ldap::Query& query,
-                                               const resync::ReSyncControl& control) {
-  ++counters_.exchanges;
-  ++local_now_;
-  if (down_) {
-    ++counters_.rejected_while_down;
-    throw TransportError("master is down");
-  }
-  // Memory-pressure outage: inside a window the endpoint sheds every
-  // exchange; a fresh draw may open a new window.
-  if (local_now_ < outage_until_) {
-    ++counters_.outages;
-    throw TransportError("memory pressure: endpoint shedding load");
-  }
-  if (chance(config_.outage)) {
-    const std::uint64_t span =
-        std::max<std::uint64_t>(config_.max_outage_ticks, 1);
-    outage_until_ = local_now_ + 1 + rng_() % span;
-    ++counters_.outages;
-    throw TransportError("memory pressure: endpoint shedding load");
-  }
-  // A duplicate from an earlier exchange may overtake this request.
-  if (!in_flight_.empty() && chance(config_.reorder)) {
-    deliver_one_replay();
-  }
-  if (chance(config_.delay)) {
-    ++counters_.delayed;
-    const std::uint64_t span = std::max<std::uint64_t>(config_.max_delay_ticks, 1);
-    endpoint_->tick(1 + rng_() % span);
-  }
-  if (chance(config_.drop_request)) {
-    ++counters_.dropped_requests;
-    throw TransportError("request lost");
-  }
-  if (chance(config_.duplicate)) {
-    ++counters_.duplicated;
-    in_flight_.emplace_back(query, control);
-  }
-  resync::ReSyncResponse response = endpoint_->handle(query, control);
-  if (chance(config_.reset)) {
-    ++counters_.resets;
-    throw TransportError("connection reset");
-  }
-  if (chance(config_.drop_response)) {
-    ++counters_.dropped_responses;
-    throw TransportError("response lost");
-  }
-  return response;
-}
-
-void FaultyChannel::abandon(const std::string& cookie) {
-  if (down_) return;  // best effort: nothing to deliver to
-  endpoint_->abandon(cookie);
-}
-
-void FaultyChannel::elapse(std::uint64_t ticks) {
-  local_now_ += ticks;  // backing off can outlast an outage window
-  endpoint_->tick(ticks);
-}
-
-void FaultyChannel::crash_master() {
-  down_ = true;
-  in_flight_.clear();  // requests addressed to the dead master are gone
-  endpoint_->reset();
-}
-
-void FaultyChannel::restart_master() { down_ = false; }
-
-void FaultyChannel::flush_replays() {
-  while (!in_flight_.empty() && !down_) {
-    deliver_one_replay();
-  }
-}
 
 FaultyPipe::FaultyPipe(resync::ReSyncEndpoint& endpoint, FaultConfig config)
     : inner_(endpoint),

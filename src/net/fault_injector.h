@@ -3,17 +3,15 @@
 #include <cstdint>
 #include <deque>
 #include <random>
-#include <string>
-#include <utility>
 
-#include "net/channel.h"
 #include "net/framed_channel.h"
 
 namespace fbdr::net {
 
-/// Per-exchange fault probabilities of a FaultyChannel. All randomness is
-/// drawn from one seeded generator, so a (seed, schedule) pair replays the
-/// exact same fault sequence.
+/// Per-exchange fault probabilities of a FaultyPipe (and, mapped onto
+/// socket legs, of netio::ChaosProxy). All randomness is drawn from one
+/// seeded generator, so a (seed, schedule) pair replays the exact same
+/// fault sequence.
 struct FaultConfig {
   std::uint64_t seed = 1;
   double drop_request = 0.0;   // lost before reaching the master
@@ -31,12 +29,12 @@ struct FaultConfig {
   /// budgets exist to survive.
   double outage = 0.0;
   std::uint64_t max_outage_ticks = 4;
-  /// Byte-level faults, meaningful only on framed links (FaultyPipe): a
-  /// random bit of the encoded frame is flipped / the frame is chopped at a
-  /// random offset. The codec's frame checksum and length prefix turn both
-  /// into CodecError → TransportError, so they heal through the same
-  /// retry/replay machinery as a dropped message. Each probability is drawn
-  /// independently for the request and the response frame.
+  /// Byte-level faults: a random bit of the encoded frame is flipped / the
+  /// frame is chopped at a random offset. The codec's frame checksum and
+  /// length prefix turn both into CodecError → TransportError, so they heal
+  /// through the same retry/replay machinery as a dropped message. Each
+  /// probability is drawn independently for the request and the response
+  /// frame.
   double corrupt = 0.0;
   double truncate = 0.0;
 };
@@ -53,8 +51,8 @@ struct FaultCounters {
   std::uint64_t resets = 0;
   std::uint64_t rejected_while_down = 0;
   std::uint64_t outages = 0;  // exchanges refused inside outage windows
-  std::uint64_t corrupted = 0;  // frames with a flipped bit (framed links)
-  std::uint64_t truncated = 0;  // frames chopped short (framed links)
+  std::uint64_t corrupted = 0;  // frames with a flipped bit
+  std::uint64_t truncated = 0;  // frames chopped short
 
   std::uint64_t faults() const {
     return dropped_requests + dropped_responses + duplicated + replayed +
@@ -63,66 +61,22 @@ struct FaultCounters {
   }
 };
 
-/// A lossy, duplicating, reordering, delaying link to a ReSync endpoint
-/// (the enterprise master or a relay), plus a crash/restart hook that wipes
-/// the endpoint's session state to model the "master restarted" case of
-/// §5.2. Deterministic under a fixed seed.
+/// The in-process fault injector: a lossy, duplicating, reordering,
+/// delaying, corrupting and truncating byte link to a ReSync endpoint (the
+/// enterprise master or a relay), plus a crash/restart hook that wipes the
+/// endpoint's session state to model the "master restarted" case of §5.2.
+/// Every faulty in-process link is a FramedChannel over one of these, so
+/// the protocol structs cross it as encoded frames. Deterministic under a
+/// fixed seed.
 ///
-/// Duplication is modelled the way it bites an RPC protocol: the duplicated
-/// request is queued and re-delivered to the endpoint *later* (possibly
-/// after newer requests — reordering), where only the replay-safe cookie
+/// Duplication is modelled the way it bites an RPC protocol: the encoded
+/// request frame is stored and re-delivered to the endpoint *later*
+/// (possibly reordered ahead of a newer request), byte-identically — a
+/// packet living on in the network — where only the replay-safe cookie
 /// sequence numbers prevent it from consuming session history twice.
-class FaultyChannel final : public Channel {
- public:
-  FaultyChannel(resync::ReSyncEndpoint& endpoint, FaultConfig config);
-
-  resync::ReSyncResponse exchange(const ldap::Query& query,
-                                  const resync::ReSyncControl& control) override;
-  void abandon(const std::string& cookie) override;
-  void elapse(std::uint64_t ticks) override;
-
-  /// Endpoint crash: session state is wiped (ReSyncEndpoint::reset — on a
-  /// relay this also bumps its cookie epoch), in-flight requests are lost,
-  /// and every exchange fails with TransportError until restart_master().
-  void crash_master();
-  void restart_master();
-  bool master_down() const noexcept { return down_; }
-
-  /// Replaces the fault probabilities (e.g. zeroed for a quiescence phase);
-  /// the random stream continues, so the schedule stays deterministic.
-  void set_config(const FaultConfig& config) { config_ = config; }
-
-  /// Delivers every still-queued duplicate to the master (responses
-  /// discarded) — drains the link before checking convergence.
-  void flush_replays();
-
-  const FaultCounters& counters() const noexcept { return counters_; }
-
- private:
-  bool chance(double probability);
-  void deliver_one_replay();
-
-  resync::ReSyncEndpoint* endpoint_;
-  FaultConfig config_;
-  std::mt19937_64 rng_;
-  std::deque<std::pair<ldap::Query, resync::ReSyncControl>> in_flight_;
-  FaultCounters counters_;
-  bool down_ = false;
-  std::uint64_t local_now_ = 0;     // elapse() + one per exchange
-  std::uint64_t outage_until_ = 0;  // local tick the current outage ends
-};
-
-/// FaultyChannel's framed twin: the same deterministic drop/dup/reorder/
-/// reset/delay/outage schedule, but operating on encoded frames flowing to
-/// an EndpointPipe — plus the two faults that only exist once there are
-/// bytes to damage: bit corruption and truncation. A damaged frame fails
-/// the codec's checksum/length validation at the receiving end, surfacing
-/// as CodecError → TransportError, and heals through the ordinary retry and
-/// replay-cookie machinery.
-///
-/// Duplication stores the encoded request frame and re-delivers it later
-/// (possibly reordered ahead of a newer request), byte-identically — the
-/// framed analogue of a packet living on in the network.
+/// A damaged frame fails the codec's checksum/length validation at the
+/// receiving end, surfacing as CodecError → TransportError, and heals
+/// through the ordinary retry and replay-cookie machinery.
 class FaultyPipe final : public BytePipe {
  public:
   FaultyPipe(resync::ReSyncEndpoint& endpoint, FaultConfig config);
@@ -131,12 +85,19 @@ class FaultyPipe final : public BytePipe {
   void send(const wire::Bytes& frame) override;
   void elapse(std::uint64_t ticks) override;
 
-  /// Crash/restart hooks, mirroring FaultyChannel.
+  /// Endpoint crash: session state is wiped (ReSyncEndpoint::reset — on a
+  /// relay this also bumps its cookie epoch), in-flight frames are lost,
+  /// and every transfer fails with TransportError until restart_master().
   void crash_master();
   void restart_master();
   bool master_down() const noexcept { return down_; }
 
+  /// Replaces the fault probabilities (e.g. zeroed for a quiescence phase);
+  /// the random stream continues, so the schedule stays deterministic.
   void set_config(const FaultConfig& config) { config_ = config; }
+
+  /// Delivers every still-queued duplicate to the endpoint (responses
+  /// discarded) — drains the link before checking convergence.
   void flush_replays();
 
   const FaultCounters& counters() const noexcept { return counters_; }

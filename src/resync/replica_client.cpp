@@ -74,6 +74,8 @@ void ReSyncReplica::start(Mode mode) {
 }
 
 void ReSyncReplica::adopt_reload(const ReSyncResponse& response) {
+  ++recoveries_;
+  ++full_reloads_;
   cookie_ = response.cookie;
   active_ = true;
   apply(response);
@@ -81,12 +83,13 @@ void ReSyncReplica::adopt_reload(const ReSyncResponse& response) {
 }
 
 void ReSyncReplica::recover() {
-  ++recoveries_;
+  // A recovery is counted, under exactly one heal mode, once the exchange
+  // that establishes its new session succeeds. A transport failure before
+  // that leaves the old cookie stale, so the next poll recovers afresh.
   if (!reconcile_ || content_.size() == 0) {
     // Reconciliation disabled, or nothing local to reconcile against: the
     // full reload IS the diff.
-    ++full_reloads_;
-    start(Mode::Poll);
+    adopt_reload(initial_exchange(Mode::Poll, nullptr));
     return;
   }
   // Round 1: offer the local content's digests instead of accepting a full
@@ -101,19 +104,18 @@ void ReSyncReplica::recover() {
   if (!response.reconcile) {
     // The peer does not speak reconciliation: the offer was ignored and a
     // plain initial full reload came back (version gating).
-    ++full_reloads_;
     adopt_reload(response);
     return;
   }
   if (response.reconcile->fallback) {
     // Diverged too far (or walk cap): the master shipped the content.
-    ++full_reloads_;
     ++reconcile_fallbacks_;
     adopt_reload(response);
     return;
   }
   if (response.reconcile->in_sync) {
     // Roots matched: nothing shipped at all; resume polling.
+    ++recoveries_;
     ++reconciles_;
     cookie_ = response.cookie;
     active_ = true;
@@ -130,17 +132,17 @@ void ReSyncReplica::recover() {
     ReSyncControl control{Mode::Poll, response.cookie};
     control.reconcile = upload;
     const ReSyncResponse diff = request(control);
+    ++recoveries_;
+    ++reconciles_;
     cookie_ = diff.cookie;
     active_ = true;
     std::size_t shipped = diff.pdus.size();
     apply(diff);
     shipped += drain_pages(diff, Mode::Poll);
     reconcile_entries_shipped_ += shipped;
-    ++reconciles_;
   } catch (const ldap::StaleCookieError&) {
     // The walk expired between rounds: the plain reload path always works.
-    ++full_reloads_;
-    start(Mode::Poll);
+    adopt_reload(initial_exchange(Mode::Poll, nullptr));
   }
 }
 

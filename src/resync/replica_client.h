@@ -126,7 +126,8 @@ class ReSyncReplica {
       Mode mode, const std::shared_ptr<const ReconcileRequest>& reconcile);
   /// Stale-cookie recovery: digest walk when possible, full reload otherwise.
   void recover();
-  /// Adopts a full-reload recovery response (cookie, content, pages).
+  /// Adopts a full-reload recovery response (cookie, content, pages) and
+  /// counts the recovery.
   void adopt_reload(const ReSyncResponse& response);
 
   std::unique_ptr<net::Channel> owned_channel_;

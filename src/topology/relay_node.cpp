@@ -117,7 +117,7 @@ void RelayNode::sync() {
       filter.cookie = response.cookie;
       response = collect_pages(filter, std::move(response));
       if (response.complete_enumeration) ++filter.degraded_polls;
-      // max(): a replayed poll (duplicate retried through a FaultyChannel)
+      // max(): a replayed poll (duplicate retried through a FaultyPipe)
       // may carry an older stamp; root time must never roll backwards.
       filter.last_origin = std::max(filter.last_origin, response.origin_time);
       filter.last_synced = downstream_.now();

@@ -70,8 +70,9 @@ class RelayNode final : public resync::ReSyncEndpoint,
     std::size_t pump_threads = 0;
     /// Whether this node's upstream link runs over the framed wire codec
     /// (net::FramedChannel) instead of in-process struct passing. Recorded
-    /// by the TopologyRuntime when it wires the link; the relay's own
-    /// protocol behaviour is identical either way.
+    /// by whoever wires the link (the TopologyRuntime frames exactly its
+    /// faulty links); the relay's own protocol behaviour is identical
+    /// either way.
     bool framed = false;
   };
 
@@ -127,7 +128,7 @@ class RelayNode final : public resync::ReSyncEndpoint,
                                 const resync::ReSyncControl& control) override;
   void abandon(const std::string& cookie) override;
   void tick(std::uint64_t delta = 1) override;
-  /// Crash-hook semantics (net::FaultyChannel::crash_master): equivalent to
+  /// Crash-hook semantics (net::FaultyPipe::crash_master): equivalent to
   /// crash()+restart() back to back — state wiped, epoch bumped, serving.
   void reset() override;
   const std::string& url() const override { return url_; }

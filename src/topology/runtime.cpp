@@ -76,46 +76,27 @@ resync::ReSyncEndpoint* TopologyRuntime::endpoint_at(const std::string& url) {
 }
 
 std::shared_ptr<net::Channel> TopologyRuntime::make_channel(
-    resync::ReSyncEndpoint& endpoint, const std::string& node_name,
-    bool framed) {
+    resync::ReSyncEndpoint& endpoint, Node& node) {
   ++link_counter_;
-  fault_channels_.erase(node_name);
-  fault_pipes_.erase(node_name);
-  framed_links_.erase(node_name);
-  if (framed) {
-    std::shared_ptr<net::FramedChannel> channel;
-    if (options_.faults.has_value()) {
-      net::FaultConfig config = *options_.faults;
-      // Distinct deterministic stream per link, as on faulty direct links.
-      config.seed = config.seed + 0x9e3779b9ull * link_counter_;
-      auto pipe = std::make_shared<net::FaultyPipe>(endpoint, config);
-      fault_pipes_[node_name] = pipe.get();
-      channel = std::make_shared<net::FramedChannel>(std::move(pipe));
-    } else {
-      channel = std::make_shared<net::FramedChannel>(endpoint);
-    }
-    framed_links_[node_name] = channel.get();
-    return channel;
-  }
   if (!options_.faults.has_value()) {
     return std::make_shared<net::DirectChannel>(endpoint);
   }
   net::FaultConfig config = *options_.faults;
   // Distinct deterministic stream per link; re-wired links get fresh ones.
   config.seed = config.seed + 0x9e3779b9ull * link_counter_;
-  auto channel = std::make_shared<net::FaultyChannel>(endpoint, config);
-  fault_channels_[node_name] = channel.get();
+  auto pipe = std::make_shared<net::FaultyPipe>(endpoint, config);
+  node.fault_pipe = pipe.get();
+  auto channel = std::make_shared<net::FramedChannel>(std::move(pipe));
+  node.framed_link = channel.get();
   return channel;
 }
 
 RelayNode& TopologyRuntime::add_node(const std::string& name,
                                      const std::string& parent,
-                                     const std::vector<ldap::Query>& filters,
-                                     std::optional<bool> framed) {
+                                     const std::vector<ldap::Query>& filters) {
   if (has_node(name)) {
     throw std::invalid_argument("duplicate topology node '" + name + "'");
   }
-  const bool framed_link = framed.value_or(options_.framed);
   resync::ReSyncEndpoint* upstream = &root_endpoint_;
   std::string parent_url = root_->url();
   if (!parent.empty()) {
@@ -132,15 +113,14 @@ RelayNode& TopologyRuntime::add_node(const std::string& name,
   config.retry = options_.retry;
   config.session_time_limit = options_.session_time_limit;
   config.downstream_limits = options_.relay_limits;
-  config.framed = framed_link;
+  config.framed = options_.faults.has_value();
 
   auto node = std::make_unique<Node>();
   node->name = name;
   node->parent = parent;
-  node->framed = framed_link;
   node->relay = std::make_unique<RelayNode>(std::move(config), root_->schema());
   for (const ldap::Query& query : filters) node->relay->add_filter(query);
-  node->relay->connect(make_channel(*upstream, name, framed_link), parent_url);
+  node->relay->connect(make_channel(*upstream, *node), parent_url);
   nodes_.push_back(std::move(node));
   return *nodes_.back()->relay;
 }
@@ -159,7 +139,7 @@ void TopologyRuntime::rewire_to(Node& node, const std::string& url) {
       }
     }
   }
-  node.relay->rewire(make_channel(*endpoint, node.name, node.framed),
+  node.relay->rewire(make_channel(*endpoint, node),
                      new_parent.empty() ? root_->url()
                                         : find_node(new_parent).relay->url());
   node.parent = new_parent;
@@ -244,19 +224,12 @@ void TopologyRuntime::restart_node(const std::string& name) {
   find_node(name).relay->restart();
 }
 
-net::FaultyChannel* TopologyRuntime::fault_channel(const std::string& name) {
-  const auto it = fault_channels_.find(name);
-  return it == fault_channels_.end() ? nullptr : it->second;
-}
-
 net::FaultyPipe* TopologyRuntime::fault_pipe(const std::string& name) {
-  const auto it = fault_pipes_.find(name);
-  return it == fault_pipes_.end() ? nullptr : it->second;
+  return find_node(name).fault_pipe;
 }
 
 net::FramedChannel* TopologyRuntime::framed_link(const std::string& name) {
-  const auto it = framed_links_.find(name);
-  return it == framed_links_.end() ? nullptr : it->second;
+  return find_node(name).framed_link;
 }
 
 std::vector<NodeHealth> TopologyRuntime::health() const {

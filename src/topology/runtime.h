@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,7 +49,8 @@ struct NodeHealth {
 /// Builds and drives an N-node replication tree rooted at one enterprise
 /// master: relay nodes (and leaves, which are simply relays nobody syncs
 /// from) wired over DirectChannel or — when a FaultConfig is given —
-/// per-link FaultyChannels with distinct deterministic seeds.
+/// FramedChannels over per-link FaultyPipes with distinct deterministic
+/// seeds.
 ///
 /// tick() runs one logical round deepest-first: every node polls the content
 /// its parent holds *now*, then the parent refreshes from its own parent,
@@ -81,14 +81,11 @@ class TopologyRuntime {
     /// (all-zero = ungoverned). The root master is governed separately via
     /// root_master().set_resource_limits().
     resync::ResourceLimits relay_limits;
-    /// When set, every link is a FaultyChannel seeded from this config
-    /// (seed + link index), so one schedule replays deterministically.
+    /// When set, every link runs the wire codec: a FramedChannel over a
+    /// FaultyPipe seeded from this config (seed + link index), so one
+    /// schedule replays deterministically. An all-zero config gives a
+    /// fault-free framed tree. Unset, every link is a DirectChannel.
     std::optional<net::FaultConfig> faults;
-    /// Default for per-link framing: when true, upstream links run over the
-    /// wire codec (FramedChannel over EndpointPipe, or over FaultyPipe when
-    /// `faults` is set — which additionally enables the byte-level
-    /// corrupt/truncate faults). Overridable per node in add_node().
-    bool framed = false;
   };
 
   TopologyRuntime(std::shared_ptr<server::DirectoryServer> root,
@@ -97,11 +94,8 @@ class TopologyRuntime {
   /// Adds a node named `name` under `parent` ("" = the root master) with
   /// the given replicated filter set. Parents must be added before their
   /// children. Content is not fetched until install() or the first tick().
-  /// `framed` overrides Options::framed for this node's upstream link, so
-  /// trees can mix framed and direct hops.
   RelayNode& add_node(const std::string& name, const std::string& parent,
-                      const std::vector<ldap::Query>& filters,
-                      std::optional<bool> framed = std::nullopt);
+                      const std::vector<ldap::Query>& filters);
 
   /// Opens every node's upstream sessions top-down, chasing referrals
   /// (nodes whose parent does not admit them are re-wired up the ancestor
@@ -119,17 +113,12 @@ class TopologyRuntime {
   void crash_node(const std::string& name);
   void restart_node(const std::string& name);
 
-  /// The FaultyChannel carrying `name`'s upstream link; null under
-  /// DirectChannel or framed wiring. Reconfigure it to shape per-link
-  /// fault phases.
-  net::FaultyChannel* fault_channel(const std::string& name);
-
-  /// The FaultyPipe under `name`'s framed upstream link; null unless the
-  /// link is framed AND Options::faults is set.
+  /// The FaultyPipe under `name`'s upstream link; null unless
+  /// Options::faults is set. Reconfigure it to shape per-link fault phases.
   net::FaultyPipe* fault_pipe(const std::string& name);
 
   /// The FramedChannel carrying `name`'s upstream link (exact per-link
-  /// traffic accounting); null on non-framed links.
+  /// traffic accounting); null unless Options::faults is set.
   net::FramedChannel* framed_link(const std::string& name);
 
   // --- introspection ---
@@ -157,8 +146,10 @@ class TopologyRuntime {
   struct Node {
     std::string name;
     std::string parent;  // "" = root
-    bool framed = false;  // upstream link runs over the wire codec
     std::unique_ptr<RelayNode> relay;
+    // The current upstream link's handles; null on direct links.
+    net::FaultyPipe* fault_pipe = nullptr;
+    net::FramedChannel* framed_link = nullptr;
   };
 
   Node& find_node(const std::string& name);
@@ -168,11 +159,10 @@ class TopologyRuntime {
   /// The ReSync endpoint serving `url`: the root master or a node.
   resync::ReSyncEndpoint* endpoint_at(const std::string& url);
 
-  /// A fresh channel to `endpoint` (faulty when Options::faults is set,
-  /// framed when the node's link is framed).
+  /// A fresh upstream channel from `node` to `endpoint`: framed over a
+  /// FaultyPipe when Options::faults is set, else direct.
   std::shared_ptr<net::Channel> make_channel(resync::ReSyncEndpoint& endpoint,
-                                             const std::string& node_name,
-                                             bool framed);
+                                             Node& node);
 
   /// Re-wires `node` to the endpoint at `url` (referral chase target or
   /// grandparent). Falls back to the root when the URL is unknown.
@@ -188,9 +178,6 @@ class TopologyRuntime {
   Options options_;
   resync::ReSyncMaster root_endpoint_;
   std::vector<std::unique_ptr<Node>> nodes_;  // insertion order
-  std::map<std::string, net::FaultyChannel*> fault_channels_;
-  std::map<std::string, net::FaultyPipe*> fault_pipes_;
-  std::map<std::string, net::FramedChannel*> framed_links_;
   std::uint64_t link_counter_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ldap/error.h"
 #include "ldap/filter_parser.h"
 
@@ -128,6 +130,12 @@ struct EvalCase {
   const char* filter;
   bool expected;
 };
+
+// gtest prints parameters into the test listing (and CMake bakes the print
+// into the ctest name); without this it would dump the pointer's bytes.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << c.filter << (c.expected ? " matches" : " does not match");
+}
 
 class FilterEvalSweep : public ::testing::TestWithParam<EvalCase> {};
 

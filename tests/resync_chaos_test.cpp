@@ -1,15 +1,20 @@
 // Chaos/soak test for the fault-injectable ReSync transport: N replicas run
-// against a mutating master over a FaultyChannel that drops, duplicates,
-// reorders, delays and resets exchanges and crashes/restarts the master,
-// while a fault-free twin master receives the identical update stream over
-// DirectChannels. After quiescence every faulty-side replica must be
-// byte-equivalent to its twin (and to the master truth), with replays
-// detected-and-suppressed on the faulty run and zero on the twin.
+// against a mutating master over a FramedChannel whose FaultyPipe drops,
+// duplicates, reorders, delays and resets exchanges (and, on the corrupting
+// schedules, flips bits in and truncates frames) and crashes/restarts the
+// master, while a fault-free twin master receives the identical update
+// stream over DirectChannels. After quiescence every faulty-side replica
+// must be byte-equivalent to its twin (and to the master truth), with
+// replays detected-and-suppressed on the faulty run and zero on the twin.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <ostream>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/replication_service.h"
@@ -58,11 +63,10 @@ std::vector<std::string> master_truth(const server::DirectoryServer& master,
   return tracker.content_keys();
 }
 
-/// One operation drawn from `rng`, applied identically to both masters so
-/// the faulty world and the fault-free twin see the same history.
-void mutate_both(std::mt19937& rng, int& next_cn,
-                 server::DirectoryServer& faulty_master,
-                 server::DirectoryServer& twin_master) {
+/// One operation drawn from `rng`, applied identically to every master so
+/// the faulty worlds and the fault-free twin see the same history.
+void mutate_all(std::mt19937& rng, int& next_cn,
+                std::initializer_list<server::DirectoryServer*> masters) {
   const int op = std::uniform_int_distribution<int>(0, 99)(rng);
   const int pick = std::uniform_int_distribution<int>(0, 60)(rng);
   const std::string dept = std::to_string(pick % 3 * 35 + 7);
@@ -81,12 +85,11 @@ void mutate_both(std::mt19937& rng, int& next_cn,
                                            ",o=xyz"));
       }
     } catch (const ldap::OperationError&) {
-      // Missing random target: acceptable stream noise (identical on both
-      // masters, so the histories stay in lockstep).
+      // Missing random target: acceptable stream noise (identical on every
+      // master, so the histories stay in lockstep).
     }
   };
-  apply(faulty_master);
-  apply(twin_master);
+  for (server::DirectoryServer* master : masters) apply(*master);
   ++next_cn;
 }
 
@@ -95,7 +98,26 @@ struct ChaosSchedule {
   net::FaultConfig faults;
   int crash_step;    // -1 disables the master crash
   int restart_step;
+
+  bool damages_bytes() const {
+    return faults.corrupt > 0.0 || faults.truncate > 0.0;
+  }
+  std::string name() const {
+    return (damages_bytes() ? "corrupt_seed" : "lossy_seed") +
+           std::to_string(seed);
+  }
 };
+
+// gtest prints parameters into the test listing; without this it would
+// dump the struct's raw bytes.
+void PrintTo(const ChaosSchedule& schedule, std::ostream* os) {
+  *os << schedule.name();
+  if (schedule.crash_step < 0) {
+    *os << " no crash";
+  } else {
+    *os << " crash " << schedule.crash_step << ".." << schedule.restart_step;
+  }
+}
 
 class ReSyncChaos : public ::testing::TestWithParam<ChaosSchedule> {};
 
@@ -109,7 +131,8 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   faulty_resync.set_session_time_limit(60);
   twin_resync.set_session_time_limit(60);
 
-  net::FaultyChannel faulty_channel(faulty_resync, schedule.faults);
+  auto pipe = std::make_shared<net::FaultyPipe>(faulty_resync, schedule.faults);
+  net::FramedChannel faulty_channel(pipe);
   net::DirectChannel twin_channel(twin_resync);
 
   net::RetryPolicy retry;
@@ -144,14 +167,14 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   std::mt19937 rng(static_cast<unsigned>(schedule.seed));
   int next_cn = 100;
   for (int step = 0; step < 240; ++step) {
-    mutate_both(rng, next_cn, *faulty_master, *twin_master);
+    mutate_all(rng, next_cn, {faulty_master.get(), twin_master.get()});
     faulty_resync.pump();
     twin_resync.pump();
     faulty_resync.tick();
     twin_resync.tick();
 
-    if (step == schedule.crash_step) faulty_channel.crash_master();
-    if (step == schedule.restart_step) faulty_channel.restart_master();
+    if (step == schedule.crash_step) pipe->crash_master();
+    if (step == schedule.restart_step) pipe->restart_master();
 
     if (step % 7 == 0) {
       for (std::size_t i = 0; i < kQueries.size(); ++i) {
@@ -159,8 +182,9 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
         try {
           faulty_replicas[i]->poll();
         } catch (const net::TransportError&) {
-          // Retry budget exhausted this round — the replica stays behind
-          // and catches up on a later poll.
+          // Retry budget exhausted this round (possibly by a damaged
+          // frame) — the replica stays behind and catches up on a later
+          // poll.
         }
       }
     }
@@ -171,9 +195,9 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   // session).
   net::FaultConfig clean;
   clean.seed = schedule.faults.seed;
-  faulty_channel.set_config(clean);
-  if (faulty_channel.master_down()) faulty_channel.restart_master();
-  faulty_channel.flush_replays();
+  pipe->set_config(clean);
+  if (pipe->master_down()) pipe->restart_master();
+  pipe->flush_replays();
   faulty_resync.pump();
   twin_resync.pump();
   for (std::size_t i = 0; i < kQueries.size(); ++i) {
@@ -184,10 +208,10 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   for (std::size_t i = 0; i < kQueries.size(); ++i) {
     const auto truth = master_truth(*faulty_master, kQueries[i]);
     EXPECT_EQ(faulty_replicas[i]->content().keys(), truth)
-        << "faulty replica " << i << " diverged (seed " << schedule.seed << ")";
+        << "faulty replica " << i << " diverged (" << schedule.name() << ")";
     EXPECT_EQ(twin_replicas[i]->content().keys(),
               master_truth(*twin_master, kQueries[i]))
-        << "twin replica " << i << " diverged (seed " << schedule.seed << ")";
+        << "twin replica " << i << " diverged (" << schedule.name() << ")";
     // Identical update streams => identical content on both sides.
     EXPECT_EQ(faulty_replicas[i]->content().keys(),
               twin_replicas[i]->content().keys())
@@ -197,10 +221,16 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   // The schedule must actually have hurt, and the replay protection must
   // have fired: duplicated/retried polls were answered from the replay
   // cache, never applied twice (content equality above proves the latter).
-  EXPECT_GT(faulty_channel.counters().faults(), 0u);
+  EXPECT_GT(pipe->counters().faults(), 0u);
   EXPECT_GT(faulty_resync.replays_suppressed(), 0u)
-      << "schedule produced no suppressed replays (seed " << schedule.seed
-      << ")";
+      << "schedule produced no suppressed replays (" << schedule.name() << ")";
+  if (schedule.damages_bytes()) {
+    // The byte faults actually fired and were detected, not silently
+    // decoded into divergent content (equality above proves the latter).
+    EXPECT_GT(pipe->counters().corrupted + pipe->counters().truncated, 0u)
+        << "corrupting schedule produced no damaged frames ("
+        << schedule.name() << ")";
+  }
   EXPECT_EQ(twin_resync.replays_suppressed(), 0u);
   if (schedule.crash_step >= 0) {
     std::uint64_t recoveries = 0;
@@ -215,7 +245,7 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   for (const auto& replica : faulty_replicas) {
     EXPECT_EQ(replica->recoveries(),
               replica->full_reloads() + replica->reconciles())
-        << "recovery split drifted (seed " << schedule.seed << ")";
+        << "recovery split drifted (" << schedule.name() << ")";
     EXPECT_LE(replica->reconcile_fallbacks(), replica->full_reloads());
   }
 }
@@ -233,6 +263,16 @@ net::FaultConfig lossy(std::uint64_t seed) {
   return config;
 }
 
+/// lossy() plus the byte faults: flipped bits and truncated frames surface
+/// as checksum/decoder failures and must heal through the same retry and
+/// replay-cookie machinery.
+net::FaultConfig corrupting(std::uint64_t seed) {
+  net::FaultConfig config = lossy(seed);
+  config.corrupt = 0.08;
+  config.truncate = 0.05;
+  return config;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schedules, ReSyncChaos,
     ::testing::Values(
@@ -243,9 +283,14 @@ INSTANTIATE_TEST_SUITE_P(
         // no crash: pure link chaos
         ChaosSchedule{777, lossy(777), -1, -1},
         // crash while a poll burst is due
-        ChaosSchedule{424242, lossy(424242), 63, 70}),
+        ChaosSchedule{424242, lossy(424242), 63, 70},
+        // the same four worlds with flipped bits and truncated frames
+        ChaosSchedule{20050501, corrupting(20050501), 80, 95},
+        ChaosSchedule{31337, corrupting(31337), 150, 190},
+        ChaosSchedule{777, corrupting(777), -1, -1},
+        ChaosSchedule{424242, corrupting(424242), 63, 70}),
     [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
+      return param_info.param.name();
     });
 
 // Records the canonical wire encoding of every response a channel returns,
@@ -303,7 +348,7 @@ TEST_P(FramedTwin, FramedAndDirectRunsAreBitIdentical) {
   std::mt19937 rng(static_cast<unsigned>(seed));
   int next_cn = 100;
   for (int step = 0; step < 120; ++step) {
-    mutate_both(rng, next_cn, *framed_master, *direct_master);
+    mutate_all(rng, next_cn, {framed_master.get(), direct_master.get()});
     framed_resync.pump();
     direct_resync.pump();
     if (step % 7 == 0) {
@@ -353,128 +398,113 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FramedTwin,
                            return "seed" + std::to_string(p.param);
                          });
 
-net::FaultConfig corrupting(std::uint64_t seed) {
-  net::FaultConfig config = lossy(seed);
-  config.corrupt = 0.08;
-  config.truncate = 0.05;
-  return config;
+// Records every frame a pipe hands back (an empty frame where the
+// transfer failed), so two runs can be compared byte for byte — damaged
+// frames included.
+class RecordingPipe final : public net::BytePipe {
+ public:
+  explicit RecordingPipe(std::shared_ptr<net::BytePipe> inner)
+      : inner_(std::move(inner)) {}
+
+  wire::Bytes transfer(const wire::Bytes& frame) override {
+    try {
+      wire::Bytes response = inner_->transfer(frame);
+      log_.push_back(response);
+      return response;
+    } catch (const net::TransportError&) {
+      log_.emplace_back();
+      throw;
+    }
+  }
+  void send(const wire::Bytes& frame) override { inner_->send(frame); }
+  void elapse(std::uint64_t ticks) override { inner_->elapse(ticks); }
+
+  const std::vector<wire::Bytes>& log() const noexcept { return log_; }
+
+ private:
+  std::shared_ptr<net::BytePipe> inner_;
+  std::vector<wire::Bytes> log_;
+};
+
+struct FaultRun {
+  net::FaultCounters counters;
+  std::vector<wire::Bytes> responses;
+};
+
+/// Every counter, comparable and printable as one value.
+auto fields(const net::FaultCounters& c) {
+  return std::make_tuple(c.exchanges, c.dropped_requests, c.dropped_responses,
+                         c.duplicated, c.replayed, c.delayed, c.resets,
+                         c.rejected_while_down, c.outages, c.corrupted,
+                         c.truncated);
 }
 
-// Byte-level chaos only a framed link can express: flipped bits and
-// truncated frames (on top of the full drop/dup/reorder/reset schedule)
-// surface as checksum/decoder failures, heal through the same retry and
-// replay-cookie machinery, and the replicas still converge to the
-// fault-free twin.
-class FramedChaos : public ::testing::TestWithParam<ChaosSchedule> {};
-
-TEST_P(FramedChaos, ConvergesUnderCorruptionSchedule) {
-  const ChaosSchedule schedule = GetParam();
-
-  auto faulty_master = make_master();
-  auto twin_master = make_master();
-  ReSyncMaster faulty_resync(*faulty_master);
-  ReSyncMaster twin_resync(*twin_master);
-  faulty_resync.set_session_time_limit(60);
-  twin_resync.set_session_time_limit(60);
-
-  auto pipe = std::make_shared<net::FaultyPipe>(faulty_resync, schedule.faults);
-  net::FramedChannel faulty_channel(pipe);
-  net::DirectChannel twin_channel(twin_resync);
+/// One faulty world from scratch: a fresh master, replicas polling it over
+/// a FaultyPipe configured by `faults`, and a fixed mutation stream. The
+/// request sequence depends only on what the pipe does to it.
+FaultRun run_faulty_world(const net::FaultConfig& faults) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  resync.set_session_time_limit(60);
+  auto pipe = std::make_shared<net::FaultyPipe>(resync, faults);
+  auto recorder = std::make_shared<RecordingPipe>(pipe);
+  net::FramedChannel channel(recorder);
 
   net::RetryPolicy retry;
   retry.max_attempts = 4;
-  retry.base_backoff_ticks = 1;
-  retry.multiplier = 2.0;
-  retry.max_backoff_ticks = 6;
-  retry.jitter_seed = schedule.seed;
+  retry.jitter_seed = 99;
 
-  std::vector<std::unique_ptr<ReSyncReplica>> faulty_replicas;
-  std::vector<std::unique_ptr<ReSyncReplica>> twin_replicas;
+  std::vector<std::unique_ptr<ReSyncReplica>> replicas;
   for (const Query& query : kQueries) {
-    auto faulty = std::make_unique<ReSyncReplica>(faulty_channel, query);
-    faulty->set_auto_recover(true);
-    faulty->set_retry_policy(retry);
-    while (true) {
+    auto replica = std::make_unique<ReSyncReplica>(channel, query);
+    replica->set_auto_recover(true);
+    replica->set_retry_policy(retry);
+    while (!replica->active()) {
       try {
-        faulty->start(Mode::Poll);
-        break;
+        replica->start(Mode::Poll);
       } catch (const net::TransportError&) {
       }
     }
-    faulty_replicas.push_back(std::move(faulty));
-
-    auto twin = std::make_unique<ReSyncReplica>(twin_channel, query);
-    twin->set_auto_recover(true);
-    twin->start(Mode::Poll);
-    twin_replicas.push_back(std::move(twin));
+    replicas.push_back(std::move(replica));
   }
 
-  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
+  std::mt19937 rng(2005);
   int next_cn = 100;
-  for (int step = 0; step < 240; ++step) {
-    mutate_both(rng, next_cn, *faulty_master, *twin_master);
-    faulty_resync.pump();
-    twin_resync.pump();
-    faulty_resync.tick();
-    twin_resync.tick();
-
-    if (step == schedule.crash_step) pipe->crash_master();
-    if (step == schedule.restart_step) pipe->restart_master();
-
-    if (step % 7 == 0) {
-      for (std::size_t i = 0; i < kQueries.size(); ++i) {
-        twin_replicas[i]->poll();
-        try {
-          faulty_replicas[i]->poll();
-        } catch (const net::TransportError&) {
-          // Retry budget exhausted (possibly by a corrupted frame) — the
-          // replica catches up on a later poll.
-        }
+  for (int step = 0; step < 120; ++step) {
+    mutate_all(rng, next_cn, {master.get()});
+    resync.pump();
+    resync.tick();
+    if (step % 5 != 0) continue;
+    for (auto& replica : replicas) {
+      try {
+        replica->poll();
+      } catch (const net::TransportError&) {
       }
     }
   }
-
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
-  pipe->set_config(clean);
-  if (pipe->master_down()) pipe->restart_master();
   pipe->flush_replays();
-  faulty_resync.pump();
-  twin_resync.pump();
-  for (std::size_t i = 0; i < kQueries.size(); ++i) {
-    faulty_replicas[i]->poll();
-    twin_replicas[i]->poll();
-  }
 
-  for (std::size_t i = 0; i < kQueries.size(); ++i) {
-    const auto truth = master_truth(*faulty_master, kQueries[i]);
-    EXPECT_EQ(faulty_replicas[i]->content().keys(), truth)
-        << "framed faulty replica " << i << " diverged (seed " << schedule.seed
-        << ")";
-    EXPECT_EQ(faulty_replicas[i]->content().keys(),
-              twin_replicas[i]->content().keys())
-        << "framed/twin mismatch for replica " << i;
-  }
-
-  // The byte-level faults actually fired and were detected, not silently
-  // decoded into divergent content (equality above proves the latter).
-  EXPECT_GT(pipe->counters().corrupted + pipe->counters().truncated, 0u)
-      << "corruption schedule produced no damaged frames (seed "
-      << schedule.seed << ")";
-  EXPECT_GT(pipe->counters().faults(), 0u);
-  EXPECT_GT(faulty_resync.replays_suppressed(), 0u);
+  return {pipe->counters(), recorder->log()};
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FramedChaos,
-    ::testing::Values(
-        ChaosSchedule{20050501, corrupting(20050501), 80, 95},
-        ChaosSchedule{31337, corrupting(31337), 150, 190},
-        ChaosSchedule{777, corrupting(777), -1, -1},
-        ChaosSchedule{424242, corrupting(424242), 63, 70}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
+// FaultConfig's promise: a (seed, schedule) pair replays the exact same
+// fault sequence. Twin worlds under one lossy+corrupting config end with
+// identical counters and byte-identical responses; another seed does not.
+TEST(FaultReplay, SameSeedReplaysTheExactFaultSequence) {
+  const FaultRun first = run_faulty_world(corrupting(20050501));
+  const FaultRun second = run_faulty_world(corrupting(20050501));
+  const FaultRun other = run_faulty_world(corrupting(31337));
+
+  EXPECT_GT(first.counters.corrupted + first.counters.truncated, 0u)
+      << "the schedule damaged no frames";
+  EXPECT_EQ(fields(first.counters), fields(second.counters));
+  ASSERT_EQ(first.responses.size(), second.responses.size());
+  for (std::size_t i = 0; i < first.responses.size(); ++i) {
+    EXPECT_EQ(first.responses[i], second.responses[i]) << "response " << i;
+  }
+  EXPECT_NE(fields(first.counters), fields(other.counters));
+  EXPECT_NE(first.responses, other.responses);
+}
 
 // Service-level graceful degradation: a FilterReplicationService whose
 // master goes down keeps serving containment hits from stale local content,
@@ -499,9 +529,8 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
 
   net::FaultConfig quiet;
   quiet.seed = 7;
-  auto channel =
-      std::make_shared<net::FaultyChannel>(service.resync(), quiet);
-  service.set_channel(channel);
+  auto pipe = std::make_shared<net::FaultyPipe>(service.resync(), quiet);
+  service.set_channel(std::make_shared<net::FramedChannel>(pipe));
 
   const Query block = Query::parse("", Scope::Subtree, "(serialnumber=00*)");
   service.install(block);
@@ -520,7 +549,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
   EXPECT_FALSE(service.health().any_degraded());
 
   // The master goes down; changes keep landing that the replica cannot see.
-  channel->crash_master();
+  pipe->crash_master();
   dir.master->modify(target.dn,
                      {{Modification::Op::Replace, "mail", {"moved@x.com"}}});
   service.sync();  // transport fails past the retry budget -> degraded
@@ -542,7 +571,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
   EXPECT_TRUE(stale_mail) << "degraded filter should serve pre-outage content";
 
   // Staleness grows while the outage lasts.
-  channel->elapse(10);
+  pipe->elapse(10);
   service.sync();  // still down
   health = service.health();
   EXPECT_TRUE(health.filters.at(key).degraded);
@@ -551,7 +580,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
 
   // Reconnect: the next sync heals the filter — via a reconcile walk, since
   // the local content survived the outage (DESIGN.md §12).
-  channel->restart_master();
+  pipe->restart_master();
   service.sync();
   health = service.health();
   EXPECT_FALSE(health.filters.at(key).degraded);

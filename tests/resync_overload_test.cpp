@@ -205,13 +205,15 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   retry.max_backoff_ticks = 8;
   retry.jitter_seed = schedule.seed;
 
-  std::vector<std::unique_ptr<net::FaultyChannel>> channels;
+  std::vector<std::shared_ptr<net::FaultyPipe>> pipes;
+  std::vector<std::unique_ptr<net::FramedChannel>> channels;
   std::vector<std::unique_ptr<ReSyncReplica>> replicas;
   std::vector<std::unique_ptr<ReSyncReplica>> twins;
   for (int i = 0; i < 2; ++i) {
     net::FaultConfig config = schedule.faults;
     config.seed = schedule.seed + static_cast<std::uint64_t>(i) * 7919;
-    channels.push_back(std::make_unique<net::FaultyChannel>(governed, config));
+    pipes.push_back(std::make_shared<net::FaultyPipe>(governed, config));
+    channels.push_back(std::make_unique<net::FramedChannel>(pipes.back()));
     replicas.push_back(
         std::make_unique<ReSyncReplica>(*channels.back(), kQuery));
     replicas.back()->set_retry_policy(retry);
@@ -253,11 +255,11 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   }
 
   // Quiescence: faults off, links drained, one final catch-up round.
-  for (auto& channel : channels) {
+  for (auto& pipe : pipes) {
     net::FaultConfig calm;
     calm.seed = 1;
-    channel->set_config(calm);
-    channel->flush_replays();
+    pipe->set_config(calm);
+    pipe->flush_replays();
   }
   governed.pump();
   twin.pump();
@@ -280,9 +282,9 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   // The schedule must actually have exercised the fault paths.
   std::uint64_t faults = 0;
   std::uint64_t outages = 0;
-  for (const auto& channel : channels) {
-    faults += channel->counters().faults();
-    outages += channel->counters().outages;
+  for (const auto& pipe : pipes) {
+    faults += pipe->counters().faults();
+    outages += pipe->counters().outages;
   }
   EXPECT_GT(faults, 0u);
   if (schedule.faults.outage > 0.0) {

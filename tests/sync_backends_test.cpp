@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "ldap/error.h"
@@ -232,6 +233,10 @@ struct BackendCase {
   const char* name;
   std::function<std::unique_ptr<SyncBackend>(server::DirectoryServer&)> make;
 };
+
+// gtest prints parameters into the test listing; without this it would
+// dump the raw bytes of the name pointer and the std::function.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 class BackendConvergence : public ::testing::TestWithParam<BackendCase> {};
 

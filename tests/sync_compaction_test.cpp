@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -86,6 +87,13 @@ struct CompactionSchedule {
   std::size_t retention;   // records kept by the compacted master
   int ops_per_round;       // journal appends between polls (>> retention)
 };
+
+// gtest prints parameters into the test listing; without this it would
+// dump the struct's raw bytes, uninitialised padding included.
+void PrintTo(const CompactionSchedule& s, std::ostream* os) {
+  *os << "seed" << s.seed << "_retention" << s.retention << "_ops"
+      << s.ops_per_round;
+}
 
 class SyncCompaction : public ::testing::TestWithParam<CompactionSchedule> {};
 

@@ -1,8 +1,9 @@
 // Depth-3 cascade chaos test: a root master feeding two depth-1 relays,
-// four depth-2 relays and eight leaves, every link a seeded FaultyChannel
-// (drop, duplicate, reorder, delay, reset), with a mid-tree relay crash and
-// restart in the schedule. A fault-free twin tree receives the identical
-// mutation stream over DirectChannels. After quiescence every node's
+// four depth-2 relays and eight leaves, every link a FramedChannel over a
+// seeded FaultyPipe (drop, duplicate, reorder, delay, reset — plus bit
+// corruption and truncation on the corrupting schedules), with a mid-tree
+// relay crash and restart in the schedule. A fault-free twin tree receives
+// the identical mutation stream over DirectChannels. After quiescence every node's
 // replicated content must equal the twin's and the master truth exactly —
 // multi-hop cookie lineage (epoch bumps cascading StaleCookieError down the
 // tree) is what makes that convergence possible.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -132,7 +134,27 @@ struct ChaosSchedule {
   std::string crash_node;  // mid-tree relay crashed at crash_step
   int crash_step;
   int restart_step;
+
+  bool damages_bytes() const {
+    return faults.corrupt > 0.0 || faults.truncate > 0.0;
+  }
+  std::string name() const {
+    return (damages_bytes() ? "corrupt_seed" : "lossy_seed") +
+           std::to_string(seed);
+  }
 };
+
+// gtest prints parameters into the test listing; without this it would
+// dump the struct's raw bytes, heap pointers included.
+void PrintTo(const ChaosSchedule& schedule, std::ostream* os) {
+  *os << schedule.name();
+  if (schedule.crash_step < 0) {
+    *os << " no crash";
+  } else {
+    *os << " crash " << schedule.crash_node << " " << schedule.crash_step
+        << ".." << schedule.restart_step;
+  }
+}
 
 class TopologyChaos : public ::testing::TestWithParam<ChaosSchedule> {};
 
@@ -182,10 +204,10 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
   net::FaultConfig clean;
   clean.seed = schedule.faults.seed;
   for (const std::string& name : faulty.node_names()) {
-    if (net::FaultyChannel* channel = faulty.fault_channel(name)) {
-      channel->set_config(clean);
-      channel->flush_replays();
-    }
+    net::FaultyPipe* pipe = faulty.fault_pipe(name);
+    ASSERT_NE(pipe, nullptr) << name << " lost its fault pipe";
+    pipe->set_config(clean);
+    pipe->flush_replays();
   }
   for (int round = 0; round < 12; ++round) {
     faulty.tick();
@@ -194,6 +216,7 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
 
   // Exact convergence, every node against the twin and the master truth.
   std::uint64_t faults_seen = 0;
+  std::uint64_t damaged = 0;
   for (const std::string& name : faulty.node_names()) {
     const RelayNode& node = faulty.node(name);
     const RelayNode& twin_node = twin.node(name);
@@ -201,17 +224,21 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
     const Query& query = node.filter_replica().query_at(0);
     const auto faulty_keys = mirror_keys(node, query);
     EXPECT_EQ(faulty_keys, master_truth(*faulty_master, query))
-        << name << " diverged from master truth (seed " << schedule.seed << ")";
+        << name << " diverged from master truth (" << schedule.name() << ")";
     EXPECT_EQ(faulty_keys, mirror_keys(twin_node, query))
-        << name << " diverged from its fault-free twin (seed " << schedule.seed
+        << name << " diverged from its fault-free twin (" << schedule.name()
         << ")";
-    if (const net::FaultyChannel* channel = faulty.fault_channel(name)) {
-      faults_seen += channel->counters().faults();
-    }
+    const net::FaultCounters& counters = faulty.fault_pipe(name)->counters();
+    faults_seen += counters.faults();
+    damaged += counters.corrupted + counters.truncated;
   }
 
   // The schedule must actually have hurt.
   EXPECT_GT(faults_seen, 0u) << "fault schedule was a no-op";
+  if (schedule.damages_bytes()) {
+    EXPECT_GT(damaged, 0u)
+        << "corrupting schedule damaged no frames (" << schedule.name() << ")";
+  }
   for (const NodeHealth& health : faulty.health()) {
     EXPECT_FALSE(health.down) << health.name;
     EXPECT_FALSE(health.degraded) << health.name << " still degraded";
@@ -251,6 +278,15 @@ net::FaultConfig lossy(std::uint64_t seed) {
   return config;
 }
 
+/// lossy() plus the byte faults: damaged frames must surface as transport
+/// errors (counted) and heal through retries and the stale-cookie cascade.
+net::FaultConfig corrupting(std::uint64_t seed) {
+  net::FaultConfig config = lossy(seed);
+  config.corrupt = 0.05;
+  config.truncate = 0.04;
+  return config;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schedules, TopologyChaos,
     ::testing::Values(
@@ -261,16 +297,20 @@ INSTANTIATE_TEST_SUITE_P(
         // pure link chaos, no crash
         ChaosSchedule{777, lossy(777), "d1-1", -1, -1},
         // crash with a long outage late in the run
-        ChaosSchedule{424242, lossy(424242), "d2-01", 140, 180}),
+        ChaosSchedule{424242, lossy(424242), "d2-01", 140, 180},
+        // the same four worlds with flipped bits and truncated frames
+        ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
+        ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
+        ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
+        ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180}),
     [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
+      return param_info.param.name();
     });
 
 // Codec transparency at tree scale: a fault-free tree whose every link runs
-// the framed wire codec must mirror a DirectChannel twin exactly — same
-// entries at every node after the identical mutation stream. One mid-tree
-// link is explicitly overridden back to direct, proving framed and direct
-// hops mix within one tree.
+// the framed wire codec (an all-zero FaultConfig) must mirror a
+// DirectChannel twin exactly — same entries at every node after the
+// identical mutation stream.
 class FramedTopologyTwin : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FramedTopologyTwin, FramedTreeMirrorsDirectTwinExactly) {
@@ -280,34 +320,23 @@ TEST_P(FramedTopologyTwin, FramedTreeMirrorsDirectTwinExactly) {
   auto direct_master = make_master("ldap://root");
 
   TopologyRuntime::Options framed_options;
-  framed_options.framed = true;
+  framed_options.faults = net::FaultConfig{};  // framed, fault-free
   TopologyRuntime framed(framed_master, framed_options);
   TopologyRuntime direct(direct_master, {});
 
-  // Same shape as build_tree, but one relay's upstream hop forced direct.
-  for (const std::string& bits : kBits1) {
-    framed.add_node("d1-" + bits, "", {serial_query(bits)},
-                    bits == "1" ? std::optional<bool>(false) : std::nullopt);
-  }
-  for (const std::string& bits : kBits2) {
-    framed.add_node("d2-" + bits, "d1-" + bits.substr(0, 1),
-                    {serial_query(bits)});
-  }
-  for (const std::string& bits : kBits3) {
-    framed.add_node("leaf-" + bits, "d2-" + bits.substr(0, 2),
-                    {serial_query(bits)});
-  }
+  build_tree(framed);
   build_tree(direct);
   ASSERT_TRUE(framed.install());
   ASSERT_TRUE(direct.install());
 
-  // The per-link toggle wired what it promised.
-  EXPECT_NE(framed.framed_link("d1-0"), nullptr);
-  EXPECT_EQ(framed.framed_link("d1-1"), nullptr);
-  EXPECT_NE(framed.framed_link("leaf-010"), nullptr);
-  EXPECT_EQ(framed.fault_pipe("d1-0"), nullptr);  // no faults configured
-  EXPECT_TRUE(framed.node("d1-0").framed_upstream());
-  EXPECT_FALSE(framed.node("d1-1").framed_upstream());
+  // Every hop of the faults-configured tree is framed; none of the other.
+  for (const std::string& name : framed.node_names()) {
+    EXPECT_NE(framed.framed_link(name), nullptr) << name;
+    EXPECT_NE(framed.fault_pipe(name), nullptr) << name;
+    EXPECT_TRUE(framed.node(name).framed_upstream()) << name;
+    EXPECT_EQ(direct.framed_link(name), nullptr) << name;
+    EXPECT_FALSE(direct.node(name).framed_upstream()) << name;
+  }
 
   std::mt19937 rng(static_cast<unsigned>(seed));
   int next_rank = 0;
@@ -333,6 +362,11 @@ TEST_P(FramedTopologyTwin, FramedTreeMirrorsDirectTwinExactly) {
         << name << " diverged from the direct twin (seed " << seed << ")";
   }
 
+  // The all-zero schedule injected nothing.
+  for (const std::string& name : framed.node_names()) {
+    EXPECT_EQ(framed.fault_pipe(name)->counters().faults(), 0u) << name;
+  }
+
   // Framed links measured exact frame traffic.
   const net::FramedChannel* link = framed.framed_link("d1-0");
   ASSERT_NE(link, nullptr);
@@ -347,102 +381,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FramedTopologyTwin,
                          [](const ::testing::TestParamInfo<std::uint64_t>& p) {
                            return "seed" + std::to_string(p.param);
                          });
-
-net::FaultConfig corrupting(std::uint64_t seed) {
-  net::FaultConfig config = lossy(seed);
-  config.corrupt = 0.05;
-  config.truncate = 0.04;
-  return config;
-}
-
-// The full tree under byte-level chaos: every link framed over a FaultyPipe
-// whose schedule adds bit corruption and truncation to the usual loss. The
-// damaged frames must surface as transport errors (counted), heal through
-// retries and the stale-cookie cascade, and the tree still converges to the
-// fault-free twin.
-class FramedTopologyChaos : public ::testing::TestWithParam<ChaosSchedule> {};
-
-TEST_P(FramedTopologyChaos, FramedTreeConvergesUnderCorruptionSchedule) {
-  const ChaosSchedule schedule = GetParam();
-
-  auto faulty_master = make_master("ldap://root");
-  auto twin_master = make_master("ldap://root");
-
-  TopologyRuntime::Options faulty_options;
-  faulty_options.framed = true;
-  faulty_options.faults = schedule.faults;
-  faulty_options.retry.max_attempts = 4;
-  faulty_options.retry.base_backoff_ticks = 1;
-  faulty_options.retry.max_backoff_ticks = 6;
-  faulty_options.retry.jitter_seed = schedule.seed;
-  faulty_options.session_time_limit = 60;
-  TopologyRuntime faulty(faulty_master, faulty_options);
-  faulty.root_master().set_session_time_limit(60);
-
-  TopologyRuntime::Options twin_options;
-  twin_options.session_time_limit = 60;
-  TopologyRuntime twin(twin_master, twin_options);
-  twin.root_master().set_session_time_limit(60);
-
-  build_tree(faulty);
-  build_tree(twin);
-  faulty.install();
-  ASSERT_TRUE(twin.install());
-
-  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
-  int next_rank = 0;
-  for (int step = 0; step < 200; ++step) {
-    mutate_both(rng, next_rank, *faulty_master, *twin_master);
-    if (step == schedule.crash_step) faulty.crash_node(schedule.crash_node);
-    if (step == schedule.restart_step) faulty.restart_node(schedule.crash_node);
-    faulty.tick();
-    twin.tick();
-  }
-
-  // Quiescence via the pipe-level accessor: links go clean and drain.
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
-  std::uint64_t damaged = 0;
-  for (const std::string& name : faulty.node_names()) {
-    net::FaultyPipe* pipe = faulty.fault_pipe(name);
-    ASSERT_NE(pipe, nullptr) << name << " lost its framed fault pipe";
-    damaged += pipe->counters().corrupted + pipe->counters().truncated;
-    pipe->set_config(clean);
-    pipe->flush_replays();
-  }
-  for (int round = 0; round < 12; ++round) {
-    faulty.tick();
-    twin.tick();
-  }
-
-  for (const std::string& name : faulty.node_names()) {
-    const RelayNode& node = faulty.node(name);
-    const Query& query = node.filter_replica().query_at(0);
-    const auto faulty_keys = mirror_keys(node, query);
-    EXPECT_EQ(faulty_keys, master_truth(*faulty_master, query))
-        << name << " diverged from master truth (seed " << schedule.seed << ")";
-    EXPECT_EQ(faulty_keys, mirror_keys(twin.node(name), query))
-        << name << " diverged from its fault-free twin (seed " << schedule.seed
-        << ")";
-  }
-  EXPECT_GT(damaged, 0u)
-      << "corruption schedule damaged no frames (seed " << schedule.seed << ")";
-  for (const NodeHealth& health : faulty.health()) {
-    EXPECT_FALSE(health.down) << health.name;
-    EXPECT_FALSE(health.degraded) << health.name << " still degraded";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FramedTopologyChaos,
-    ::testing::Values(
-        ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
-        ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
-        ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
-        ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
 
 }  // namespace
 }  // namespace fbdr::topology
