@@ -6,8 +6,9 @@
 //
 // Besides the Google Benchmark counters, a JSON report compares the
 // interned-IR Proposition 1 path (filter_contained — predicates normalized
-// once at intern time) against the preserved legacy string path
-// (filter_contained_legacy — re-normalizes every value on every check).
+// once at intern time) against the legacy string path kept in the test
+// oracle library (filter_contained_legacy — re-normalizes every value on
+// every check).
 //
 // Usage: bench_containment [--json=PATH] [benchmark flags]
 
@@ -26,6 +27,7 @@
 #include "json_report.h"
 #include "ldap/filter_ir.h"
 #include "ldap/filter_parser.h"
+#include "legacy_containment.h"
 #include "replica/filter_replica.h"
 
 namespace {

@@ -3,23 +3,22 @@
 // sharded multi-threaded pump (DESIGN.md §13) optimize.
 //
 // Evaluation modes over the same update mix and session population:
-//   legacy    — exhaustive per-record x per-session fan-out, AST-walking
-//               filter evaluation (the pre-optimization master),
-//   compiled  — exhaustive fan-out, compiled filter programs,
+//   compiled  — exhaustive per-record x per-session fan-out, compiled filter
+//               programs (change routing disabled),
 //   routed    — ChangeRouter candidate pruning + compiled programs + shared
 //               normalized-value cache (the default configuration), swept
 //               across --shards= x --threads= pump configurations.
 //
-// The exhaustive modes are O(records x sessions) by construction, so they
-// only run at session counts up to --exhaustive-cap (default 1000); the
+// The exhaustive mode is O(records x sessions) by construction, so it
+// only runs at session counts up to --exhaustive-cap (default 1000); the
 // routed sweeps carry the ladder to 10k-100k sessions. Sessions replicate
 // attribute-selective department filters (departmentnumber=NNNN), the
 // workload of §7.3b. Reported: pump cost per journaled change (ns) and
 // sustained change throughput per configuration, the router's candidate
-// statistics, a routed-vs-legacy speedup at the largest exhaustive rung and
+// statistics, a routed-vs-exhaustive speedup at the largest exhaustive rung and
 // a parallel_speedup_vs_serial series against the serial routed baseline
 // (shards=1, threads=0). Results are written as a JSON report for CI
-// (scripts/bench_smoke.sh); --min-speedup gates the routed/legacy edge and
+// (scripts/bench_smoke.sh); --min-speedup gates the routed/exhaustive edge and
 // --min-parallel-speedup gates the threaded speedup at 4 threads — the
 // latter is hardware-aware: on hosts with fewer than 4 cores the gate is
 // skipped loudly (and recorded in the JSON) instead of failing on hardware
@@ -132,8 +131,8 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "master_scaling",
-      "pump() ns/change vs session count; legacy / compiled / routed x "
-      "shards x threads");
+      "pump() ns/change vs session count; compiled / routed x shards x "
+      "threads");
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("# hardware_concurrency: %u\n", hw_threads);
@@ -143,7 +142,6 @@ int main(int argc, char** argv) {
   const auto run = [&](const char* mode, std::size_t session_count,
                        std::size_t shards, std::size_t threads) {
     resync::ReSyncMaster master(*dir.master);
-    const bool legacy = std::strcmp(mode, "legacy") == 0;
     const bool routed = std::strcmp(mode, "routed") == 0;
     master.set_change_routing(routed);
     master.set_pump_shards(shards);
@@ -155,9 +153,6 @@ int main(int argc, char** argv) {
           "(departmentnumber=" + depts[i % depts.size()] + ")");
       master.handle(query, {resync::Mode::Poll, ""});
     }
-    // Flip after the initial fills so session setup does not pay the AST
-    // walker; only pump() is being compared.
-    master.set_legacy_eval(legacy);
 
     const auto routing_before = master.routing_stats();
     std::uint64_t pump_ns = 0;
@@ -194,14 +189,13 @@ int main(int argc, char** argv) {
 
   std::vector<RunResult> results;
   for (const std::size_t session_count : options.sessions) {
-    // Exhaustive baselines are O(records x sessions): past the cap a single
-    // legacy run would dwarf the whole sweep, so they stop at the cap and
+    // The exhaustive baseline is O(records x sessions): past the cap a
+    // single run would dwarf the whole sweep, so it stops at the cap and
     // the routed configurations carry the ladder alone.
     if (session_count <= options.exhaustive_cap) {
-      results.push_back(run("legacy", session_count, 1, 0));
       results.push_back(run("compiled", session_count, 1, 0));
     } else {
-      std::printf("# exhaustive modes skipped at %zu sessions (cap %zu)\n",
+      std::printf("# exhaustive mode skipped at %zu sessions (cap %zu)\n",
                   session_count, options.exhaustive_cap);
     }
     // Serial routed baseline: the reference the parallel sweeps are
@@ -215,25 +209,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Routed-vs-legacy speedup (per exhaustive rung, serial configurations).
+  // Routed-vs-exhaustive speedup (per exhaustive rung, serial
+  // configurations).
   double speedup_at_max = 0.0;
-  std::size_t max_legacy_sessions = 0;
+  std::size_t max_exhaustive_sessions = 0;
   for (const std::size_t session_count : options.sessions) {
-    double legacy_ns = 0.0;
+    double exhaustive_ns = 0.0;
     double routed_ns = 0.0;
     for (const RunResult& result : results) {
       if (result.sessions != session_count) continue;
-      if (result.mode == "legacy") legacy_ns = result.ns_per_change;
+      if (result.mode == "compiled") exhaustive_ns = result.ns_per_change;
       if (result.mode == "routed" && result.shards == 1 && result.threads == 0) {
         routed_ns = result.ns_per_change;
       }
     }
-    if (legacy_ns == 0.0) continue;
-    const double speedup = routed_ns > 0.0 ? legacy_ns / routed_ns : 0.0;
-    bench::print_row("routed_speedup_vs_legacy",
+    if (exhaustive_ns == 0.0) continue;
+    const double speedup = routed_ns > 0.0 ? exhaustive_ns / routed_ns : 0.0;
+    bench::print_row("routed_speedup_vs_exhaustive",
                      static_cast<double>(session_count), speedup);
-    if (session_count >= max_legacy_sessions) {
-      max_legacy_sessions = session_count;
+    if (session_count >= max_exhaustive_sessions) {
+      max_exhaustive_sessions = session_count;
       speedup_at_max = speedup;
     }
   }
@@ -316,18 +311,18 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(options.sessions.empty()
                                             ? 0
                                             : options.sessions.back()));
-  report.set("routed_speedup_vs_legacy_at_max_sessions", speedup_at_max);
+  report.set("routed_speedup_vs_exhaustive_at_max_sessions", speedup_at_max);
 
   int exit_code = 0;
   if (options.min_speedup > 0.0 && speedup_at_max < options.min_speedup) {
     std::fprintf(stderr,
                  "FAIL: routed pump speedup %.2fx at %zu sessions is below "
                  "the required %.2fx\n",
-                 speedup_at_max, max_legacy_sessions, options.min_speedup);
+                 speedup_at_max, max_exhaustive_sessions, options.min_speedup);
     exit_code = 1;
   } else if (options.min_speedup > 0.0) {
     std::printf("# routed speedup at %zu sessions: %.2fx (gate %.2fx)\n",
-                max_legacy_sessions, speedup_at_max, options.min_speedup);
+                max_exhaustive_sessions, speedup_at_max, options.min_speedup);
   }
 
   if (options.min_parallel_speedup > 0.0) {

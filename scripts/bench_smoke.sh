@@ -2,8 +2,9 @@
 # Bench smoke gate: builds the CI-gated benches at -O2 and fails loudly when
 # a reproduced headline regresses.
 #
-#   bench_master_scaling   routed pump() must keep its edge over the legacy
-#                          exhaustive fan-out (--min-speedup, default 2.0),
+#   bench_master_scaling   routed pump() must keep its edge over the
+#                          exhaustive fan-out with compiled filters
+#                          (--min-speedup, default 2.0),
 #                          and the sharded 4-thread pump must hold
 #                          --min-parallel-speedup (default 2.0) over the
 #                          serial baseline at 10k sessions — skipped

@@ -3,9 +3,10 @@
 #
 # Stage 1: clang-format --dry-run --Werror over src/ tests/ bench/ — fails
 # on any formatting drift from the checked-in .clang-format.
-# Stage 2: clang-tidy over src/ with the checked-in .clang-tidy profile
-# (bugprone / modernize / performance), against the compile commands of the
-# plain build; configure it first if build/ is missing.
+# Stage 2: clang-tidy over src/ and the test oracle library (tests/oracle/)
+# with the checked-in .clang-tidy profile (bugprone / modernize /
+# performance), against the compile commands of the plain build; configure
+# it first if build/ is missing.
 #
 # The container image does not always ship clang-format or clang-tidy: a
 # missing tool prints a notice and its stage degrades to a no-op instead of
@@ -40,7 +41,7 @@ if [ ! -f build/compile_commands.json ]; then
   exit 0
 fi
 
-mapfile -t sources < <(find src -name '*.cpp' | sort)
-echo "lint: $TIDY over ${#sources[@]} files in src/"
+mapfile -t sources < <(find src tests/oracle -name '*.cpp' | sort)
+echo "lint: $TIDY over ${#sources[@]} files in src/ and tests/oracle/"
 "$TIDY" -p build --quiet "$@" "${sources[@]}"
 echo "lint: OK"

@@ -63,7 +63,7 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
       -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos'
 
-echo "== tier 1: bench smoke (routed pump >2x legacy; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
+echo "== tier 1: bench smoke (routed pump >=2x exhaustive; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2
 
 echo "tier 1: OK"

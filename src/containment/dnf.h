@@ -72,14 +72,6 @@ std::vector<Conjunct> to_dnf(const ldap::Filter& filter, bool negated,
                              const ldap::Schema& schema,
                              std::size_t max_conjuncts = 4096);
 
-/// The pre-IR expansion: walks the raw AST and normalizes every assertion
-/// value inline. Kept only as the benchmark baseline and the equivalence
-/// suite's oracle (like ContentTracker::set_legacy_eval); production paths
-/// go through the IR overload.
-std::vector<Conjunct> legacy_to_dnf(const ldap::Filter& filter, bool negated,
-                                    const ldap::Schema& schema,
-                                    std::size_t max_conjuncts = 4096);
-
 /// Decides whether a conjunct is provably unsatisfiable (paper §4.1: "the
 /// predicates in Bi should impose an empty range for at least one of the
 /// attributes appearing in it", extended with presence/absence and substring

@@ -9,7 +9,6 @@ namespace fbdr::containment {
 using ldap::Filter;
 using ldap::FilterInterner;
 using ldap::FilterIr;
-using ldap::FilterIrPtr;
 using ldap::FilterKind;
 using ldap::Schema;
 using ldap::SubstringPattern;
@@ -39,26 +38,6 @@ bool filter_contained(const Filter& inner, const Filter& outer,
   FilterInterner& interner = FilterInterner::for_schema(schema);
   return filter_contained(*interner.intern(inner), *interner.intern(outer),
                           schema, max_conjuncts);
-}
-
-bool filter_contained_legacy(const Filter& inner, const Filter& outer,
-                             const Schema& schema, std::size_t max_conjuncts) {
-  try {
-    const std::vector<Conjunct> dnf_inner =
-        legacy_to_dnf(inner, /*negated=*/false, schema, max_conjuncts);
-    const std::vector<Conjunct> dnf_not_outer =
-        legacy_to_dnf(outer, /*negated=*/true, schema, max_conjuncts);
-    for (const Conjunct& a : dnf_inner) {
-      for (const Conjunct& b : dnf_not_outer) {
-        if (!conjunct_inconsistent(merge_conjuncts(a, b, schema), schema)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  } catch (const DnfLimitExceeded&) {
-    return false;
-  }
 }
 
 bool predicate_contained(const FilterIr& inner, const FilterIr& outer,
@@ -149,87 +128,17 @@ std::optional<bool> same_template_contained(const FilterIr& inner,
 
 bool predicate_contained(const Filter& inner, const Filter& outer,
                          const Schema& schema) {
-  if (!inner.is_predicate() || !outer.is_predicate()) return false;
-  if (inner.attribute() != outer.attribute()) return false;
-  const std::string& attr = inner.attribute();
-  const ValueOrder order(schema, attr);
-
-  // Everything (with the attribute present) is contained in a presence test.
-  if (outer.kind() == FilterKind::Present) return true;
-  if (inner.kind() == FilterKind::Present) return false;
-
-  auto norm = [&](const std::string& v) { return schema.normalize(attr, v); };
-
-  // Represent the inner predicate by a range and/or a pattern.
-  switch (outer.kind()) {
-    case FilterKind::Equality: {
-      // Only an equality with the same value is inside a point.
-      return inner.kind() == FilterKind::Equality &&
-             schema.equals(attr, inner.value(), outer.value());
-    }
-    case FilterKind::GreaterEq:
-    case FilterKind::LessEq: {
-      const ValueRange outer_range =
-          outer.kind() == FilterKind::GreaterEq
-              ? ValueRange::at_least(norm(outer.value()))
-              : ValueRange::at_most(norm(outer.value()));
-      switch (inner.kind()) {
-        case FilterKind::Equality:
-          return outer_range.contains_value(norm(inner.value()), order);
-        case FilterKind::GreaterEq:
-          return outer_range.contains_range(
-              ValueRange::at_least(norm(inner.value())), order);
-        case FilterKind::LessEq:
-          return outer_range.contains_range(
-              ValueRange::at_most(norm(inner.value())), order);
-        case FilterKind::Substring: {
-          // A prefix pattern lies in a range iff its prefix interval does
-          // (string syntaxes only; checked via the general engine otherwise).
-          const SubstringPattern p =
-              normalize_pattern(inner.substrings(), attr, schema);
-          if (p.is_prefix_only() &&
-              schema.syntax_of(attr) != ldap::Syntax::Integer) {
-            return outer_range.contains_range(ValueRange::prefix(p.initial),
-                                              order);
-          }
-          return false;
-        }
-        default:
-          return false;
-      }
-    }
-    case FilterKind::Substring: {
-      const SubstringPattern outer_p =
-          normalize_pattern(outer.substrings(), attr, schema);
-      if (inner.kind() == FilterKind::Equality) {
-        return outer_p.matches(norm(inner.value()));
-      }
-      if (inner.kind() == FilterKind::Substring) {
-        return pattern_contained(
-            normalize_pattern(inner.substrings(), attr, schema), outer_p);
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
+  FilterInterner& interner = FilterInterner::for_schema(schema);
+  return predicate_contained(*interner.intern(inner), *interner.intern(outer),
+                             schema);
 }
 
 bool same_template_contained(const Filter& inner, const Filter& outer,
                              const Schema& schema) {
-  if (inner.kind() != outer.kind()) return false;
-  if (inner.is_composite()) {
-    if (inner.kind() == FilterKind::Not) return false;  // positive filters only
-    if (inner.children().size() != outer.children().size()) return false;
-    for (std::size_t i = 0; i < inner.children().size(); ++i) {
-      if (!same_template_contained(*inner.children()[i], *outer.children()[i],
-                                   schema)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  return predicate_contained(inner, outer, schema);
+  FilterInterner& interner = FilterInterner::for_schema(schema);
+  return same_template_contained(*interner.intern(inner),
+                                 *interner.intern(outer), schema)
+      .value_or(false);
 }
 
 }  // namespace fbdr::containment

@@ -30,14 +30,6 @@ bool filter_contained(const ldap::Filter& inner, const ldap::Filter& outer,
                       const ldap::Schema& schema = ldap::Schema::default_instance(),
                       std::size_t max_conjuncts = 4096);
 
-/// The pre-IR Proposition 1 check over the raw AST (normalizes values during
-/// DNF expansion). Kept as the benchmark baseline and the equivalence suite's
-/// oracle; production paths go through the IR overload.
-bool filter_contained_legacy(
-    const ldap::Filter& inner, const ldap::Filter& outer,
-    const ldap::Schema& schema = ldap::Schema::default_instance(),
-    std::size_t max_conjuncts = 4096);
-
 /// Same-template fast path (paper Proposition 3) over canonical IR: for two
 /// positive filters of the same template, `inner` is contained in `outer` if
 /// each predicate of `inner` is contained in the corresponding predicate of
@@ -51,9 +43,8 @@ std::optional<bool> same_template_contained(
     const ldap::FilterIr& inner, const ldap::FilterIr& outer,
     const ldap::Schema& schema = ldap::Schema::default_instance());
 
-/// AST form of the Proposition 3 walk (lockstep over the raw trees; returns
-/// false on structural mismatch). Precondition: both filters match one
-/// template (identical skeleton).
+/// Filter form of the Proposition 3 walk: interns both sides and delegates;
+/// a structural mismatch answers false.
 bool same_template_contained(
     const ldap::Filter& inner, const ldap::Filter& outer,
     const ldap::Schema& schema = ldap::Schema::default_instance());
@@ -65,7 +56,7 @@ bool same_template_contained(
 /// ((a=x) in (a>=y) iff x>=y, (a=x) in (a=p*) iff x matches, ...).
 ///
 /// The IR overload compares the nodes' pre-normalized values directly (no
-/// normalize calls); the AST overload normalizes inline.
+/// normalize calls); the Filter overload interns both sides and delegates.
 bool predicate_contained(
     const ldap::FilterIr& inner, const ldap::FilterIr& outer,
     const ldap::Schema& schema = ldap::Schema::default_instance());

@@ -3,7 +3,7 @@
 #include <memory>
 #include <string>
 
-#include "ldap/filter_eval.h"
+#include "ldap/compiled_filter.h"
 #include "replica/subtree_replica.h"
 #include "server/endpoint.h"
 
@@ -28,9 +28,11 @@ class SubtreeReplicaEndpoint : public server::SearchEndpoint {
     server::SearchResult result;
     if (replica_->handle(query).hit) {
       result.base_resolved = true;
+      const ldap::CompiledFilter filter = ldap::CompiledFilter::compile(
+          query.filter, ldap::Schema::default_instance());
       for (const ldap::EntryPtr& entry : replica_->entries()) {
         if (!query.region_covers(entry->dn())) continue;
-        if (query.filter && !ldap::matches(*query.filter, *entry)) continue;
+        if (!filter.matches(*entry)) continue;
         result.entries.push_back(server::project(entry, query.attrs));
       }
     } else {

@@ -146,7 +146,6 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
     }
     // (i) Initial request: create the session and send the whole content.
     auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-    qs->set_legacy_eval(legacy_eval_);
     const sync::UpdateBatch batch = qs->initial(master_->dit());
     id = new_session_id();
     session = &adopt_session(id, std::move(qs), control.mode);
@@ -313,7 +312,6 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
   }
   ++governor_.stats().reconcile_walks;
   auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-  qs->set_legacy_eval(legacy_eval_);
   qs->prepare(master_->dit());
   const ReconcileRequest& offer = *control.reconcile;
 
@@ -774,15 +772,6 @@ void ReSyncMaster::reset() {
   // The restarted master resumes journal consumption at the tail: sessions
   // created after the restart take their baseline from initial() anyway.
   last_pumped_seq_ = master_->journal().last_seq();
-}
-
-void ReSyncMaster::set_legacy_eval(bool legacy) {
-  legacy_eval_ = legacy;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (auto& [id, session] : shard->sessions) {
-      session.session->set_legacy_eval(legacy);
-    }
-  }
 }
 
 void ReSyncMaster::abandon(const std::string& cookie) {

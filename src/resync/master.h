@@ -135,11 +135,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// routed-vs-exhaustive equivalence tests.
   void set_change_routing(bool enabled) { change_routing_ = enabled; }
 
-  /// Sessions evaluate filters via the original AST walker instead of the
-  /// compiled program (benchmark baseline only; results are identical).
-  /// Applies to existing sessions and to ones created later.
-  void set_legacy_eval(bool legacy);
-
   /// Candidate-set statistics, folded across the shard routers. candidates
   /// and exhaustive are globally meaningful sums; routed_changes counts
   /// per-shard route invocations (shards x records).
@@ -349,7 +344,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   bool reconcile_enabled_ = true;
   double reconcile_fallback_fraction_ = 0.5;
   bool change_routing_ = true;
-  bool legacy_eval_ = false;
 };
 
 }  // namespace fbdr::resync

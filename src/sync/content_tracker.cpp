@@ -1,7 +1,5 @@
 #include "sync/content_tracker.h"
 
-#include "ldap/filter_eval.h"
-
 namespace fbdr::sync {
 
 using ldap::Dn;
@@ -25,7 +23,6 @@ std::string to_string(Transition transition) {
 
 ContentTracker::ContentTracker(ldap::Query query, const ldap::Schema& schema)
     : query_(std::move(query)),
-      schema_(&schema),
       ir_(ldap::FilterInterner::for_schema(schema).intern(query_.filter)),
       compiled_(ldap::CompiledFilter::compile(
           ir_, ldap::FilterInterner::for_schema(schema))) {}
@@ -44,18 +41,12 @@ bool ContentTracker::in_region(const Dn& dn) const {
 
 bool ContentTracker::matches_query(const Entry& entry) const {
   if (!in_region(entry.dn())) return false;
-  if (legacy_eval_) {
-    return !query_.filter || ldap::matches(*query_.filter, entry, *schema_);
-  }
   return compiled_.matches(entry);
 }
 
 bool ContentTracker::matches_query(const EntryPtr& entry,
                                    ldap::NormalizedValueCache* cache) const {
   if (!in_region(entry->dn())) return false;
-  if (legacy_eval_) {
-    return !query_.filter || ldap::matches(*query_.filter, *entry, *schema_);
-  }
   return compiled_.matches(entry, cache);
 }
 

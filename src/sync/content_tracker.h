@@ -97,19 +97,12 @@ class ContentTracker {
   /// for a filterless query). Shared with the compiled program.
   const ldap::FilterIrPtr& ir() const noexcept { return ir_; }
 
-  /// Evaluate via the original AST walker instead of the compiled program.
-  /// Exists so benchmarks can measure the pre-compilation cost; results are
-  /// identical (see tests/routing_equivalence_test.cpp).
-  void set_legacy_eval(bool legacy) { legacy_eval_ = legacy; }
-
  private:
   bool in_region(const ldap::Dn& dn) const;
 
   ldap::Query query_;
-  const ldap::Schema* schema_;
   ldap::FilterIrPtr ir_;
   ldap::CompiledFilter compiled_;
-  bool legacy_eval_ = false;
   std::map<std::string, ldap::EntryPtr> content_;  // norm key -> snapshot
   ContentDigest digest_;
 };

@@ -106,9 +106,6 @@ class QuerySession {
   /// its routing index.
   std::vector<ContentEvent> rebase(const server::Dit& dit);
 
-  /// Forwards to ContentTracker::set_legacy_eval (benchmark baseline only).
-  void set_legacy_eval(bool legacy) { tracker_.set_legacy_eval(legacy); }
-
  private:
   void note_events(const std::vector<ContentEvent>& events);
 

@@ -12,8 +12,9 @@
 #include "containment/engine.h"
 #include "containment/filter_containment.h"
 #include "ldap/entry.h"
-#include "ldap/filter_eval.h"
 #include "ldap/query_template.h"
+
+#include "filter_eval.h"
 
 namespace fbdr::containment {
 namespace {

@@ -8,7 +8,8 @@
 
 #include "containment/query_containment.h"
 #include "ldap/entry.h"
-#include "ldap/filter_eval.h"
+
+#include "filter_eval.h"
 
 namespace fbdr::containment {
 namespace {

@@ -24,11 +24,13 @@
 
 #include "containment/filter_containment.h"
 #include "ldap/compiled_filter.h"
-#include "ldap/filter_eval.h"
 #include "ldap/filter_ir.h"
 #include "ldap/filter_parser.h"
-#include "ldap/filter_simplify.h"
 #include "workload/directory_gen.h"
+
+#include "filter_eval.h"
+#include "filter_simplify.h"
+#include "legacy_containment.h"
 
 namespace fbdr {
 namespace {

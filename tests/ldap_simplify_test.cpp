@@ -1,12 +1,13 @@
-#include "ldap/filter_simplify.h"
+#include "filter_simplify.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "ldap/entry.h"
-#include "ldap/filter_eval.h"
 #include "ldap/filter_parser.h"
+
+#include "filter_eval.h"
 
 namespace fbdr::ldap {
 namespace {

@@ -1,4 +1,4 @@
-#include "ldap/filter_eval.h"
+#include "filter_eval.h"
 
 #include <algorithm>
 

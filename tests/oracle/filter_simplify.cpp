@@ -1,4 +1,4 @@
-#include "ldap/filter_simplify.h"
+#include "filter_simplify.h"
 
 #include <vector>
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "replica/replica_endpoint.h"
 #include "replica/subtree_endpoint.h"
 #include "server/directory_server.h"
@@ -157,6 +161,38 @@ TEST_F(AnswerTest, SubtreeEndpointServesAndRefers) {
   EXPECT_FALSE(miss.base_resolved);
   ASSERT_EQ(miss.referrals.size(), 1u);
   EXPECT_EQ(miss.referrals[0].url, "ldap://master");
+}
+
+TEST_F(AnswerTest, SubtreeEndpointFiltersLikeMaster) {
+  SubtreeReplica replica;
+  replica.add_context({Dn::parse("c=us,o=x"), {}});
+  replica.load_content(master_);
+  SubtreeReplicaEndpoint endpoint("ldap://subtree-replica", "ldap://master",
+                                  replica);
+
+  const auto sorted_dns = [](const server::SearchResult& result) {
+    std::vector<std::string> dns;
+    for (const ldap::EntryPtr& entry : result.entries) {
+      dns.push_back(entry->dn().norm_key());
+    }
+    std::sort(dns.begin(), dns.end());
+    return dns;
+  };
+
+  // One filter per predicate kind, plus a negation and a disjunction; mixed
+  // case exercises the case-ignore matching rules.
+  for (const char* filter :
+       {"(mail=*)", "(serialNumber=040003)", "(serialNumber>=040003)",
+        "(serialNumber<=040002)", "(mail=E1*)", "(mail=*3@X*)",
+        "(!(serialNumber=040001))",
+        "(|(serialNumber=040001)(mail=e4@x.com))"}) {
+    const Query query = Query::parse("c=us,o=x", Scope::Subtree, filter);
+    const server::SearchResult hit = endpoint.process_search(query);
+    ASSERT_TRUE(hit.base_resolved) << filter;
+    const std::vector<std::string> expected = sorted_dns(master_.search(query));
+    EXPECT_FALSE(expected.empty()) << filter;
+    EXPECT_EQ(sorted_dns(hit), expected) << filter;
+  }
 }
 
 }  // namespace

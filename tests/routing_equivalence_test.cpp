@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ldap/compiled_filter.h"
-#include "ldap/filter_eval.h"
 #include "ldap/filter_parser.h"
 #include "ldap/ldif.h"
 #include "resync/master.h"
@@ -27,6 +26,8 @@
 #include "sync/content_tracker.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
+
+#include "filter_eval.h"
 
 namespace fbdr {
 namespace {

@@ -2,11 +2,12 @@
 
 #include <set>
 
-#include "ldap/filter_eval.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
 #include "workload/workload_gen.h"
 #include "workload/zipf.h"
+
+#include "filter_eval.h"
 
 namespace fbdr::workload {
 namespace {
