@@ -33,7 +33,7 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       wire_roundtrip_test wire_fuzz_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -43,7 +43,7 @@ echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # The hard timeout guards against a hung epoll loop or a wedged child
 # process eating the whole CI run.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|ProcessTopology'
+      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ProcessTopology'
 
 echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # The seeded ChaosProxy drives real byte faults (partitions, resets,
@@ -61,7 +61,7 @@ cmake -B build-tsan -S . -DFBDR_SANITIZE=thread -DFBDR_BUILD_BENCHMARKS=OFF \
 cmake --build build-tsan -j"$(nproc)" --target \
       resync_shard_equivalence_test resync_chaos_test topology_chaos_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos'
+      -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos|BatchedSync'
 
 echo "== tier 1: bench smoke (routed pump >=2x exhaustive; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2

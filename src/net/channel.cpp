@@ -11,6 +11,18 @@ resync::ReSyncResponse DirectChannel::exchange(const ldap::Query& query,
   return endpoint_->handle(query, control);
 }
 
+void Channel::exchange_all(std::span<ExchangeItem> items) {
+  for (ExchangeItem& item : items) {
+    try {
+      item.response = exchange(*item.query, item.control);
+    } catch (...) {
+      item.error = std::current_exception();
+      return;
+    }
+    if (item.response->more) return;
+  }
+}
+
 void DirectChannel::abandon(const std::string& cookie) {
   endpoint_->abandon(cookie);
 }
@@ -44,21 +56,51 @@ std::uint64_t RetryPolicy::backoff(std::size_t attempt) const {
   return std::max<std::uint64_t>(wait, 1);
 }
 
+namespace {
+
+/// The retry loop from attempt `first` on; attempts before it already
+/// failed with TransportError, and the last of them was not backed off yet.
+resync::ReSyncResponse retry_from(Channel& channel, const ldap::Query& query,
+                                  const resync::ReSyncControl& control,
+                                  const RetryPolicy& policy,
+                                  std::uint64_t* retries, std::size_t first) {
+  const std::size_t attempts = std::max<std::size_t>(policy.max_attempts, 1);
+  for (std::size_t attempt = first;; ++attempt) {
+    if (attempt > 0) {
+      channel.elapse(policy.backoff(attempt - 1));
+      if (retries != nullptr) ++*retries;
+    }
+    try {
+      return channel.exchange(query, control);
+    } catch (const TransportError&) {
+      if (attempt + 1 >= attempts) throw;
+    }
+  }
+}
+
+}  // namespace
+
 resync::ReSyncResponse exchange_with_retry(Channel& channel,
                                            const ldap::Query& query,
                                            const resync::ReSyncControl& control,
                                            const RetryPolicy& policy,
                                            std::uint64_t* retries) {
-  const std::size_t attempts = std::max<std::size_t>(policy.max_attempts, 1);
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      return channel.exchange(query, control);
-    } catch (const TransportError&) {
-      if (attempt + 1 >= attempts) throw;
-      channel.elapse(policy.backoff(attempt));
-      if (retries != nullptr) ++*retries;
-    }
+  return retry_from(channel, query, control, policy, retries, 0);
+}
+
+resync::ReSyncResponse finish_with_retry(Channel& channel, ExchangeItem& item,
+                                         const RetryPolicy& policy,
+                                         std::uint64_t* retries) {
+  if (item.response.has_value()) return std::move(*item.response);
+  if (item.error == nullptr) {
+    return retry_from(channel, *item.query, item.control, policy, retries, 0);
   }
+  try {
+    std::rethrow_exception(item.error);
+  } catch (const TransportError&) {
+    if (policy.max_attempts <= 1) throw;
+  }
+  return retry_from(channel, *item.query, item.control, policy, retries, 1);
 }
 
 }  // namespace fbdr::net

@@ -1,8 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "ldap/query.h"
 #include "resync/protocol.h"
@@ -24,6 +28,20 @@ class TransportError : public std::runtime_error {
   explicit TransportError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// One request of a pipelined batch (Channel::exchange_all) and, once the
+/// batch returns, its outcome: the reply, or the error the one-at-a-time
+/// exchange would have thrown (a protocol rejection or TransportError). An
+/// item with neither was not sent.
+struct ExchangeItem {
+  ExchangeItem(const ldap::Query& q, resync::ReSyncControl c)
+      : query(&q), control(std::move(c)) {}
+
+  const ldap::Query* query;
+  resync::ReSyncControl control;
+  std::optional<resync::ReSyncResponse> response;
+  std::exception_ptr error;
+};
+
 /// The transport seam between a ReSync replica and its upstream endpoint —
 /// the enterprise master or a relay replica re-serving its content — one
 /// request/response exchange of the protocol. DirectChannel preserves the
@@ -39,6 +57,16 @@ class Channel {
   /// failure and ldap::ProtocolError family on protocol-level rejection.
   virtual resync::ReSyncResponse exchange(const ldap::Query& query,
                                           const resync::ReSyncControl& control) = 0;
+
+  /// Performs the exchanges of `items` in order and records each outcome in
+  /// its item instead of throwing. The default runs exchange() one item at
+  /// a time and stops after the first item that is not a final clean reply
+  /// — an error, or a page with more to follow — because the caller follows
+  /// that item up before it would have sent the next; later items come back
+  /// not sent. A pipelining channel (FramedChannel over a SocketPipe) may
+  /// already have sent them and then reports their outcomes too. Outcomes
+  /// never skip: once an item is not sent, no later item is.
+  virtual void exchange_all(std::span<ExchangeItem> items);
 
   /// Client-initiated abandon of a persistent search (best effort).
   virtual void abandon(const std::string& cookie) = 0;
@@ -87,5 +115,15 @@ resync::ReSyncResponse exchange_with_retry(Channel& channel,
                                            const resync::ReSyncControl& control,
                                            const RetryPolicy& policy,
                                            std::uint64_t* retries = nullptr);
+
+/// Finishes one item of an exchange_all batch under the retry policy, as if
+/// it had gone through exchange_with_retry: a reply is returned and a
+/// protocol error rethrown. A TransportError in the batch counts as the
+/// first attempt, so the remaining attempts back off and re-send exactly as
+/// exchange_with_retry would have; an item that was not sent runs the whole
+/// policy.
+resync::ReSyncResponse finish_with_retry(Channel& channel, ExchangeItem& item,
+                                         const RetryPolicy& policy,
+                                         std::uint64_t* retries = nullptr);
 
 }  // namespace fbdr::net

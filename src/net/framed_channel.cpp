@@ -62,15 +62,15 @@ void EndpointPipe::send(const wire::Bytes& frame) {
 
 void EndpointPipe::elapse(std::uint64_t ticks) { endpoint_->tick(ticks); }
 
-resync::ReSyncResponse FramedChannel::exchange(
-    const ldap::Query& query, const resync::ReSyncControl& control) {
-  const wire::Bytes request =
-      wire::Codec::frame(wire::Codec::encode_request(query, control));
-  traffic_.count_round_trip();
-  traffic_.count_frame(request.size());
-  const wire::Bytes reply = pipe_->transfer(request);  // TransportError flows
-  traffic_.count_frame(reply.size());
+void BytePipe::transfer_all(const std::vector<wire::Bytes>& frames,
+                            const ReplySink& on_reply) {
+  for (const wire::Bytes& frame : frames) {
+    if (!on_reply(transfer(frame))) return;
+  }
+}
 
+resync::ReSyncResponse FramedChannel::decode_reply(const wire::Bytes& reply) {
+  traffic_.count_frame(reply.size());
   resync::ReSyncResponse response;
   wire::ErrorFrame error;
   bool is_error = false;
@@ -101,6 +101,47 @@ resync::ReSyncResponse FramedChannel::exchange(
   }
   if (response.referred()) traffic_.note_referral();
   return response;
+}
+
+resync::ReSyncResponse FramedChannel::exchange(
+    const ldap::Query& query, const resync::ReSyncControl& control) {
+  const wire::Bytes request =
+      wire::Codec::frame(wire::Codec::encode_request(query, control));
+  traffic_.count_round_trip();
+  traffic_.count_frame(request.size());
+  return decode_reply(pipe_->transfer(request));  // TransportError flows
+}
+
+void FramedChannel::exchange_all(std::span<ExchangeItem> items) {
+  std::vector<wire::Bytes> frames;
+  frames.reserve(items.size());
+  for (const ExchangeItem& item : items) {
+    frames.push_back(
+        wire::Codec::frame(wire::Codec::encode_request(*item.query, item.control)));
+  }
+  std::size_t done = 0;  // items with an outcome
+  const auto count_request = [&] {
+    traffic_.count_round_trip();
+    traffic_.count_frame(frames[done].size());
+  };
+  try {
+    pipe_->transfer_all(frames, [&](wire::Bytes reply) {
+      count_request();
+      ExchangeItem& item = items[done++];
+      try {
+        item.response = decode_reply(reply);
+      } catch (...) {
+        item.error = std::current_exception();
+        return false;
+      }
+      return !item.response->more;
+    });
+  } catch (const TransportError&) {
+    if (done < items.size()) {
+      count_request();
+      items[done].error = std::current_exception();
+    }
+  }
 }
 
 void FramedChannel::abandon(const std::string& cookie) {

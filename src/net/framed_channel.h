@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/channel.h"
 #include "net/stats.h"
@@ -28,6 +30,19 @@ class BytePipe {
   /// TransportError when the frame (or its response) is lost, rejected or
   /// undecodable server-side.
   virtual wire::Bytes transfer(const wire::Bytes& frame) = 0;
+
+  /// Receives the replies of a transfer_all batch in order. Returns false
+  /// when the batch may end after this reply.
+  using ReplySink = std::function<bool(wire::Bytes reply)>;
+
+  /// Carries `frames` in order and hands each reply to `on_reply`. The
+  /// default runs transfer() one frame at a time and sends nothing more
+  /// once the sink returns false; a TransportError propagates, and the
+  /// replies the sink saw before it are exactly the items that completed,
+  /// so the failure belongs to the next one. A pipelining pipe (SocketPipe)
+  /// writes every frame up front and so delivers every reply it reads.
+  virtual void transfer_all(const std::vector<wire::Bytes>& frames,
+                            const ReplySink& on_reply);
 
   /// One-way frame (abandon); best effort, no response.
   virtual void send(const wire::Bytes& frame) = 0;
@@ -73,6 +88,10 @@ class FramedChannel final : public Channel {
 
   resync::ReSyncResponse exchange(const ldap::Query& query,
                                   const resync::ReSyncControl& control) override;
+  /// Encodes every request, hands the frames to the pipe in one
+  /// transfer_all and decodes each reply as exchange() does. Traffic counts
+  /// the items that got an outcome, so it matches the one-at-a-time run.
+  void exchange_all(std::span<ExchangeItem> items) override;
   void abandon(const std::string& cookie) override;
   void elapse(std::uint64_t ticks) override;
 
@@ -84,6 +103,10 @@ class FramedChannel final : public Channel {
   BytePipe& pipe() noexcept { return *pipe_; }
 
  private:
+  /// Decodes one reply frame: the response, or the typed protocol error
+  /// thrown; a garbled frame throws TransportError.
+  resync::ReSyncResponse decode_reply(const wire::Bytes& reply);
+
   std::shared_ptr<BytePipe> pipe_;
   TrafficStats traffic_;
 };

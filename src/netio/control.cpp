@@ -68,8 +68,34 @@ std::string ControlClient::read_line() {
   }
 }
 
+std::vector<std::string> ControlClient::read_reply(const std::string& line,
+                                                   std::string* error) {
+  const std::string status = read_line();
+  if (status.rfind("err ", 0) == 0) {
+    *error = "control command '" + line + "' failed: " + status.substr(4);
+    return {};
+  }
+  if (status.rfind("ok ", 0) != 0) {
+    throw std::runtime_error("malformed control reply: " + status);
+  }
+  const unsigned long count = std::stoul(status.substr(3));
+  std::vector<std::string> payload;
+  payload.reserve(count);
+  for (unsigned long i = 0; i < count; ++i) payload.push_back(read_line());
+  return payload;
+}
+
 std::vector<std::string> ControlClient::request(const std::string& line) {
-  const std::string out = line + "\n";
+  return std::move(request_all({line}).front());
+}
+
+std::vector<std::vector<std::string>> ControlClient::request_all(
+    const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line;
+    out += '\n';
+  }
   std::size_t sent = 0;
   while (sent < out.size()) {
     const ssize_t n =
@@ -81,20 +107,16 @@ std::vector<std::string> ControlClient::request(const std::string& line) {
     }
     sent += static_cast<std::size_t>(n);
   }
-
-  const std::string status = read_line();
-  if (status.rfind("err ", 0) == 0) {
-    throw std::runtime_error("control command '" + line +
-                             "' failed: " + status.substr(4));
+  std::vector<std::vector<std::string>> payloads;
+  payloads.reserve(lines.size());
+  std::string first_error;
+  for (const std::string& line : lines) {
+    std::string error;
+    payloads.push_back(read_reply(line, &error));
+    if (first_error.empty()) first_error = std::move(error);
   }
-  if (status.rfind("ok ", 0) != 0) {
-    throw std::runtime_error("malformed control reply: " + status);
-  }
-  const unsigned long count = std::stoul(status.substr(3));
-  std::vector<std::string> payload;
-  payload.reserve(count);
-  for (unsigned long i = 0; i < count; ++i) payload.push_back(read_line());
-  return payload;
+  if (!first_error.empty()) throw std::runtime_error(first_error);
+  return payloads;
 }
 
 std::map<std::string, std::string> ControlClient::health() {

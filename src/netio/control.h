@@ -56,11 +56,20 @@ class ControlClient {
   /// Throws std::runtime_error on "err", transport failure or timeout.
   std::vector<std::string> request(const std::string& line);
 
+  /// Pipelined: writes every line in one send, then reads every reply in
+  /// order. All replies are consumed even when one is "err", so the stream
+  /// stays in sync; the first error is then thrown. Returns the payloads.
+  std::vector<std::vector<std::string>> request_all(
+      const std::vector<std::string>& lines);
+
   /// health command parsed into a key -> value map.
   std::map<std::string, std::string> health();
 
  private:
   std::string read_line();
+  /// Reads one reply to `line`: its payload, or the error message in *error.
+  std::vector<std::string> read_reply(const std::string& line,
+                                      std::string* error);
 
   int fd_ = -1;
   int timeout_ms_;

@@ -218,10 +218,20 @@ void EpollServer::accept_ready(int listen_fd, Role role) {
 
 void EpollServer::read_ready(Connection& conn) {
   conn.last_activity = std::chrono::steady_clock::now();
+  read_batch(conn);
+  // Reply coalescing: everything this readable event produced leaves in
+  // one send, so a pipelined client wakes once per batch, not per reply.
+  if (conn.fd >= 0) flush(conn);
+}
+
+void EpollServer::read_batch(Connection& conn) {
   std::uint8_t chunk[16384];
   for (;;) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n == 0) {
+      // A half-closed peer (shutdown(SHUT_WR) after its last request) still
+      // reads: the replies owed to this batch go out before the close.
+      flush(conn);
       close_connection(conn);
       return;
     }
@@ -243,25 +253,28 @@ void EpollServer::read_ready(Connection& conn) {
         dispatch_control(conn, line);
         if (conn.fd < 0) return;
       }
-      continue;
+    } else {
+      try {
+        conn.reassembler.feed(chunk, static_cast<std::size_t>(n));
+      } catch (const wire::CodecError&) {
+        // The stream's framing is gone; the connection is unrecoverable.
+        // Closing it is the socket spelling of "the server drops the
+        // frame": the client sees a transport failure and retries over a
+        // fresh connection with its replay-safe cookie.
+        close_garbled(conn);
+        return;
+      }
+      while (conn.reassembler.has_frame()) {
+        dispatch_frame(conn, conn.reassembler.next_frame());
+        if (conn.fd < 0) return;
+      }
     }
-
-    try {
-      conn.reassembler.feed(chunk, static_cast<std::size_t>(n));
-    } catch (const wire::CodecError&) {
-      // The stream's framing is gone; the connection is unrecoverable.
-      // Closing it is the socket spelling of "the server drops the frame":
-      // the client sees a transport failure and retries over a fresh
-      // connection with its replay-safe cookie.
-      garbled_closes_.fetch_add(1);
-      close_connection(conn);
-      return;
+    // Backpressure still applies mid-batch: past the limit, push out what
+    // the kernel takes now and stop reading if the rest stays queued.
+    if (conn.out.size() - conn.out_offset > options_.max_write_buffer) {
+      flush(conn);
+      if (conn.fd < 0 || conn.read_paused) return;
     }
-    while (conn.reassembler.has_frame()) {
-      dispatch_frame(conn, conn.reassembler.next_frame());
-      if (conn.fd < 0) return;
-    }
-    if (conn.read_paused) return;  // backpressure kicked in mid-batch
   }
 }
 
@@ -274,8 +287,7 @@ void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
     payload = wire::Codec::deframe(frame);
     kind = wire::Codec::kind_of(payload);
   } catch (const wire::CodecError&) {
-    garbled_closes_.fetch_add(1);
-    close_connection(conn);
+    close_garbled(conn);
     return;
   }
 
@@ -293,8 +305,7 @@ void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
   }
 
   if (kind != wire::FrameKind::Request) {
-    garbled_closes_.fetch_add(1);
-    close_connection(conn);
+    close_garbled(conn);
     return;
   }
 
@@ -302,8 +313,7 @@ void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
   try {
     request = wire::Codec::decode_request(payload);
   } catch (const wire::CodecError&) {
-    garbled_closes_.fetch_add(1);
-    close_connection(conn);
+    close_garbled(conn);
     return;
   }
 
@@ -341,33 +351,20 @@ void EpollServer::dispatch_control(Connection& conn, const std::string& line) {
 
 void EpollServer::enqueue(Connection& conn, const std::uint8_t* data,
                           std::size_t size) {
-  // Fast path: nothing queued — write as much as the kernel takes now.
-  std::size_t written = 0;
-  if (conn.out.size() == conn.out_offset) {
+  // Queued only: read_ready() flushes once the whole read batch is answered.
+  if (conn.out_offset == conn.out.size()) {
     conn.out.clear();
     conn.out_offset = 0;
-    while (written < size) {
-      const ssize_t n =
-          ::send(conn.fd, data + written, size - written, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        close_connection(conn);
-        return;
-      }
-      written += static_cast<std::size_t>(n);
-    }
   }
-  if (written == size && conn.out.size() == conn.out_offset) {
-    update_interest(conn);
-    return;
-  }
-  conn.out.insert(conn.out.end(), data + written, data + size);
-  update_interest(conn);
+  conn.out.insert(conn.out.end(), data, data + size);
 }
 
 void EpollServer::write_ready(Connection& conn) {
   conn.last_activity = std::chrono::steady_clock::now();
+  flush(conn);
+}
+
+void EpollServer::flush(Connection& conn) {
   while (conn.out_offset < conn.out.size()) {
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
                              conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
@@ -407,6 +404,14 @@ void EpollServer::update_interest(Connection& conn) {
               (want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+}
+
+void EpollServer::close_garbled(Connection& conn) {
+  garbled_closes_.fetch_add(1);
+  // The replies to the batch's earlier frames go out first, so a pipelining
+  // client's failure lands on the garbled frame, not on the whole batch.
+  flush(conn);
+  close_connection(conn);
 }
 
 void EpollServer::close_connection(Connection& conn) {

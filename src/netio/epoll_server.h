@@ -38,11 +38,15 @@ namespace fbdr::netio {
 ///  - Abandon frames are one-way best effort: dispatched if they decode,
 ///    silently dropped if only their payload is garbled.
 ///
-/// Writes are queued per connection and drained on EPOLLOUT; when a
-/// connection's queue exceeds Options::max_write_buffer the server stops
-/// reading from it (EPOLLIN paused) until the queue drains to half the
-/// limit — backpressure instead of unbounded buffering against a slow
-/// reader. Two more self-defence knobs harden the frame plane against
+/// Replies are coalesced: while the frames (or control lines) of one
+/// readable event are dispatched, their replies only queue, and the queue
+/// is sent once at the end of the batch — a client that pipelines N
+/// requests in one write gets its N replies, in request order, in one send
+/// and one wake-up. Whatever the kernel does not take is drained on
+/// EPOLLOUT; when a connection's queue exceeds Options::max_write_buffer
+/// the server stops reading from it (EPOLLIN paused) until the queue drains
+/// to half the limit — backpressure instead of unbounded buffering against
+/// a slow reader. Two more self-defence knobs harden the frame plane against
 /// hostile or broken peers: Options::idle_timeout_ms reaps connections
 /// that stall mid-frame (slow loris), Options::max_connections sheds
 /// accepts beyond a cap; both are counted in Stats.
@@ -154,12 +158,18 @@ class EpollServer {
 
   void accept_ready(int listen_fd, Role role);
   void read_ready(Connection& conn);
+  /// Reads and dispatches until EAGAIN, close or backpressure pause.
+  void read_batch(Connection& conn);
   void write_ready(Connection& conn);
+  /// Sends as much of the queued reply bytes as the kernel takes now.
+  void flush(Connection& conn);
   void dispatch_frame(Connection& conn, const wire::Bytes& frame);
   void dispatch_control(Connection& conn, const std::string& line);
   void enqueue(Connection& conn, const std::uint8_t* data, std::size_t size);
   void update_interest(Connection& conn);
   void close_connection(Connection& conn);
+  /// Counts a garbled frame, flushes the replies already queued, closes.
+  void close_garbled(Connection& conn);
   void reap_idle();
 
   resync::ReSyncEndpoint* endpoint_;

@@ -218,15 +218,15 @@ void ProcessTopology::tick() {
   }
   Node& r = node(root_);
   if (r.pid <= 0 || !r.client) return;  // root down: no pump, clock holds
+  // Both lines in one write: the root's loop answers them from one read
+  // batch, in one send.
   if (supervisor_.enabled) {
     try {
-      r.client->request("pump");
-      r.client->request("tick 1");
+      r.client->request_all({"pump", "tick 1"});
     } catch (const std::exception&) {
     }
   } else {
-    r.client->request("pump");
-    r.client->request("tick 1");
+    r.client->request_all({"pump", "tick 1"});
   }
 }
 

@@ -52,9 +52,13 @@ void SocketPipe::write_all(const wire::Bytes& frame) {
   }
 }
 
-wire::Bytes SocketPipe::read_frame() {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.io_timeout_ms);
+std::chrono::steady_clock::time_point SocketPipe::io_deadline() const {
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(options_.io_timeout_ms);
+}
+
+wire::Bytes SocketPipe::read_frame(
+    std::chrono::steady_clock::time_point deadline) {
   std::uint8_t chunk[4096];
   while (!reassembler_.has_frame()) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -88,7 +92,25 @@ wire::Bytes SocketPipe::read_frame() {
 wire::Bytes SocketPipe::transfer(const wire::Bytes& frame) {
   ensure_connected();
   write_all(frame);
-  return read_frame();
+  return read_frame(io_deadline());
+}
+
+void SocketPipe::transfer_all(const std::vector<wire::Bytes>& frames,
+                              const ReplySink& on_reply) {
+  if (frames.empty()) return;
+  ensure_connected();
+  wire::Bytes batch;
+  std::size_t total = 0;
+  for (const wire::Bytes& frame : frames) total += frame.size();
+  batch.reserve(total);
+  for (const wire::Bytes& frame : frames) {
+    batch.insert(batch.end(), frame.begin(), frame.end());
+  }
+  write_all(batch);
+  const auto deadline = io_deadline();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    on_reply(read_frame(deadline));
+  }
 }
 
 void SocketPipe::send(const wire::Bytes& frame) {

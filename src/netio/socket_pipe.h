@@ -1,8 +1,10 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/framed_channel.h"
 #include "netio/frame_reassembler.h"
@@ -29,14 +31,18 @@ namespace fbdr::netio {
 ///    logical backoff costs no wall clock, which is what tests want).
 ///
 /// The pipe is intentionally single-connection and synchronous: one
-/// request frame out, one response frame back. Concurrency comes from many
-/// pipes (one per replica session), multiplexed server-side by epoll.
+/// request frame out, one response frame back — or, through transfer_all(),
+/// a whole batch of frames out in one write and their responses back in
+/// order under one deadline (pipelining; the server answers frames on a
+/// connection strictly in order). Concurrency comes from many pipes (one
+/// per replica session), multiplexed server-side by epoll.
 class SocketPipe final : public net::BytePipe {
  public:
   struct Options {
     SocketAddr addr;
     int connect_timeout_ms = 2000;
-    /// Deadline for one whole response (applies per transfer()).
+    /// Deadline for one whole response (per transfer(); per batch of
+    /// responses in transfer_all()).
     int io_timeout_ms = 10000;
     /// Wall-clock milliseconds per logical tick in elapse().
     int backoff_ms_per_tick = 0;
@@ -49,6 +55,12 @@ class SocketPipe final : public net::BytePipe {
   SocketPipe& operator=(const SocketPipe&) = delete;
 
   wire::Bytes transfer(const wire::Bytes& frame) override;
+  /// Pipelined: every frame in one send, then every reply read in order.
+  /// The sink sees each reply; its "may end" hint is ignored, since the
+  /// frames are already written. Any failure closes the connection and
+  /// throws TransportError, as transfer() does.
+  void transfer_all(const std::vector<wire::Bytes>& frames,
+                    const ReplySink& on_reply) override;
   void send(const wire::Bytes& frame) override;
   void elapse(std::uint64_t ticks) override;
 
@@ -62,7 +74,8 @@ class SocketPipe final : public net::BytePipe {
  private:
   void ensure_connected();
   void write_all(const wire::Bytes& frame);
-  wire::Bytes read_frame();
+  wire::Bytes read_frame(std::chrono::steady_clock::time_point deadline);
+  std::chrono::steady_clock::time_point io_deadline() const;
   [[noreturn]] void fail(const std::string& what);
 
   Options options_;

@@ -13,22 +13,10 @@ QuerySession::QuerySession(ldap::Query query, const ldap::Schema& schema)
     : tracker_(std::move(query), schema) {}
 
 UpdateBatch QuerySession::initial(const server::Dit& dit) {
-  tracker_.initialize(dit);
-  pending_.clear();
-  touched_.clear();
-  degraded_ = false;
-  full_bodies_ = false;
-  acked_.clear();
-  UpdateBatch batch;
-  batch.full_reload = true;
-  dit.for_each([&](const EntryPtr& entry) {
-    if (tracker_.matches_query(*entry)) {
-      batch.adds.push_back(entry);
-      acked_.emplace(entry->dn().norm_key(), entry->dn());
-    }
-  });
-  initialized_ = true;
-  return batch;
+  // One DIT scan: the tracker's content is the initial batch, already in
+  // norm-key order (the Dit's own iteration order).
+  prepare(dit);
+  return full_content_batch();
 }
 
 void QuerySession::prepare(const server::Dit& dit) {

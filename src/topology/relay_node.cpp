@@ -93,50 +93,35 @@ void RelayNode::sync() {
   epoch_bumped_this_round_ = false;
   bool attempted = false;
   bool transport_ok = false;
-  for (std::size_t i = 0; i < filters_.size() && channel_ != nullptr; ++i) {
+  const auto steady = [](const UpstreamFilter& filter) {
+    return !filter.cookie.empty() && !filter.degraded;
+  };
+  std::vector<net::ExchangeItem> run;
+  for (std::size_t i = 0; i < filters_.size() && channel_ != nullptr;) {
     if (!referred_to_.empty()) break;  // stop pumping a parent that refused us
-    UpstreamFilter& filter = filters_[i];
     attempted = true;
-    if (filter.cookie.empty() || filter.degraded) {
+    if (!steady(filters_[i])) {
       // Session never established (post-restart/rewire) or down past the
       // retry budget: re-establish with a full reload.
-      if (refetch(i, /*recovery=*/filter.degraded)) {
+      if (reestablish(i, /*recovery=*/filters_[i].degraded)) {
         transport_ok = true;
-        filter.degraded = false;
-      } else if (!referred_to_.empty()) {
-        transport_ok = true;  // the parent answered — with a bounce
-      } else {
-        ++filter.failed_syncs;
-        filter.degraded = true;
       }
+      ++i;
       continue;
     }
-    try {
-      resync::ReSyncResponse response =
-          request(filter, {resync::Mode::Poll, filter.cookie});
-      filter.cookie = response.cookie;
-      response = collect_pages(filter, std::move(response));
-      if (response.complete_enumeration) ++filter.degraded_polls;
-      // max(): a replayed poll (duplicate retried through a FaultyPipe)
-      // may carry an older stamp; root time must never roll backwards.
-      filter.last_origin = std::max(filter.last_origin, response.origin_time);
-      filter.last_synced = downstream_.now();
-      apply_response(i, response);
-      transport_ok = true;
-    } catch (const ldap::StaleCookieError&) {
-      // The parent expired or lost the session (restart, epoch bump):
-      // recover with a full reload — and cascade the bump to descendants.
-      if (refetch(i, /*recovery=*/true)) {
-        transport_ok = true;
-      } else if (!referred_to_.empty()) {
-        transport_ok = true;
-      } else {
-        ++filter.failed_syncs;
-        filter.degraded = true;
-      }
-    } catch (const net::TransportError&) {
-      ++filter.failed_syncs;
-      filter.degraded = true;
+    // Pipeline the polls of this run of steady filters: one batch per link
+    // per round, answered in filter order.
+    run.clear();
+    for (std::size_t j = i; j < filters_.size() && steady(filters_[j]); ++j) {
+      run.emplace_back(filters_[j].query,
+                       resync::ReSyncControl{resync::Mode::Poll,
+                                             filters_[j].cookie});
+    }
+    channel_->exchange_all(run);
+    for (net::ExchangeItem& item : run) {
+      if (!referred_to_.empty()) break;
+      if (finish_poll(i, item)) transport_ok = true;
+      ++i;
     }
   }
   if (attempted) failed_streak_ = transport_ok ? 0 : failed_streak_ + 1;
@@ -152,6 +137,43 @@ void RelayNode::sync() {
 
   downstream_.pump();
   downstream_.tick(1);
+}
+
+bool RelayNode::finish_poll(std::size_t index, net::ExchangeItem& item) {
+  UpstreamFilter& filter = filters_[index];
+  try {
+    resync::ReSyncResponse response =
+        net::finish_with_retry(*channel_, item, config_.retry, &filter.retries);
+    filter.cookie = response.cookie;
+    response = collect_pages(filter, std::move(response));
+    if (response.complete_enumeration) ++filter.degraded_polls;
+    // max(): a replayed poll (duplicate retried through a FaultyPipe)
+    // may carry an older stamp; root time must never roll backwards.
+    filter.last_origin = std::max(filter.last_origin, response.origin_time);
+    filter.last_synced = downstream_.now();
+    apply_response(index, response);
+    return true;
+  } catch (const ldap::StaleCookieError&) {
+    // The parent expired or lost the session (restart, epoch bump):
+    // recover with a full reload — and cascade the bump to descendants.
+    return reestablish(index, /*recovery=*/true);
+  } catch (const net::TransportError&) {
+    ++filter.failed_syncs;
+    filter.degraded = true;
+    return false;
+  }
+}
+
+bool RelayNode::reestablish(std::size_t index, bool recovery) {
+  UpstreamFilter& filter = filters_[index];
+  if (refetch(index, recovery)) {
+    filter.degraded = false;
+    return true;
+  }
+  if (!referred_to_.empty()) return true;  // the parent answered — with a bounce
+  ++filter.failed_syncs;
+  filter.degraded = true;
+  return false;
 }
 
 bool RelayNode::refetch(std::size_t index, bool recovery) {

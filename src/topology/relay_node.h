@@ -100,7 +100,11 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// One upstream sync round: polls every session, applies the deltas to
   /// the mirror (journaled, so the downstream master can route them),
   /// recovers stale sessions with full reloads, then pumps the downstream
-  /// sessions and advances the downstream clock by one tick.
+  /// sessions and advances the downstream clock by one tick. The polls of
+  /// each run of consecutive steady sessions (cookie held, not degraded)
+  /// go upstream as one Channel::exchange_all batch; their answers are
+  /// applied in filter order, and anything but a clean reply takes the
+  /// per-filter path (retries, paging, stale-cookie reload).
   void sync();
 
   /// Re-targets the upstream link (referral chase or re-parenting after
@@ -241,6 +245,17 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// Journals glue entries for every missing ancestor of `dn` above the
   /// suffix, top-down.
   void ensure_parents(const ldap::Dn& dn);
+
+  /// Finishes the batched poll of steady filters_[index]: a TransportError
+  /// in the batch is the first attempt of config_.retry, the remaining
+  /// attempts run here; the reply is paged out and applied, a stale cookie
+  /// re-establishes the session. Returns whether the parent answered.
+  bool finish_poll(std::size_t index, net::ExchangeItem& item);
+
+  /// Re-establishes filters_[index]'s session through refetch(); on failure
+  /// the filter degrades and heals on a later round. Returns whether the
+  /// parent answered (a referral counts).
+  bool reestablish(std::size_t index, bool recovery);
 
   /// Applies one poll/initial response for filters_[index] to the mirror.
   void apply_response(std::size_t index, const resync::ReSyncResponse& response);

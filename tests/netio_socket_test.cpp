@@ -24,6 +24,7 @@
 #include "ldap/entry.h"
 #include "ldap/error.h"
 #include "net/framed_channel.h"
+#include "netio/control.h"
 #include "netio/epoll_server.h"
 #include "netio/frame_reassembler.h"
 #include "netio/socket_addr.h"
@@ -695,6 +696,289 @@ TEST(SocketHardening, AcceptsBeyondTheConnectionCapAreShed) {
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_EQ(wire::Codec::kind_of(first.read_response()),
             wire::FrameKind::Response);
+  server.stop();
+}
+
+
+// --- Pipelining: one write per batch, replies coalesced per read batch ---
+
+/// Poll frames for every open session, in session order.
+std::vector<wire::Bytes> poll_frames(const std::vector<std::string>& cookies) {
+  std::vector<wire::Bytes> frames;
+  for (std::size_t i = 0; i < cookies.size(); ++i) {
+    frames.push_back(wire::Codec::frame(wire::Codec::encode_request(
+        kQueries[i % kQueries.size()], {Mode::Poll, cookies[i]})));
+  }
+  return frames;
+}
+
+/// Opens one poll session per kQueries entry on `channel`; returns cookies.
+std::vector<std::string> open_sessions(net::Channel& channel) {
+  std::vector<std::string> cookies;
+  for (const Query& query : kQueries) {
+    cookies.push_back(channel.exchange(query, {Mode::Poll, ""}).cookie);
+  }
+  return cookies;
+}
+
+// N polls carried by one transfer_all come back in request order and are
+// byte-identical to N one-at-a-time transfers against a twin master that
+// saw the same history.
+TEST(SocketPipelining, BatchedPollsMatchSingleTransfersOnTwin) {
+  SKIP_WITHOUT_SOCKETS();
+  auto socket_master = make_master();
+  auto twin_master = make_master();
+  ReSyncMaster socket_resync(*socket_master);
+  ReSyncMaster twin_resync(*twin_master);
+
+  SocketDir dir;
+  EpollServer server(socket_resync);
+  const SocketAddr addr = server.listen(dir.addr("master.sock"));
+  server.start();
+
+  SocketPipe::Options pipe_options;
+  pipe_options.addr = addr;
+  auto pipe = std::make_shared<SocketPipe>(pipe_options);
+  net::FramedChannel socket_channel(pipe);
+  net::EndpointPipe twin_pipe(twin_resync);
+  net::FramedChannel twin_channel(twin_resync);
+  std::vector<std::string> cookies = open_sessions(socket_channel);
+  ASSERT_EQ(cookies, open_sessions(twin_channel));
+
+  std::mt19937 rng(20050501u);
+  int next_cn = 100;
+  for (int round = 0; round < 6; ++round) {
+    for (int step = 0; step < 5; ++step) {
+      mutate_both(rng, next_cn, *socket_master, *twin_master, server);
+    }
+    {
+      std::lock_guard<std::mutex> lock(server.endpoint_mutex());
+      socket_resync.pump();
+    }
+    twin_resync.pump();
+
+    const std::vector<wire::Bytes> frames = poll_frames(cookies);
+    std::vector<wire::Bytes> batched;
+    pipe->transfer_all(frames, [&](wire::Bytes reply) {
+      batched.push_back(std::move(reply));
+      return true;
+    });
+    ASSERT_EQ(batched.size(), frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(batched[i], twin_pipe.transfer(frames[i]))
+          << "reply " << i << " of round " << round;
+      const ReSyncResponse response =
+          wire::Codec::decode_response(wire::Codec::deframe(batched[i]));
+      cookies[i] = response.cookie;
+    }
+  }
+  EXPECT_EQ(pipe->connects(), 1u);
+  const EpollServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.frames_in, 3u + 6u * 3u);
+  EXPECT_EQ(stats.frames_out, stats.frames_in);
+  EXPECT_EQ(stats.garbled_closes, 0u);
+  server.stop();
+}
+
+// A protocol rejection in the middle of a batch is that item's answer
+// alone: the stale cookie's error frame rethrows type-exact from its own
+// item, and the items around it decode normally.
+TEST(SocketPipelining, StaleCookieMidBatchReachesOnlyItsItem) {
+  SKIP_WITHOUT_SOCKETS();
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+
+  SocketDir dir;
+  EpollServer server(resync);
+  const SocketAddr addr = server.listen(dir.addr("master.sock"));
+  server.start();
+
+  SocketPipe::Options pipe_options;
+  pipe_options.addr = addr;
+  net::FramedChannel channel(std::make_shared<SocketPipe>(pipe_options));
+  const std::vector<std::string> cookies = open_sessions(channel);
+
+  std::vector<net::ExchangeItem> items = {
+      {kQueries[0], {Mode::Poll, cookies[0]}},
+      {kQueries[1], {Mode::Poll, "rs-4242#1"}},
+      {kQueries[2], {Mode::Poll, cookies[2]}},
+  };
+  channel.exchange_all(items);
+  for (const net::ExchangeItem& item : items) {
+    EXPECT_TRUE(item.response.has_value() || item.error != nullptr);
+  }
+  ASSERT_TRUE(items[0].response.has_value());
+  ASSERT_TRUE(items[2].response.has_value());
+  EXPECT_FALSE(items[0].response->cookie.empty());
+  EXPECT_FALSE(items[2].response->cookie.empty());
+  ASSERT_FALSE(items[1].response.has_value());
+  ASSERT_NE(items[1].error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(items[1].error), ldap::StaleCookieError);
+
+  // The sessions around the rejection advanced: their next polls succeed.
+  EXPECT_NO_THROW(channel.exchange(kQueries[0],
+                                   {Mode::Poll, items[0].response->cookie}));
+  EXPECT_NO_THROW(channel.exchange(kQueries[2],
+                                   {Mode::Poll, items[2].response->cookie}));
+  // Six request frames, six replies; the batch counted like three exchanges.
+  EXPECT_EQ(channel.traffic().round_trips, 8u);
+  EXPECT_EQ(channel.traffic().frames, 16u);
+  server.stop();
+}
+
+/// Damages the request frame at `index` of every batch (a valid header
+/// over a lying checksum), so the server closes the connection there.
+class DamagingPipe final : public net::BytePipe {
+ public:
+  DamagingPipe(std::shared_ptr<SocketPipe> inner, std::size_t index)
+      : inner_(std::move(inner)), index_(index) {}
+
+  wire::Bytes transfer(const wire::Bytes& frame) override {
+    return inner_->transfer(frame);
+  }
+  void transfer_all(const std::vector<wire::Bytes>& frames,
+                    const ReplySink& on_reply) override {
+    std::vector<wire::Bytes> damaged = frames;
+    if (index_ < damaged.size()) damaged[index_].back() ^= 0x01;
+    inner_->transfer_all(damaged, on_reply);
+  }
+  void send(const wire::Bytes& frame) override { inner_->send(frame); }
+  void elapse(std::uint64_t ticks) override { inner_->elapse(ticks); }
+
+ private:
+  std::shared_ptr<SocketPipe> inner_;
+  std::size_t index_;
+};
+
+// A peer that closes mid-batch fails the batch from the first unanswered
+// item on: the items it answered keep their replies, the item it dropped
+// carries TransportError, the rest were not sent — and the next call
+// reconnects transparently.
+TEST(SocketPipelining, PeerCloseMidBatchFailsFromFirstUnansweredItem) {
+  SKIP_WITHOUT_SOCKETS();
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+
+  SocketDir dir;
+  EpollServer server(resync);
+  const SocketAddr addr = server.listen(dir.addr("master.sock"));
+  server.start();
+
+  SocketPipe::Options pipe_options;
+  pipe_options.addr = addr;
+  auto socket = std::make_shared<SocketPipe>(pipe_options);
+  net::FramedChannel channel(std::make_shared<DamagingPipe>(socket, 1));
+  const std::vector<std::string> cookies = open_sessions(channel);
+
+  std::vector<net::ExchangeItem> items;
+  for (std::size_t i = 0; i < kQueries.size(); ++i) {
+    items.emplace_back(kQueries[i], ReSyncControl{Mode::Poll, cookies[i]});
+  }
+  channel.exchange_all(items);
+  EXPECT_TRUE(items[0].response.has_value());
+  ASSERT_FALSE(items[1].response.has_value());
+  ASSERT_NE(items[1].error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(items[1].error), net::TransportError);
+  EXPECT_FALSE(items[2].response.has_value());
+  EXPECT_EQ(items[2].error, nullptr);
+  EXPECT_FALSE(socket->connected());
+
+  // Two items got an outcome; the unsent third is not counted.
+  EXPECT_EQ(channel.traffic().round_trips, 3u + 2u);
+
+  // The next call reconnects, and the dropped item's session still answers.
+  const ReSyncResponse healed =
+      channel.exchange(kQueries[1], {Mode::Poll, cookies[1]});
+  EXPECT_FALSE(healed.cookie.empty());
+  EXPECT_EQ(socket->connects(), 2u);
+  EXPECT_GE(server.stats().garbled_closes, 1u);
+  server.stop();
+}
+
+// The control plane pipelines too: an erroring command in the middle of a
+// request_all batch still has every reply consumed, so the stream stays in
+// sync and the next request reads its own reply.
+TEST(SocketPipelining, ControlRequestAllConsumesEveryReply) {
+  SKIP_WITHOUT_SOCKETS();
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+
+  SocketDir dir;
+  EpollServer server(resync);
+  std::vector<std::string> seen;  // loop thread only until stop()
+  const SocketAddr control = server.listen_control(
+      dir.addr("control.sock"), [&seen](const std::string& line) {
+        seen.push_back(line);
+        if (line == "fail") return std::string("err boom\n");
+        return "ok 2\n" + line + "\nsecond\n";
+      });
+  server.start();
+
+  ControlClient client(control);
+  try {
+    client.request_all({"one", "fail", "three"});
+    ADD_FAILURE() << "request_all swallowed the error reply";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("boom"), std::string::npos)
+        << error.what();
+  }
+  // In sync: the next request reads its own reply, not a leftover.
+  EXPECT_EQ(client.request("four"),
+            (std::vector<std::string>{"four", "second"}));
+  const auto payloads = client.request_all({"five", "six"});
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[0], (std::vector<std::string>{"five", "second"}));
+  EXPECT_EQ(payloads[1], (std::vector<std::string>{"six", "second"}));
+  server.stop();
+  EXPECT_EQ(seen, (std::vector<std::string>{"one", "fail", "three", "four",
+                                            "five", "six"}));
+}
+
+// A client may send its last requests and shut its write side down before
+// reading (socat at stdin EOF does). The replies the server owes that read
+// batch still reach it — frames and control lines alike — before the close.
+TEST(SocketPipelining, HalfClosedPeerStillReadsItsReplies) {
+  SKIP_WITHOUT_SOCKETS();
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+
+  SocketDir dir;
+  EpollServer server(resync);
+  const SocketAddr data = server.listen(dir.addr("master.sock"));
+  const SocketAddr control = server.listen_control(
+      dir.addr("control.sock"), [](const std::string& line) {
+        if (line == "fail") return std::string("err boom\n");
+        return "ok 1\n" + line + "\n";
+      });
+  server.start();
+
+  RawFrameClient frames(data);
+  frames.send_request(kQueries[0]);
+  frames.send_request(kQueries[1]);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(::shutdown(frames.fd, SHUT_WR), 0);
+  EXPECT_EQ(wire::Codec::kind_of(frames.read_response()),
+            wire::FrameKind::Response);
+  EXPECT_EQ(wire::Codec::kind_of(frames.read_response()),
+            wire::FrameKind::Response);
+
+  std::string error;
+  const int fd = open_client(control, 2000, &error);
+  ASSERT_GE(fd, 0) << error;
+  const std::string lines = "keys\nfail\n";
+  ASSERT_EQ(::send(fd, lines.data(), lines.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(lines.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::string replies;
+  char chunk[256];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    replies.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(replies, "ok 1\nkeys\nerr boom\n");
   server.stop();
 }
 

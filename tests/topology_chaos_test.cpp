@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <ostream>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ldap/error.h"
+#include "net/fault_injector.h"
+#include "net/framed_channel.h"
 #include "sync/content_tracker.h"
 #include "topology/runtime.h"
 #include "wire/codec.h"
@@ -287,25 +291,336 @@ net::FaultConfig corrupting(std::uint64_t seed) {
   return config;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, TopologyChaos,
-    ::testing::Values(
-        // depth-1 relay crashes mid-run: half the tree re-converges
-        ChaosSchedule{20050501, lossy(20050501), "d1-0", 70, 90},
-        // depth-2 relay crashes: the stale-cookie cascade stops at its leaves
-        ChaosSchedule{31337, lossy(31337), "d2-10", 110, 135},
-        // pure link chaos, no crash
-        ChaosSchedule{777, lossy(777), "d1-1", -1, -1},
-        // crash with a long outage late in the run
-        ChaosSchedule{424242, lossy(424242), "d2-01", 140, 180},
-        // the same four worlds with flipped bits and truncated frames
-        ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
-        ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
-        ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
-        ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return param_info.param.name();
-    });
+const std::vector<ChaosSchedule> kSchedules = {
+    // depth-1 relay crashes mid-run: half the tree re-converges
+    ChaosSchedule{20050501, lossy(20050501), "d1-0", 70, 90},
+    // depth-2 relay crashes: the stale-cookie cascade stops at its leaves
+    ChaosSchedule{31337, lossy(31337), "d2-10", 110, 135},
+    // pure link chaos, no crash
+    ChaosSchedule{777, lossy(777), "d1-1", -1, -1},
+    // crash with a long outage late in the run
+    ChaosSchedule{424242, lossy(424242), "d2-01", 140, 180},
+    // the same four worlds with flipped bits and truncated frames
+    ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
+    ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
+    ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
+    ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180},
+};
+
+std::string schedule_name(
+    const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
+  return param_info.param.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, TopologyChaos,
+                         ::testing::ValuesIn(kSchedules), schedule_name);
+
+// Pipelined sync changes only the scheduling of upstream exchanges. Every
+// node here replicates three overlapping filters, so each sync round polls
+// a run of three sessions as one exchange_all batch. One tree pipelines
+// over FramedChannel(FaultyPipe); its twin routes every link through a
+// pass-through Channel that keeps the one-at-a-time default, so the polls
+// go out exchange by exchange. Under the same seeded schedule both must
+// make the same pipe calls: equal fault counters, mirrors, journals and
+// per-filter retry/recovery accounting.
+
+/// Pass-through link that keeps Channel's one-at-a-time exchange_all.
+class OneAtATimeChannel final : public net::Channel {
+ public:
+  explicit OneAtATimeChannel(std::shared_ptr<net::Channel> inner)
+      : inner_(std::move(inner)) {}
+
+  resync::ReSyncResponse exchange(const Query& query,
+                                  const resync::ReSyncControl& control) override {
+    return inner_->exchange(query, control);
+  }
+  void abandon(const std::string& cookie) override { inner_->abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { inner_->elapse(ticks); }
+
+ private:
+  std::shared_ptr<net::Channel> inner_;
+};
+
+/// Pass-through link that forwards batches whole and counts the ones that
+/// carried more than one request.
+class BatchCountingChannel final : public net::Channel {
+ public:
+  BatchCountingChannel(std::shared_ptr<net::Channel> inner,
+                       std::uint64_t& multi_batches)
+      : inner_(std::move(inner)), multi_batches_(&multi_batches) {}
+
+  resync::ReSyncResponse exchange(const Query& query,
+                                  const resync::ReSyncControl& control) override {
+    return inner_->exchange(query, control);
+  }
+  void exchange_all(std::span<net::ExchangeItem> items) override {
+    if (items.size() > 1) ++*multi_batches_;
+    inner_->exchange_all(items);
+  }
+  void abandon(const std::string& cookie) override { inner_->abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { inner_->elapse(ticks); }
+
+ private:
+  std::shared_ptr<net::Channel> inner_;
+  std::uint64_t* multi_batches_;
+};
+
+/// Three overlapping filters per node: the bit prefix, its subset with
+/// untouched mail, and a same-content spelling of the prefix.
+std::vector<Query> overlapping_filters(const std::string& bits) {
+  return {serial_query(bits),
+          Query::parse("o=xyz", Scope::Subtree,
+                       "(&(serialnumber=" + bits + "*)(mail=e*))"),
+          Query::parse("o=xyz", Scope::Subtree,
+                       "(&(objectclass=person)(serialnumber=" + bits + "*))")};
+}
+
+void build_overlapping_tree(TopologyRuntime& runtime) {
+  for (const std::string& bits : kBits1) {
+    runtime.add_node("d1-" + bits, "", overlapping_filters(bits));
+  }
+  for (const std::string& bits : kBits2) {
+    runtime.add_node("d2-" + bits, "d1-" + bits.substr(0, 1),
+                     overlapping_filters(bits));
+  }
+  for (const std::string& bits : kBits3) {
+    runtime.add_node("leaf-" + bits, "d2-" + bits.substr(0, 2),
+                     overlapping_filters(bits));
+  }
+}
+
+/// Connects every node of `runtime` to its parent over a link the test
+/// builds itself — a FramedChannel over a FaultyPipe seeded per link, as
+/// TopologyRuntime builds them — passed through `wrap`. Returns the pipes
+/// by node name.
+template <typename Wrap>
+std::map<std::string, std::shared_ptr<net::FaultyPipe>> connect_faulty_links(
+    TopologyRuntime& runtime, const net::FaultConfig& faults, Wrap wrap) {
+  std::map<std::string, std::shared_ptr<net::FaultyPipe>> pipes;
+  std::uint64_t link = 0;
+  for (const std::string& name : runtime.node_names()) {
+    const std::string& parent = runtime.parent_of(name);
+    resync::ReSyncEndpoint& upstream =
+        parent.empty()
+            ? static_cast<resync::ReSyncEndpoint&>(runtime.root_master())
+            : runtime.node(parent);
+    net::FaultConfig config = faults;
+    config.seed += 0x9e3779b9ull * ++link;
+    auto pipe = std::make_shared<net::FaultyPipe>(upstream, config);
+    pipes[name] = pipe;
+    RelayNode& node = runtime.node(name);
+    node.connect(wrap(std::make_shared<net::FramedChannel>(pipe)),
+                 node.parent_url());
+  }
+  return pipes;
+}
+
+/// Journals equal record by record: sequence, type, DN and entry image.
+void expect_same_journal(const RelayNode& node, const RelayNode& twin,
+                         const std::string& name) {
+  const server::ChangeJournal& journal = node.mirror().journal();
+  const server::ChangeJournal& other = twin.mirror().journal();
+  ASSERT_EQ(journal.size(), other.size()) << name;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    const server::ChangeRecord& record = journal.at(i);
+    const server::ChangeRecord& twin_record = other.at(i);
+    EXPECT_EQ(record.to_string(), twin_record.to_string()) << name;
+    ASSERT_EQ(record.after == nullptr, twin_record.after == nullptr) << name;
+    if (record.after) {
+      EXPECT_TRUE(*record.after == *twin_record.after)
+          << name << " " << record.to_string();
+    }
+  }
+}
+
+std::vector<std::uint64_t> counter_fields(const net::FaultCounters& c) {
+  return {c.exchanges,   c.dropped_requests, c.dropped_responses,
+          c.duplicated,  c.replayed,         c.delayed,
+          c.resets,      c.rejected_while_down, c.outages,
+          c.corrupted,   c.truncated};
+}
+
+class BatchedSync : public ::testing::TestWithParam<ChaosSchedule> {};
+
+TEST_P(BatchedSync, PipelinedSyncMatchesOneAtATimeTwin) {
+  const ChaosSchedule schedule = GetParam();
+
+  auto batched_master = make_master("ldap://root");
+  auto single_master = make_master("ldap://root");
+
+  // The runtime's own links are replaced below by test-built faulty ones.
+  TopologyRuntime::Options options;
+  options.retry.max_attempts = 4;
+  options.retry.base_backoff_ticks = 1;
+  options.retry.max_backoff_ticks = 6;
+  options.retry.jitter_seed = schedule.seed;
+  options.session_time_limit = 60;
+  TopologyRuntime batched(batched_master, options);
+  TopologyRuntime single(single_master, options);
+  batched.root_master().set_session_time_limit(60);
+  single.root_master().set_session_time_limit(60);
+
+  build_overlapping_tree(batched);
+  build_overlapping_tree(single);
+  std::uint64_t multi_batches = 0;
+  const auto batched_pipes = connect_faulty_links(
+      batched, schedule.faults, [&](std::shared_ptr<net::Channel> link) {
+        return std::make_shared<BatchCountingChannel>(std::move(link),
+                                                      multi_batches);
+      });
+  const auto single_pipes = connect_faulty_links(
+      single, schedule.faults, [](std::shared_ptr<net::Channel> link) {
+        return std::make_shared<OneAtATimeChannel>(std::move(link));
+      });
+  std::map<std::string, std::string> parent_urls;
+  for (const std::string& name : batched.node_names()) {
+    parent_urls[name] = batched.node(name).parent_url();
+  }
+  EXPECT_EQ(batched.install(), single.install());
+
+  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
+  int next_rank = 0;
+  for (int step = 0; step < 200; ++step) {
+    mutate_both(rng, next_rank, *batched_master, *single_master);
+    if (step == schedule.crash_step) {
+      batched.crash_node(schedule.crash_node);
+      single.crash_node(schedule.crash_node);
+    }
+    if (step == schedule.restart_step) {
+      batched.restart_node(schedule.crash_node);
+      single.restart_node(schedule.crash_node);
+    }
+    batched.tick();
+    single.tick();
+  }
+  net::FaultConfig clean;
+  clean.seed = schedule.faults.seed;
+  for (const auto* pipes : {&batched_pipes, &single_pipes}) {
+    for (const auto& [name, pipe] : *pipes) {
+      pipe->set_config(clean);
+      pipe->flush_replays();
+    }
+  }
+  for (int round = 0; round < 12; ++round) {
+    batched.tick();
+    single.tick();
+  }
+
+  EXPECT_GT(multi_batches, 0u) << "no sync round pipelined its polls";
+  std::uint64_t faults_seen = 0;
+  for (const std::string& name : batched.node_names()) {
+    const RelayNode& node = batched.node(name);
+    const RelayNode& twin = single.node(name);
+    const net::FaultCounters& counters = batched_pipes.at(name)->counters();
+    faults_seen += counters.faults();
+    EXPECT_EQ(counter_fields(counters),
+              counter_fields(single_pipes.at(name)->counters()))
+        << name << ": batching changed the pipe calls (" << schedule.name()
+        << ")";
+    expect_same_journal(node, twin, name);
+    EXPECT_EQ(node.epoch(), twin.epoch()) << name;
+    // A re-wire would have swapped in a runtime-built link.
+    EXPECT_EQ(node.parent_url(), parent_urls.at(name)) << name;
+    EXPECT_EQ(twin.parent_url(), parent_urls.at(name)) << name;
+    ASSERT_EQ(node.filter_count(), 3u);
+    for (std::size_t f = 0; f < node.filter_count(); ++f) {
+      const Query& query = node.filter_replica().query_at(f);
+      const auto keys = mirror_keys(node, query);
+      EXPECT_EQ(keys, master_truth(*batched_master, query)) << name;
+      EXPECT_EQ(keys, mirror_keys(twin, query)) << name;
+    }
+    const net::HealthStats health = node.upstream_health();
+    const net::HealthStats twin_health = twin.upstream_health();
+    for (const auto& [key, filter] : health.filters) {
+      const net::FilterHealth& other = twin_health.filters.at(key);
+      EXPECT_EQ(filter.retries, other.retries) << name << " " << key;
+      EXPECT_EQ(filter.recoveries, other.recoveries) << name << " " << key;
+      EXPECT_EQ(filter.full_reloads, other.full_reloads) << name << " " << key;
+      EXPECT_EQ(filter.reconciles, other.reconciles) << name << " " << key;
+      EXPECT_EQ(filter.failed_syncs, other.failed_syncs) << name << " " << key;
+      EXPECT_FALSE(filter.degraded) << name << " " << key;
+    }
+  }
+  EXPECT_GT(faults_seen, 0u) << "fault schedule was a no-op";
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, BatchedSync, ::testing::ValuesIn(kSchedules),
+                         schedule_name);
+
+/// Fails its first `failures` exchanges with TransportError and logs every
+/// exchange ("x") and backoff ("e<ticks>") it sees.
+class FlakyChannel final : public net::Channel {
+ public:
+  explicit FlakyChannel(int failures) : failures_(failures) {}
+
+  resync::ReSyncResponse exchange(const Query& query,
+                                  const resync::ReSyncControl& control) override {
+    log.push_back("x " + query.key() + " " + control.cookie);
+    if (failures_-- > 0) throw net::TransportError("flaky");
+    resync::ReSyncResponse response;
+    response.cookie = control.cookie + "+";
+    return response;
+  }
+  void abandon(const std::string&) override {}
+  void elapse(std::uint64_t ticks) override {
+    log.push_back("e" + std::to_string(ticks));
+  }
+
+  std::vector<std::string> log;
+
+ private:
+  int failures_;
+};
+
+// The retry rule behind pipelined sync: a TransportError inside a batch is
+// attempt 1 of the item's RetryPolicy, and an item the batch never sent
+// runs the whole policy. Finishing a two-poll batch must therefore make
+// exactly the exchanges, backoffs and retry counts of two exchange_with_retry
+// calls, whether the link heals in time or not.
+TEST(BatchedSync, TransportFailureInBatchIsTheFirstRetryAttempt) {
+  const Query first = serial_query("0");
+  const Query second = serial_query("1");
+  net::RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_backoff_ticks = 2;
+  policy.jitter_seed = 7;
+  for (int failures = 0; failures <= 6; ++failures) {
+    FlakyChannel single(failures);
+    std::uint64_t single_retries = 0;
+    std::vector<std::string> single_cookies;
+    for (const Query* query : {&first, &second}) {
+      try {
+        single_cookies.push_back(
+            net::exchange_with_retry(single, *query,
+                                     {resync::Mode::Poll, "c"}, policy,
+                                     &single_retries)
+                .cookie);
+      } catch (const net::TransportError&) {
+        single_cookies.push_back("failed");
+      }
+    }
+
+    FlakyChannel batched(failures);
+    std::uint64_t batched_retries = 0;
+    std::vector<std::string> batched_cookies;
+    std::vector<net::ExchangeItem> items = {
+        {first, {resync::Mode::Poll, "c"}}, {second, {resync::Mode::Poll, "c"}}};
+    batched.exchange_all(items);
+    for (net::ExchangeItem& item : items) {
+      try {
+        batched_cookies.push_back(
+            net::finish_with_retry(batched, item, policy, &batched_retries)
+                .cookie);
+      } catch (const net::TransportError&) {
+        batched_cookies.push_back("failed");
+      }
+    }
+
+    EXPECT_EQ(batched.log, single.log) << failures << " failures";
+    EXPECT_EQ(batched_retries, single_retries) << failures << " failures";
+    EXPECT_EQ(batched_cookies, single_cookies) << failures << " failures";
+  }
+}
 
 // Codec transparency at tree scale: a fault-free tree whose every link runs
 // the framed wire codec (an all-zero FaultConfig) must mirror a
