@@ -4,13 +4,12 @@
 #include <set>
 
 #include "ldap/error.h"
-#include "sync/content_digest.h"
-#include "sync/content_tracker.h"
 
 namespace fbdr::core {
 
 using ldap::EntryPtr;
 using ldap::Query;
+using Outcome = resync::UpstreamSession::Outcome;
 
 select::FilterSelector::SizeEstimator master_size_estimator(
     std::shared_ptr<server::DirectoryServer> master) {
@@ -46,9 +45,13 @@ FilterReplicationService::FilterReplicationService(
 FilterReplicationService::InstalledFilter* FilterReplicationService::find_installed(
     const std::string& key) {
   for (InstalledFilter& installed : sessions_) {
-    if (installed.query.key() == key) return &installed;
+    if (installed.session.query().key() == key) return &installed;
   }
   return nullptr;
+}
+
+resync::UpstreamLink FilterReplicationService::link() {
+  return {*channel_, config_.retry, *this};
 }
 
 void FilterReplicationService::install(const Query& query) {
@@ -59,179 +62,36 @@ void FilterReplicationService::set_channel(std::shared_ptr<net::Channel> channel
   channel_ = std::move(channel);
 }
 
-resync::ReSyncResponse FilterReplicationService::request(
-    InstalledFilter& installed, const resync::ReSyncControl& control) {
-  return net::exchange_with_retry(*channel_, installed.query, control,
-                                  config_.retry, &installed.retries);
-}
-
-resync::ReSyncResponse FilterReplicationService::collect_pages(
-    InstalledFilter& installed, resync::ReSyncResponse first) {
-  // This service applies a poll transactionally (set_content with the folded
-  // result), so pages are combined before applying. A transport failure
-  // mid-drain propagates to the caller, which degrades the filter and later
-  // heals through refetch() with a fresh session — the half-fetched batch is
-  // simply discarded, never half-applied.
-  while (first.more) {
-    resync::ReSyncResponse page =
-        request(installed, {resync::Mode::Poll, first.cookie});
-    ++installed.paged_polls;
-    first.cookie = page.cookie;
-    first.more = page.more;
-    first.complete_enumeration |= page.complete_enumeration;
-    first.full_reload |= page.full_reload;
-    first.pdus.insert(first.pdus.end(), page.pdus.begin(), page.pdus.end());
-  }
-  return first;
-}
-
-bool FilterReplicationService::adopt_full(InstalledFilter& installed,
-                                          resync::ReSyncResponse response) {
-  response = collect_pages(installed, std::move(response));
-  installed.cookie = response.cookie;
-  std::vector<EntryPtr> entries;
-  entries.reserve(response.pdus.size());
-  for (const resync::EntryPdu& pdu : response.pdus) {
-    if (pdu.entry) entries.push_back(pdu.entry);
-  }
-  replica_.set_content(installed.replica_id, entries);
-  installed.last_synced_tick = resync_.now();
-  ++installed.full_reloads;
-  return true;
-}
-
-bool FilterReplicationService::refetch(InstalledFilter& installed) {
-  try {
-    if (config_.reconcile) {
-      const std::vector<EntryPtr> local =
-          replica_.query_content(installed.replica_id);
-      if (!local.empty()) {
-        // Offer digests of the local content instead of accepting a full
-        // reload (DESIGN.md §12).
-        std::map<std::string, EntryPtr> snapshot;
-        sync::ContentDigest digest;
-        for (const EntryPtr& entry : local) {
-          const std::string key = entry->dn().norm_key();
-          snapshot.emplace(key, entry);
-          digest.upsert(key, *entry);
-        }
-        auto offer = std::make_shared<resync::ReconcileRequest>();
-        offer->round = 1;
-        offer->root_digest = digest.root();
-        offer->entry_count = digest.entry_count();
-        offer->buckets = digest.bucket_digests();
-        resync::ReSyncControl control{resync::Mode::Poll, ""};
-        control.reconcile = std::move(offer);
-        resync::ReSyncResponse response = request(installed, control);
-        if (response.busy) {
-          ++installed.busy_rejections;
-          return false;
-        }
-        installed.cookie = response.cookie;
-        if (response.reconcile && !response.reconcile->fallback) {
-          try {
-            if (response.reconcile->in_sync) {
-              // Local content already exact: nothing shipped.
-              installed.last_synced_tick = resync_.now();
-              ++installed.reconciles;
-              return true;
-            }
-            // Round 2: fingerprints for the divergent buckets; the answer
-            // is the exact diff.
-            auto upload = std::make_shared<resync::ReconcileRequest>();
-            upload->round = 2;
-            std::set<std::uint32_t> wanted(
-                response.reconcile->need_buckets.begin(),
-                response.reconcile->need_buckets.end());
-            for (const auto& [key, entry] : snapshot) {
-              if (wanted.count(sync::ContentDigest::bucket_of(key)) == 0) {
-                continue;
-              }
-              upload->fingerprints.push_back(
-                  {entry->dn(), sync::ContentDigest::hash_entry(*entry)});
-            }
-            resync::ReSyncControl round2{resync::Mode::Poll, installed.cookie};
-            round2.reconcile = std::move(upload);
-            resync::ReSyncResponse diff = request(installed, round2);
-            diff = collect_pages(installed, std::move(diff));
-            installed.cookie = diff.cookie;
-            installed.reconcile_entries_shipped += diff.pdus.size();
-            apply_delta(installed, diff.pdus, /*complete_enumeration=*/false);
-            installed.last_synced_tick = resync_.now();
-            ++installed.reconciles;
-            return true;
-          } catch (const ldap::StaleCookieError&) {
-            // Walk expired between rounds: plain reload below.
-            installed.cookie.clear();
-          }
-        } else {
-          // Walk fallback or a master that does not speak reconciliation:
-          // the response body is the full content.
-          return adopt_full(installed, std::move(response));
-        }
-      }
-    }
-    // Full-reload recovery: a fresh session's initial response carries the
-    // whole content (possibly paged).
-    resync::ReSyncResponse response =
-        request(installed, {resync::Mode::Poll, ""});
-    if (response.busy) {
-      // Master at capacity: no session was created. Stay degraded and try
-      // again on a later sync round — the local content keeps serving.
-      ++installed.busy_rejections;
-      return false;
-    }
-    return adopt_full(installed, std::move(response));
-  } catch (const net::TransportError&) {
-    return false;
-  }
-}
-
 void FilterReplicationService::install(const Query& query, SyncPolicy policy) {
   if (find_installed(query.key())) return;
-  InstalledFilter installed;
-  installed.query = query;
-  installed.policy = policy;
-  if (installed.policy.interval == 0) installed.policy.interval = 1;
-  installed.replica_id = replica_.add_query(query);
+  if (policy.interval == 0) policy.interval = 1;
+  InstalledFilter installed{
+      resync::UpstreamSession(query, replica_.add_query(query)), policy};
   // Open a ReSync session; the initial response carries the whole content
-  // and is accounted as fetch/update traffic by the master. A transport
-  // failure past the retry budget (or a busy rejection) propagates: a filter
-  // must never start serving before it has content.
-  try {
-    resync::ReSyncResponse response =
-        request(installed, {resync::Mode::Poll, ""});
-    if (response.busy) {
-      replica_.remove_query(installed.replica_id);
-      throw ldap::BusyError("install of '" + query.to_string() +
-                            "' rejected: master at session capacity");
+  // and is accounted as fetch/update traffic by the master. A filter must
+  // never start serving before it has content, so anything but a synced
+  // session withdraws the query and throws.
+  const Outcome outcome = installed.session.establish(link(), false);
+  if (outcome != Outcome::Synced) {
+    replica_.remove_query(installed.session.slot());
+    const std::string what = "install of '" + query.to_string() + "'";
+    if (outcome == Outcome::Busy) {
+      throw ldap::BusyError(what + " rejected: master at session capacity");
     }
-    response = collect_pages(installed, std::move(response));
-    installed.cookie = response.cookie;
-    std::vector<EntryPtr> entries;
-    entries.reserve(response.pdus.size());
-    for (const resync::EntryPdu& pdu : response.pdus) {
-      if (pdu.entry) entries.push_back(pdu.entry);
+    if (outcome == Outcome::Referred) {
+      throw ldap::ProtocolError(what + " referred to " +
+                                installed.session.referral());
     }
-    replica_.set_content(installed.replica_id, entries);
-  } catch (const net::TransportError&) {
-    replica_.remove_query(installed.replica_id);
-    throw;
+    throw net::TransportError(what + " failed: link down past the retry budget");
   }
-  installed.last_synced_tick = resync_.now();
   sessions_.push_back(std::move(installed));
 }
 
 void FilterReplicationService::uninstall(const Query& query) {
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-    if (it->query.key() == query.key()) {
-      try {
-        channel_->exchange(it->query, {resync::Mode::SyncEnd, it->cookie});
-      } catch (const net::TransportError&) {
-        // Best effort: the master-side session expires under the admin
-        // limit; the local filter is removed regardless.
-      }
-      replica_.remove_query(it->replica_id);
+    if (it->session.query().key() == query.key()) {
+      it->session.end(*channel_);
+      replica_.remove_query(it->session.slot());
       sessions_.erase(it);
       return;
     }
@@ -263,8 +123,8 @@ ServeOutcome FilterReplicationService::serve(const Query& query) {
     // Graceful degradation: the hit still answers locally, but flag it when
     // the answering filter's session is down and its content may be stale.
     for (const InstalledFilter& installed : sessions_) {
-      if (installed.degraded &&
-          installed.query.to_string() == decision.answered_by) {
+      if (installed.session.degraded() &&
+          installed.session.query().to_string() == decision.answered_by) {
         outcome.stale = true;
         break;
       }
@@ -286,18 +146,23 @@ ServeOutcome FilterReplicationService::serve(const Query& query) {
   return outcome;
 }
 
+std::map<std::string, EntryPtr> FilterReplicationService::snapshot(
+    std::size_t slot) {
+  std::map<std::string, EntryPtr> content;
+  for (const EntryPtr& entry : replica_.query_content(slot)) {
+    content.emplace(entry->dn().norm_key(), entry);
+  }
+  return content;
+}
+
 void FilterReplicationService::apply_delta(
-    InstalledFilter& installed, const std::vector<resync::EntryPdu>& pdus,
-    bool complete_enumeration) {
-  if (pdus.empty() && !complete_enumeration) return;
+    std::size_t slot, const resync::ReSyncResponse& response) {
+  if (response.pdus.empty() && !response.complete_enumeration) return;
   // Rebuild this query's content from the delta: adds/mods upsert, deletes
   // drop. set_content needs the full list, so fold into a map first.
-  std::map<std::string, EntryPtr> content;
-  for (const EntryPtr& entry : replica_.query_content(installed.replica_id)) {
-    content[entry->dn().norm_key()] = entry;
-  }
+  std::map<std::string, EntryPtr> content = snapshot(slot);
   std::set<std::string> mentioned;
-  for (const resync::EntryPdu& pdu : pdus) {
+  for (const resync::EntryPdu& pdu : response.pdus) {
     switch (pdu.action) {
       case resync::Action::Add:
       case resync::Action::Modify:
@@ -309,90 +174,53 @@ void FilterReplicationService::apply_delta(
       case resync::Action::Retain:
         break;
     }
-    if (complete_enumeration && pdu.action != resync::Action::Delete) {
+    if (response.complete_enumeration && pdu.action != resync::Action::Delete) {
       mentioned.insert(pdu.dn.norm_key());
     }
   }
-  if (complete_enumeration) {
+  if (response.complete_enumeration) {
     // Equation (3): the poll enumerated the whole content — anything it did
     // not mention has left the filter and must be dropped, or the replica
     // would serve ghost entries after a degraded (history-less) poll.
-    for (auto it = content.begin(); it != content.end();) {
-      if (mentioned.count(it->first) == 0) {
-        it = content.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(content, [&mentioned](const auto& item) {
+      return mentioned.count(item.first) == 0;
+    });
   }
   std::vector<EntryPtr> entries;
   entries.reserve(content.size());
   for (auto& [key, entry] : content) entries.push_back(std::move(entry));
-  replica_.set_content(installed.replica_id, entries);
+  replica_.set_content(slot, entries);
+}
+
+void FilterReplicationService::adopt_full(
+    std::size_t slot, const resync::ReSyncResponse& response,
+    bool /*recovery*/) {
+  std::vector<EntryPtr> entries;
+  entries.reserve(response.pdus.size());
+  for (const resync::EntryPdu& pdu : response.pdus) {
+    if (pdu.entry) entries.push_back(pdu.entry);
+  }
+  replica_.set_content(slot, entries);
 }
 
 void FilterReplicationService::sync() {
   resync_.pump();
   ++sync_round_;
+  // Consistency levels (§3.2): lower-priority filters poll every Nth sync.
+  std::vector<resync::UpstreamSession*> due;
   for (InstalledFilter& installed : sessions_) {
-    // Consistency levels (§3.2): lower-priority filters poll every Nth sync.
-    if (sync_round_ % installed.policy.interval != 0) continue;
-    if (installed.degraded) {
-      // Heal on reconnect: the full-reload recovery replaces whatever the
-      // replica missed while the session was down.
-      if (refetch(installed)) {
-        installed.degraded = false;
-        ++installed.recoveries;
-      } else {
-        ++installed.failed_syncs;
-      }
-      continue;
-    }
-    try {
-      resync::ReSyncResponse response =
-          request(installed, {resync::Mode::Poll, installed.cookie});
-      response = collect_pages(installed, std::move(response));
-      installed.cookie = response.cookie;
-      installed.last_synced_tick = resync_.now();
-      if (response.complete_enumeration) ++installed.degraded_polls;
-      apply_delta(installed, response.pdus, response.complete_enumeration);
-    } catch (const ldap::StaleCookieError&) {
-      // Session expired or the master restarted: recover with a full
-      // reload, or degrade if the link is down too.
-      if (refetch(installed)) {
-        ++installed.recoveries;
-      } else {
-        ++installed.failed_syncs;
-        installed.degraded = true;
-      }
-    } catch (const net::TransportError&) {
-      // Retry budget exhausted: degrade. The filter keeps serving
-      // containment hits from its local (possibly stale) content.
-      ++installed.failed_syncs;
-      installed.degraded = true;
+    if (sync_round_ % installed.policy.interval == 0) {
+      due.push_back(&installed.session);
     }
   }
+  resync::poll_round(due, link());
 }
 
 net::HealthStats FilterReplicationService::health() const {
   net::HealthStats stats;
-  const std::uint64_t now = resync_.now();
   for (const InstalledFilter& installed : sessions_) {
-    net::FilterHealth health;
-    health.degraded = installed.degraded;
-    health.ticks_behind = now > installed.last_synced_tick
-                              ? now - installed.last_synced_tick
-                              : 0;
-    health.retries = installed.retries;
-    health.recoveries = installed.recoveries;
-    health.failed_syncs = installed.failed_syncs;
-    health.busy_rejections = installed.busy_rejections;
-    health.degraded_polls = installed.degraded_polls;
-    health.paged_polls = installed.paged_polls;
-    health.full_reloads = installed.full_reloads;
-    health.reconciles = installed.reconciles;
-    health.reconcile_entries_shipped = installed.reconcile_entries_shipped;
-    stats.filters.emplace(installed.query.key(), health);
+    stats.filters.emplace(installed.session.query().key(),
+                          installed.session.health(resync_.now()));
   }
   return stats;
 }

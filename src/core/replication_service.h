@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 #include "replica/filter_replica.h"
 #include "replica/subtree_replica.h"
 #include "resync/master.h"
+#include "resync/upstream_session.h"
 #include "select/evolution.h"
 #include "select/selector.h"
 #include "server/directory_server.h"
@@ -37,7 +39,10 @@ select::FilterSelector::SizeEstimator master_size_estimator(
 ///
 /// Drive it with serve() per client query and sync() at the replica's update
 /// cadence; all synchronization and fetch traffic is accounted in traffic().
-class FilterReplicationService {
+/// The sessions themselves are resync::UpstreamSession; the service is their
+/// store (the replica's per-query content) and adds the install policy and
+/// the per-filter sync cadence.
+class FilterReplicationService : private resync::SessionStore {
  public:
   struct Config {
     /// Window of cached user queries (0 disables query caching).
@@ -50,10 +55,6 @@ class FilterReplicationService {
     /// Retry discipline for ReSync exchanges that fail at the transport
     /// level. Default: a single attempt (faults surface immediately).
     net::RetryPolicy retry;
-    /// Recovery offers digests of the local content first so only divergent
-    /// entries ship; false restores the old always-full-reload recovery
-    /// (DESIGN.md §12).
-    bool reconcile = true;
   };
 
   FilterReplicationService(
@@ -71,7 +72,9 @@ class FilterReplicationService {
   };
 
   /// Statically installs one replicated filter (fetches its content; the
-  /// fetch is accounted as update traffic).
+  /// fetch is accounted as update traffic). Throws net::TransportError when
+  /// the link stays down past the retry budget and ldap::BusyError when the
+  /// master is at session capacity: a filter never serves without content.
   void install(const ldap::Query& query);
   void install(const ldap::Query& query, SyncPolicy policy);
 
@@ -88,7 +91,7 @@ class FilterReplicationService {
   /// Polls every ReSync session due this round and applies the deltas to
   /// the replica. A session whose transport fails past the retry budget
   /// marks its filter degraded: the filter keeps answering from local
-  /// content and heals with a full-reload recovery once the link returns.
+  /// content and heals (digest walk or full reload) once the link returns.
   void sync();
 
   /// Replaces the transport between this site and the master (e.g. with a
@@ -112,45 +115,21 @@ class FilterReplicationService {
 
  private:
   struct InstalledFilter {
-    ldap::Query query;
-    std::size_t replica_id = 0;
-    std::string cookie;
+    resync::UpstreamSession session;  // slot = the query's replica id
     SyncPolicy policy;
-    bool degraded = false;
-    std::uint64_t last_synced_tick = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t failed_syncs = 0;
-    std::uint64_t busy_rejections = 0;  // refetches bounced at capacity
-    std::uint64_t degraded_polls = 0;   // eq.(3) enumerations received
-    std::uint64_t paged_polls = 0;      // continuation pages fetched
-    std::uint64_t full_reloads = 0;     // recoveries that reshipped everything
-    std::uint64_t reconciles = 0;       // recoveries healed by a digest walk
-    std::uint64_t reconcile_entries_shipped = 0;  // diff PDUs those walks cost
   };
 
   void apply_revolution(const select::FilterSelector::Revolution& revolution);
   InstalledFilter* find_installed(const std::string& key);
-  resync::ReSyncResponse request(InstalledFilter& installed,
-                                 const resync::ReSyncControl& control);
-  /// Applies the (page-combined) PDUs of one poll. A complete enumeration
-  /// (equation (3), from a degraded session) drops unmentioned entries.
-  void apply_delta(InstalledFilter& installed,
-                   const std::vector<resync::EntryPdu>& pdus,
-                   bool complete_enumeration);
-  /// Fetches the remaining pages of a paged response, appending their PDUs.
-  /// The final flags are merged into the returned response.
-  resync::ReSyncResponse collect_pages(InstalledFilter& installed,
-                                       resync::ReSyncResponse first);
-  /// Opens a fresh session to recover the filter. With Config::reconcile on
-  /// and local content present, a digest walk is offered first so only the
-  /// divergent entries ship; otherwise (or on walk fallback / an old master)
-  /// the full content reloads. Returns false (leaving the filter as it was)
-  /// when the transport stays down or the master is at capacity (busy).
-  bool refetch(InstalledFilter& installed);
-  /// Adopts a full-content initial response (collects pages, replaces the
-  /// filter's content).
-  bool adopt_full(InstalledFilter& installed, resync::ReSyncResponse response);
+  resync::UpstreamLink link();
+
+  // resync::SessionStore over replica_'s per-query content.
+  std::map<std::string, ldap::EntryPtr> snapshot(std::size_t slot) override;
+  void apply_delta(std::size_t slot,
+                   const resync::ReSyncResponse& response) override;
+  void adopt_full(std::size_t slot, const resync::ReSyncResponse& response,
+                  bool recovery) override;
+  std::uint64_t now() const override { return resync_.now(); }
 
   std::shared_ptr<server::DirectoryServer> master_;
   Config config_;

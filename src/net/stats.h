@@ -84,7 +84,7 @@ struct TrafficStats {
 /// Health of one replicated filter's update session, as seen by the replica
 /// site. A filter degrades when its session is down past the retry budget;
 /// it keeps serving containment hits from (possibly stale) local content
-/// until the full-reload recovery on reconnect heals it.
+/// until the recovery on reconnect (digest walk or full reload) heals it.
 struct FilterHealth {
   bool degraded = false;
   std::uint64_t ticks_behind = 0;   // master clock now - last successful sync

@@ -1,13 +1,11 @@
 #include "topology/relay_node.h"
 
 #include <algorithm>
-#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "ldap/error.h"
-#include "sync/content_digest.h"
 
 namespace fbdr::topology {
 
@@ -37,53 +35,29 @@ void RelayNode::connect(std::shared_ptr<net::Channel> channel,
 void RelayNode::add_filter(const Query& query) {
   const std::string key = query.key();
   for (const UpstreamFilter& filter : filters_) {
-    if (filter.query.key() == key) return;
+    if (filter.session.query().key() == key) return;
   }
-  UpstreamFilter filter;
-  filter.query = query;
-  filter.replica_id = replica_.add_query(query);
-  filters_.push_back(std::move(filter));
+  replica_.add_query(query);
+  filters_.push_back({resync::UpstreamSession(query, filters_.size()), {}});
 }
 
-resync::ReSyncResponse RelayNode::request(UpstreamFilter& filter,
-                                          const resync::ReSyncControl& control) {
-  return net::exchange_with_retry(*channel_, filter.query, control,
-                                  config_.retry, &filter.retries);
-}
-
-resync::ReSyncResponse RelayNode::collect_pages(UpstreamFilter& filter,
-                                                resync::ReSyncResponse first) {
-  while (first.more) {
-    resync::ReSyncResponse page =
-        request(filter, {resync::Mode::Poll, filter.cookie});
-    filter.cookie = page.cookie;
-    ++filter.paged_polls;
-    first.more = page.more;
-    first.full_reload = first.full_reload || page.full_reload;
-    first.complete_enumeration =
-        first.complete_enumeration || page.complete_enumeration;
-    first.origin_time = std::max(first.origin_time, page.origin_time);
-    first.pdus.insert(first.pdus.end(),
-                      std::make_move_iterator(page.pdus.begin()),
-                      std::make_move_iterator(page.pdus.end()));
-  }
-  return first;
+resync::UpstreamLink RelayNode::link() {
+  return {*channel_, config_.retry, *this};
 }
 
 bool RelayNode::install_all() {
   if (down_ || channel_ == nullptr) return false;
   bool all = true;
-  for (std::size_t i = 0; i < filters_.size(); ++i) {
-    UpstreamFilter& filter = filters_[i];
-    if (!filter.cookie.empty()) continue;
-    if (refetch(i, /*recovery=*/false)) {
-      filter.degraded = false;
-    } else {
-      all = false;
-      if (!referred_to_.empty()) break;  // runtime must re-target first
-      ++filter.failed_syncs;
-      filter.degraded = true;  // heals through the sync() recovery path
+  for (UpstreamFilter& filter : filters_) {
+    if (!filter.session.cookie().empty()) continue;
+    const resync::UpstreamSession::Outcome outcome =
+        filter.session.establish(link(), /*recovery=*/false);
+    if (outcome == resync::UpstreamSession::Outcome::Referred) {
+      referred_to_ = filter.session.referral();  // runtime must re-target first
+      return false;
     }
+    // A failed install leaves the filter degraded; it heals through sync().
+    if (outcome != resync::UpstreamSession::Outcome::Synced) all = false;
   }
   return all && referred_to_.empty();
 }
@@ -91,46 +65,21 @@ bool RelayNode::install_all() {
 void RelayNode::sync() {
   if (down_) return;
   epoch_bumped_this_round_ = false;
-  bool attempted = false;
-  bool transport_ok = false;
-  const auto steady = [](const UpstreamFilter& filter) {
-    return !filter.cookie.empty() && !filter.degraded;
-  };
-  std::vector<net::ExchangeItem> run;
-  for (std::size_t i = 0; i < filters_.size() && channel_ != nullptr;) {
-    if (!referred_to_.empty()) break;  // stop pumping a parent that refused us
-    attempted = true;
-    if (!steady(filters_[i])) {
-      // Session never established (post-restart/rewire) or down past the
-      // retry budget: re-establish with a full reload.
-      if (reestablish(i, /*recovery=*/filters_[i].degraded)) {
-        transport_ok = true;
-      }
-      ++i;
-      continue;
-    }
-    // Pipeline the polls of this run of steady filters: one batch per link
-    // per round, answered in filter order.
-    run.clear();
-    for (std::size_t j = i; j < filters_.size() && steady(filters_[j]); ++j) {
-      run.emplace_back(filters_[j].query,
-                       resync::ReSyncControl{resync::Mode::Poll,
-                                             filters_[j].cookie});
-    }
-    channel_->exchange_all(run);
-    for (net::ExchangeItem& item : run) {
-      if (!referred_to_.empty()) break;
-      if (finish_poll(i, item)) transport_ok = true;
-      ++i;
-    }
+  // Stop pumping a parent that refused us until the runtime re-targets.
+  if (channel_ != nullptr && referred_to_.empty() && !filters_.empty()) {
+    std::vector<resync::UpstreamSession*> sessions;
+    sessions.reserve(filters_.size());
+    for (UpstreamFilter& filter : filters_) sessions.push_back(&filter.session);
+    const resync::PollRound round = resync::poll_round(sessions, link());
+    referred_to_ = round.referral;
+    failed_streak_ = round.answered ? 0 : failed_streak_ + 1;
   }
-  if (attempted) failed_streak_ = transport_ok ? 0 : failed_streak_ + 1;
 
   // The relay's content is only as fresh as its stalest session.
   if (!filters_.empty()) {
-    std::uint64_t oldest = filters_.front().last_origin;
+    std::uint64_t oldest = filters_.front().session.origin_time();
     for (const UpstreamFilter& filter : filters_) {
-      oldest = std::min(oldest, filter.last_origin);
+      oldest = std::min(oldest, filter.session.origin_time());
     }
     root_time_ = oldest;
   }
@@ -139,115 +88,17 @@ void RelayNode::sync() {
   downstream_.tick(1);
 }
 
-bool RelayNode::finish_poll(std::size_t index, net::ExchangeItem& item) {
-  UpstreamFilter& filter = filters_[index];
-  try {
-    resync::ReSyncResponse response =
-        net::finish_with_retry(*channel_, item, config_.retry, &filter.retries);
-    filter.cookie = response.cookie;
-    response = collect_pages(filter, std::move(response));
-    if (response.complete_enumeration) ++filter.degraded_polls;
-    // max(): a replayed poll (duplicate retried through a FaultyPipe)
-    // may carry an older stamp; root time must never roll backwards.
-    filter.last_origin = std::max(filter.last_origin, response.origin_time);
-    filter.last_synced = downstream_.now();
-    apply_response(index, response);
-    return true;
-  } catch (const ldap::StaleCookieError&) {
-    // The parent expired or lost the session (restart, epoch bump):
-    // recover with a full reload — and cascade the bump to descendants.
-    return reestablish(index, /*recovery=*/true);
-  } catch (const net::TransportError&) {
-    ++filter.failed_syncs;
-    filter.degraded = true;
-    return false;
+std::map<std::string, EntryPtr> RelayNode::snapshot(std::size_t slot) {
+  std::map<std::string, EntryPtr> view;
+  for (const auto& [key, dn] : filters_[slot].members) {
+    if (EntryPtr entry = mirror_.dit().find(dn)) view.emplace(key, entry);
   }
+  return view;
 }
 
-bool RelayNode::reestablish(std::size_t index, bool recovery) {
-  UpstreamFilter& filter = filters_[index];
-  if (refetch(index, recovery)) {
-    filter.degraded = false;
-    return true;
-  }
-  if (!referred_to_.empty()) return true;  // the parent answered — with a bounce
-  ++filter.failed_syncs;
-  filter.degraded = true;
-  return false;
-}
-
-bool RelayNode::refetch(std::size_t index, bool recovery) {
-  UpstreamFilter& filter = filters_[index];
-  try {
-    if (config_.reconcile && !filter.members.empty()) {
-      // The mirror already holds this filter's view (restart, rewire or a
-      // degradation heal — the membership set survives all of them): offer
-      // its digests instead of accepting a full content enumeration.
-      std::map<std::string, ldap::EntryPtr> snapshot;
-      auto offer = std::make_shared<resync::ReconcileRequest>();
-      offer->round = 1;
-      sync::ContentDigest digest;
-      for (const auto& [key, dn] : filter.members) {
-        const EntryPtr entry = mirror_.dit().find(dn);
-        if (!entry) continue;
-        snapshot.emplace(key, entry);
-        digest.upsert(key, *entry);
-      }
-      offer->root_digest = digest.root();
-      offer->entry_count = digest.entry_count();
-      offer->buckets = digest.bucket_digests();
-      resync::ReSyncControl control{resync::Mode::Poll, ""};
-      control.reconcile = std::move(offer);
-      resync::ReSyncResponse response = request(filter, control);
-      if (response.referred()) {
-        referred_to_ = response.referral_url;
-        return false;
-      }
-      if (response.busy) {
-        ++filter.busy_rejections;
-        return false;
-      }
-      filter.cookie = response.cookie;
-      if (response.reconcile && !response.reconcile->fallback) {
-        try {
-          return reconcile_refetch(index, std::move(response), snapshot,
-                                   recovery);
-        } catch (const ldap::StaleCookieError&) {
-          // The walk expired between rounds: plain reload below.
-          filter.cookie.clear();
-        }
-      } else {
-        // Walk fallback (diverged too far / cap) or a parent that does not
-        // speak reconciliation: the response body is the full content.
-        return apply_full(index, std::move(response), recovery);
-      }
-    }
-    resync::ReSyncResponse response = request(filter, {resync::Mode::Poll, ""});
-    if (response.referred()) {
-      referred_to_ = response.referral_url;
-      return false;
-    }
-    if (response.busy) {
-      // The parent is at session capacity: stay degraded (serving the
-      // possibly-stale mirror) and try again on a later sync round, once
-      // another descendant's session has drained or been evicted.
-      ++filter.busy_rejections;
-      return false;
-    }
-    return apply_full(index, std::move(response), recovery);
-  } catch (const net::TransportError&) {
-    return false;
-  }
-}
-
-bool RelayNode::apply_full(std::size_t index, resync::ReSyncResponse response,
+void RelayNode::adopt_full(std::size_t slot,
+                           const resync::ReSyncResponse& response,
                            bool recovery) {
-  UpstreamFilter& filter = filters_[index];
-  filter.cookie = response.cookie;
-  response = collect_pages(filter, std::move(response));
-  filter.last_origin = std::max(filter.last_origin, response.origin_time);
-  filter.last_synced = downstream_.now();
-  ++filter.full_reloads;
   // Diff the enumerated content into the mirror: upsert everything
   // shipped, then drop what this filter previously claimed but the parent
   // no longer lists. Diffing (rather than clearing and reloading) keeps
@@ -259,68 +110,18 @@ bool RelayNode::apply_full(std::size_t index, resync::ReSyncResponse response,
     upsert(pdu.entry);
   }
   const std::map<std::string, ldap::Dn> previous =
-      std::exchange(filter.members, std::move(shipped));
+      std::exchange(filters_[slot].members, std::move(shipped));
   for (const auto& [key, dn] : previous) {
-    if (filter.members.find(key) == filter.members.end()) {
-      erase_unless_claimed(dn, index);
-    }
+    if (filters_[slot].members.count(key) == 0) erase_unless_claimed(dn, slot);
   }
-  if (recovery) {
-    ++filter.recoveries;
-    ++recoveries_;
-    if (!epoch_bumped_this_round_) bump_epoch();
-  }
-  return true;
+  // A recovery reload rebuilt the content wholesale: descendants must not
+  // resume against it.
+  if (recovery && !epoch_bumped_this_round_) bump_epoch();
 }
 
-bool RelayNode::reconcile_refetch(
-    std::size_t index, resync::ReSyncResponse round1,
-    const std::map<std::string, ldap::EntryPtr>& snapshot, bool recovery) {
-  UpstreamFilter& filter = filters_[index];
-  if (round1.reconcile->in_sync) {
-    // Roots matched: the mirror's view is already exact; nothing shipped.
-    filter.last_origin = std::max(filter.last_origin, round1.origin_time);
-    filter.last_synced = downstream_.now();
-    ++filter.reconciles;
-    if (recovery) {
-      ++filter.recoveries;
-      ++recoveries_;
-    }
-    return true;
-  }
-  // Round 2: upload fingerprints for the divergent buckets; the answer is
-  // the exact diff, applied through the ordinary delta path so the mirror
-  // journals it and descendant sessions ride through (no epoch bump —
-  // that is the cascading saving).
-  auto upload = std::make_shared<resync::ReconcileRequest>();
-  upload->round = 2;
-  std::set<std::uint32_t> wanted(round1.reconcile->need_buckets.begin(),
-                                 round1.reconcile->need_buckets.end());
-  for (const auto& [key, entry] : snapshot) {
-    if (wanted.count(sync::ContentDigest::bucket_of(key)) == 0) continue;
-    upload->fingerprints.push_back(
-        {entry->dn(), sync::ContentDigest::hash_entry(*entry)});
-  }
-  resync::ReSyncControl control{resync::Mode::Poll, filter.cookie};
-  control.reconcile = std::move(upload);
-  resync::ReSyncResponse diff = request(filter, control);
-  filter.cookie = diff.cookie;
-  diff = collect_pages(filter, std::move(diff));
-  filter.last_origin = std::max(filter.last_origin, diff.origin_time);
-  filter.last_synced = downstream_.now();
-  filter.reconcile_entries_shipped += diff.pdus.size();
-  apply_response(index, diff);
-  ++filter.reconciles;
-  if (recovery) {
-    ++filter.recoveries;
-    ++recoveries_;
-  }
-  return true;
-}
-
-void RelayNode::apply_response(std::size_t index,
-                               const resync::ReSyncResponse& response) {
-  UpstreamFilter& filter = filters_[index];
+void RelayNode::apply_delta(std::size_t slot,
+                            const resync::ReSyncResponse& response) {
+  std::map<std::string, ldap::Dn>& members = filters_[slot].members;
   std::set<std::string> mentioned;
   for (const resync::EntryPdu& pdu : response.pdus) {
     const std::string key = pdu.dn.norm_key();
@@ -328,27 +129,27 @@ void RelayNode::apply_response(std::size_t index,
     switch (pdu.action) {
       case resync::Action::Add:
       case resync::Action::Modify:
-        filter.members.insert_or_assign(key, pdu.dn);
+        members.insert_or_assign(key, pdu.dn);
         upsert(pdu.entry);
         break;
       case resync::Action::Delete:
-        filter.members.erase(key);
-        erase_unless_claimed(pdu.dn, index);
+        members.erase(key);
+        erase_unless_claimed(pdu.dn, slot);
         break;
       case resync::Action::Retain:
-        filter.members.insert_or_assign(key, pdu.dn);  // membership confirmed
+        members.insert_or_assign(key, pdu.dn);  // membership confirmed
         break;
     }
   }
   if (response.complete_enumeration) {
     // Equation (3): unmentioned entries are gone from the parent.
     std::vector<std::pair<std::string, ldap::Dn>> stale;
-    for (const auto& [key, dn] : filter.members) {
+    for (const auto& [key, dn] : members) {
       if (mentioned.find(key) == mentioned.end()) stale.emplace_back(key, dn);
     }
     for (const auto& [key, dn] : stale) {
-      filter.members.erase(key);
-      erase_unless_claimed(dn, index);
+      members.erase(key);
+      erase_unless_claimed(dn, slot);
     }
   }
 }
@@ -420,18 +221,13 @@ void RelayNode::erase_unless_claimed(const ldap::Dn& dn, std::size_t source) {
 void RelayNode::rewire(std::shared_ptr<net::Channel> channel,
                        std::string parent_url) {
   for (UpstreamFilter& filter : filters_) {
-    if (!filter.cookie.empty() && channel_ != nullptr) {
-      try {
-        channel_->exchange(filter.query,
-                           {resync::Mode::SyncEnd, filter.cookie});
-      } catch (const net::TransportError&) {
-        // Old parent unreachable (likely why we are re-parenting); its
-        // orphaned session expires under the admin time limit.
-      } catch (const ldap::ProtocolError&) {
-      }
+    // The old parent is likely unreachable (why we are re-parenting); then
+    // its orphaned session expires under the admin time limit.
+    if (channel_ != nullptr) {
+      filter.session.end(*channel_);
+    } else {
+      filter.session.forget();
     }
-    filter.cookie.clear();
-    filter.degraded = false;
   }
   channel_ = std::move(channel);
   parent_url_ = std::move(parent_url);
@@ -448,10 +244,8 @@ void RelayNode::crash() { down_ = true; }
 void RelayNode::restart() {
   down_ = false;
   bump_epoch();  // downstream session state died with the process
-  for (UpstreamFilter& filter : filters_) {
-    filter.cookie.clear();  // upstream sessions must be re-established
-    filter.degraded = false;
-  }
+  // Upstream sessions must be re-established.
+  for (UpstreamFilter& filter : filters_) filter.session.forget();
 }
 
 void RelayNode::reset() { restart(); }
@@ -558,31 +352,26 @@ server::SearchResult RelayNode::process_search(const Query& query) {
   return result;
 }
 
+std::uint64_t RelayNode::recoveries() const noexcept {
+  std::uint64_t total = 0;
+  for (const UpstreamFilter& filter : filters_) {
+    total += filter.session.health(downstream_.now()).recoveries;
+  }
+  return total;
+}
+
 net::HealthStats RelayNode::upstream_health() const {
   net::HealthStats stats;
-  const std::uint64_t now = downstream_.now();
   for (const UpstreamFilter& filter : filters_) {
-    net::FilterHealth health;
-    health.degraded = filter.degraded;
-    health.ticks_behind =
-        now > filter.last_synced ? now - filter.last_synced : 0;
-    health.retries = filter.retries;
-    health.recoveries = filter.recoveries;
-    health.failed_syncs = filter.failed_syncs;
-    health.busy_rejections = filter.busy_rejections;
-    health.degraded_polls = filter.degraded_polls;
-    health.paged_polls = filter.paged_polls;
-    health.full_reloads = filter.full_reloads;
-    health.reconciles = filter.reconciles;
-    health.reconcile_entries_shipped = filter.reconcile_entries_shipped;
-    stats.filters.emplace(filter.query.key(), health);
+    stats.filters.emplace(filter.session.query().key(),
+                          filter.session.health(downstream_.now()));
   }
   return stats;
 }
 
 bool RelayNode::any_degraded() const {
   for (const UpstreamFilter& filter : filters_) {
-    if (filter.degraded) return true;
+    if (filter.session.degraded()) return true;
   }
   return false;
 }

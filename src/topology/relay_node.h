@@ -11,6 +11,7 @@
 #include "replica/filter_replica.h"
 #include "resync/endpoint.h"
 #include "resync/master.h"
+#include "resync/upstream_session.h"
 #include "server/directory_server.h"
 #include "server/endpoint.h"
 
@@ -41,8 +42,13 @@ namespace fbdr::topology {
 /// fall back to their own full reloads instead of silently resuming against
 /// a torn store. The bump cascades: a descendant's forced reload is itself
 /// a full-reload recovery, so it bumps its own epoch for *its* children.
+///
+/// Upstream sessions are resync::UpstreamSession; the relay is their store
+/// (the mirror plus per-filter membership sets) and adds the degrade-on-
+/// failure install policy, referral re-wiring and the epoch bump.
 class RelayNode final : public resync::ReSyncEndpoint,
-                        public server::SearchEndpoint {
+                        public server::SearchEndpoint,
+                        private resync::SessionStore {
  public:
   struct Config {
     std::string name;          // node name; url becomes "ldap://<name>"
@@ -56,11 +62,6 @@ class RelayNode final : public resync::ReSyncEndpoint,
     /// exactly as on the root master (busy admission, eq.(3) degradation,
     /// paging, replay stripping, poll-deadline eviction).
     resync::ResourceLimits downstream_limits;
-    /// Re-establishing an upstream session first offers digests of the
-    /// mirror's view so only divergent entries ship (DESIGN.md §12). A
-    /// successful walk journals the diff as ordinary changes, so descendant
-    /// sessions ride through without an epoch bump — the savings cascade.
-    bool reconcile = true;
     /// Sharded-pump configuration for the downstream-facing master
     /// (DESIGN.md §13): relays re-pump through the same machinery as the
     /// root, so a fan-out-heavy relay can spread its downstream sessions
@@ -92,19 +93,19 @@ class RelayNode final : public resync::ReSyncEndpoint,
 
   /// Opens an upstream session for every filter that has none, fetching the
   /// initial full content. A referral from the parent sets referred_to()
-  /// and stops (the runtime re-wires the node and retries); a transport
-  /// failure leaves the remaining filters degraded (they heal on sync()).
+  /// and stops (the runtime re-wires the node and retries); a filter whose
+  /// install fails (link down, parent busy) is left degraded and heals on
+  /// sync().
   /// Returns true when every filter holds an active session.
   bool install_all();
 
-  /// One upstream sync round: polls every session, applies the deltas to
-  /// the mirror (journaled, so the downstream master can route them),
-  /// recovers stale sessions with full reloads, then pumps the downstream
-  /// sessions and advances the downstream clock by one tick. The polls of
-  /// each run of consecutive steady sessions (cookie held, not degraded)
-  /// go upstream as one Channel::exchange_all batch; their answers are
-  /// applied in filter order, and anything but a clean reply takes the
-  /// per-filter path (retries, paging, stale-cookie reload).
+  /// One upstream sync round (resync::poll_round): polls every session,
+  /// applies the deltas to the mirror (journaled, so the downstream master
+  /// can route them), re-establishes stale and degraded sessions — a digest
+  /// walk of the mirror's view first, whose diff journals as ordinary
+  /// changes so descendants ride through, else a full reload that bumps the
+  /// epoch — then pumps the downstream sessions and advances the downstream
+  /// clock by one tick.
   void sync();
 
   /// Re-targets the upstream link (referral chase or re-parenting after
@@ -164,7 +165,8 @@ class RelayNode final : public resync::ReSyncEndpoint,
   std::uint64_t root_time() const noexcept { return root_time_; }
 
   std::uint64_t admission_rejects() const noexcept { return admission_rejects_; }
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
+  /// Upstream session recoveries, summed over the filters.
+  std::uint64_t recoveries() const noexcept;
   std::uint64_t reparents() const noexcept { return reparents_; }
 
   /// Per-filter upstream session health (degradation, retries, recoveries).
@@ -186,21 +188,7 @@ class RelayNode final : public resync::ReSyncEndpoint,
 
  private:
   struct UpstreamFilter {
-    ldap::Query query;
-    std::size_t replica_id = 0;  // admission slot in replica_
-    std::string cookie;          // empty = no session yet
-    bool degraded = false;
-    std::uint64_t last_origin = 0;  // root time of the last response
-    std::uint64_t last_synced = 0;  // local clock at the last success
-    std::uint64_t retries = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t failed_syncs = 0;
-    std::uint64_t busy_rejections = 0;  // refetches bounced at parent capacity
-    std::uint64_t degraded_polls = 0;   // eq.(3) enumerations from the parent
-    std::uint64_t paged_polls = 0;      // continuation pages fetched
-    std::uint64_t full_reloads = 0;     // full-content loads (incl. install)
-    std::uint64_t reconciles = 0;       // sessions healed by a digest walk
-    std::uint64_t reconcile_entries_shipped = 0;  // diff PDUs those walks cost
+    resync::UpstreamSession session;  // slot = index in filters_
     /// DNs the parent currently lists for this filter (norm key -> DN),
     /// maintained from Add/Delete PDUs and full/complete enumerations.
     /// Claim checks consult these sets, never the mirror copy: after a
@@ -218,17 +206,17 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// True when `query` is contained in a replicated query (Props. 1-3).
   bool admit(const ldap::Query& query);
 
-  resync::ReSyncResponse request(UpstreamFilter& filter,
-                                 const resync::ReSyncControl& control);
+  resync::UpstreamLink link();
 
-  /// Fetches the remaining pages of a paged response, appending their PDUs
-  /// onto `first` and advancing the session cookie page by page. Collect-
-  /// then-apply: a transport failure mid-drain propagates before anything
-  /// touched the mirror, the filter degrades, and the next sync() refetches
-  /// a fresh full-reload session — so a torn pagination never leaves a
-  /// partial eq.(3) drop in the mirror.
-  resync::ReSyncResponse collect_pages(UpstreamFilter& filter,
-                                       resync::ReSyncResponse first);
+  // resync::SessionStore over the mirror and the membership sets.
+  std::map<std::string, ldap::EntryPtr> snapshot(std::size_t slot) override;
+  void apply_delta(std::size_t slot,
+                   const resync::ReSyncResponse& response) override;
+  /// Diffs the enumeration into the mirror and swaps the membership set; a
+  /// recovery also bumps the epoch (once per round).
+  void adopt_full(std::size_t slot, const resync::ReSyncResponse& response,
+                  bool recovery) override;
+  std::uint64_t now() const override { return downstream_.now(); }
 
   /// Add-or-replace in the mirror, journaled. Creates attribute-less glue
   /// ancestors up to the suffix when the entry's parent chain is not
@@ -246,47 +234,6 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// suffix, top-down.
   void ensure_parents(const ldap::Dn& dn);
 
-  /// Finishes the batched poll of steady filters_[index]: a TransportError
-  /// in the batch is the first attempt of config_.retry, the remaining
-  /// attempts run here; the reply is paged out and applied, a stale cookie
-  /// re-establishes the session. Returns whether the parent answered.
-  bool finish_poll(std::size_t index, net::ExchangeItem& item);
-
-  /// Re-establishes filters_[index]'s session through refetch(); on failure
-  /// the filter degrades and heals on a later round. Returns whether the
-  /// parent answered (a referral counts).
-  bool reestablish(std::size_t index, bool recovery);
-
-  /// Applies one poll/initial response for filters_[index] to the mirror.
-  void apply_response(std::size_t index, const resync::ReSyncResponse& response);
-
-  /// Opens a fresh session for filters_[index]. When the mirror already
-  /// holds content for the filter (and Config::reconcile is on), a digest
-  /// walk is offered first so only the divergent entries ship; otherwise —
-  /// or when the parent does not speak reconciliation or the walk falls
-  /// back — the enumerated full content is diffed into the mirror.
-  /// `recovery` marks a session re-established after established state was
-  /// lost (stale cookie, degradation heal): it counts as a recovery and, on
-  /// the full-reload path, bumps the epoch (a reconciled heal journals its
-  /// diff as ordinary changes, so descendants ride through). Returns false
-  /// when the link stays down or the parent referred elsewhere
-  /// (referred_to() set).
-  bool refetch(std::size_t index, bool recovery);
-
-  /// Completes a reconciliation walk whose round-1 answer is `round1`:
-  /// in-sync short-circuit or fingerprint upload + diff application.
-  /// `snapshot` is the mirror's view of the filter the offer was built
-  /// from. Throws StaleCookieError when the walk expired between rounds.
-  bool reconcile_refetch(
-      std::size_t index, resync::ReSyncResponse round1,
-      const std::map<std::string, ldap::EntryPtr>& snapshot, bool recovery);
-
-  /// Applies a full-content initial response: collects pages, diffs the
-  /// enumeration into the mirror, swaps the membership set and (for
-  /// recoveries) bumps the epoch.
-  bool apply_full(std::size_t index, resync::ReSyncResponse response,
-                  bool recovery);
-
   /// Content rebuilt wholesale: invalidate every descendant cookie.
   void bump_epoch();
 
@@ -303,7 +250,6 @@ class RelayNode final : public resync::ReSyncEndpoint,
   std::uint64_t root_time_ = 0;
   std::uint64_t failed_streak_ = 0;
   std::uint64_t admission_rejects_ = 0;
-  std::uint64_t recoveries_ = 0;
   std::uint64_t reparents_ = 0;
   bool down_ = false;
   bool epoch_bumped_this_round_ = false;

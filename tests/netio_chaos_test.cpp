@@ -475,7 +475,7 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
     const auto recoveries = std::stoull(health.at("recoveries"));
     const auto accounted = std::stoull(health.at("full_reloads")) +
                            std::stoull(health.at("reconciles"));
-    EXPECT_LE(recoveries, accounted)
+    EXPECT_EQ(recoveries, accounted)
         << name << ": recoveries outside the reload/reconcile surface ("
         << schedule.name << ")";
     EXPECT_EQ(health.at("degraded"), "0")

@@ -489,7 +489,7 @@ TEST(TopologyReconcile, RelayHealsWithoutCascadingAnEpochBump) {
   EXPECT_EQ(relay.epoch(), 0u) << "reconcile heal must not bump the epoch";
   const net::HealthStats upstream = relay.upstream_health();
   EXPECT_EQ(upstream.total_reconciles(), 1u);
-  EXPECT_EQ(upstream.total_full_reloads(), 1u) << "only the install";
+  EXPECT_EQ(upstream.total_full_reloads(), 0u) << "the install is no recovery";
   EXPECT_EQ(upstream.total_reconcile_entries_shipped(), 1u);
 
   // The downstream cookie is still valid and the change arrives as a delta.
@@ -527,8 +527,8 @@ TEST(TopologyReconcile, RuntimeHealthReportsTheRecoverySplit) {
   for (const topology::NodeHealth& row : runtime.health()) {
     if (row.name == "relay") {
       EXPECT_GE(row.reconciles, 1u);
-      EXPECT_EQ(row.recoveries, row.reconciles + (row.full_reloads - 1))
-          << "recoveries must split into reconciles + post-install reloads";
+      EXPECT_EQ(row.recoveries, row.reconciles + row.full_reloads)
+          << "recoveries must split into reconciles + full reloads";
       EXPECT_GE(row.reconcile_entries_shipped, 1u);
       EXPECT_EQ(row.epoch, 0u);
     }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/replication_service.h"
 #include "ldap/error.h"
 #include "net/fault_injector.h"
 #include "net/framed_channel.h"
@@ -246,11 +247,9 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
   for (const NodeHealth& health : faulty.health()) {
     EXPECT_FALSE(health.down) << health.name;
     EXPECT_FALSE(health.degraded) << health.name << " still degraded";
-    // Recovery-mode split (DESIGN.md §12): every upstream full-content load
-    // is the install or a recovery reload; reconciles never exceed what the
-    // node recovered plus its degradation heals.
-    EXPECT_GE(health.full_reloads, 1u) << health.name << " never installed";
-    EXPECT_LE(health.recoveries, health.full_reloads + health.reconciles)
+    // Recovery-mode split (DESIGN.md §12): every recovery is exactly one
+    // full reload or one digest walk.
+    EXPECT_EQ(health.recoveries, health.full_reloads + health.reconciles)
         << health.name << " recovered without a reload or a walk";
   }
   if (schedule.crash_step >= 0) {
@@ -546,6 +545,161 @@ TEST_P(BatchedSync, PipelinedSyncMatchesOneAtATimeTwin) {
 
 INSTANTIATE_TEST_SUITE_P(Schedules, BatchedSync, ::testing::ValuesIn(kSchedules),
                          schedule_name);
+
+// One upstream-session state machine serves both consumer sites. A
+// FilterReplicationService and a RelayNode replicate the same three
+// overlapping filters, each over a FramedChannel on a FaultyPipe with the
+// same seed, and both masters take the same mutation stream (and, in the
+// crash schedules, the same master outage). Same answers in, so the same
+// session state out: equal pipe counters and equal per-filter health on
+// every round. Content key sets are compared on every round in which no
+// filter is degraded: while one is, its stale claims can keep a shared
+// entry in the relay's mirror, where an overlapping filter's mirror view
+// still matches it.
+class UpstreamSessionTwin : public ::testing::TestWithParam<ChaosSchedule> {};
+
+std::vector<std::uint64_t> health_fields(const net::FilterHealth& h) {
+  // Everything but ticks_behind: the two sites stamp syncs on different
+  // clocks (the service its master's, the relay its downstream master's).
+  return {h.degraded ? 1u : 0u, h.retries,         h.recoveries,
+          h.failed_syncs,       h.busy_rejections, h.degraded_polls,
+          h.paged_polls,        h.full_reloads,    h.reconciles,
+          h.reconcile_entries_shipped};
+}
+
+std::vector<std::string> service_keys(
+    const core::FilterReplicationService& service, std::size_t slot) {
+  std::vector<std::string> keys;
+  for (const ldap::EntryPtr& entry :
+       service.filter_replica().query_content(slot)) {
+    keys.push_back(entry->dn().norm_key());
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
+  const ChaosSchedule schedule = GetParam();
+  auto service_master = make_master("ldap://root");
+  auto relay_master = make_master("ldap://root");
+  net::RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.base_backoff_ticks = 1;
+  retry.max_backoff_ticks = 6;
+  retry.jitter_seed = schedule.seed;
+
+  core::FilterReplicationService::Config service_config;
+  service_config.retry = retry;
+  core::FilterReplicationService service(service_master, service_config);
+  resync::ReSyncMaster root(*relay_master);
+  // Paging masters with a low walk-fallback threshold, so the twin also
+  // drains continuation pages and heals by full reload as well as by walk.
+  resync::ResourceLimits limits;
+  limits.max_page_entries = 5;
+  for (resync::ReSyncMaster* master : {&service.resync(), &root}) {
+    master->set_session_time_limit(60);
+    master->set_resource_limits(limits);
+    master->set_reconcile_fallback_fraction(0.1);
+  }
+  RelayNode::Config relay_config;
+  relay_config.name = "relay";
+  relay_config.suffix = Dn::parse("o=xyz");
+  relay_config.retry = retry;
+  RelayNode relay(relay_config);
+
+  // The links go lossy after the install: a failed install throws at the
+  // service but degrades at the relay, the one place the sites differ.
+  net::FaultConfig clean;
+  clean.seed = schedule.faults.seed;
+  auto service_pipe =
+      std::make_shared<net::FaultyPipe>(service.resync(), clean);
+  auto relay_pipe = std::make_shared<net::FaultyPipe>(root, clean);
+  service.set_channel(std::make_shared<net::FramedChannel>(service_pipe));
+  relay.connect(std::make_shared<net::FramedChannel>(relay_pipe),
+                relay_master->url());
+  const std::vector<Query> filters = overlapping_filters("0");
+  for (const Query& query : filters) {
+    service.install(query);
+    relay.add_filter(query);
+  }
+  ASSERT_TRUE(relay.install_all());
+  service_pipe->set_config(schedule.faults);
+  relay_pipe->set_config(schedule.faults);
+
+  std::size_t content_rounds = 0;
+  const auto expect_in_step = [&](const std::string& when) {
+    EXPECT_EQ(counter_fields(service_pipe->counters()),
+              counter_fields(relay_pipe->counters()))
+        << when;
+    const net::HealthStats service_health = service.health();
+    const net::HealthStats relay_health = relay.upstream_health();
+    ASSERT_EQ(service_health.filters.size(), filters.size()) << when;
+    ASSERT_EQ(relay_health.filters.size(), filters.size()) << when;
+    for (const Query& query : filters) {
+      EXPECT_EQ(health_fields(service_health.filters.at(query.key())),
+                health_fields(relay_health.filters.at(query.key())))
+          << when << " " << query.to_string();
+    }
+    if (relay.any_degraded()) return;
+    ++content_rounds;
+    for (std::size_t slot = 0; slot < filters.size(); ++slot) {
+      EXPECT_EQ(service_keys(service, slot), mirror_keys(relay, filters[slot]))
+          << when << " " << filters[slot].to_string();
+    }
+  };
+  const auto round = [&] {
+    service.sync();  // pumps its own master first
+    root.pump();
+    relay.sync();
+    service.resync().tick();
+    root.tick();
+  };
+
+  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
+  int next_rank = 0;
+  for (int step = 0; step < 200; ++step) {
+    mutate_both(rng, next_rank, *service_master, *relay_master);
+    if (step == schedule.crash_step) {
+      service_pipe->crash_master();
+      relay_pipe->crash_master();
+    }
+    if (step == schedule.restart_step) {
+      service_pipe->restart_master();
+      relay_pipe->restart_master();
+    }
+    round();
+    expect_in_step("step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;  // one report per schedule
+  }
+  for (const auto& pipe : {service_pipe, relay_pipe}) {
+    pipe->set_config(clean);
+    pipe->flush_replays();
+  }
+  for (int extra = 0; extra < 12; ++extra) {
+    round();
+    expect_in_step("quiescence " + std::to_string(extra));
+  }
+
+  EXPECT_FALSE(relay.any_degraded());
+  EXPECT_GT(content_rounds, 100u) << "content was rarely comparable";
+  EXPECT_GT(service_pipe->counters().faults(), 0u)
+      << "fault schedule was a no-op";
+  const net::HealthStats health = service.health();
+  EXPECT_GT(health.total_retries(), 0u) << "no exchange was retried";
+  EXPECT_EQ(health.total_recoveries(),
+            health.total_full_reloads() + health.total_reconciles());
+  EXPECT_GT(health.total_paged_polls(), 0u) << "no answer was paged";
+  if (schedule.crash_step >= 0) {
+    EXPECT_GT(health.total_recoveries(), 0u) << "the outage never healed";
+  }
+  for (std::size_t slot = 0; slot < filters.size(); ++slot) {
+    EXPECT_EQ(service_keys(service, slot),
+              master_truth(*service_master, filters[slot]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, UpstreamSessionTwin,
+                         ::testing::ValuesIn(kSchedules), schedule_name);
 
 /// Fails its first `failures` exchanges with TransportError and logs every
 /// exchange ("x") and backoff ("e<ticks>") it sees.

@@ -59,14 +59,13 @@ struct Relayed {
   std::unique_ptr<RelayNode> relay;
 };
 
-Relayed make_relayed(bool reconcile = true) {
+Relayed make_relayed() {
   Relayed world;
   world.master = make_master();
   world.root = std::make_unique<resync::ReSyncMaster>(*world.master);
   RelayNode::Config config;
   config.name = "relay1";
   config.suffix = Dn::parse("o=xyz");
-  config.reconcile = reconcile;
   world.relay = std::make_unique<RelayNode>(config);
   world.relay->add_filter(serial_query("00"));
   world.relay->connect(std::make_shared<net::DirectChannel>(*world.root),
@@ -160,11 +159,13 @@ TEST(TopologyRelay, CookiesCarryEpochAndRestartInvalidatesThem) {
 }
 
 TEST(TopologyRelay, UpstreamStaleCookieCascadesAsEpochBump) {
-  // Documents the pre-reconciliation cascade: with digest walks off, an
+  // Documents the pre-reconciliation cascade: against a root that does not
+  // speak reconciliation (the version gate ignores the digest offer), an
   // upstream recovery is a full reload and must invalidate descendants.
   // With reconciliation on, the heal journals a diff and descendants ride
   // through without an epoch bump (resync_reconcile_test covers that).
-  Relayed world = make_relayed(/*reconcile=*/false);
+  Relayed world = make_relayed();
+  world.root->set_reconcile_enabled(false);
   world.root->set_session_time_limit(5);
   ASSERT_TRUE(world.relay->install_all());
 
