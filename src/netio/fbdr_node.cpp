@@ -31,7 +31,7 @@ namespace {
                "       [--session-limit <ticks>] [--retry-attempts <n>]\n"
                "       [--io-timeout-ms <ms>] [--connect-timeout-ms <ms>]\n"
                "       [--idle-timeout-ms <ms>] [--max-conns <n>]\n"
-               "       [--crash-on-start]\n"
+               "       [--crash-on-start] [--ready-fd <fd>]\n"
                "addresses: tcp:host:port or unix:/path\n",
                reason);
   std::exit(2);
@@ -91,6 +91,10 @@ int main(int argc, char** argv) {
         options.idle_timeout_ms = std::stoi(value());
       } else if (arg == "--max-conns") {
         options.max_connections = std::stoull(value());
+      } else if (arg == "--ready-fd") {
+        // Set by a spawning parent (ProcessTopology): the write end of its
+        // readiness pipe.
+        options.ready_fd = std::stoi(value());
       } else if (arg == "--crash-on-start") {
         // Supervision regression hook: die before serving anything, as a
         // node whose binary/config is broken would.

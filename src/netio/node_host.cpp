@@ -1,6 +1,9 @@
 #include "netio/node_host.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -118,6 +121,15 @@ void NodeHost::run() {
                           [this](const std::string& line) {
                             return handle_control(line);
                           });
+  if (options_.ready_fd >= 0) {
+    const char ready = 'r';
+    ssize_t wrote = -1;
+    do {
+      wrote = ::write(options_.ready_fd, &ready, 1);
+    } while (wrote < 0 && errno == EINTR);
+    ::close(options_.ready_fd);
+    options_.ready_fd = -1;
+  }
   server_->run();
 }
 

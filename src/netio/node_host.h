@@ -51,11 +51,16 @@ class NodeHost {
     /// Frame-plane self-defence, passed through to EpollServer.
     int idle_timeout_ms = 0;
     std::size_t max_connections = 0;
+    /// When >= 0, run() writes one byte to this fd and closes it once both
+    /// listeners are bound: the readiness handshake a spawning parent
+    /// blocks on (ProcessTopology::wait_ready).
+    int ready_fd = -1;
   };
 
   explicit NodeHost(Options options);
 
-  /// Binds both listeners and runs the loop inline until a quit command.
+  /// Binds both listeners, signals ready_fd, and runs the loop inline until
+  /// a quit command.
   void run();
 
   EpollServer& server() { return *server_; }

@@ -1,14 +1,16 @@
 #include "netio/process_topology.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace fbdr::netio {
 
@@ -77,7 +79,7 @@ const ProcessTopology::Node& ProcessTopology::node(
   return it->second;
 }
 
-void ProcessTopology::spawn(Node& n) {
+int ProcessTopology::spawn(Node& n) {
   std::vector<std::string> args = {
       options_.node_binary,
       "--role",    n.parent.empty() ? "root" : "relay",
@@ -104,6 +106,15 @@ void ProcessTopology::spawn(Node& n) {
   }
   for (const std::string& extra : n.extra_args) args.push_back(extra);
 
+  // Readiness pipe: both ends close-on-exec, so no other child inherits
+  // them; only this child clears the flag on its write end.
+  int ready[2];
+  if (::pipe2(ready, O_CLOEXEC) != 0) {
+    throw std::runtime_error(std::string("pipe2: ") + std::strerror(errno));
+  }
+  args.push_back("--ready-fd");
+  args.push_back(std::to_string(ready[1]));
+
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& arg : args) argv.push_back(arg.data());
@@ -111,39 +122,57 @@ void ProcessTopology::spawn(Node& n) {
 
   const pid_t pid = ::fork();
   if (pid < 0) {
-    throw std::runtime_error(std::string("fork: ") + std::strerror(errno));
+    const int fork_errno = errno;
+    ::close(ready[0]);
+    ::close(ready[1]);
+    throw std::runtime_error(std::string("fork: ") + std::strerror(fork_errno));
   }
   if (pid == 0) {
+    ::fcntl(ready[1], F_SETFD, 0);
     ::execv(argv[0], argv.data());
-    // Reached only when exec fails; the parent sees it as ping timeout.
+    // Reached only when exec fails; the parent reads EOF on the pipe.
     std::_Exit(127);
   }
+  ::close(ready[1]);
   n.pid = pid;
   n.client.reset();
+  return ready[0];
 }
 
-void ProcessTopology::wait_ready(Node& n) {
+void ProcessTopology::wait_ready(Node& n, int fd) {
   const auto deadline = deadline_after(options_.spawn_timeout_ms);
-  std::string last_error = "never attempted";
-  while (std::chrono::steady_clock::now() < deadline) {
-    int status = 0;
-    if (n.pid > 0 && ::waitpid(n.pid, &status, WNOHANG) == n.pid) {
-      n.pid = -1;
-      throw std::runtime_error("node " + n.name + " exited during startup");
-    }
-    try {
-      auto client = std::make_unique<ControlClient>(n.control_addr,
-                                                    options_.control_timeout_ms);
-      client->request("ping");
-      n.client = std::move(client);
-      return;
-    } catch (const std::exception& e) {
-      last_error = e.what();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+  pollfd pfd{fd, POLLIN, 0};
+  int ready = 0;
+  do {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    ready = ::poll(&pfd, 1,
+                   static_cast<int>(std::max<std::int64_t>(left.count(), 0)));
+  } while (ready < 0 && errno == EINTR);
+  char byte = 0;
+  ssize_t got = -1;
+  if (ready > 0) {
+    do {
+      got = ::read(fd, &byte, 1);
+    } while (got < 0 && errno == EINTR);
   }
-  throw std::runtime_error("node " + n.name +
-                           " not ready before deadline: " + last_error);
+  ::close(fd);
+  if (got == 1) {
+    n.client = std::make_unique<ControlClient>(n.control_addr,
+                                               options_.control_timeout_ms);
+    return;
+  }
+  if (got == 0) {
+    // Every copy of the write end is gone: the child exited (or its exec
+    // failed) before binding its listeners.
+    if (n.pid > 0) {
+      ::waitpid(n.pid, &n.last_exit_status, 0);
+      n.pid = -1;
+    }
+    throw std::runtime_error("node " + n.name + " exited during startup");
+  }
+  throw std::runtime_error("node " + n.name + " not ready within " +
+                           std::to_string(options_.spawn_timeout_ms) + " ms");
 }
 
 void ProcessTopology::install_filters(Node& n) {
@@ -156,8 +185,7 @@ void ProcessTopology::start() {
   if (root_.empty()) throw std::logic_error("no root declared");
   for (const std::string& name : order_) {
     Node& n = node(name);
-    spawn(n);
-    wait_ready(n);
+    wait_ready(n, spawn(n));
     install_filters(n);
     n.state = NodeState::Running;
     n.running_since = tick_count_;
@@ -317,8 +345,7 @@ std::uint64_t ProcessTopology::backoff_ticks(const Node& n) const {
 bool ProcessTopology::try_respawn(Node& n) {
   n.restarts += 1;
   try {
-    spawn(n);
-    wait_ready(n);
+    wait_ready(n, spawn(n));
     install_filters(n);
     n.state = NodeState::Running;
     n.running_since = tick_count_;
@@ -377,8 +404,7 @@ void ProcessTopology::crash(const std::string& name, bool reap_now) {
 void ProcessTopology::respawn(const std::string& name) {
   Node& n = node(name);
   if (n.pid > 0) throw std::logic_error("node still running: " + name);
-  spawn(n);
-  wait_ready(n);
+  wait_ready(n, spawn(n));
   install_filters(n);
   // Manual revival is an operator override: fresh restart budget.
   n.state = NodeState::Running;

@@ -21,9 +21,10 @@ namespace fbdr::netio {
 /// story, but the "network" is the kernel's and a crash is a SIGKILL.
 ///
 /// Lifecycle: add_root()/add_relay() declare the tree, start() spawns every
-/// process (parents first) and waits for each control plane to answer ping,
-/// tick() drives one replication round, crash()/respawn() model a node
-/// failure, stop() (or the destructor) quits or kills everything and reaps.
+/// process (parents first) and waits for each one's readiness byte (see
+/// wait_ready), tick() drives one replication round, crash()/respawn() model
+/// a node failure, stop() (or the destructor) quits or kills everything and
+/// reaps.
 ///
 /// Supervision (set_supervisor): every tick() opens with a waitpid sweep, so
 /// a child that died — crashed, OOM-killed, crash()ed by a test — is reaped
@@ -42,6 +43,7 @@ class ProcessTopology {
     std::string workdir;      // sockets live here (private, e.g. mkdtemp)
     std::string suffix = "o=xyz";
     std::uint64_t session_time_limit = 0;
+    /// How long a spawned node may take to report ready.
     int spawn_timeout_ms = 10000;
     int control_timeout_ms = 15000;
     /// Upstream SocketPipe deadlines inside each relay process (0 = the
@@ -101,7 +103,8 @@ class ProcessTopology {
   void set_parent_proxy(const std::string& name, const SocketAddr& addr);
 
   /// Spawns every declared node (parents before children), waits for each
-  /// control plane, installs relay filters. Throws on spawn/ping failure.
+  /// one to report ready, installs relay filters. Throws on spawn failure, a
+  /// node dying during startup or a readiness timeout.
   void start();
 
   /// One replication round, exactly TopologyRuntime::tick(): every relay
@@ -176,8 +179,14 @@ class ProcessTopology {
 
   Node& node(const std::string& name);
   const Node& node(const std::string& name) const;
-  void spawn(Node& node);
-  void wait_ready(Node& node);
+  /// fork/execs the node with the write end of a fresh readiness pipe as
+  /// --ready-fd; returns the read end, which wait_ready consumes.
+  int spawn(Node& node);
+  /// Blocks on the readiness pipe `ready_fd` (and closes it) until the node
+  /// writes its byte (both listeners bound), then connects the control
+  /// client. EOF means the child exited before it was ready and fails at
+  /// once; no byte within spawn_timeout_ms fails at the deadline.
+  void wait_ready(Node& node, int ready_fd);
   void install_filters(Node& node);
   void reap(Node& node, bool force);
   /// Records a death seen by waitpid/probe and schedules the respawn (or

@@ -146,9 +146,10 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
     }
     // (i) Initial request: create the session and send the whole content.
     auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
+    const std::uint64_t baseline = journal_head();
     const sync::UpdateBatch batch = qs->initial(master_->dit());
     id = new_session_id();
-    session = &adopt_session(id, std::move(qs), control.mode);
+    session = &adopt_session(id, std::move(qs), control.mode, baseline);
     paginate(*session, to_pdus(batch), /*full_reload=*/true,
              /*complete_enumeration=*/false, response);
     response.cookie = make_cookie(id, session->next_seq);
@@ -254,7 +255,7 @@ void ReSyncMaster::finalize(Session& session, const ReSyncControl& control,
 
 ReSyncMaster::Session& ReSyncMaster::adopt_session(
     const std::string& id, std::unique_ptr<sync::QuerySession> query_session,
-    Mode mode) {
+    Mode mode, std::uint64_t baseline) {
   Shard& shard = shard_for(id);
   Session fresh;
   fresh.session = std::move(query_session);
@@ -271,6 +272,16 @@ ReSyncMaster::Session& ReSyncMaster::adopt_session(
     shard.router.note_enter(session.route, key);
   }
   shard.expiry.emplace(clock_.now(), id);
+  session.baseline = baseline;
+  if (baseline < last_pumped_seq_) {
+    // Prepared before the last pump (round 1 of a walk): the records pumped
+    // since never reached it, so diff it against the DIT.
+    absorb_events(shard, session, session.session->rebase(master_->dit()));
+    session.baseline = journal_head();
+  }
+  route_floor_ = session_count() == 1
+                     ? session.baseline
+                     : std::min(route_floor_, session.baseline);
   return session;
 }
 
@@ -283,11 +294,12 @@ std::size_t ReSyncMaster::pending_reconciles() const {
 }
 
 ReSyncResponse ReSyncMaster::reconcile_fallback(
-    std::unique_ptr<sync::QuerySession> qs, const ReSyncControl& control) {
+    std::unique_ptr<sync::QuerySession> qs, std::uint64_t baseline,
+    const ReSyncControl& control) {
   ++governor_.stats().reconcile_fallbacks;
   const sync::UpdateBatch batch = qs->full_content_batch();
   const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(qs), control.mode);
+  Session& session = adopt_session(id, std::move(qs), control.mode, baseline);
   ReSyncResponse response;
   auto rec = std::make_shared<ReconcileResponse>();
   rec->fallback = true;
@@ -312,13 +324,14 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
   }
   ++governor_.stats().reconcile_walks;
   auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
+  const std::uint64_t baseline = journal_head();
   qs->prepare(master_->dit());
   const ReconcileRequest& offer = *control.reconcile;
 
   // Walk cap: rather than holding more provisional state, ship it all.
   const std::size_t walk_cap = governor_.limits().max_pending_reconciles;
   if (walk_cap != 0 && pending_reconciles() >= walk_cap) {
-    return reconcile_fallback(std::move(qs), control);
+    return reconcile_fallback(std::move(qs), baseline, control);
   }
 
   const sync::ContentDigest& mine = qs->tracker().digest();
@@ -328,7 +341,8 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
     ++governor_.stats().reconciles_completed;
     qs->ack_content();
     const std::string id = new_session_id();
-    Session& session = adopt_session(id, std::move(qs), control.mode);
+    Session& session =
+        adopt_session(id, std::move(qs), control.mode, baseline);
     ReSyncResponse response;
     auto rec = std::make_shared<ReconcileResponse>();
     rec->in_sync = true;
@@ -371,13 +385,14 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
                               1);
   if (static_cast<double>(estimate) >
       reconcile_fallback_fraction_ * static_cast<double>(total)) {
-    return reconcile_fallback(std::move(qs), control);
+    return reconcile_fallback(std::move(qs), baseline, control);
   }
 
   // Hold the walk; round 2 brings fingerprints for exactly these buckets.
   const std::string rcid = "rc-" + std::to_string(++reconcile_counter_);
   PendingReconcile pending;
   pending.session = std::move(qs);
+  pending.baseline = baseline;
   pending.mode = control.mode;
   pending.need_buckets = need;
   pending.last_active = clock_.now();
@@ -419,7 +434,8 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round2(
   const std::size_t shipped =
       diff.adds.size() + diff.mods.size() + diff.deletes.size();
   const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(pending.session), pending.mode);
+  Session& session = adopt_session(id, std::move(pending.session),
+                                   pending.mode, pending.baseline);
   session.mode = control.mode;
   ReSyncResponse response;
   // An all-false reconcile field marks "here is your diff".
@@ -513,8 +529,12 @@ void ReSyncMaster::set_resource_limits(const ResourceLimits& limits) {
 void ReSyncMaster::apply_change(Shard& shard, Session& session,
                                 const server::ChangeRecord& record,
                                 ldap::NormalizedValueCache* cache) {
-  const std::vector<sync::ContentEvent> events =
-      session.session->on_change(record, cache);
+  if (record.seq <= session.baseline) return;  // the content already holds it
+  absorb_events(shard, session, session.session->on_change(record, cache));
+}
+
+void ReSyncMaster::absorb_events(Shard& shard, Session& session,
+                                 const std::vector<sync::ContentEvent>& events) {
   if (events.empty()) return;
   if (!session.dirty) {
     session.dirty = true;
@@ -601,16 +621,8 @@ void ReSyncMaster::enforce_global_history() {
 
 void ReSyncMaster::rebase_shard(Shard& shard) {
   for (auto& [id, session] : shard.sessions) {
-    const std::vector<sync::ContentEvent> events =
-        session.session->rebase(master_->dit());
+    absorb_events(shard, session, session.session->rebase(master_->dit()));
     ++shard.delta.compaction_rebases;
-    if (events.empty()) continue;
-    if (!session.dirty) {
-      session.dirty = true;
-      shard.dirty.push_back(&session);
-    }
-    mirror_events(shard, session, events);
-    enforce_session_history(session, shard.delta);
   }
 }
 
@@ -634,6 +646,9 @@ void ReSyncMaster::pump() {
     }
     std::vector<sync::ChangeRouter::Handle> candidates;
     for (const server::ChangeRecord* record : records) {
+      // Every live session's content already reflects it (installed after
+      // it was journaled): nothing to route.
+      if (record->seq <= route_floor_) continue;
       if (change_routing_) {
         candidates.clear();
         shard.router.route(*record, candidates, &shard.cache);

@@ -123,10 +123,12 @@ class ReSyncMaster : public ReSyncEndpoint {
   const std::string& url() const override { return master_->url(); }
 
   /// Feeds journal records appended since the last pump into the sessions
-  /// they can affect. The journal batch is read once; every shard routes it
-  /// through its own indexes (in parallel when pump threads are configured),
-  /// then a serial phase pushes persist notifications in global session-id
-  /// order and re-checks the global history budget.
+  /// they can affect, never a record at or below a session's baseline (the
+  /// journal seq its initial content was computed at, DESIGN.md §7). The
+  /// journal batch is read once; every shard routes it through its own
+  /// indexes (in parallel when pump threads are configured), then a serial
+  /// phase pushes persist notifications in global session-id order and
+  /// re-checks the global history budget.
   void pump();
 
   /// Disables change routing: every record fans out to every session, as the
@@ -196,6 +198,9 @@ class ReSyncMaster : public ReSyncEndpoint {
     bool replay_stripped = false;  // bodies dropped: replays re-enumerate
     std::string current_cookie;    // most recently issued cookie
     sync::ChangeRouter::Handle route = sync::ChangeRouter::kInvalidHandle;
+    /// Journal seq the session's content reflects: pump() never applies a
+    /// record at or below it (the initial content already holds it).
+    std::uint64_t baseline = 0;
     bool dirty = false;            // on the owning shard's dirty list
     std::string id;                // session id ("rs-<n>")
     Shard* shard = nullptr;        // owning shard (stable address)
@@ -242,6 +247,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// last_response without re-running the diff.
   struct PendingReconcile {
     std::unique_ptr<sync::QuerySession> session;
+    std::uint64_t baseline = 0;  // journal seq the prepared content reflects
     Mode mode = Mode::Poll;
     std::vector<std::uint32_t> need_buckets;
     std::uint64_t last_active = 0;
@@ -273,12 +279,17 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// shard, otherwise across the pump pool.
   void run_on_shards(const std::function<void(Shard&)>& fn);
   void account(const std::vector<EntryPdu>& pdus);
-  /// Feeds one record into one session and mirrors the resulting content
-  /// events into the owning shard's holder index. Parallel-phase safe: all
+  /// Feeds one record above the session's baseline into the session and
+  /// mirrors the resulting content events into the owning shard's holder
+  /// index. Parallel-phase safe: all
   /// mutated state is shard-local; governor counters go to `delta`.
   void apply_change(Shard& shard, Session& session,
                     const server::ChangeRecord& record,
                     ldap::NormalizedValueCache* cache);
+  /// Takes a session's content events: dirty-list entry, holder mirror and
+  /// the per-session history budget.
+  void absorb_events(Shard& shard, Session& session,
+                     const std::vector<sync::ContentEvent>& events);
   /// Mirrors content events into the owning shard's holder index.
   static void mirror_events(Shard& shard, Session& session,
                             const std::vector<sync::ContentEvent>& events);
@@ -305,10 +316,16 @@ class ReSyncMaster : public ReSyncEndpoint {
   void drop_session(Shard& shard, std::map<std::string, Session>::iterator it);
   /// Installs an initialized QuerySession as a live session under `id` in
   /// its hash shard: registers the router route, seeds the holder mirror
-  /// from the tracked content and queues the expiry node.
+  /// from the tracked content and queues the expiry node. `baseline` is the
+  /// journal seq its content was computed at; a session prepared before the
+  /// last pump (a reconciliation walk) first catches up by a rebase from
+  /// the DIT.
   Session& adopt_session(const std::string& id,
                          std::unique_ptr<sync::QuerySession> query_session,
-                         Mode mode);
+                         Mode mode, std::uint64_t baseline);
+  /// Seq of the newest journal record, i.e. what content computed from the
+  /// DIT right now reflects.
+  std::uint64_t journal_head() const { return master_->journal().last_seq(); }
   /// Common response tail: activity stamp, traffic accounting, origin time,
   /// persistence flag and the replay cache.
   void finalize(Session& session, const ReSyncControl& control,
@@ -323,6 +340,7 @@ class ReSyncMaster : public ReSyncEndpoint {
                                          const ReSyncControl& control);
   /// Ships the full content instead of walking (cap hit or diverged too far).
   ReSyncResponse reconcile_fallback(std::unique_ptr<sync::QuerySession> qs,
+                                    std::uint64_t baseline,
                                     const ReSyncControl& control);
 
   server::DirectoryServer* master_;
@@ -336,6 +354,11 @@ class ReSyncMaster : public ReSyncEndpoint {
   net::TrafficStats traffic_;
   ResourceGovernor governor_;
   std::uint64_t last_pumped_seq_ = 0;
+  /// No live session's baseline is below this: pump() routes no record at
+  /// or below it. The min baseline of the live sessions; reset to the sole
+  /// session's baseline when it is the only one, not raised when sessions
+  /// drop (a stale floor only routes records the per-session check skips).
+  std::uint64_t route_floor_ = 0;
   std::uint64_t time_limit_ = 0;
   std::uint64_t cookie_counter_ = 0;
   std::uint64_t reconcile_counter_ = 0;

@@ -151,61 +151,15 @@ void DirectoryServer::add_index(std::string_view attr) {
   dit_.add_index(attr, *schema_);
 }
 
-namespace {
-
-/// Finds a predicate inside top-level AND nesting that can drive an indexed
-/// candidate lookup: (attr=value) or a prefix substring (attr=p*...).
-const ldap::Filter* find_indexable(const ldap::Filter& filter, const Dit& dit) {
-  switch (filter.kind()) {
-    case ldap::FilterKind::Equality:
-      return dit.has_index(filter.attribute()) ? &filter : nullptr;
-    case ldap::FilterKind::Substring:
-      return dit.has_index(filter.attribute()) &&
-                     !filter.substrings().initial.empty()
-                 ? &filter
-                 : nullptr;
-    case ldap::FilterKind::And:
-      for (const ldap::FilterPtr& child : filter.children()) {
-        if (const ldap::Filter* found = find_indexable(*child, dit)) return found;
-      }
-      return nullptr;
-    default:
-      return nullptr;
-  }
-}
-
-}  // namespace
-
 std::vector<EntryPtr> DirectoryServer::evaluate(const Query& query) const {
   std::vector<EntryPtr> out;
   const ldap::CompiledFilter compiled =
       ldap::CompiledFilter::compile(query.filter, *schema_);
-  auto consider = [&](const EntryPtr& entry) {
-    if (!query.region_covers(entry->dn())) return;
-    if (!compiled.matches(*entry)) return;
-    out.push_back(entry);
-  };
-
-  const ldap::Filter* indexable =
-      query.filter ? find_indexable(*query.filter, dit_) : nullptr;
-  if (indexable) {
-    if (indexable->kind() == ldap::FilterKind::Equality) {
-      if (const std::vector<std::string>* keys =
-              dit_.index_lookup(indexable->attribute(), indexable->value())) {
-        for (const std::string& key : *keys) {
-          consider(dit_.find_by_key(key));
-        }
-        return out;
-      }
-    } else {
-      for (const std::string& key : dit_.index_prefix_lookup(
-               indexable->attribute(), indexable->substrings().initial)) {
-        consider(dit_.find_by_key(key));
-      }
-      return out;
+  dit_.for_each_candidate(query, [&](const EntryPtr& entry) {
+    if (query.region_covers(entry->dn()) && compiled.matches(*entry)) {
+      out.push_back(entry);
     }
-  }
-  dit_.for_each(consider);
+  });
   return out;
 }
 

@@ -67,8 +67,8 @@ class DirectoryServer : public SearchEndpoint {
 
   /// Evaluates a query over everything this server holds, with no referral
   /// processing — the master-side content evaluation used by replication.
-  /// Uses an attribute index when the filter pins an indexed attribute by
-  /// equality or prefix; falls back to a region scan otherwise.
+  /// Candidates come from Dit::for_each_candidate (index, scope or full
+  /// scan); the result holds each match once, in norm-key order.
   std::vector<ldap::EntryPtr> evaluate(const ldap::Query& query) const;
 
   /// The LDAP compare operation (§2.2): does the entry at `dn` hold `value`

@@ -104,8 +104,18 @@ std::pair<EntryPtr, EntryPtr> Dit::modify(const Dn& dn,
         break;
     }
   }
-  deindex_entry(*before);
-  index_entry(*after);
+  // An attribute no modification names kept its values, so its postings
+  // stay as they are.
+  std::set<std::string> touched;
+  for (const Modification& mod : mods) {
+    std::string attr = ldap::text::lower(mod.attr);
+    if (indexes_.count(attr) > 0) touched.insert(std::move(attr));
+  }
+  for (const std::string& attr : touched) {
+    ValueIndex& index = indexes_.at(attr);
+    deindex_values(attr, index, *before);
+    index_values(attr, index, *after);
+  }
   it->second = after;
   return {before, after};
 }
@@ -215,6 +225,76 @@ void Dit::for_each(const std::function<void(const EntryPtr&)>& fn) const {
 
 namespace {
 
+/// Finds a predicate inside top-level AND nesting that can drive an indexed
+/// candidate lookup: (attr=value) or a prefix substring (attr=p*...).
+const ldap::Filter* find_indexable(const ldap::Filter& filter, const Dit& dit) {
+  switch (filter.kind()) {
+    case ldap::FilterKind::Equality:
+      return dit.has_index(filter.attribute()) ? &filter : nullptr;
+    case ldap::FilterKind::Substring:
+      return dit.has_index(filter.attribute()) &&
+                     !filter.substrings().initial.empty()
+                 ? &filter
+                 : nullptr;
+    case ldap::FilterKind::And:
+      for (const ldap::FilterPtr& child : filter.children()) {
+        if (const ldap::Filter* found = find_indexable(*child, dit)) return found;
+      }
+      return nullptr;
+    default:
+      return nullptr;
+  }
+}
+
+}  // namespace
+
+void Dit::for_each_candidate(
+    const ldap::Query& query,
+    const std::function<void(const EntryPtr&)>& fn) const {
+  if (query.scope == ldap::Scope::Base) {
+    if (const EntryPtr entry = find(query.base)) fn(entry);
+    return;
+  }
+  const ldap::Filter* indexable =
+      query.filter ? find_indexable(*query.filter, *this) : nullptr;
+  if (indexable) {
+    if (indexable->kind() == ldap::FilterKind::Equality) {
+      if (const std::vector<std::string>* keys =
+              index_lookup(indexable->attribute(), indexable->value())) {
+        for (const std::string& key : *keys) fn(entries_.at(key));
+        return;
+      }
+    } else {
+      // One entry can hold several values under the prefix.
+      std::vector<std::string> keys = index_prefix_lookup(
+          indexable->attribute(), indexable->substrings().initial);
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      for (const std::string& key : keys) fn(entries_.at(key));
+      return;
+    }
+  }
+  if (query.scope == ldap::Scope::OneLevel) {
+    const auto it = children_.find(query.base.norm_key());
+    if (it == children_.end()) return;  // nothing in the region
+    for (const std::string& key : it->second) fn(entries_.at(key));
+    return;
+  }
+  if (!query.base.is_root() && !is_suffix_dn(query.base)) {
+    std::vector<EntryPtr> region;
+    collect_subtree(query.base, region);
+    std::sort(region.begin(), region.end(),
+              [](const EntryPtr& a, const EntryPtr& b) {
+                return a->dn().norm_key() < b->dn().norm_key();
+              });
+    for (const EntryPtr& entry : region) fn(entry);
+    return;
+  }
+  for_each(fn);
+}
+
+namespace {
+
 /// Sorted-unique posting-list maintenance (vectors beat node-based sets on
 /// lookup-heavy index traffic: one allocation, contiguous scan).
 void posting_insert(std::vector<std::string>& list, const std::string& key) {
@@ -273,25 +353,31 @@ std::vector<std::string> Dit::index_prefix_lookup(std::string_view attr,
 }
 
 void Dit::index_entry(const ldap::Entry& entry) {
-  for (auto& [attr, value_map] : indexes_) {
-    if (const std::vector<std::string>* values = entry.get(attr)) {
-      for (const std::string& value : *values) {
-        posting_insert(value_map[index_schema_->normalize(attr, value)],
-                       entry.dn().norm_key());
-      }
+  for (auto& [attr, index] : indexes_) index_values(attr, index, entry);
+}
+
+void Dit::deindex_entry(const ldap::Entry& entry) {
+  for (auto& [attr, index] : indexes_) deindex_values(attr, index, entry);
+}
+
+void Dit::index_values(const std::string& attr, ValueIndex& index,
+                       const ldap::Entry& entry) {
+  if (const std::vector<std::string>* values = entry.get(attr)) {
+    for (const std::string& value : *values) {
+      posting_insert(index[index_schema_->normalize(attr, value)],
+                     entry.dn().norm_key());
     }
   }
 }
 
-void Dit::deindex_entry(const ldap::Entry& entry) {
-  for (auto& [attr, value_map] : indexes_) {
-    if (const std::vector<std::string>* values = entry.get(attr)) {
-      for (const std::string& value : *values) {
-        const auto it = value_map.find(index_schema_->normalize(attr, value));
-        if (it == value_map.end()) continue;
-        posting_erase(it->second, entry.dn().norm_key());
-        if (it->second.empty()) value_map.erase(it);
-      }
+void Dit::deindex_values(const std::string& attr, ValueIndex& index,
+                         const ldap::Entry& entry) {
+  if (const std::vector<std::string>* values = entry.get(attr)) {
+    for (const std::string& value : *values) {
+      const auto it = index.find(index_schema_->normalize(attr, value));
+      if (it == index.end()) continue;
+      posting_erase(it->second, entry.dn().norm_key());
+      if (it->second.empty()) index.erase(it);
     }
   }
 }

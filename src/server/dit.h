@@ -41,7 +41,8 @@ class Dit {
 
   /// Applies modifications, returning (before, after) snapshots. Throws
   /// NoSuchObject; unknown delete-values are ignored (lenient, like most
-  /// servers in relaxed mode).
+  /// servers in relaxed mode). Only the indexed attributes the
+  /// modifications name are re-indexed.
   std::pair<ldap::EntryPtr, ldap::EntryPtr> modify(
       const ldap::Dn& dn, const std::vector<Modification>& mods);
 
@@ -67,6 +68,18 @@ class Dit {
   std::vector<ldap::EntryPtr> scoped(const ldap::Dn& base, ldap::Scope scope) const;
 
   void for_each(const std::function<void(const ldap::EntryPtr&)>& fn) const;
+
+  /// Calls `fn` once for each entry `query` could match, in norm-key order,
+  /// from the cheapest source the Dit knows: the base entry of a base
+  /// search; else the postings of the first indexed (attr=value) or prefix
+  /// (attr=p*...) predicate in the filter's top-level AND nesting, each key
+  /// once; else the one-level children; else the subtree below a base that
+  /// is neither the root nor a suffix; else every entry. The candidates are
+  /// a superset of the matches: callers still test the region and the
+  /// filter.
+  void for_each_candidate(
+      const ldap::Query& query,
+      const std::function<void(const ldap::EntryPtr&)>& fn) const;
 
   std::size_t size() const noexcept { return entries_.size(); }
 
@@ -99,14 +112,20 @@ class Dit {
   /// normalized keys (no Dn re-derivation per hop).
   void collect_below(const std::string& base_key,
                      std::vector<ldap::EntryPtr>& out) const;
+  /// normalized value -> sorted entry keys (posting list).
+  using ValueIndex = std::map<std::string, std::vector<std::string>>;
+
   void index_entry(const ldap::Entry& entry);
   void deindex_entry(const ldap::Entry& entry);
+  void index_values(const std::string& attr, ValueIndex& index,
+                    const ldap::Entry& entry);
+  void deindex_values(const std::string& attr, ValueIndex& index,
+                      const ldap::Entry& entry);
 
   std::map<std::string, ldap::EntryPtr> entries_;          // by norm key
   std::map<std::string, std::set<std::string>> children_;  // parent -> children
   std::vector<ldap::Dn> suffixes_;
-  /// attr -> normalized value -> sorted entry keys (posting list).
-  std::map<std::string, std::map<std::string, std::vector<std::string>>> indexes_;
+  std::map<std::string, ValueIndex> indexes_;  // lowercased attr -> index
   const ldap::Schema* index_schema_ = nullptr;
 };
 

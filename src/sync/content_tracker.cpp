@@ -53,7 +53,7 @@ bool ContentTracker::matches_query(const EntryPtr& entry,
 void ContentTracker::initialize(const server::Dit& dit) {
   content_.clear();
   digest_.clear();
-  dit.for_each([&](const EntryPtr& entry) {
+  dit.for_each_candidate(query_, [&](const EntryPtr& entry) {
     if (matches_query(*entry)) {
       const std::string key = entry->dn().norm_key();
       content_[key] = entry;

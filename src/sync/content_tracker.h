@@ -53,7 +53,8 @@ class ContentTracker {
 
   const ldap::Query& query() const noexcept { return query_; }
 
-  /// (Re)computes the content from the master DIT.
+  /// (Re)computes the content from the master DIT, evaluating only the
+  /// candidates Dit::for_each_candidate plans from the query.
   void initialize(const server::Dit& dit);
 
   /// Classifies one change; updates the tracked content; returns the events

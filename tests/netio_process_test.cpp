@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
 #include <string>
 
 #include "netio/process_topology.h"
@@ -144,6 +146,38 @@ TEST(ProcessTopologyTest, MidChainRelayCrashHealsThroughStaleCookies) {
   EXPECT_GT(recoveries, std::stoul(leaf_before.at("recoveries")));
   EXPECT_EQ(leaf_after.at("degraded"), "0");
 
+  procs.stop();
+}
+
+// Startup is a handshake, not a poll: a node that dies before binding its
+// listeners closes its end of the readiness pipe, and start() fails on that
+// EOF at once instead of retrying until spawn_timeout_ms.
+TEST(ProcessTopologyTest, NodeDyingAtStartupFailsStartAtOnce) {
+  SKIP_WITHOUT_SOCKETS();
+  const std::string workdir = make_workdir();
+  ASSERT_FALSE(workdir.empty());
+
+  ProcessTopology::Options options = topology_options(workdir, FBDR_NODE_BIN);
+  options.spawn_timeout_ms = 20000;
+  ProcessTopology procs(options);
+  build_chain(procs);
+  procs.set_extra_args("d2", {"--crash-on-start"});
+
+  const auto begin = std::chrono::steady_clock::now();
+  try {
+    procs.start();
+    ADD_FAILURE() << "start() succeeded with a node that cannot start";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("exited during startup"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - begin);
+  EXPECT_LT(elapsed.count(), options.spawn_timeout_ms / 4)
+      << "start() waited for the deadline instead of the readiness EOF";
+  EXPECT_FALSE(procs.running("d2"));
+  EXPECT_TRUE(procs.running("d1")) << "nodes before d2 were spawned normally";
   procs.stop();
 }
 

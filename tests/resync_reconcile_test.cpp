@@ -269,6 +269,58 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
                ldap::ProtocolError);
 }
 
+// A change committed and pumped between the two rounds of a walk never
+// reached the provisional session (it is not routed until promoted), so the
+// promoted session must catch up on it (a rebase from the DIT).
+TEST(ReSyncReconcile, ChangesBetweenWalkRoundsReachThePromotedSession) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Poll);
+  resync.reset();
+  master->modify(Dn::parse("cn=E2,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"chief"}}});
+
+  auto offer = std::make_shared<ReconcileRequest>();
+  offer->root_digest = replica.content().digest().root();
+  offer->entry_count = replica.content().digest().entry_count();
+  offer->buckets = replica.content().digest().bucket_digests();
+  ReSyncControl round1;
+  round1.reconcile = offer;
+  const ReSyncResponse walk = resync.handle(kQuery, round1);
+  ASSERT_NE(walk.reconcile, nullptr);
+  ASSERT_FALSE(walk.reconcile->need_buckets.empty());
+
+  // Between the rounds: E4 (in content) changes and the master pumps.
+  master->modify(Dn::parse("cn=E4,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"lead"}}});
+  master->modify(Dn::parse("cn=E3,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"intern"}}});
+  resync.pump();
+
+  auto upload = std::make_shared<ReconcileRequest>();
+  upload->round = 2;
+  upload->fingerprints =
+      replica.content().fingerprints_for(walk.reconcile->need_buckets);
+  ReSyncControl round2{Mode::Poll, walk.cookie};
+  round2.reconcile = upload;
+  const ReSyncResponse diff = resync.handle(kQuery, round2);
+  ASSERT_EQ(diff.pdus.size(), 1u);
+  EXPECT_EQ(diff.pdus[0].dn, Dn::parse("cn=E2,o=xyz"));
+
+  // The next poll carries E4's change; E3 is outside the content.
+  const ReSyncResponse next = resync.handle(kQuery, {Mode::Poll, diff.cookie});
+  ASSERT_EQ(next.pdus.size(), 1u);
+  EXPECT_EQ(next.pdus[0].action, Action::Modify);
+  EXPECT_EQ(next.pdus[0].dn, Dn::parse("cn=E4,o=xyz"));
+  ASSERT_NE(next.pdus[0].entry, nullptr);
+  EXPECT_EQ(next.pdus[0].entry->first("title"), "lead");
+
+  // And nothing is delivered twice afterwards.
+  resync.pump();
+  EXPECT_TRUE(resync.handle(kQuery, {Mode::Poll, next.cookie}).pdus.empty());
+}
+
 TEST(ReSyncReconcile, AbandonedWalkExpiresLikeASession) {
   auto master = make_master();
   ReSyncMaster resync(*master);

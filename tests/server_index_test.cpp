@@ -160,6 +160,62 @@ TEST_F(IndexTest, EvaluateOrDoesNotUseIndexButIsCorrect) {
             2u);
 }
 
+TEST_F(IndexTest, EvaluateReturnsAnEntryOnceWhenSeveralValuesShareThePrefix) {
+  server_.add(make_entry("cn=multi,o=x",
+                         {{"objectclass", "person"},
+                          {"mail", "ab1@x.com"},
+                          {"mail", "ab2@x.com"}}));
+  const Query query = Query::parse("", Scope::Subtree, "(mail=ab*)");
+  // The prefix range holds two postings of the one entry.
+  EXPECT_EQ(server_.dit().index_prefix_lookup("mail", "ab").size(), 2u);
+  const auto entries = server_.evaluate(query);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0]->dn(), Dn::parse("cn=multi,o=x"));
+  EXPECT_EQ(entries.size(), server_.search(query).entries.size());
+}
+
+TEST_F(IndexTest, EvaluateResultsComeInNormKeyOrder) {
+  for (const Query& query :
+       {Query::parse("", Scope::Subtree, "(serialNumber=0400*)"),
+        Query::parse("o=x", Scope::OneLevel, "(serialNumber=0400*)"),
+        Query::parse("o=x", Scope::Subtree, "(objectclass=person)")}) {
+    const auto entries = server_.evaluate(query);
+    ASSERT_EQ(entries.size(), 6u) << query.to_string();
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_LT(entries[i - 1]->dn().norm_key(), entries[i]->dn().norm_key())
+          << query.to_string();
+    }
+  }
+}
+
+TEST_F(IndexTest, ModifyOfUnindexedAttributesKeepsPostings) {
+  const Dn dn = Dn::parse("cn=e040002,o=x");
+  server_.modify(dn, {{Modification::Op::Replace, "telephoneNumber", {"555"}},
+                      {Modification::Op::AddValues, "description", {"d"}}});
+  const auto* serial = server_.dit().index_lookup("serialNumber", "040002");
+  ASSERT_NE(serial, nullptr);
+  ASSERT_EQ(serial->size(), 1u);
+  EXPECT_EQ(serial->front(), dn.norm_key());
+  const auto* mail = server_.dit().index_lookup("mail", "e2@x.com");
+  ASSERT_NE(mail, nullptr);
+  EXPECT_EQ(mail->size(), 1u);
+}
+
+TEST_F(IndexTest, ReplaceOfOneIndexedAttributeMovesOnlyItsPostings) {
+  const Dn dn = Dn::parse("cn=e040002,o=x");
+  server_.modify(dn, {{Modification::Op::Replace, "MAIL", {"moved@x.com"}},
+                      {Modification::Op::Replace, "title", {"t"}}});
+  EXPECT_TRUE(server_.dit().index_lookup("mail", "e2@x.com")->empty());
+  const auto* moved = server_.dit().index_lookup("mail", "moved@x.com");
+  ASSERT_EQ(moved->size(), 1u);
+  EXPECT_EQ(moved->front(), dn.norm_key());
+  EXPECT_EQ(server_.dit().index_lookup("serialNumber", "040002")->size(), 1u);
+  // Deleting every value drops the posting, like a delete of the entry.
+  server_.modify(dn, {{Modification::Op::DeleteValues, "mail", {}}});
+  EXPECT_TRUE(server_.dit().index_lookup("mail", "moved@x.com")->empty());
+  EXPECT_EQ(server_.dit().index_lookup("serialNumber", "040002")->size(), 1u);
+}
+
 TEST(RegionCovers, AllScopes) {
   const Query base = Query::parse("c=us,o=x", Scope::Base, "(a=1)");
   EXPECT_TRUE(base.region_covers(Dn::parse("c=us,o=x")));
