@@ -2,9 +2,10 @@
 // the digest walk (DESIGN.md §12) versus the pre-reconciliation full reload.
 // One replica holds a whole division (a quarter of the directory); while its
 // session is down, a configurable fraction of the replicated entries go
-// stale at the master. The bench measures the bytes one recovery moves —
-// master-side update traffic plus the client's digest/fingerprint upload —
-// in both worlds, per staleness point.
+// stale at the master. The replica runs over a FramedChannel, and the bench
+// measures the frame bytes one recovery moves in both directions (the
+// client's digest/fingerprint upload rides in its request frames), in both
+// worlds, per staleness point.
 //
 // savings_factor(s) = full_reload_bytes(s) / reconcile_bytes(s). At low
 // staleness the walk ships O(diff) and the factor is large; past the
@@ -26,6 +27,7 @@
 
 #include "common.h"
 #include "json_report.h"
+#include "net/framed_channel.h"
 #include "resync/replica_client.h"
 #include "server/change.h"
 #include "sync/content_tracker.h"
@@ -92,9 +94,8 @@ fbdr::ldap::Query division_query() {
 struct RecoveryCost {
   std::size_t content_size = 0;
   std::size_t changed = 0;
-  std::uint64_t bytes = 0;        // master traffic + client digest upload
+  std::uint64_t bytes = 0;        // frame bytes, both directions
   std::uint64_t entries = 0;      // full entry PDUs shipped
-  std::uint64_t overhead_bytes = 0;  // the digest/fingerprint share of bytes
   std::uint64_t round_trips = 0;
   bool reconciled = false;        // healed by a digest walk
   bool fallback = false;          // master refused the walk (divergence)
@@ -109,7 +110,8 @@ RecoveryCost measure(const Options& options, std::size_t staleness_pct,
   master.set_session_time_limit(5);
 
   const ldap::Query query = division_query();
-  resync::ReSyncReplica replica(master, query);
+  net::FramedChannel link(master);
+  resync::ReSyncReplica replica(link, query);
   replica.set_auto_recover(true);
   replica.set_reconcile(reconcile);
   replica.start(resync::Mode::Poll);
@@ -136,15 +138,13 @@ RecoveryCost measure(const Options& options, std::size_t staleness_pct,
   cost.changed = staled;
 
   master.tick(6);  // past the session time limit: the cookie goes stale
-  master.reset_traffic();
-  const std::uint64_t overhead_before = replica.reconcile_overhead_bytes();
+  link.reset_traffic();
 
   replica.poll();  // recovers: digest walk or full reload
 
-  cost.overhead_bytes = replica.reconcile_overhead_bytes() - overhead_before;
-  cost.bytes = master.traffic().bytes + cost.overhead_bytes;
-  cost.entries = master.traffic().entries;
-  cost.round_trips = master.traffic().round_trips;
+  cost.bytes = link.traffic().bytes;
+  cost.entries = link.traffic().entries;
+  cost.round_trips = link.traffic().round_trips;
   cost.reconciled = replica.reconciles() > 0;
   cost.fallback = replica.reconcile_fallbacks() > 0;
 
@@ -169,8 +169,8 @@ int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
 
   bench::print_banner("reconcile",
-                      "bytes per recovery: digest walk vs full reload, by "
-                      "staleness of the replicated content");
+                      "frame bytes per recovery: digest walk vs full "
+                      "reload, by staleness of the replicated content");
 
   struct Row {
     std::size_t pct;
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
     out.set("full_reload_entries", row.full.entries);
     out.set("reconcile_bytes", row.walk.bytes);
     out.set("reconcile_entries", row.walk.entries);
-    out.set("reconcile_overhead_bytes", row.walk.overhead_bytes);
     out.set("reconcile_round_trips", row.walk.round_trips);
     out.set("savings_factor", savings(row.full, row.walk));
     out.set("walked", bench::JsonValue::boolean(row.walk.reconciled));

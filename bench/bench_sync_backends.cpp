@@ -3,14 +3,17 @@
 // tombstones, changelogs and full reloads. The paper's argument: tombstones
 // force transmission of every deleted DN; changelogs additionally cannot
 // classify modify-then-delete; full reload is the degenerate upper bound;
-// session history ships the minimal set of equation (2).
+// session history ships the minimal set of equation (2). Bytes are the
+// encoded size of each poll's batch as one ReSync Response frame.
 
 #include <cstdio>
 
 #include "common.h"
+#include "resync/protocol.h"
 #include "sync/baseline_backends.h"
 #include "sync/replica_content.h"
 #include "sync/session_history_backend.h"
+#include "wire/codec.h"
 
 int main() {
   using namespace fbdr;
@@ -63,7 +66,12 @@ int main() {
       const sync::UpdateBatch batch = backend->poll(id);
       result.entries += batch.entries_sent();
       result.dns += batch.dns_sent();
-      result.bytes += batch.bytes();
+      resync::ReSyncResponse response;
+      response.pdus = resync::to_pdus(batch);
+      response.full_reload = batch.full_reload;
+      response.complete_enumeration = batch.complete_enumeration;
+      result.bytes +=
+          wire::Codec::frame(wire::Codec::encode_response(response)).size();
       replica.apply(batch);
     }
 
@@ -74,7 +82,8 @@ int main() {
   }
 
   std::printf("# Sync back-end ablation: 4000 updates, one replicated filter\n");
-  std::printf("# (serialnumber=00*); traffic shipped to the replica\n");
+  std::printf("# (serialnumber=00*); traffic shipped to the replica, bytes as\n"
+              "# encoded Response frames\n");
   std::printf("backend,entries,dn_pdus,bytes,converged\n");
   for (const Result& result : results) {
     std::printf("%s,%zu,%zu,%zu,%s\n", result.name.c_str(), result.entries,

@@ -1,11 +1,10 @@
 // Wire codec bench: what the framed binary codec costs and measures against
 // the in-process DirectChannel across the four protocol shapes — the
 // initial full reload, steady-state polls, persist-mode pushes and a
-// reconcile recovery. The framed side reports *exact* frame bytes (headers
-// included) from FramedChannel::traffic(); the direct side reports the
-// master's approx_bytes() estimates, which is precisely the measurement gap
-// the codec closes. A codec microbench reports raw encode/decode ns per
-// response and throughput.
+// reconcile recovery. The framed side reports its frame bytes (headers
+// included) from FramedChannel::traffic(); a direct link moves no bytes, so
+// the direct side reports wall-clock and entries only. A codec microbench
+// reports raw encode/decode ns per response and throughput.
 //
 // --max-wire-overhead gates CI on the framed/direct wall-clock factor for
 // the poll loop (the steady-state path): the codec must stay a small
@@ -92,8 +91,8 @@ fbdr::ldap::Query division_query() {
                                   "(serialnumber=00*)");
 }
 
-/// One scenario measured in one world. Framed runs report exact frame
-/// traffic; direct runs report the master's estimate (frames stay 0).
+/// One scenario measured in one world. Framed runs report frame traffic;
+/// direct runs move no bytes (bytes and frames stay 0).
 struct Run {
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
@@ -138,7 +137,7 @@ void run_poll(const Options& options, bool framed, Run& reload, Run& poll) {
   replica.start(resync::Mode::Poll);
   reload.wall_ns = ns_since(start);
   reload.operations = 1;
-  reload.bytes = framed ? framed_channel.traffic().bytes : master.traffic().bytes;
+  reload.bytes = framed_channel.traffic().bytes;
   reload.frames = framed_channel.traffic().frames;
   reload.entries =
       framed ? framed_channel.traffic().entries : master.traffic().entries;
@@ -157,7 +156,7 @@ void run_poll(const Options& options, bool framed, Run& reload, Run& poll) {
   }
   poll.wall_ns = poll_ns;
   poll.operations = options.rounds;
-  poll.bytes = framed ? framed_channel.traffic().bytes : master.traffic().bytes;
+  poll.bytes = framed_channel.traffic().bytes;
   poll.frames = framed_channel.traffic().frames;
   poll.entries =
       framed ? framed_channel.traffic().entries : master.traffic().entries;
@@ -187,12 +186,8 @@ Run run_persist(const Options& options, bool framed) {
     if (cookie != replica.cookie()) return;
     ++run.operations;
     if (framed) {
-      resync::ReSyncResponse push;
-      push.pdus = pdus;
-      push.persistent = true;
       const auto start = Clock::now();
-      const wire::Bytes frame =
-          wire::Codec::frame(wire::Codec::encode_response(push));
+      const wire::Bytes frame = bench::push_frame(cookie, pdus);
       const resync::ReSyncResponse decoded =
           wire::Codec::decode_response(wire::Codec::deframe(frame));
       push_ns += ns_since(start);
@@ -214,10 +209,7 @@ Run run_persist(const Options& options, bool framed) {
     master.pump();
   }
   run.wall_ns = push_ns;
-  if (!framed) {
-    run.bytes = master.traffic().bytes;
-    run.entries = master.traffic().entries;
-  }
+  if (!framed) run.entries = master.traffic().entries;
   run.converged = content_matches(replica, *dir.master, query);
   return run;
 }
@@ -254,18 +246,14 @@ Run run_reconcile(const Options& options, bool framed) {
   master.tick(6);  // the cookie goes stale
   master.reset_traffic();
   framed_channel.reset_traffic();
-  const std::uint64_t overhead_before = replica.reconcile_overhead_bytes();
 
   Run run;
   const auto start = Clock::now();
   replica.poll();  // recovery: the digest walk
   run.wall_ns = ns_since(start);
   run.operations = 1;
-  // Framed: the digests ride in request frames, already counted exactly.
-  // Direct: add the client's estimated digest upload to the master estimate.
-  run.bytes = framed ? framed_channel.traffic().bytes
-                     : master.traffic().bytes +
-                           (replica.reconcile_overhead_bytes() - overhead_before);
+  // The digests ride in request frames, so the frame bytes include them.
+  run.bytes = framed_channel.traffic().bytes;
   run.frames = framed_channel.traffic().frames;
   run.entries =
       framed ? framed_channel.traffic().entries : master.traffic().entries;
@@ -323,8 +311,6 @@ void scenario_json(fbdr::bench::JsonValue& report, const char* name,
   out.set("framed_bytes_per_op", framed.bytes_per_op());
   out.set("framed_frames", framed.frames);
   out.set("framed_ns_per_op", framed.ns_per_op());
-  out.set("direct_estimated_bytes", direct.bytes);
-  out.set("direct_estimated_bytes_per_op", direct.bytes_per_op());
   out.set("direct_ns_per_op", direct.ns_per_op());
   out.set("entries_shipped", framed.entries);
   out.set("converged", fbdr::bench::JsonValue::boolean(framed.converged &&
@@ -339,7 +325,7 @@ int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
 
   bench::print_banner("wire",
-                      "framed codec vs direct channel: exact bytes and "
+                      "framed codec vs direct channel: frame bytes and "
                       "wall-clock per exchange, by protocol shape");
 
   Run framed_reload, framed_poll, direct_reload, direct_poll;
@@ -366,8 +352,6 @@ int main(int argc, char** argv) {
                     scenario.direct->converged;
     bench::print_row(std::string(scenario.name) + "_framed_bytes_per_op", 0,
                      scenario.framed->bytes_per_op());
-    bench::print_row(std::string(scenario.name) + "_direct_est_bytes_per_op", 0,
-                     scenario.direct->bytes_per_op());
     bench::print_row(std::string(scenario.name) + "_framed_ns_per_op", 0,
                      scenario.framed->ns_per_op());
     bench::print_row(std::string(scenario.name) + "_direct_ns_per_op", 0,

@@ -11,11 +11,13 @@
 
 #include "core/replication_service.h"
 #include "ldap/query_template.h"
+#include "resync/protocol.h"
 #include "select/generalize.h"
 #include "select/selector.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
 #include "workload/workload_gen.h"
+#include "wire/codec.h"
 
 namespace fbdr::bench {
 
@@ -90,6 +92,17 @@ inline std::vector<std::size_t> parse_csv(const char* text) {
     cursor = *end == ',' ? end + 1 : end;
   }
   return out;
+}
+
+/// The Response frame a persist push of `pdus` on session `cookie` travels
+/// in: how benches count push bytes on a link that has no request for it.
+inline wire::Bytes push_frame(const std::string& cookie,
+                              const std::vector<resync::EntryPdu>& pdus) {
+  resync::ReSyncResponse push;
+  push.pdus = pdus;
+  push.cookie = cookie;
+  push.persistent = true;
+  return wire::Codec::frame(wire::Codec::encode_response(push));
 }
 
 inline void print_banner(const std::string& title, const std::string& note) {

@@ -19,7 +19,9 @@
 #                          (--min-overload-factor, default 4.0)
 #   bench_reconcile        a recovery at 1% staleness must ship at least
 #                          --min-reconcile-savings (default 4.0) times fewer
-#                          bytes through the digest walk than a full reload
+#                          frame bytes (FramedChannel traffic, both
+#                          directions) through the digest walk than a full
+#                          reload
 #   bench_wire             the framed wire codec must keep its wall-clock
 #                          cost per poll within --max-wire-overhead (default
 #                          4.0) times the in-process DirectChannel, with

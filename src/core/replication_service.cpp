@@ -230,10 +230,8 @@ std::uint64_t FilterReplicationService::revolutions() const {
 }
 
 SubtreeReplicationService::SubtreeReplicationService(
-    std::shared_ptr<server::DirectoryServer> master, std::size_t entry_padding)
-    : master_(std::move(master)),
-      last_seq_(master_->journal().last_seq()),
-      entry_padding_(entry_padding) {}
+    std::shared_ptr<server::DirectoryServer> master)
+    : master_(std::move(master)), last_seq_(master_->journal().last_seq()) {}
 
 void SubtreeReplicationService::add_context(
     containment::ReplicationContext context) {
@@ -268,20 +266,20 @@ void SubtreeReplicationService::sync() {
       case server::ChangeType::Add:
       case server::ChangeType::Modify:
         if (replica_.covers(record->dn) && record->after) {
-          traffic_.count_entry(record->after->approx_size_bytes(entry_padding_));
+          traffic_.note_entry();
         }
         break;
       case server::ChangeType::Delete:
         if (replica_.covers(record->dn)) {
-          traffic_.count_dn(record->dn.to_string().size());
+          traffic_.note_dn();
         }
         break;
       case server::ChangeType::ModifyDn:
         if (replica_.covers(record->dn)) {
-          traffic_.count_dn(record->dn.to_string().size());
+          traffic_.note_dn();
         }
         if (replica_.covers(record->new_dn) && record->after) {
-          traffic_.count_entry(record->after->approx_size_bytes(entry_padding_));
+          traffic_.note_entry();
         }
         break;
     }

@@ -49,9 +49,6 @@ class FilterReplicationService : private resync::SessionStore {
     std::size_t query_cache_window = 0;
     /// Dynamic filter selection; nullopt = statically configured filters.
     std::optional<select::FilterSelector::Config> selection;
-    /// Entry padding for byte-level traffic accounting (the case-study
-    /// entries are ~6 KB, §7.1).
-    std::size_t entry_padding = 0;
     /// Retry discipline for ReSync exchanges that fail at the transport
     /// level. Default: a single attempt (faults surface immediately).
     net::RetryPolicy retry;
@@ -147,8 +144,7 @@ class FilterReplicationService : private resync::SessionStore {
 class SubtreeReplicationService {
  public:
   explicit SubtreeReplicationService(
-      std::shared_ptr<server::DirectoryServer> master,
-      std::size_t entry_padding = 0);
+      std::shared_ptr<server::DirectoryServer> master);
 
   void add_context(containment::ReplicationContext context);
 
@@ -169,7 +165,6 @@ class SubtreeReplicationService {
   replica::SubtreeReplica replica_;
   net::TrafficStats traffic_;
   std::uint64_t last_seq_ = 0;
-  std::size_t entry_padding_ = 0;
 };
 
 }  // namespace fbdr::core

@@ -85,14 +85,14 @@ const std::vector<std::string>& Entry::object_classes() const {
   return values ? *values : kEmpty;
 }
 
-std::size_t Entry::approx_size_bytes(std::size_t padding) const {
+std::size_t Entry::approx_size_bytes() const {
   std::size_t size = dn_.to_string().size();
   for (const auto& [name, values] : attrs_) {
     for (const std::string& value : values) {
       size += name.size() + value.size() + 2;  // "name: value" separators
     }
   }
-  return size + padding;
+  return size;
 }
 
 EntryPtr make_entry(

@@ -66,10 +66,10 @@ class Entry {
 
   std::size_t attribute_count() const noexcept { return attrs_.size(); }
 
-  /// Approximate wire/storage size in bytes: DN plus names and values. Used
-  /// for replica size and traffic accounting; `padding` models attributes the
-  /// reproduction does not materialize (the case-study entries are ~6 KB).
-  std::size_t approx_size_bytes(std::size_t padding = 0) const;
+  /// Approximate in-memory size in bytes: DN plus names and values. Models
+  /// the memory a cached copy costs (the master's replay-cache budget); link
+  /// bytes are encoded frame sizes, not this.
+  std::size_t approx_size_bytes() const;
 
   friend bool operator==(const Entry& a, const Entry& b) {
     return a.dn_ == b.dn_ && a.attrs_ == b.attrs_;

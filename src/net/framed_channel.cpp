@@ -92,13 +92,7 @@ resync::ReSyncResponse FramedChannel::decode_reply(const wire::Bytes& reply) {
   }
   if (is_error) wire::Codec::throw_error(error);
 
-  for (const resync::EntryPdu& pdu : response.pdus) {
-    if (pdu.entry != nullptr) {
-      traffic_.note_entry();
-    } else {
-      traffic_.note_dn();
-    }
-  }
+  resync::count_pdus(traffic_, response.pdus);
   if (response.referred()) traffic_.note_referral();
   return response;
 }

@@ -74,8 +74,8 @@ class EndpointPipe final : public BytePipe {
 
 /// Channel implementation that routes every exchange through the wire codec
 /// and a BytePipe: the protocol structs exist only at the two ends, and
-/// everything between them is bytes. Traffic accounting is exact — frame
-/// sizes as encoded, not approx_bytes() estimates.
+/// everything between them is bytes. It is the one ledger of link bytes:
+/// traffic() counts frame sizes as encoded.
 class FramedChannel final : public Channel {
  public:
   explicit FramedChannel(std::shared_ptr<BytePipe> pipe)

@@ -1,5 +1,7 @@
 #include "net/stats.h"
 
+#include <algorithm>
+
 namespace fbdr::net {
 
 std::string TrafficStats::to_string() const {
@@ -11,6 +13,21 @@ std::string TrafficStats::to_string() const {
          " frames=" + std::to_string(frames);
 }
 
+FilterHealth& FilterHealth::operator+=(const FilterHealth& other) {
+  degraded = degraded || other.degraded;
+  ticks_behind = std::max(ticks_behind, other.ticks_behind);
+  retries += other.retries;
+  recoveries += other.recoveries;
+  failed_syncs += other.failed_syncs;
+  busy_rejections += other.busy_rejections;
+  degraded_polls += other.degraded_polls;
+  paged_polls += other.paged_polls;
+  full_reloads += other.full_reloads;
+  reconciles += other.reconciles;
+  reconcile_entries_shipped += other.reconcile_entries_shipped;
+  return *this;
+}
+
 std::size_t HealthStats::degraded_count() const {
   std::size_t count = 0;
   for (const auto& [key, health] : filters) {
@@ -19,77 +36,26 @@ std::size_t HealthStats::degraded_count() const {
   return count;
 }
 
-std::uint64_t HealthStats::max_ticks_behind() const {
-  std::uint64_t max = 0;
-  for (const auto& [key, health] : filters) {
-    if (health.ticks_behind > max) max = health.ticks_behind;
-  }
-  return max;
-}
-
-std::uint64_t HealthStats::total_retries() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.retries;
-  return total;
-}
-
-std::uint64_t HealthStats::total_recoveries() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.recoveries;
-  return total;
-}
-
-std::uint64_t HealthStats::total_busy_rejections() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.busy_rejections;
-  return total;
-}
-
-std::uint64_t HealthStats::total_degraded_polls() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.degraded_polls;
-  return total;
-}
-
-std::uint64_t HealthStats::total_paged_polls() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.paged_polls;
-  return total;
-}
-
-std::uint64_t HealthStats::total_full_reloads() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.full_reloads;
-  return total;
-}
-
-std::uint64_t HealthStats::total_reconciles() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) total += health.reconciles;
-  return total;
-}
-
-std::uint64_t HealthStats::total_reconcile_entries_shipped() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, health] : filters) {
-    total += health.reconcile_entries_shipped;
-  }
-  return total;
+FilterHealth HealthStats::total() const {
+  FilterHealth sum;
+  for (const auto& [key, health] : filters) sum += health;
+  return sum;
 }
 
 std::string HealthStats::to_string() const {
+  const FilterHealth sum = total();
   std::string out = "filters=" + std::to_string(filters.size()) +
                     " degraded=" + std::to_string(degraded_count()) +
-                    " max_ticks_behind=" + std::to_string(max_ticks_behind()) +
-                    " retries=" + std::to_string(total_retries()) +
-                    " recoveries=" + std::to_string(total_recoveries()) +
-                    " busy=" + std::to_string(total_busy_rejections()) +
-                    " degraded_polls=" + std::to_string(total_degraded_polls()) +
-                    " paged_polls=" + std::to_string(total_paged_polls()) +
-                    " full_reloads=" + std::to_string(total_full_reloads()) +
-                    " reconciles=" + std::to_string(total_reconciles()) +
+                    " max_ticks_behind=" + std::to_string(sum.ticks_behind) +
+                    " retries=" + std::to_string(sum.retries) +
+                    " recoveries=" + std::to_string(sum.recoveries) +
+                    " busy=" + std::to_string(sum.busy_rejections) +
+                    " degraded_polls=" + std::to_string(sum.degraded_polls) +
+                    " paged_polls=" + std::to_string(sum.paged_polls) +
+                    " full_reloads=" + std::to_string(sum.full_reloads) +
+                    " reconciles=" + std::to_string(sum.reconciles) +
                     " reconcile_shipped=" +
-                    std::to_string(total_reconcile_entries_shipped());
+                    std::to_string(sum.reconcile_entries_shipped);
   for (const auto& [key, health] : filters) {
     if (!health.degraded) continue;
     out += "\n  degraded: " + key +

@@ -8,30 +8,29 @@ namespace fbdr::net {
 
 /// Traffic accounting for the simulated client/server and master/replica
 /// links. The paper's evaluation reports update traffic in *number of
-/// entries* (Figs. 6-7) and protocol costs in round trips (§2.3); bytes are
-/// tracked as well for finer-grained comparisons.
+/// entries* (Figs. 6-7) and protocol costs in round trips (§2.3). Every
+/// ledger (master, framed channel, subtree service, distributed client)
+/// counts PDUs through the same tallies; only a FramedChannel fills `bytes`
+/// and `frames`, with the encoded frame sizes that crossed it. A direct
+/// link moves no bytes and reports none.
 struct TrafficStats {
   std::uint64_t round_trips = 0;    // request/response exchanges
   std::uint64_t pdus = 0;           // protocol data units (entries, refs, DNs)
   std::uint64_t entries = 0;        // full entries transferred
   std::uint64_t dns_only = 0;       // delete/retain PDUs carrying only a DN
   std::uint64_t referrals = 0;      // referral PDUs
-  /// Wire bytes. Direct links add approx_bytes() estimates via count_*;
-  /// framed links add exact encoded frame sizes via count_frame.
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = 0;          // encoded frame bytes (framed links)
   std::uint64_t frames = 0;         // encoded frames carried (framed links)
 
   void count_round_trip() { ++round_trips; }
 
   /// One encoded frame of `frame_bytes` bytes crossed the link (header
-  /// included) — the exact accounting of framed transports.
+  /// included).
   void count_frame(std::size_t frame_bytes) {
     ++frames;
     bytes += frame_bytes;
   }
 
-  // PDU tallies without byte estimates, for framed links whose bytes are
-  // already counted exactly at the frame level.
   void note_entry() {
     ++pdus;
     ++entries;
@@ -45,24 +44,6 @@ struct TrafficStats {
   void note_referral() {
     ++pdus;
     ++referrals;
-  }
-
-  void count_entry(std::size_t entry_bytes) {
-    ++pdus;
-    ++entries;
-    bytes += entry_bytes;
-  }
-
-  void count_dn(std::size_t dn_bytes) {
-    ++pdus;
-    ++dns_only;
-    bytes += dn_bytes;
-  }
-
-  void count_referral(std::size_t ref_bytes) {
-    ++pdus;
-    ++referrals;
-    bytes += ref_bytes;
   }
 
   TrafficStats& operator+=(const TrafficStats& other) {
@@ -97,6 +78,10 @@ struct FilterHealth {
   std::uint64_t full_reloads = 0;     // recoveries that reshipped everything
   std::uint64_t reconciles = 0;       // recoveries healed by a digest walk
   std::uint64_t reconcile_entries_shipped = 0;  // diff PDUs those walks cost
+
+  /// Folds another filter in: counters add, `degraded` ORs, `ticks_behind`
+  /// keeps the maximum.
+  FilterHealth& operator+=(const FilterHealth& other);
 };
 
 /// Per-filter health of a replica site, the robustness counterpart of
@@ -106,15 +91,9 @@ struct HealthStats {
 
   std::size_t degraded_count() const;
   bool any_degraded() const { return degraded_count() > 0; }
-  std::uint64_t max_ticks_behind() const;
-  std::uint64_t total_retries() const;
-  std::uint64_t total_recoveries() const;
-  std::uint64_t total_busy_rejections() const;
-  std::uint64_t total_degraded_polls() const;
-  std::uint64_t total_paged_polls() const;
-  std::uint64_t total_full_reloads() const;
-  std::uint64_t total_reconciles() const;
-  std::uint64_t total_reconcile_entries_shipped() const;
+  std::uint64_t max_ticks_behind() const { return total().ticks_behind; }
+  /// Every filter folded into one (FilterHealth::operator+=).
+  FilterHealth total() const;
 
   std::string to_string() const;
 };

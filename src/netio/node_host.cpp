@@ -267,10 +267,9 @@ std::string NodeHost::do_health() {
     lines.push_back("degraded " + std::string(relay_->any_degraded() ? "1" : "0"));
     lines.push_back("failed_streak " + std::to_string(relay_->failed_streak()));
     lines.push_back("root_time " + std::to_string(relay_->root_time()));
-    const net::HealthStats upstream = relay_->upstream_health();
-    lines.push_back("full_reloads " +
-                    std::to_string(upstream.total_full_reloads()));
-    lines.push_back("reconciles " + std::to_string(upstream.total_reconciles()));
+    const net::FilterHealth upstream = relay_->upstream_health().total();
+    lines.push_back("full_reloads " + std::to_string(upstream.full_reloads));
+    lines.push_back("reconciles " + std::to_string(upstream.reconciles));
     lines.push_back("sessions " +
                     std::to_string(relay_->downstream_master().session_count()));
   }

@@ -199,14 +199,6 @@ std::size_t FilterReplica::stored_entries() const {
   return total;
 }
 
-std::size_t FilterReplica::stored_bytes(std::size_t entry_padding) const {
-  std::size_t total = 0;
-  for (const auto& [key, entry_ref] : pool_) {
-    total += entry_ref.first->approx_size_bytes(entry_padding);
-  }
-  return total;
-}
-
 bool FilterReplica::holds_entry(const Dn& dn) const {
   return pool_.count(dn.norm_key()) > 0;
 }

@@ -76,7 +76,6 @@ class FilterReplica : public Replica {
   // --- Replica interface ---
   Decision handle(const ldap::Query& query) override;
   std::size_t stored_entries() const override;
-  std::size_t stored_bytes(std::size_t entry_padding) const override;
   std::string model_name() const override { return "filter"; }
 
   /// Entry lookup (serving path).

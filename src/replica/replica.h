@@ -41,9 +41,6 @@ class Replica {
   /// Entries currently stored.
   virtual std::size_t stored_entries() const = 0;
 
-  /// Approximate stored bytes (entry_padding models unmaterialized payload).
-  virtual std::size_t stored_bytes(std::size_t entry_padding) const = 0;
-
   virtual std::string model_name() const = 0;
 
   const ReplicaStats& stats() const noexcept { return stats_; }

@@ -40,12 +40,4 @@ Decision SubtreeReplica::handle(const ldap::Query& query) {
   return decision;
 }
 
-std::size_t SubtreeReplica::stored_bytes(std::size_t entry_padding) const {
-  std::size_t total = 0;
-  for (const EntryPtr& entry : entries_) {
-    total += entry->approx_size_bytes(entry_padding);
-  }
-  return total;
-}
-
 }  // namespace fbdr::replica

@@ -29,7 +29,6 @@ class SubtreeReplica : public Replica {
 
   Decision handle(const ldap::Query& query) override;
   std::size_t stored_entries() const override { return entries_.size(); }
-  std::size_t stored_bytes(std::size_t entry_padding) const override;
   std::string model_name() const override { return "subtree"; }
 
   /// Entries the replica holds (for serving and for update-traffic

@@ -93,16 +93,6 @@ std::string ReSyncMaster::make_cookie(const std::string& id, std::uint64_t seq) 
   return id + "#" + std::to_string(seq);
 }
 
-void ReSyncMaster::account(const std::vector<EntryPdu>& pdus) {
-  for (const EntryPdu& pdu : pdus) {
-    if (pdu.entry) {
-      traffic_.count_entry(pdu.approx_bytes());
-    } else {
-      traffic_.count_dn(pdu.approx_bytes());
-    }
-  }
-}
-
 ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
                                     const ReSyncControl& control) {
   traffic_.count_round_trip();
@@ -187,7 +177,8 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
       ++replays_;
       session->last_active = clock_.now();
       if (!session->replay_stripped) {
-        account(session->last_response.pdus);  // retransmission is wire traffic
+        // The retransmission is wire traffic.
+        count_pdus(traffic_, session->last_response.pdus);
         // Re-stamp the origin: handing back the stamp of the original
         // exchange would roll a downstream relay's root-time view backwards
         // and inflate its reported lag. The replay consumed no history, so a
@@ -208,7 +199,7 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
       fresh2.cookie = make_cookie(id, session->next_seq);
       fresh2.persistent = session->mode == Mode::Persist;
       fresh2.origin_time = clock_.now();
-      account(fresh2.pdus);
+      count_pdus(traffic_, fresh2.pdus);
       cache_response(*session, fresh2);
       return fresh2;
     }
@@ -243,7 +234,7 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
 void ReSyncMaster::finalize(Session& session, const ReSyncControl& control,
                             ReSyncResponse& response) {
   session.last_active = clock_.now();
-  account(response.pdus);
+  count_pdus(traffic_, response.pdus);
   // The root of a distribution tree is its own origin: the shipped state is
   // current as of this master's clock. Relays overwrite the stamp with the
   // root time learned on their last upstream sync.
@@ -416,7 +407,7 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round2(
     // be corrupted by retransmissions.
     ++replays_;
     pending.last_active = clock_.now();
-    account(pending.last_response.pdus);
+    count_pdus(traffic_, pending.last_response.pdus);
     pending.last_response.origin_time = clock_.now();
     return pending.last_response;
   }
@@ -505,7 +496,7 @@ void ReSyncMaster::cache_response(Session& session,
   session.replay_stripped = false;
   session.replay_bytes = 0;
   for (const EntryPdu& pdu : response.pdus) {
-    if (pdu.entry) session.replay_bytes += pdu.approx_bytes();
+    if (pdu.entry) session.replay_bytes += pdu.entry->approx_size_bytes();
   }
   // Retain/delete PDUs carry no bodies and always stay cached; only entry
   // bodies past the budget are stripped (a stripped replay is answered with
@@ -697,7 +688,7 @@ void ReSyncMaster::pump() {
     const sync::UpdateBatch batch = session->session->poll();
     if (batch.empty()) continue;
     const std::vector<EntryPdu> pdus = to_pdus(batch);
-    account(pdus);
+    count_pdus(traffic_, pdus);
     session->last_active = clock_.now();
     if (sink_) sink_(session->current_cookie, pdus);
   }

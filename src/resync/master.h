@@ -278,7 +278,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// Runs `fn` once per shard — inline when threads=0 or there is a single
   /// shard, otherwise across the pump pool.
   void run_on_shards(const std::function<void(Shard&)>& fn);
-  void account(const std::vector<EntryPdu>& pdus);
   /// Feeds one record above the session's baseline into the session and
   /// mirrors the resulting content events into the owning shard's holder
   /// index. Parallel-phase safe: all

@@ -21,20 +21,6 @@ std::string ReSyncControl::to_string() const {
          ")";
 }
 
-std::size_t ReconcileRequest::approx_bytes() const {
-  // Fixed header: round + root digest + entry count.
-  std::size_t total = 20;
-  total += buckets.size() * 20;  // bucket index + digest + count
-  for (const sync::EntryFingerprint& fp : fingerprints) {
-    total += fp.dn.to_string().size() + 8;
-  }
-  return total;
-}
-
-std::size_t ReconcileResponse::approx_bytes() const {
-  return 8 + need_buckets.size() * 4;
-}
-
 std::string to_string(Action action) {
   switch (action) {
     case Action::Add:
@@ -47,11 +33,6 @@ std::string to_string(Action action) {
       return "retain";
   }
   return "unknown";
-}
-
-std::size_t EntryPdu::approx_bytes(std::size_t entry_padding) const {
-  if (entry) return entry->approx_size_bytes(entry_padding);
-  return dn.to_string().size();
 }
 
 std::string EntryPdu::to_string() const {
@@ -68,6 +49,16 @@ std::size_t ReSyncResponse::entries_sent() const {
 
 std::size_t ReSyncResponse::dns_sent() const {
   return pdus.size() - entries_sent();
+}
+
+void count_pdus(net::TrafficStats& traffic, const std::vector<EntryPdu>& pdus) {
+  for (const EntryPdu& pdu : pdus) {
+    if (pdu.entry) {
+      traffic.note_entry();
+    } else {
+      traffic.note_dn();
+    }
+  }
 }
 
 std::vector<EntryPdu> to_pdus(const sync::UpdateBatch& batch) {

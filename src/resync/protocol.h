@@ -8,6 +8,7 @@
 #include "ldap/dn.h"
 #include "ldap/entry.h"
 #include "ldap/query.h"
+#include "net/stats.h"
 #include "sync/content_digest.h"
 #include "sync/update_batch.h"
 
@@ -38,8 +39,6 @@ struct ReconcileRequest {
   std::uint64_t entry_count = 0;
   std::vector<DigestPdu> buckets;                     // round 1
   std::vector<sync::EntryFingerprint> fingerprints;   // round 2
-
-  std::size_t approx_bytes() const;
 };
 
 /// Master's answer to a reconciliation round.
@@ -53,8 +52,6 @@ struct ReconcileResponse {
   /// Round-1 answer: bucket indices whose digests diverged; the replica
   /// must send fingerprints for exactly these in round 2.
   std::vector<std::uint32_t> need_buckets;
-
-  std::size_t approx_bytes() const;
 };
 
 /// The resync control attached to a search request:
@@ -88,7 +85,6 @@ struct EntryPdu {
   ldap::Dn dn;
   ldap::EntryPtr entry;  // null for Delete/Retain
 
-  std::size_t approx_bytes(std::size_t entry_padding = 0) const;
   std::string to_string() const;
 };
 
@@ -133,6 +129,9 @@ struct ReSyncResponse {
 
 /// Converts a sync::UpdateBatch into the wire PDUs.
 std::vector<EntryPdu> to_pdus(const sync::UpdateBatch& batch);
+
+/// Tallies `pdus` into `traffic`: one entry or DN-only PDU each.
+void count_pdus(net::TrafficStats& traffic, const std::vector<EntryPdu>& pdus);
 
 /// Applies wire PDUs back into an UpdateBatch shape (replica side). The
 /// paging flags default to an unpaged (single, final page) batch.

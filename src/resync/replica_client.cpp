@@ -99,7 +99,6 @@ void ReSyncReplica::recover() {
   offer->root_digest = content_.digest().root();
   offer->entry_count = content_.digest().entry_count();
   offer->buckets = content_.digest().bucket_digests();
-  reconcile_overhead_bytes_ += offer->approx_bytes();
   const ReSyncResponse response = initial_exchange(Mode::Poll, offer);
   if (!response.reconcile) {
     // The peer does not speak reconciliation: the offer was ignored and a
@@ -127,7 +126,6 @@ void ReSyncReplica::recover() {
   upload->round = 2;
   upload->fingerprints =
       content_.fingerprints_for(response.reconcile->need_buckets);
-  reconcile_overhead_bytes_ += upload->approx_bytes();
   try {
     ReSyncControl control{Mode::Poll, response.cookie};
     control.reconcile = upload;

@@ -82,12 +82,6 @@ class ReSyncReplica {
     return reconcile_entries_shipped_;
   }
 
-  /// Approximate bytes of digests/fingerprints the client uploaded for
-  /// walks — the reconciliation overhead side of the savings ledger.
-  std::uint64_t reconcile_overhead_bytes() const noexcept {
-    return reconcile_overhead_bytes_;
-  }
-
   /// Transport retries spent across all exchanges.
   std::uint64_t retries() const noexcept { return retries_; }
 
@@ -145,7 +139,6 @@ class ReSyncReplica {
   std::uint64_t reconciles_ = 0;
   std::uint64_t reconcile_fallbacks_ = 0;
   std::uint64_t reconcile_entries_shipped_ = 0;
-  std::uint64_t reconcile_overhead_bytes_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t busy_rejections_ = 0;
   std::uint64_t pages_fetched_ = 0;

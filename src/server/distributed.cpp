@@ -27,11 +27,11 @@ SearchResult DistributedClient::request(const std::string& url,
   }
   stats_.count_round_trip();
   SearchResult result = endpoint->process_search(query);
-  for (const EntryPtr& entry : result.entries) {
-    stats_.count_entry(entry->approx_size_bytes());
+  for (std::size_t i = 0; i < result.entries.size(); ++i) {
+    stats_.note_entry();
   }
-  for (const ReferralHint& hint : result.referrals) {
-    stats_.count_referral(hint.to_string().size());
+  for (std::size_t i = 0; i < result.referrals.size(); ++i) {
+    stats_.note_referral();
   }
   return result;
 }

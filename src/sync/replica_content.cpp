@@ -95,12 +95,4 @@ std::vector<EntryFingerprint> ReplicaContent::fingerprints_for(
   return out;
 }
 
-std::size_t ReplicaContent::bytes(std::size_t entry_padding) const {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : entries_) {
-    total += entry->approx_size_bytes(entry_padding);
-  }
-  return total;
-}
-
 }  // namespace fbdr::sync

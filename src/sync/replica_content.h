@@ -37,9 +37,6 @@ class ReplicaContent {
 
   std::vector<ldap::EntryPtr> entries() const;
 
-  /// Total approximate bytes stored.
-  std::size_t bytes(std::size_t entry_padding = 0) const;
-
   /// Digest tree over the stored entries, maintained incrementally by
   /// apply(). A recovering client offers its root/bucket digests to the
   /// master instead of accepting a full reload (DESIGN.md §12).

@@ -2,15 +2,6 @@
 
 namespace fbdr::sync {
 
-std::size_t UpdateBatch::bytes(std::size_t entry_padding) const {
-  std::size_t total = 0;
-  for (const ldap::EntryPtr& e : adds) total += e->approx_size_bytes(entry_padding);
-  for (const ldap::EntryPtr& e : mods) total += e->approx_size_bytes(entry_padding);
-  for (const ldap::Dn& dn : deletes) total += dn.to_string().size();
-  for (const ldap::Dn& dn : retains) total += dn.to_string().size();
-  return total;
-}
-
 std::string UpdateBatch::to_string() const {
   return std::string(full_reload ? "[reload] " : "") +
          "adds=" + std::to_string(adds.size()) +

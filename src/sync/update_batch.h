@@ -43,10 +43,6 @@ struct UpdateBatch {
   /// DN-only PDUs transferred.
   std::size_t dns_sent() const { return deletes.size() + retains.size(); }
 
-  /// Approximate wire bytes, with `entry_padding` modelling the unmodelled
-  /// attribute payload of case-study entries.
-  std::size_t bytes(std::size_t entry_padding = 0) const;
-
   std::string to_string() const;
 };
 

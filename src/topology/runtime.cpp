@@ -264,12 +264,11 @@ std::vector<NodeHealth> TopologyRuntime::health() const {
     health.evicted_sessions = downstream.governor_stats().sessions_evicted;
     health.history_units = downstream.history_units();
     health.replay_bytes = downstream.replay_cache_bytes();
-    const net::HealthStats upstream = node->relay->upstream_health();
-    health.upstream_busy = upstream.total_busy_rejections();
-    health.full_reloads = upstream.total_full_reloads();
-    health.reconciles = upstream.total_reconciles();
-    health.reconcile_entries_shipped =
-        upstream.total_reconcile_entries_shipped();
+    const net::FilterHealth upstream = node->relay->upstream_health().total();
+    health.upstream_busy = upstream.busy_rejections;
+    health.full_reloads = upstream.full_reloads;
+    health.reconciles = upstream.reconciles;
+    health.reconcile_entries_shipped = upstream.reconcile_entries_shipped;
     report.push_back(std::move(health));
   }
   return report;

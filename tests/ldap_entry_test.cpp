@@ -87,12 +87,11 @@ TEST(Entry, ObjectClasses) {
   EXPECT_TRUE(Entry(Dn::parse("o=x")).object_classes().empty());
 }
 
-TEST(Entry, ApproxSizeCountsDnNamesValuesAndPadding) {
+TEST(Entry, ApproxSizeCountsDnNamesAndValues) {
   Entry e(Dn::parse("o=xyz"));
   e.add_value("o", "xyz");
   // dn "o=xyz" (5) + "o" + "xyz" + 2 separators = 11
   EXPECT_EQ(e.approx_size_bytes(), 11u);
-  EXPECT_EQ(e.approx_size_bytes(100), 111u);
 }
 
 TEST(Entry, EqualityComparesDnAndAttributes) {

@@ -50,26 +50,26 @@ TEST(Text, FindCi) {
 TEST(TrafficStats, CountersAndAccumulate) {
   net::TrafficStats stats;
   stats.count_round_trip();
-  stats.count_entry(100);
-  stats.count_dn(10);
-  stats.count_referral(20);
+  stats.note_entry();
+  stats.note_dn();
+  stats.note_referral();
   EXPECT_EQ(stats.round_trips, 1u);
   EXPECT_EQ(stats.pdus, 3u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.dns_only, 1u);
   EXPECT_EQ(stats.referrals, 1u);
-  EXPECT_EQ(stats.bytes, 130u);
+  EXPECT_EQ(stats.bytes, 0u) << "PDU tallies carry no bytes";
 
   net::TrafficStats other;
-  other.count_entry(50);
+  other.note_entry();
   other.count_frame(12);
   stats += other;
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.bytes, 192u);
+  EXPECT_EQ(stats.bytes, 12u);
   EXPECT_EQ(stats.frames, 1u);
 
   EXPECT_EQ(stats.to_string(),
-            "round_trips=1 pdus=4 entries=2 dns_only=1 referrals=1 bytes=192 "
+            "round_trips=1 pdus=4 entries=2 dns_only=1 referrals=1 bytes=12 "
             "frames=1");
   stats.reset();
   EXPECT_EQ(stats.pdus, 0u);

@@ -15,6 +15,7 @@
 #include "netio/frame_reassembler.h"
 #include "resync/master.h"
 #include "resync/replica_client.h"
+#include "server/change.h"
 #include "server/directory_server.h"
 
 namespace fbdr::netio {
@@ -247,6 +248,97 @@ TEST(FramedChannelAccounting, AbandonCountsFrameAndBytesButNoRoundTrip) {
       << "a one-way frame must not count as a round trip";
   // And the abandon really reached the endpoint.
   EXPECT_EQ(resync.session_count(), 0u);
+}
+
+/// Forwards to an EndpointPipe and sums the encoded size of every frame
+/// that crosses it, in both directions.
+class RecordingPipe final : public net::BytePipe {
+ public:
+  explicit RecordingPipe(resync::ReSyncEndpoint& endpoint) : inner_(endpoint) {}
+
+  wire::Bytes transfer(const wire::Bytes& frame) override {
+    wire::Bytes reply = inner_.transfer(frame);
+    record(frame);
+    record(reply);
+    return reply;
+  }
+  void send(const wire::Bytes& frame) override {
+    record(frame);
+    inner_.send(frame);
+  }
+  void elapse(std::uint64_t ticks) override { inner_.elapse(ticks); }
+
+  std::uint64_t bytes() const noexcept { return bytes_; }
+  std::uint64_t frames() const noexcept { return frames_; }
+
+ private:
+  void record(const wire::Bytes& frame) {
+    bytes_ += frame.size();
+    ++frames_;
+  }
+
+  net::EndpointPipe inner_;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t frames_ = 0;
+};
+
+// Ledger twin: one fault-free schedule over a direct and a framed link
+// against twin masters. PDU tallies agree everywhere; only the framed
+// channel reports bytes, and those are exactly the frames it carried.
+TEST(FramedChannelAccounting, LedgerTwinAgreesAndOnlyFramesCarryBytes) {
+  auto direct_master = make_master();
+  auto framed_master = make_master();
+  ReSyncMaster direct_resync(*direct_master);
+  ReSyncMaster framed_resync(*framed_master);
+
+  net::DirectChannel direct_channel(direct_resync);
+  auto pipe = std::make_shared<RecordingPipe>(framed_resync);
+  net::FramedChannel framed_channel(pipe);
+
+  const Query query = Query::parse("o=xyz", Scope::Subtree, "(dept=7)");
+  ReSyncReplica direct(direct_channel, query);
+  ReSyncReplica framed(framed_channel, query);
+  direct.start(Mode::Poll);
+  framed.start(Mode::Poll);
+
+  for (int round = 0; round < 12; ++round) {
+    for (server::DirectoryServer* master :
+         {direct_master.get(), framed_master.get()}) {
+      master->add(make_entry("cn=N" + std::to_string(round) + ",o=xyz",
+                             {{"objectclass", "person"},
+                              {"dept", round % 2 ? "7" : "42"}}));
+      // E0 toggles in and out of the filter: modifies and deletes ship.
+      master->modify(Dn::parse("cn=E0,o=xyz"),
+                     {{server::Modification::Op::Replace, "dept",
+                       {round % 2 ? "7" : "42"}}});
+    }
+    direct_resync.pump();
+    framed_resync.pump();
+    direct.poll();
+    framed.poll();
+  }
+  direct.sync_end();
+  framed.sync_end();
+  ASSERT_EQ(framed.content().keys(), direct.content().keys());
+
+  const net::TrafficStats& d = direct_resync.traffic();
+  const net::TrafficStats& f = framed_resync.traffic();
+  EXPECT_GT(d.entries, 0u);
+  EXPECT_GT(d.dns_only, 0u);
+  EXPECT_EQ(f.round_trips, d.round_trips);
+  EXPECT_EQ(f.pdus, d.pdus);
+  EXPECT_EQ(f.entries, d.entries);
+  EXPECT_EQ(f.dns_only, d.dns_only);
+  EXPECT_EQ(d.bytes, 0u) << "a master counts PDUs, never bytes";
+  EXPECT_EQ(f.bytes, 0u) << "a master counts PDUs, never bytes";
+
+  const net::TrafficStats& link = framed_channel.traffic();
+  EXPECT_EQ(link.round_trips, f.round_trips);
+  EXPECT_EQ(link.pdus, f.pdus);
+  EXPECT_EQ(link.entries, f.entries);
+  EXPECT_EQ(link.dns_only, f.dns_only);
+  EXPECT_EQ(link.bytes, pipe->bytes());
+  EXPECT_EQ(link.frames, pipe->frames());
 }
 
 }  // namespace

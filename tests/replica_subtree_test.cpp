@@ -35,8 +35,6 @@ TEST_F(SubtreeReplicaTest, LoadContentCopiesConfiguredSubtrees) {
   replica.add_context({Dn::parse("c=us,o=xyz"), {}});
   replica.load_content(master_);
   EXPECT_EQ(replica.stored_entries(), 5u);  // c=us + 4 persons
-  EXPECT_GT(replica.stored_bytes(0), 0u);
-  EXPECT_GT(replica.stored_bytes(1000), replica.stored_bytes(0));
 }
 
 TEST_F(SubtreeReplicaTest, HitWhenBaseInsideContext) {

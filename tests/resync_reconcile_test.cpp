@@ -539,10 +539,10 @@ TEST(TopologyReconcile, RelayHealsWithoutCascadingAnEpochBump) {
 
   EXPECT_EQ(relay.recoveries(), 1u);
   EXPECT_EQ(relay.epoch(), 0u) << "reconcile heal must not bump the epoch";
-  const net::HealthStats upstream = relay.upstream_health();
-  EXPECT_EQ(upstream.total_reconciles(), 1u);
-  EXPECT_EQ(upstream.total_full_reloads(), 0u) << "the install is no recovery";
-  EXPECT_EQ(upstream.total_reconcile_entries_shipped(), 1u);
+  const net::FilterHealth upstream = relay.upstream_health().total();
+  EXPECT_EQ(upstream.reconciles, 1u);
+  EXPECT_EQ(upstream.full_reloads, 0u) << "the install is no recovery";
+  EXPECT_EQ(upstream.reconcile_entries_shipped, 1u);
 
   // The downstream cookie is still valid and the change arrives as a delta.
   const ReSyncResponse delta =

@@ -104,7 +104,8 @@ TEST_F(Figure2Test, TrafficCountsEntriesAndReferrals) {
   EXPECT_EQ(client.stats().entries, 8u);
   // 1 default referral from hostB + 2 subordinate referrals from hostA.
   EXPECT_EQ(client.stats().referrals, 3u);
-  EXPECT_GT(client.stats().bytes, 0u);
+  EXPECT_EQ(client.stats().pdus, 11u);
+  EXPECT_EQ(client.stats().bytes, 0u) << "a direct client moves no bytes";
 }
 
 TEST_F(Figure2Test, UnknownServerUrlThrows) {

@@ -684,13 +684,12 @@ TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
   EXPECT_GT(content_rounds, 100u) << "content was rarely comparable";
   EXPECT_GT(service_pipe->counters().faults(), 0u)
       << "fault schedule was a no-op";
-  const net::HealthStats health = service.health();
-  EXPECT_GT(health.total_retries(), 0u) << "no exchange was retried";
-  EXPECT_EQ(health.total_recoveries(),
-            health.total_full_reloads() + health.total_reconciles());
-  EXPECT_GT(health.total_paged_polls(), 0u) << "no answer was paged";
+  const net::FilterHealth health = service.health().total();
+  EXPECT_GT(health.retries, 0u) << "no exchange was retried";
+  EXPECT_EQ(health.recoveries, health.full_reloads + health.reconciles);
+  EXPECT_GT(health.paged_polls, 0u) << "no answer was paged";
   if (schedule.crash_step >= 0) {
-    EXPECT_GT(health.total_recoveries(), 0u) << "the outage never healed";
+    EXPECT_GT(health.recoveries, 0u) << "the outage never healed";
   }
   for (std::size_t slot = 0; slot < filters.size(); ++slot) {
     EXPECT_EQ(service_keys(service, slot),
