@@ -2,8 +2,9 @@
 # Tier-1 gate: the plain build + full test suite, then an ASan/UBSan build
 # running the chaos/soak test (the faulty-transport paths are where memory
 # bugs would hide — duplicated in-flight requests, replay caches, session
-# teardown on master reset), both consumers of the shared upstream
-# session (relay and replication service), and the session baselines and
+# teardown on master reset), every consumer of the shared upstream
+# session (relay, replication service and single-filter replica), and the
+# session baselines and
 # planned installs (journal replay on adoption, index posting maintenance),
 # then a TSan build running the
 # threaded shard-equivalence and chaos suites (the sharded pump is where races
@@ -38,7 +39,7 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       wire_roundtrip_test wire_fuzz_test topology_relay_test core_service_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|SessionBaseline|InstallPlan|IndexTest'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes

@@ -3,8 +3,6 @@
 #include <map>
 #include <set>
 
-#include "ldap/error.h"
-
 namespace fbdr::core {
 
 using ldap::EntryPtr;
@@ -74,15 +72,7 @@ void FilterReplicationService::install(const Query& query, SyncPolicy policy) {
   const Outcome outcome = installed.session.establish(link(), false);
   if (outcome != Outcome::Synced) {
     replica_.remove_query(installed.session.slot());
-    const std::string what = "install of '" + query.to_string() + "'";
-    if (outcome == Outcome::Busy) {
-      throw ldap::BusyError(what + " rejected: master at session capacity");
-    }
-    if (outcome == Outcome::Referred) {
-      throw ldap::ProtocolError(what + " referred to " +
-                                installed.session.referral());
-    }
-    throw net::TransportError(what + " failed: link down past the retry budget");
+    resync::throw_unless_synced(outcome, installed.session, "install");
   }
   sessions_.push_back(std::move(installed));
 }

@@ -66,23 +66,20 @@ Rdn::Rdn(std::string_view type, std::string_view value)
 
 namespace {
 
-/// Escapes the RDN separator characters so to_string round-trips through
-/// parse (RFC 2253 quoting subset).
-std::string escape_rdn_value(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
+/// Appends "type=value" with the RDN separator characters of the value
+/// escaped, so the string form round-trips through parse (RFC 2253 quoting
+/// subset).
+void append_rdn(std::string& out, const std::string& type,
+                const std::string& value) {
+  out += type;
+  out += '=';
   for (char c : value) {
     if (c == ',' || c == '+' || c == '\\') out.push_back('\\');
     out.push_back(c);
   }
-  return out;
 }
 
 }  // namespace
-
-std::string Rdn::to_string() const {
-  return type_ + "=" + escape_rdn_value(value_);
-}
 
 Dn Dn::parse(std::string_view raw) {
   const std::string_view s = text::trim(raw);
@@ -151,14 +148,22 @@ Dn Dn::rebase(const Dn& old_base, const Dn& new_base) const {
 void Dn::rebuild_strings() {
   text_.clear();
   key_.clear();
+  // "type=value," per RDN: one allocation per string unless values need
+  // escapes.
+  std::size_t size = 0;
+  for (const Rdn& rdn : rdns_) {
+    size += rdn.type().size() + rdn.value().size() + 2;
+  }
+  text_.reserve(size);
+  key_.reserve(size);
   // Leaf-first display/normalized form.
   for (auto it = rdns_.rbegin(); it != rdns_.rend(); ++it) {
     if (!text_.empty()) {
       text_ += ',';
       key_ += ',';
     }
-    text_ += it->to_string();
-    key_ += it->type() + "=" + escape_rdn_value(it->norm_value());
+    append_rdn(text_, it->type(), it->value());
+    append_rdn(key_, it->type(), it->norm_value());
   }
 }
 

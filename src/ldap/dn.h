@@ -21,9 +21,6 @@ class Rdn {
   const std::string& value() const noexcept { return value_; }
   const std::string& norm_value() const noexcept { return norm_value_; }
 
-  /// RFC 2253 string form, `type=value`.
-  std::string to_string() const;
-
   friend bool operator==(const Rdn& a, const Rdn& b) {
     return a.type_ == b.type_ && a.norm_value_ == b.norm_value_;
   }

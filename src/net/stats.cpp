@@ -24,6 +24,7 @@ FilterHealth& FilterHealth::operator+=(const FilterHealth& other) {
   paged_polls += other.paged_polls;
   full_reloads += other.full_reloads;
   reconciles += other.reconciles;
+  reconcile_fallbacks += other.reconcile_fallbacks;
   reconcile_entries_shipped += other.reconcile_entries_shipped;
   return *this;
 }

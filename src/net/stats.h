@@ -77,6 +77,7 @@ struct FilterHealth {
   std::uint64_t paged_polls = 0;      // continuation pages fetched
   std::uint64_t full_reloads = 0;     // recoveries that reshipped everything
   std::uint64_t reconciles = 0;       // recoveries healed by a digest walk
+  std::uint64_t reconcile_fallbacks = 0;  // walks refused: full_reloads subset
   std::uint64_t reconcile_entries_shipped = 0;  // diff PDUs those walks cost
 
   /// Folds another filter in: counters add, `degraded` ORs, `ticks_behind`

@@ -98,16 +98,32 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
   traffic_.count_round_trip();
 
   if (control.mode == Mode::SyncEnd) {
-    if (!control.initial()) {
-      const CookieParts parts = parse_cookie(control.cookie);
-      const auto pit = pending_reconciles_.find(parts.id);
-      if (pit != pending_reconciles_.end()) {
+    if (control.initial()) return {};
+    // Only a cookie the session could still be holding ends it: the query
+    // must be the session's, and the sequence number one it issued or last
+    // answered. A restarted endpoint reuses its ids (DESIGN.md §12), so a
+    // cookie from its earlier incarnation may name another consumer's
+    // session; that SyncEnd is a no-op.
+    const CookieParts parts = parse_cookie(control.cookie);
+    const auto held = [&parts](std::uint64_t next_seq, std::uint64_t last_seq) {
+      return parts.has_seq &&
+             (parts.seq == next_seq || (last_seq != 0 && parts.seq == last_seq));
+    };
+    const auto pit = pending_reconciles_.find(parts.id);
+    if (pit != pending_reconciles_.end()) {
+      const PendingReconcile& walk = pit->second;
+      if (held(walk.expected_seq, walk.last_seq) &&
+          (walk.session == nullptr || walk.session->query() == query)) {
         pending_reconciles_.erase(pit);
-        return {};
       }
-      Shard* shard = nullptr;
-      const auto it = find_session(parts.id, shard);
-      if (it != shard->sessions.end()) drop_session(*shard, it);
+      return {};
+    }
+    Shard* shard = nullptr;
+    const auto it = find_session(parts.id, shard);
+    if (it != shard->sessions.end() &&
+        held(it->second.next_seq, it->second.last_seq) &&
+        it->second.session->query() == query) {
+      drop_session(*shard, it);
     }
     return {};
   }

@@ -81,13 +81,10 @@ std::vector<EntryPdu> to_pdus(const sync::UpdateBatch& batch) {
 }
 
 sync::UpdateBatch from_pdus(const std::vector<EntryPdu>& pdus, bool full_reload,
-                            bool complete_enumeration, bool more,
-                            bool continued) {
+                            bool complete_enumeration) {
   sync::UpdateBatch batch;
   batch.full_reload = full_reload;
   batch.complete_enumeration = complete_enumeration;
-  batch.more = more;
-  batch.continued = continued;
   for (const EntryPdu& pdu : pdus) {
     switch (pdu.action) {
       case Action::Add:
@@ -109,8 +106,7 @@ sync::UpdateBatch from_pdus(const std::vector<EntryPdu>& pdus, bool full_reload,
 
 sync::UpdateBatch to_batch(const ReSyncResponse& response) {
   return from_pdus(response.pdus, response.full_reload,
-                   response.complete_enumeration, response.more,
-                   response.continued);
+                   response.complete_enumeration);
 }
 
 }  // namespace fbdr::resync

@@ -101,9 +101,9 @@ struct ReSyncResponse {
   /// session. The cookie is unchanged; the client retries with backoff.
   bool busy = false;
   /// Paged responses: `more` means further pages of the SAME logical batch
-  /// follow (the replica must not act on completeness semantics — full_reload
-  /// clearing is done on the first page, complete-enumeration drops only
-  /// after the last); `continued` marks pages 2..n of a paged batch.
+  /// follow, and the consumer merges every page before it applies the batch
+  /// (full_reload and complete-enumeration act on the whole); `continued`
+  /// marks pages 2..n of a paged batch.
   bool more = false;
   bool continued = false;
   /// Non-empty when the server did not admit the session: the query is not
@@ -133,14 +133,11 @@ std::vector<EntryPdu> to_pdus(const sync::UpdateBatch& batch);
 /// Tallies `pdus` into `traffic`: one entry or DN-only PDU each.
 void count_pdus(net::TrafficStats& traffic, const std::vector<EntryPdu>& pdus);
 
-/// Applies wire PDUs back into an UpdateBatch shape (replica side). The
-/// paging flags default to an unpaged (single, final page) batch.
+/// Applies wire PDUs back into an UpdateBatch shape (replica side).
 sync::UpdateBatch from_pdus(const std::vector<EntryPdu>& pdus, bool full_reload,
-                            bool complete_enumeration, bool more = false,
-                            bool continued = false);
+                            bool complete_enumeration);
 
-/// Replica-side view of one response as an applyable batch, paging flags
-/// included.
+/// Replica-side view of one (page-merged) response as an applyable batch.
 sync::UpdateBatch to_batch(const ReSyncResponse& response);
 
 }  // namespace fbdr::resync

@@ -1,183 +1,130 @@
 #include "resync/replica_client.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "ldap/error.h"
 
 namespace fbdr::resync {
 
+using Outcome = UpstreamSession::Outcome;
+
 ReSyncReplica::ReSyncReplica(ReSyncMaster& master, ldap::Query query)
     : owned_channel_(std::make_unique<net::DirectChannel>(master)),
       channel_(owned_channel_.get()),
-      query_(std::move(query)) {}
+      session_(std::move(query), 0) {}
 
 ReSyncReplica::ReSyncReplica(net::Channel& channel, ldap::Query query)
-    : channel_(&channel), query_(std::move(query)) {}
+    : channel_(&channel), session_(std::move(query), 0) {}
 
-ReSyncResponse ReSyncReplica::request(const ReSyncControl& control) {
-  return net::exchange_with_retry(*channel_, query_, control, retry_, &retries_);
-}
+namespace {
 
-void ReSyncReplica::apply(const ReSyncResponse& response) {
-  if (response.complete_enumeration && !response.continued) ++degraded_polls_;
-  content_.apply(to_batch(response));
-}
+/// A stale answer carried past the session's own heal (see StaleGuard).
+struct SessionLost {
+  std::exception_ptr error;
+};
 
-std::size_t ReSyncReplica::drain_pages(const ReSyncResponse& first, Mode mode) {
-  // Each page is applied as it arrives and advances the cookie, so the
-  // client never holds more than one page and a mid-drain transport failure
-  // resumes at the next unfetched page (the last page replays from the
-  // master's cache if the loss hit the response).
-  bool more = first.more;
-  std::size_t applied = 0;
-  while (more) {
-    const ReSyncResponse page = request({mode, cookie_});
-    cookie_ = page.cookie;
-    ++pages_fetched_;
-    applied += page.pdus.size();
-    content_.apply(to_batch(page));
-    more = page.more;
-  }
-  return applied;
-}
+/// The link of a poll with auto-recover off: any exchange of the poll that
+/// meets a stale cookie (the first send, a transport retry, a continuation
+/// page) throws SessionLost, which UpstreamSession::finish_poll does not
+/// catch, instead of ldap::StaleCookieError, which it would heal.
+class StaleGuard final : public net::Channel {
+ public:
+  explicit StaleGuard(net::Channel& inner) : inner_(&inner) {}
 
-ReSyncResponse ReSyncReplica::initial_exchange(
-    Mode mode, const std::shared_ptr<const ReconcileRequest>& reconcile) {
-  ReSyncControl control{mode, ""};
-  control.reconcile = reconcile;
-  ReSyncResponse response = request(control);
-  // Admission control: a governed master at its session cap answers busy
-  // without creating a session. Retry the initial request under the same
-  // backoff schedule as transport retries.
-  std::size_t attempt = 0;
-  while (response.busy) {
-    if (attempt + 1 >= std::max<std::size_t>(retry_.max_attempts, 1)) {
-      throw ldap::BusyError("master at session capacity; " +
-                            std::to_string(attempt + 1) +
-                            " initial request(s) rejected busy");
+  ReSyncResponse exchange(const ldap::Query& query,
+                          const ReSyncControl& control) override {
+    try {
+      return inner_->exchange(query, control);
+    } catch (const ldap::StaleCookieError&) {
+      throw SessionLost{std::current_exception()};
     }
-    channel_->elapse(retry_.backoff(attempt));
-    ++attempt;
-    ++busy_rejections_;
-    response = request(control);
   }
-  return response;
+  void abandon(const std::string& cookie) override { inner_->abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { inner_->elapse(ticks); }
+
+ private:
+  net::Channel* inner_;
+};
+
+}  // namespace
+
+void ReSyncReplica::settle(Outcome outcome, bool recovery, Mode mode) {
+  // Admission control: a governed master at its session cap answers busy
+  // without creating a session. Retry under the same backoff schedule as
+  // transport retries.
+  const std::size_t attempts = std::max<std::size_t>(retry_.max_attempts, 1);
+  for (std::size_t attempt = 1; outcome == Outcome::Busy && attempt < attempts;
+       ++attempt) {
+    channel_->elapse(retry_.backoff(attempt - 1));
+    outcome = session_.establish(link(), recovery, mode);
+  }
+  throw_unless_synced(outcome, session_, "sync");
 }
 
 void ReSyncReplica::start(Mode mode) {
-  mode_ = mode;
-  const ReSyncResponse response = initial_exchange(mode, nullptr);
-  cookie_ = response.cookie;
+  settle(session_.establish(link(), false, mode), /*recovery=*/false, mode);
   active_ = true;
-  apply(response);
-  drain_pages(response, mode);
-}
-
-void ReSyncReplica::adopt_reload(const ReSyncResponse& response) {
-  ++recoveries_;
-  ++full_reloads_;
-  cookie_ = response.cookie;
-  active_ = true;
-  apply(response);
-  drain_pages(response, Mode::Poll);
-}
-
-void ReSyncReplica::recover() {
-  // A recovery is counted, under exactly one heal mode, once the exchange
-  // that establishes its new session succeeds. A transport failure before
-  // that leaves the old cookie stale, so the next poll recovers afresh.
-  if (!reconcile_ || content_.size() == 0) {
-    // Reconciliation disabled, or nothing local to reconcile against: the
-    // full reload IS the diff.
-    adopt_reload(initial_exchange(Mode::Poll, nullptr));
-    return;
-  }
-  // Round 1: offer the local content's digests instead of accepting a full
-  // reload (DESIGN.md §12).
-  auto offer = std::make_shared<ReconcileRequest>();
-  offer->round = 1;
-  offer->root_digest = content_.digest().root();
-  offer->entry_count = content_.digest().entry_count();
-  offer->buckets = content_.digest().bucket_digests();
-  const ReSyncResponse response = initial_exchange(Mode::Poll, offer);
-  if (!response.reconcile) {
-    // The peer does not speak reconciliation: the offer was ignored and a
-    // plain initial full reload came back (version gating).
-    adopt_reload(response);
-    return;
-  }
-  if (response.reconcile->fallback) {
-    // Diverged too far (or walk cap): the master shipped the content.
-    ++reconcile_fallbacks_;
-    adopt_reload(response);
-    return;
-  }
-  if (response.reconcile->in_sync) {
-    // Roots matched: nothing shipped at all; resume polling.
-    ++recoveries_;
-    ++reconciles_;
-    cookie_ = response.cookie;
-    active_ = true;
-    return;
-  }
-  // Round 2: upload fingerprints for the divergent buckets; the answer is
-  // the exact diff (plus continuation pages when the master paginates).
-  auto upload = std::make_shared<ReconcileRequest>();
-  upload->round = 2;
-  upload->fingerprints =
-      content_.fingerprints_for(response.reconcile->need_buckets);
-  try {
-    ReSyncControl control{Mode::Poll, response.cookie};
-    control.reconcile = upload;
-    const ReSyncResponse diff = request(control);
-    ++recoveries_;
-    ++reconciles_;
-    cookie_ = diff.cookie;
-    active_ = true;
-    std::size_t shipped = diff.pdus.size();
-    apply(diff);
-    shipped += drain_pages(diff, Mode::Poll);
-    reconcile_entries_shipped_ += shipped;
-  } catch (const ldap::StaleCookieError&) {
-    // The walk expired between rounds: the plain reload path always works.
-    adopt_reload(initial_exchange(Mode::Poll, nullptr));
-  }
 }
 
 void ReSyncReplica::poll() {
   if (!active_) {
     throw ldap::ProtocolError("poll() before start()");
   }
+  if (!session_.steady()) {
+    // The link failed past the retry budget on an earlier poll: end that
+    // session and heal by walk or reload, as the service and relays do.
+    settle(session_.establish(link(), true), /*recovery=*/true, Mode::Poll);
+    return;
+  }
+  // The item is unsent, so finish_poll runs the whole retry policy. Without
+  // auto-recover a lost session is the caller's to handle: the poll runs
+  // over the guard.
+  net::ExchangeItem item(session_.query(), {Mode::Poll, session_.cookie()});
+  StaleGuard guard(*channel_);
+  net::Channel& channel = auto_recover_ ? *channel_ : guard;
   try {
-    const ReSyncResponse response = request({Mode::Poll, cookie_});
-    cookie_ = response.cookie;
-    apply(response);
-    drain_pages(response, Mode::Poll);
-  } catch (const ldap::StaleCookieError&) {
-    // Session lost at the master (expiry or restart): recover. With
-    // reconciliation, only the divergent entries ship; without it, the
-    // initial response is a full reload — convergence either way. Any other
-    // protocol error is a client or protocol bug and propagates.
-    if (!auto_recover_) throw;
-    recover();
+    settle(session_.finish_poll({channel, retry_, *this}, item),
+           /*recovery=*/true, Mode::Poll);
+  } catch (const SessionLost& lost) {
+    std::rethrow_exception(lost.error);
   }
 }
 
 void ReSyncReplica::sync_end() {
   if (!active_) return;
-  request({Mode::SyncEnd, cookie_});
+  session_.end(*channel_);
   active_ = false;
 }
 
 void ReSyncReplica::abandon() {
   if (!active_) return;
-  channel_->abandon(cookie_);
+  channel_->abandon(session_.cookie());
+  session_.forget();
   active_ = false;
 }
 
 void ReSyncReplica::deliver(const std::vector<EntryPdu>& pdus) {
   content_.apply(from_pdus(pdus, /*full_reload=*/false,
                            /*complete_enumeration=*/false));
+}
+
+std::map<std::string, ldap::EntryPtr> ReSyncReplica::snapshot(
+    std::size_t /*slot*/) {
+  // With reconciliation off there is nothing to offer: recoveries reload.
+  if (!reconcile_) return {};
+  return content_.by_key();
+}
+
+void ReSyncReplica::apply_delta(std::size_t /*slot*/,
+                                const ReSyncResponse& response) {
+  content_.apply(to_batch(response));
+}
+
+void ReSyncReplica::adopt_full(std::size_t /*slot*/,
+                               const ReSyncResponse& response,
+                               bool /*recovery*/) {
+  content_.apply(to_batch(response));
 }
 
 void NotificationRouter::attach(ReSyncMaster& master) {

@@ -6,6 +6,7 @@
 
 #include "net/channel.h"
 #include "resync/master.h"
+#include "resync/upstream_session.h"
 #include "sync/replica_content.h"
 
 namespace fbdr::resync {
@@ -14,11 +15,13 @@ namespace fbdr::resync {
 /// session against a master through a net::Channel, applies the received
 /// PDUs to a local content store, and exposes the store for serving queries.
 ///
-/// Transport faults (net::TransportError) are retried under the configured
-/// RetryPolicy; the master's replay-safe cookies make those retries
-/// idempotent. A stale cookie (session expired, master restarted) triggers
-/// the full-reload recovery when auto-recover is enabled.
-class ReSyncReplica {
+/// The session is a resync::UpstreamSession (DESIGN.md §12), the one the
+/// service and the relay run; the client is its store. Transport faults
+/// (net::TransportError) are retried under the configured RetryPolicy; the
+/// master's replay-safe cookies make those retries idempotent. A stale
+/// cookie (session expired, master restarted) triggers the recovery — a
+/// digest walk or a full reload — when auto-recover is enabled.
+class ReSyncReplica : private SessionStore {
  public:
   /// Direct in-process link to the master (owns a DirectChannel).
   ReSyncReplica(ReSyncMaster& master, ldap::Query query);
@@ -31,19 +34,23 @@ class ReSyncReplica {
   /// requests (admission control at a governed master).
   void set_retry_policy(net::RetryPolicy policy) { retry_ = policy; }
 
-  /// Sends the initial request (null cookie) in the given mode. A busy
+  /// Opens the session in the given mode; every request of the opening
+  /// (continuation pages, a walk's round 2) carries it, so a persist session
+  /// stays one. Content still held from an earlier session (after sync_end
+  /// or abandon) is offered as a digest walk, as on recovery. A busy
   /// rejection (master at its session cap) is retried with backoff under the
-  /// retry policy; ldap::BusyError propagates once attempts run out.
+  /// retry policy; ldap::BusyError propagates once attempts run out,
+  /// net::TransportError when the link fails past the retry budget.
   void start(Mode mode = Mode::Poll);
 
-  /// Poll-mode pull of accumulated updates. Throws ldap::StaleCookieError
-  /// when the session is unknown/expired at the master (unless recovery is
-  /// enabled) and net::TransportError when the link fails past the retry
-  /// budget; other protocol errors always propagate.
-  ///
-  /// A paged response (`more`) is followed up immediately: each page is
-  /// applied and advances the cookie, so a transport failure mid-drain
-  /// resumes at the next unfetched page after the retry.
+  /// Poll-mode pull of accumulated updates; a paged answer is fetched whole
+  /// and applied as one batch. Throws ldap::StaleCookieError when the
+  /// session is unknown/expired at the master, on any attempt of the poll
+  /// (unless recovery is enabled; recoveries() then stays unchanged), and
+  /// net::TransportError when the link fails past the retry budget; the
+  /// next poll then ends that session and heals by walk or reload. Busy
+  /// answers to a recovery behave as in start(); other protocol errors
+  /// always propagate.
   void poll();
 
   /// When enabled, a poll whose cookie the master no longer recognizes
@@ -60,45 +67,32 @@ class ReSyncReplica {
   /// as before reconciliation existed (DESIGN.md §12).
   void set_reconcile(bool enabled) { reconcile_ = enabled; }
 
-  /// Number of recoveries performed. Always equals
-  /// full_reloads() + reconciles().
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
-
-  /// Recoveries (or starts after a recovery fallback) that reloaded the
-  /// entire content.
-  std::uint64_t full_reloads() const noexcept { return full_reloads_; }
-
-  /// Recoveries healed by a reconciliation walk (in-sync or diff).
-  std::uint64_t reconciles() const noexcept { return reconciles_; }
-
-  /// Walks the master refused (divergence/cap) — a subset of full_reloads().
-  std::uint64_t reconcile_fallbacks() const noexcept {
-    return reconcile_fallbacks_;
+  /// The session's counters (ticks_behind stays 0: the client keeps no
+  /// clock). recoveries == full_reloads + reconciles, and
+  /// reconcile_fallbacks (walks the master refused) <= full_reloads.
+  net::FilterHealth health() const { return session_.health(0); }
+  std::uint64_t recoveries() const { return health().recoveries; }
+  std::uint64_t full_reloads() const { return health().full_reloads; }
+  std::uint64_t reconciles() const { return health().reconciles; }
+  std::uint64_t reconcile_fallbacks() const {
+    return health().reconcile_fallbacks;
   }
-
-  /// Diff PDUs received by completed walks — the O(diff) shipping the
-  /// chaos suites assert on.
-  std::uint64_t reconcile_entries_shipped() const noexcept {
-    return reconcile_entries_shipped_;
+  std::uint64_t reconcile_entries_shipped() const {
+    return health().reconcile_entries_shipped;
   }
+  std::uint64_t retries() const { return health().retries; }
+  std::uint64_t busy_rejections() const { return health().busy_rejections; }
+  /// Continuation pages fetched beyond the first response of an exchange.
+  std::uint64_t pages_fetched() const { return health().paged_polls; }
+  /// Polls answered with a complete enumeration — the master answered from
+  /// a degraded (equation (3)) session or healed a stripped replay.
+  std::uint64_t degraded_polls() const { return health().degraded_polls; }
 
-  /// Transport retries spent across all exchanges.
-  std::uint64_t retries() const noexcept { return retries_; }
-
-  /// Busy rejections absorbed by start() before a session was admitted.
-  std::uint64_t busy_rejections() const noexcept { return busy_rejections_; }
-
-  /// Continuation pages fetched beyond the first response of a poll/start.
-  std::uint64_t pages_fetched() const noexcept { return pages_fetched_; }
-
-  /// Responses that carried a complete enumeration — the master answered
-  /// from a degraded (equation (3)) session or healed a stripped replay.
-  std::uint64_t degraded_polls() const noexcept { return degraded_polls_; }
-
-  /// Ends the session (mode sync_end).
+  /// Ends the session (mode sync_end, best effort).
   void sync_end();
 
-  /// Abandons a persistent search (the other way a session ends).
+  /// Abandons a persistent search (the other way a session ends) and
+  /// forgets its cookie.
   void abandon();
 
   /// Delivers pushed notifications (persist mode); normally invoked via a
@@ -106,43 +100,31 @@ class ReSyncReplica {
   void deliver(const std::vector<EntryPdu>& pdus);
 
   const sync::ReplicaContent& content() const noexcept { return content_; }
-  const std::string& cookie() const noexcept { return cookie_; }
+  const std::string& cookie() const noexcept { return session_.cookie(); }
   bool active() const noexcept { return active_; }
 
  private:
-  ReSyncResponse request(const ReSyncControl& control);
-  void apply(const ReSyncResponse& response);
-  /// Fetches and applies continuation pages until the final one. Returns the
-  /// number of PDUs applied from the continuation pages.
-  std::size_t drain_pages(const ReSyncResponse& first, Mode mode);
-  /// Initial request (busy-retried); `reconcile` rides along when non-null.
-  ReSyncResponse initial_exchange(
-      Mode mode, const std::shared_ptr<const ReconcileRequest>& reconcile);
-  /// Stale-cookie recovery: digest walk when possible, full reload otherwise.
-  void recover();
-  /// Adopts a full-reload recovery response (cookie, content, pages) and
-  /// counts the recovery.
-  void adopt_reload(const ReSyncResponse& response);
+  UpstreamLink link() { return {*channel_, retry_, *this}; }
+  /// Re-establishes while `outcome` is Busy, backing off under the retry
+  /// policy, and throws what start()/poll() promise for a session that did
+  /// not sync.
+  void settle(UpstreamSession::Outcome outcome, bool recovery, Mode mode);
+
+  // resync::SessionStore over content_ (one slot).
+  std::map<std::string, ldap::EntryPtr> snapshot(std::size_t slot) override;
+  void apply_delta(std::size_t slot, const ReSyncResponse& response) override;
+  void adopt_full(std::size_t slot, const ReSyncResponse& response,
+                  bool recovery) override;
+  std::uint64_t now() const override { return 0; }
 
   std::unique_ptr<net::Channel> owned_channel_;
   net::Channel* channel_;
-  ldap::Query query_;
+  UpstreamSession session_;
   sync::ReplicaContent content_;
   net::RetryPolicy retry_;
-  std::string cookie_;
-  Mode mode_ = Mode::Poll;
   bool active_ = false;
   bool auto_recover_ = false;
   bool reconcile_ = true;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t full_reloads_ = 0;
-  std::uint64_t reconciles_ = 0;
-  std::uint64_t reconcile_fallbacks_ = 0;
-  std::uint64_t reconcile_entries_shipped_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t busy_rejections_ = 0;
-  std::uint64_t pages_fetched_ = 0;
-  std::uint64_t degraded_polls_ = 0;
 };
 
 /// Routes persist-mode notifications from one master to the replicas that

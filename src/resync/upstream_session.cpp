@@ -27,11 +27,11 @@ ReSyncResponse UpstreamSession::request(const UpstreamLink& link,
                                   &health_.retries);
 }
 
-void UpstreamSession::collect_pages(const UpstreamLink& link,
+void UpstreamSession::collect_pages(const UpstreamLink& link, Mode mode,
                                     ReSyncResponse& first) {
   cookie_ = first.cookie;
   while (first.more) {
-    ReSyncResponse page = request(link, {Mode::Poll, cookie_});
+    ReSyncResponse page = request(link, {mode, cookie_});
     ++health_.paged_polls;
     cookie_ = page.cookie;
     first.more = page.more;
@@ -54,8 +54,10 @@ void UpstreamSession::synced(const UpstreamLink& link,
 }
 
 UpstreamSession::Outcome UpstreamSession::establish(const UpstreamLink& link,
-                                                    bool recovery) {
-  const Outcome outcome = open(link, recovery);
+                                                    bool recovery, Mode mode) {
+  const Outcome outcome = release(link.channel, link.retry)
+                              ? open(link, recovery, mode)
+                              : Outcome::Failed;
   if (outcome == Outcome::Synced) {
     health_.degraded = false;
   } else if (outcome != Outcome::Referred) {
@@ -68,11 +70,11 @@ UpstreamSession::Outcome UpstreamSession::establish(const UpstreamLink& link,
 }
 
 UpstreamSession::Outcome UpstreamSession::open(const UpstreamLink& link,
-                                               bool recovery) {
+                                               bool recovery, Mode mode) {
   try {
     std::map<std::string, ldap::EntryPtr> snapshot = link.store.snapshot(slot_);
     for (;;) {
-      ReSyncControl control{Mode::Poll, ""};
+      ReSyncControl control{mode, ""};
       if (!snapshot.empty()) {
         // Round 1: offer digests of the local view instead of accepting a
         // full reload (DESIGN.md §12).
@@ -98,11 +100,11 @@ UpstreamSession::Outcome UpstreamSession::open(const UpstreamLink& link,
       if (!response.reconcile || response.reconcile->fallback) {
         // No offer, a peer that does not speak reconciliation, or a walk
         // refused (diverged too far, walk cap): the body is the content.
-        return reload(link, std::move(response), recovery);
+        return reload(link, mode, std::move(response), recovery);
       }
       cookie_ = response.cookie;
       try {
-        return walk(link, response, snapshot, recovery);
+        return walk(link, mode, response, snapshot, recovery);
       } catch (const ldap::StaleCookieError&) {
         // The walk expired between rounds: reload in full.
         cookie_.clear();
@@ -115,20 +117,23 @@ UpstreamSession::Outcome UpstreamSession::open(const UpstreamLink& link,
 }
 
 UpstreamSession::Outcome UpstreamSession::reload(const UpstreamLink& link,
+                                                 Mode mode,
                                                  ReSyncResponse response,
                                                  bool recovery) {
-  collect_pages(link, response);
+  collect_pages(link, mode, response);
   synced(link, response.origin_time);
   link.store.adopt_full(slot_, response, recovery);
   if (recovery) {
     ++health_.recoveries;
     ++health_.full_reloads;
+    // A reconcile answer on a reload is a walk the upstream refused.
+    if (response.reconcile) ++health_.reconcile_fallbacks;
   }
   return Outcome::Synced;
 }
 
 UpstreamSession::Outcome UpstreamSession::walk(
-    const UpstreamLink& link, const ReSyncResponse& round1,
+    const UpstreamLink& link, Mode mode, const ReSyncResponse& round1,
     const std::map<std::string, ldap::EntryPtr>& snapshot, bool recovery) {
   std::size_t shipped = 0;
   if (round1.reconcile->in_sync) {
@@ -146,10 +151,10 @@ UpstreamSession::Outcome UpstreamSession::walk(
       upload->fingerprints.push_back(
           {entry->dn(), sync::ContentDigest::hash_entry(*entry)});
     }
-    ReSyncControl control{Mode::Poll, cookie_};
+    ReSyncControl control{mode, cookie_};
     control.reconcile = std::move(upload);
     ReSyncResponse diff = request(link, control);
-    collect_pages(link, diff);
+    collect_pages(link, mode, diff);
     synced(link, diff.origin_time);
     link.store.apply_delta(slot_, diff);
     shipped = diff.pdus.size();
@@ -167,13 +172,15 @@ UpstreamSession::Outcome UpstreamSession::finish_poll(const UpstreamLink& link,
   try {
     ReSyncResponse response =
         net::finish_with_retry(link.channel, item, link.retry, &health_.retries);
-    collect_pages(link, response);
+    collect_pages(link, item.control.mode, response);
     if (response.complete_enumeration) ++health_.degraded_polls;
     synced(link, response.origin_time);
     link.store.apply_delta(slot_, response);
     return Outcome::Synced;
   } catch (const ldap::StaleCookieError&) {
-    // The upstream expired or lost the session (restart, relay epoch bump).
+    // The upstream expired or lost the session (restart, relay epoch bump):
+    // there is nothing left to end.
+    cookie_.clear();
     return establish(link, /*recovery=*/true);
   } catch (const net::TransportError&) {
     // Retry budget exhausted: degrade; the local content keeps serving.
@@ -183,22 +190,47 @@ UpstreamSession::Outcome UpstreamSession::finish_poll(const UpstreamLink& link,
   }
 }
 
-void UpstreamSession::end(net::Channel& channel) {
-  if (!cookie_.empty()) {
-    try {
-      channel.exchange(query_, {Mode::SyncEnd, cookie_});
-    } catch (const net::TransportError&) {
-      // Upstream unreachable; its orphaned session expires on its own.
-    } catch (const ldap::ProtocolError&) {
-      // The upstream already forgot the session.
-    }
+bool UpstreamSession::release(net::Channel& channel,
+                              const net::RetryPolicy& retry) {
+  if (cookie_.empty()) return true;
+  try {
+    net::exchange_with_retry(channel, query_, {Mode::SyncEnd, cookie_}, retry,
+                             &health_.retries);
+  } catch (const net::TransportError&) {
+    // The end did not get through: keep the cookie, so the next attempt
+    // ends the session before opening another.
+    return false;
+  } catch (const ldap::ProtocolError&) {
+    // The upstream already forgot the session.
   }
+  cookie_.clear();
+  return true;
+}
+
+void UpstreamSession::end(net::Channel& channel) {
+  release(channel, net::RetryPolicy{});
   forget();
 }
 
 void UpstreamSession::forget() {
   cookie_.clear();
   health_.degraded = false;
+}
+
+void throw_unless_synced(UpstreamSession::Outcome outcome,
+                         const UpstreamSession& session,
+                         std::string_view action) {
+  using Outcome = UpstreamSession::Outcome;
+  if (outcome == Outcome::Synced) return;
+  const std::string what =
+      std::string(action) + " of '" + session.query().to_string() + "'";
+  if (outcome == Outcome::Busy) {
+    throw ldap::BusyError(what + " rejected: upstream at session capacity");
+  }
+  if (outcome == Outcome::Referred) {
+    throw ldap::ProtocolError(what + " referred to " + session.referral());
+  }
+  throw net::TransportError(what + " failed: link down past the retry budget");
 }
 
 PollRound poll_round(std::span<UpstreamSession* const> sessions,

@@ -4,6 +4,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "ldap/entry.h"
 #include "ldap/query.h"
@@ -17,7 +18,7 @@ namespace fbdr::resync {
 /// the site's local copy of each replicated filter, addressed by the slot
 /// the site gave the session. FilterReplicationService backs it with its
 /// FilterReplica's per-query content; RelayNode with its journaled mirror
-/// and per-filter membership sets.
+/// and per-filter membership sets; ReSyncReplica with its ReplicaContent.
 class SessionStore {
  public:
   virtual ~SessionStore() = default;
@@ -56,16 +57,16 @@ struct UpstreamLink {
 ///    the site's other steady sessions, see poll_round), pages the answer
 ///    out and applies it as one delta;
 ///  - stale or degraded: the upstream forgot the cookie, or the link failed
-///    past the retry budget; establish() opens a fresh session — a digest
-///    walk over the local snapshot first, a full reload when there is
-///    nothing to offer, the upstream refuses the walk, or the walk expires —
-///    and the session is steady again.
+///    past the retry budget; establish() ends the abandoned session, then
+///    opens a fresh one — a digest walk over the local snapshot first, a
+///    full reload when there is nothing to offer, the upstream refuses the
+///    walk, or the walk expires — and the session is steady again.
 ///
 /// A busy upstream or a dead link leaves the session degraded (the local
 /// content keeps serving); a referral is reported to the site, which
 /// re-wires. Counters live in one net::FilterHealth; full_reloads and
 /// reconciles count only recoveries, so recoveries == full_reloads +
-/// reconciles always holds.
+/// reconciles always holds, and reconcile_fallbacks <= full_reloads.
 class UpstreamSession {
  public:
   enum class Outcome {
@@ -93,9 +94,16 @@ class UpstreamSession {
   net::FilterHealth health(std::uint64_t now) const;
 
   /// Opens a fresh session: a first load, or (`recovery`) a heal of lost
-  /// session state that is counted as one. Busy and Failed degrade the
-  /// session; a referral leaves it as it was.
-  Outcome establish(const UpstreamLink& link, bool recovery);
+  /// session state that is counted as one. A session still held upstream
+  /// (the link failed past the retry budget) is ended first, so it does not
+  /// linger there under an admin limit of 0; when that SyncEnd cannot get
+  /// through the outcome is Failed and the cookie is kept for the next
+  /// attempt, otherwise the old cookie is gone whatever the outcome. `mode`
+  /// is carried by every request of the establishment: the initial request,
+  /// its continuation pages and a walk's round 2. Busy and Failed degrade
+  /// the session.
+  Outcome establish(const UpstreamLink& link, bool recovery,
+                    Mode mode = Mode::Poll);
 
   /// Finishes this session's poll from an exchange_all batch: a
   /// TransportError in the batch is the first attempt of the retry policy;
@@ -113,20 +121,28 @@ class UpstreamSession {
 
  private:
   ReSyncResponse request(const UpstreamLink& link, const ReSyncControl& control);
-  /// Adopts `first`'s cookie and fetches its remaining pages, advancing the
-  /// cookie page by page and merging them into `first`. Collect-then-apply:
+  /// Adopts `first`'s cookie and fetches its remaining pages in `mode` (the
+  /// mode of the request they continue), advancing the cookie page by page
+  /// and merging them into `first`. Collect-then-apply:
   /// a failure mid-drain propagates before the store was touched, so a torn
   /// pagination never leaves half a delta or half an eq.(3) drop behind.
-  void collect_pages(const UpstreamLink& link, ReSyncResponse& first);
+  void collect_pages(const UpstreamLink& link, Mode mode, ReSyncResponse& first);
   /// Records a successful sync at the store clock.
   void synced(const UpstreamLink& link, std::uint64_t origin_time);
-  Outcome open(const UpstreamLink& link, bool recovery);
-  Outcome reload(const UpstreamLink& link, ReSyncResponse response,
+  /// Sends SyncEnd for the held cookie, if any, under `retry`, and drops
+  /// the cookie. False when the link failed past the retry budget: the
+  /// cookie is kept, so the session is ended on a later attempt instead of
+  /// being orphaned upstream. A protocol error (already forgotten) counts as
+  /// ended.
+  bool release(net::Channel& channel, const net::RetryPolicy& retry);
+  Outcome open(const UpstreamLink& link, bool recovery, Mode mode);
+  Outcome reload(const UpstreamLink& link, Mode mode, ReSyncResponse response,
                  bool recovery);
   /// Completes a digest walk whose round-1 answer is `round1`: the in-sync
   /// short-circuit, or the fingerprint upload and its diff. Throws
   /// StaleCookieError when the walk expired between rounds.
-  Outcome walk(const UpstreamLink& link, const ReSyncResponse& round1,
+  Outcome walk(const UpstreamLink& link, Mode mode,
+               const ReSyncResponse& round1,
                const std::map<std::string, ldap::EntryPtr>& snapshot,
                bool recovery);
 
@@ -138,6 +154,14 @@ class UpstreamSession {
   std::uint64_t last_synced_ = 0;
   net::FilterHealth health_;  // ticks_behind is filled in by health()
 };
+
+/// For a site that cannot go on without a synced session: returns on
+/// Synced, otherwise throws ldap::BusyError (Busy), ldap::ProtocolError
+/// naming the referral (Referred) or net::TransportError (Failed). `action`
+/// names the attempt in the message ("install", "sync").
+void throw_unless_synced(UpstreamSession::Outcome outcome,
+                         const UpstreamSession& session,
+                         std::string_view action);
 
 /// The result of one poll_round.
 struct PollRound {

@@ -8,57 +8,26 @@ using ldap::Dn;
 using ldap::EntryPtr;
 
 void ReplicaContent::apply(const UpdateBatch& batch) {
-  if (!batch.continued) {
-    // First (or only) page of a logical batch: any unfinished paged
-    // enumeration was aborted and its partial mentioned set is stale.
-    enum_mentioned_.clear();
-    enum_pending_ = false;
-    if (batch.full_reload) {
-      entries_.clear();
-      digest_.clear();
+  if (batch.full_reload) entries_.clear();
+  for (const auto* bodies : {&batch.adds, &batch.mods}) {
+    for (const EntryPtr& entry : *bodies) {
+      entries_[entry->dn().norm_key()] = entry;
     }
   }
-  for (const EntryPtr& entry : batch.adds) {
-    const std::string key = entry->dn().norm_key();
-    entries_[key] = entry;
-    digest_.upsert(key, *entry);
-  }
-  for (const EntryPtr& entry : batch.mods) {
-    const std::string key = entry->dn().norm_key();
-    entries_[key] = entry;
-    digest_.upsert(key, *entry);
-  }
-  for (const Dn& dn : batch.deletes) {
-    const std::string key = dn.norm_key();
-    entries_.erase(key);
-    digest_.erase(key);
-  }
-  if (batch.complete_enumeration) {
-    // Equation (3): anything the enumeration did not mention has left the
-    // content. Across a paged enumeration the mentioned set accumulates;
-    // the drop waits for the final page.
-    for (const EntryPtr& entry : batch.adds) {
-      enum_mentioned_.insert(entry->dn().norm_key());
-    }
-    for (const EntryPtr& entry : batch.mods) {
-      enum_mentioned_.insert(entry->dn().norm_key());
-    }
-    for (const Dn& dn : batch.retains) enum_mentioned_.insert(dn.norm_key());
-    if (batch.more) {
-      enum_pending_ = true;
-    } else {
-      for (auto it = entries_.begin(); it != entries_.end();) {
-        if (enum_mentioned_.count(it->first) == 0) {
-          digest_.erase(it->first);
-          it = entries_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      enum_mentioned_.clear();
-      enum_pending_ = false;
+  for (const Dn& dn : batch.deletes) entries_.erase(dn.norm_key());
+  if (!batch.complete_enumeration) return;
+  // Equation (3): anything the enumeration did not mention has left the
+  // content.
+  std::set<std::string> mentioned;
+  for (const auto* bodies : {&batch.adds, &batch.mods}) {
+    for (const EntryPtr& entry : *bodies) {
+      mentioned.insert(entry->dn().norm_key());
     }
   }
+  for (const Dn& dn : batch.retains) mentioned.insert(dn.norm_key());
+  std::erase_if(entries_, [&mentioned](const auto& item) {
+    return mentioned.count(item.first) == 0;
+  });
 }
 
 bool ReplicaContent::contains(const Dn& dn) const {
@@ -81,17 +50,6 @@ std::vector<EntryPtr> ReplicaContent::entries() const {
   std::vector<EntryPtr> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) out.push_back(entry);
-  return out;
-}
-
-std::vector<EntryFingerprint> ReplicaContent::fingerprints_for(
-    const std::vector<std::uint32_t>& buckets) const {
-  std::set<std::uint32_t> wanted(buckets.begin(), buckets.end());
-  std::vector<EntryFingerprint> out;
-  for (const auto& [key, entry] : entries_) {
-    if (wanted.count(ContentDigest::bucket_of(key)) == 0) continue;
-    out.push_back({entry->dn(), digest_.hash_of(key)});
-  }
   return out;
 }
 

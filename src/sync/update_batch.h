@@ -25,12 +25,6 @@ struct UpdateBatch {
   /// Equation (3) mode: the batch enumerates the entire content (adds + mods
   /// + retains); the replica drops any entry not mentioned.
   bool complete_enumeration = false;
-  /// Paged delivery: `more` = later pages of this logical batch follow, so
-  /// completeness actions (dropping unmentioned entries) must wait for the
-  /// final page; `continued` = this batch is page 2..n (do not clear on
-  /// full_reload again, keep accumulating the mentioned set).
-  bool more = false;
-  bool continued = false;
 
   bool empty() const {
     return adds.empty() && mods.empty() && deletes.empty() && retains.empty() &&

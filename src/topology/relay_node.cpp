@@ -22,8 +22,6 @@ RelayNode::RelayNode(Config config, const ldap::Schema& schema,
   mirror_.add_context({config_.suffix, {}});
   downstream_.set_session_time_limit(config_.session_time_limit);
   downstream_.set_resource_limits(config_.downstream_limits);
-  downstream_.set_pump_shards(config_.pump_shards);
-  downstream_.set_pump_threads(config_.pump_threads);
 }
 
 void RelayNode::connect(std::shared_ptr<net::Channel> channel,

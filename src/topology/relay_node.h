@@ -62,13 +62,6 @@ class RelayNode final : public resync::ReSyncEndpoint,
     /// exactly as on the root master (busy admission, eq.(3) degradation,
     /// paging, replay stripping, poll-deadline eviction).
     resync::ResourceLimits downstream_limits;
-    /// Sharded-pump configuration for the downstream-facing master
-    /// (DESIGN.md §13): relays re-pump through the same machinery as the
-    /// root, so a fan-out-heavy relay can spread its downstream sessions
-    /// across pump_shards hash partitions driven by pump_threads workers.
-    /// The defaults (1, 0) are the exact serial master.
-    std::size_t pump_shards = 1;
-    std::size_t pump_threads = 0;
     /// Whether this node's upstream link runs over the framed wire codec
     /// (net::FramedChannel) instead of in-process struct passing. Recorded
     /// by whoever wires the link (the TopologyRuntime frames exactly its

@@ -1,5 +1,6 @@
 #include "wire/codec.h"
 
+#include <string_view>
 #include <utility>
 
 #include "ldap/error.h"
@@ -79,10 +80,13 @@ class Writer {
   void u8(std::uint8_t v) { out_.push_back(v); }
 
   void u32(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 24));
-    out_.push_back(static_cast<std::uint8_t>(v >> 16));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    // Every length, count and integer of a frame goes through here, so
+    // the four bytes are appended in one insert.
+    const std::uint8_t bytes[4] = {static_cast<std::uint8_t>(v >> 24),
+                                   static_cast<std::uint8_t>(v >> 16),
+                                   static_cast<std::uint8_t>(v >> 8),
+                                   static_cast<std::uint8_t>(v)};
+    out_.insert(out_.end(), bytes, bytes + 4);
   }
 
   void u64(std::uint64_t v) {
@@ -145,10 +149,13 @@ class Reader {
     return (hi << 32) | u32();
   }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A string field without a copy; valid while the payload is.
+  std::string_view view() {
     const std::uint32_t len = u32();
     need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return s;
   }
@@ -188,10 +195,12 @@ void put_dn(Writer& w, const ldap::Dn& dn) {
 ldap::Dn get_dn(Reader& r) {
   const std::uint32_t count = r.u32();
   std::vector<ldap::Rdn> rdns;
+  // Each RDN takes at least its two length fields: a hostile count fails
+  // before the reservation can grow past the payload.
+  if (count <= r.remaining() / 8) rdns.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string type = r.str();
-    const std::string value = r.str();
-    rdns.emplace_back(type, value);
+    const std::string_view type = r.view();
+    rdns.emplace_back(type, r.view());
   }
   return ldap::Dn::from_rdns(std::move(rdns));
 }
@@ -290,9 +299,10 @@ ldap::EntryPtr get_entry(Reader& r) {
   auto entry = std::make_shared<ldap::Entry>(get_dn(r));
   const std::uint32_t attrs = r.u32();
   for (std::uint32_t i = 0; i < attrs; ++i) {
-    const std::string name = r.str();
+    const std::string_view name = r.view();
     const std::uint32_t count = r.u32();
     std::vector<std::string> values;
+    if (count <= r.remaining() / 4) values.reserve(count);
     for (std::uint32_t j = 0; j < count; ++j) values.push_back(r.str());
     entry->set_values(name, std::move(values));
   }

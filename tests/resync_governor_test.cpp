@@ -241,6 +241,28 @@ TEST(GovernorPaging, InitialLoadPagesUnderContinuationCookies) {
   EXPECT_EQ(replica.content().keys(), master_truth(*master));
 }
 
+// A persist session opened over a paging master stays persist: every
+// continuation page carries the mode, so the master keeps pushing to it.
+TEST(GovernorPaging, PersistSessionStaysPersistAcrossPages) {
+  auto master = make_master(16);
+  ReSyncMaster resync(*master);
+  ResourceLimits limits;
+  limits.max_page_entries = 2;
+  resync.set_resource_limits(limits);
+  NotificationRouter router;
+  router.attach(resync);
+
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Persist);
+  router.subscribe(replica);
+  ASSERT_GE(replica.pages_fetched(), 2u);
+  EXPECT_EQ(resync.open_connections(), 1u);
+
+  master->remove(Dn::parse("cn=E0,o=xyz"));
+  resync.pump();
+  EXPECT_EQ(replica.content().keys(), master_truth(*master));
+}
+
 TEST(GovernorPaging, PagedEnumerationDropsUnmentionedOnlyOnTheLastPage) {
   auto master = make_master(16);
   ReSyncMaster resync(*master);
@@ -274,18 +296,20 @@ TEST(GovernorPaging, DuplicatedPageRequestReplaysSafely) {
   limits.max_page_entries = 2;
   resync.set_resource_limits(limits);
 
-  // Drive the pagination by hand so one page request can be duplicated.
+  // Drive the pagination by hand so one page request can be duplicated;
+  // the pages that "arrived" (the duplicates) are merged, then applied once.
   ReSyncResponse page = resync.handle(kQuery, {Mode::Poll, ""});
-  sync::ReplicaContent content;
-  content.apply(to_batch(page));
+  ReSyncResponse merged = page;
   while (page.more) {
     const std::string cookie = page.cookie;
     page = resync.handle(kQuery, {Mode::Poll, cookie});
     const ReSyncResponse dup = resync.handle(kQuery, {Mode::Poll, cookie});
     EXPECT_EQ(dup.cookie, page.cookie);
     ASSERT_EQ(dup.pdus.size(), page.pdus.size());
-    content.apply(to_batch(dup));  // the duplicate is what "arrived"
+    merged.pdus.insert(merged.pdus.end(), dup.pdus.begin(), dup.pdus.end());
   }
+  sync::ReplicaContent content;
+  content.apply(to_batch(merged));
   EXPECT_EQ(content.keys(), master_truth(*master));
 }
 

@@ -122,6 +122,28 @@ TEST(ReSyncMaster, SyncEndRemovesSession) {
   EXPECT_THROW(resync.handle(kQuery, {Mode::Poll, cookie}), ldap::ProtocolError);
 }
 
+// SyncEnd ends a session only for a cookie the session could still be
+// holding: its query, and a sequence number it issued or last answered. A
+// restarted endpoint reuses its ids, so anything else may be a cookie from
+// an earlier incarnation naming another consumer's session.
+TEST(ReSyncMaster, SyncEndSparesASessionTheCookieDoesNotHold) {
+  auto master = make_master();
+  master->load(person("E1", "42"));
+  ReSyncMaster resync(*master);
+  const std::string first = resync.handle(kQuery, {Mode::Poll, ""}).cookie;
+  const std::string second = resync.handle(kQuery, {Mode::Poll, first}).cookie;
+  const Query other = Query::parse("o=xyz", Scope::Subtree, "(dept=7)");
+
+  resync.handle(kQuery, {Mode::SyncEnd, "rs-1#7"});  // never issued
+  resync.handle(other, {Mode::SyncEnd, second});      // another query
+  EXPECT_EQ(resync.session_count(), 1u);
+  EXPECT_NO_THROW(resync.handle(kQuery, {Mode::Poll, second}));
+
+  // The cookie of the last answered poll (its reply was lost) still ends it.
+  resync.handle(kQuery, {Mode::SyncEnd, second});
+  EXPECT_EQ(resync.session_count(), 0u);
+}
+
 TEST(ReSyncMaster, PersistModePushesNotifications) {
   auto master = make_master();
   master->load(person("E1", "42"));

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "resync/master.h"
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
+#include "sync/content_digest.h"
 #include "sync/content_tracker.h"
 #include "topology/relay_node.h"
 #include "topology/runtime.h"
@@ -54,6 +56,38 @@ std::vector<std::string> master_truth(const server::DirectoryServer& master,
   sync::ContentTracker tracker(query);
   tracker.initialize(master.dit());
   return tracker.content_keys();
+}
+
+// Round 1 of a hand-driven walk: the root and bucket digests of a digest
+// tree over the content snapshot, as a recovering client builds them.
+std::shared_ptr<ReconcileRequest> round1_offer(
+    const sync::ReplicaContent& content) {
+  sync::ContentDigest digest;
+  for (const ldap::EntryPtr& entry : content.entries()) {
+    digest.upsert(entry->dn().norm_key(), *entry);
+  }
+  auto offer = std::make_shared<ReconcileRequest>();
+  offer->root_digest = digest.root();
+  offer->entry_count = digest.entry_count();
+  offer->buckets = digest.bucket_digests();
+  return offer;
+}
+
+// Round 2 of a hand-driven walk: fingerprints of the snapshot's entries in
+// the buckets the master flagged.
+std::vector<sync::EntryFingerprint> fingerprints_for(
+    const sync::ReplicaContent& content,
+    const std::vector<std::uint32_t>& buckets) {
+  const std::set<std::uint32_t> wanted(buckets.begin(), buckets.end());
+  std::vector<sync::EntryFingerprint> out;
+  for (const ldap::EntryPtr& entry : content.entries()) {
+    if (wanted.count(sync::ContentDigest::bucket_of(entry->dn().norm_key())) ==
+        0) {
+      continue;
+    }
+    out.push_back({entry->dn(), sync::ContentDigest::hash_entry(*entry)});
+  }
+  return out;
 }
 
 // Starts an auto-recovering replica and expires its session at the master.
@@ -137,6 +171,33 @@ TEST(ReSyncReconcile, DeletesReconcileFromFingerprints) {
   EXPECT_EQ(world.replica->content().keys(), master_truth(*world.master));
 }
 
+// start() over content held from an ended session walks instead of
+// reloading, and the walk's round 2 carries the persist mode: the promoted
+// session is pushed to.
+TEST(ReSyncReconcile, PersistRestartWalksAndStaysPersist) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  NotificationRouter router;
+  router.attach(resync);
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Poll);
+  replica.sync_end();
+  master->modify(Dn::parse("cn=E2,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"chief"}}});
+
+  replica.start(Mode::Persist);
+  router.subscribe(replica);
+  EXPECT_EQ(resync.governor_stats().reconciles_completed, 1u);
+  EXPECT_EQ(resync.governor_stats().reconcile_entries_shipped, 1u);
+  EXPECT_EQ(resync.open_connections(), 1u);
+  EXPECT_EQ(replica.content().keys(), master_truth(*master));
+
+  master->add(make_entry("cn=E8,o=xyz",
+                         {{"objectclass", "person"}, {"dept", "42"}}));
+  resync.pump();
+  EXPECT_EQ(replica.content().keys(), master_truth(*master));
+}
+
 TEST(ReSyncReconcile, HighDivergenceFallsBackToFullReload) {
   Recovering world = make_recovering();
   world.resync->set_reconcile_fallback_fraction(0.25);
@@ -216,10 +277,7 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
                  {{Modification::Op::Replace, "title", {"chief"}}});
 
   // Round 1 by hand, from the replica's own digest tree.
-  auto offer = std::make_shared<ReconcileRequest>();
-  offer->root_digest = replica.content().digest().root();
-  offer->entry_count = replica.content().digest().entry_count();
-  offer->buckets = replica.content().digest().bucket_digests();
+  auto offer = round1_offer(replica.content());
   ReSyncControl round1;
   round1.reconcile = offer;
   const ReSyncResponse walk = resync.handle(kQuery, round1);
@@ -232,7 +290,7 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
   auto upload = std::make_shared<ReconcileRequest>();
   upload->round = 2;
   upload->fingerprints =
-      replica.content().fingerprints_for(walk.reconcile->need_buckets);
+      fingerprints_for(replica.content(), walk.reconcile->need_buckets);
   ReSyncControl round2{Mode::Poll, walk.cookie};
   round2.reconcile = upload;
   const ReSyncResponse diff = resync.handle(kQuery, round2);
@@ -281,10 +339,7 @@ TEST(ReSyncReconcile, ChangesBetweenWalkRoundsReachThePromotedSession) {
   master->modify(Dn::parse("cn=E2,o=xyz"),
                  {{Modification::Op::Replace, "title", {"chief"}}});
 
-  auto offer = std::make_shared<ReconcileRequest>();
-  offer->root_digest = replica.content().digest().root();
-  offer->entry_count = replica.content().digest().entry_count();
-  offer->buckets = replica.content().digest().bucket_digests();
+  auto offer = round1_offer(replica.content());
   ReSyncControl round1;
   round1.reconcile = offer;
   const ReSyncResponse walk = resync.handle(kQuery, round1);
@@ -301,7 +356,7 @@ TEST(ReSyncReconcile, ChangesBetweenWalkRoundsReachThePromotedSession) {
   auto upload = std::make_shared<ReconcileRequest>();
   upload->round = 2;
   upload->fingerprints =
-      replica.content().fingerprints_for(walk.reconcile->need_buckets);
+      fingerprints_for(replica.content(), walk.reconcile->need_buckets);
   ReSyncControl round2{Mode::Poll, walk.cookie};
   round2.reconcile = upload;
   const ReSyncResponse diff = resync.handle(kQuery, round2);
@@ -332,10 +387,7 @@ TEST(ReSyncReconcile, AbandonedWalkExpiresLikeASession) {
   master->modify(Dn::parse("cn=E2,o=xyz"),
                  {{Modification::Op::Replace, "title", {"chief"}}});
 
-  auto offer = std::make_shared<ReconcileRequest>();
-  offer->root_digest = replica.content().digest().root();
-  offer->entry_count = replica.content().digest().entry_count();
-  offer->buckets = replica.content().digest().bucket_digests();
+  auto offer = round1_offer(replica.content());
   ReSyncControl round1;
   round1.reconcile = offer;
   const ReSyncResponse walk = resync.handle(kQuery, round1);
@@ -368,10 +420,7 @@ TEST(ReSyncReconcile, GovernedMasterBouncesAndCapsWalks) {
   replica.start(Mode::Poll);
   resync.reset();
 
-  auto offer = std::make_shared<ReconcileRequest>();
-  offer->root_digest = replica.content().digest().root();
-  offer->entry_count = replica.content().digest().entry_count();
-  offer->buckets = replica.content().digest().bucket_digests();
+  auto offer = round1_offer(replica.content());
 
   // At the session cap, a reconcile offer is bounced busy exactly like a
   // plain initial request — no provisional state is created.

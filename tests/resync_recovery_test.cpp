@@ -141,6 +141,124 @@ TEST(ReSyncRecovery, AutoRecoverDoesNotSwallowOtherProtocolErrors) {
   EXPECT_EQ(unstarted.recoveries(), 0u);
 }
 
+// A link that drops the next `drops` requests before they reach the master.
+// elapse() runs the master clock, so a retry's backoff can outlast the
+// session's admin limit.
+class DroppingChannel final : public net::Channel {
+ public:
+  explicit DroppingChannel(ReSyncMaster& master) : master_(&master) {}
+  resync::ReSyncResponse exchange(const ldap::Query& query,
+                                  const ReSyncControl& control) override {
+    if (drops > 0) {
+      --drops;
+      throw net::TransportError("dropped");
+    }
+    return master_->handle(query, control);
+  }
+  void abandon(const std::string& cookie) override { master_->abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { master_->tick(ticks); }
+
+  int drops = 0;
+
+ private:
+  ReSyncMaster* master_;
+};
+
+// The session expires while a poll backs off after a lost request, so the
+// stale answer comes to the retry, not the first send. Without auto-recover
+// it still reaches the caller and nothing is healed; with it, the poll heals.
+TEST(ReSyncRecovery, StaleAnswerToARetriedPollReachesTheCaller) {
+  for (const bool auto_recover : {false, true}) {
+    SCOPED_TRACE(auto_recover ? "auto-recover" : "throwing");
+    auto master = make_master();
+    ReSyncMaster resync(*master);
+    resync.set_session_time_limit(5);
+    DroppingChannel channel(resync);
+    ReSyncReplica replica(channel, kQuery);
+    net::RetryPolicy retry;
+    retry.max_attempts = 3;
+    retry.base_backoff_ticks = 10;
+    replica.set_retry_policy(retry);
+    replica.set_auto_recover(auto_recover);
+    replica.start(Mode::Poll);
+
+    master->add(make_entry("cn=E8,o=xyz",
+                           {{"objectclass", "person"}, {"dept", "42"}}));
+    resync.pump();
+    channel.drops = 1;
+    if (auto_recover) {
+      replica.poll();
+      EXPECT_EQ(replica.recoveries(), 1u);
+    } else {
+      EXPECT_THROW(replica.poll(), ldap::StaleCookieError);
+      EXPECT_EQ(replica.recoveries(), 0u);
+      replica.start(Mode::Poll);  // the caller heals explicitly
+    }
+    EXPECT_EQ(replica.retries(), 1u);
+    EXPECT_EQ(replica.content().keys(), master_truth(*master));
+  }
+}
+
+// A link to a master that can be cut and replaced: a respawned upstream is
+// a fresh ReSyncMaster over the same directory behind the same link.
+class SwitchableChannel final : public net::Channel {
+ public:
+  explicit SwitchableChannel(ReSyncMaster& master) : master(&master) {}
+  resync::ReSyncResponse exchange(const ldap::Query& query,
+                                  const ReSyncControl& control) override {
+    if (down) throw net::TransportError("link down");
+    return master->handle(query, control);
+  }
+  void abandon(const std::string& cookie) override { master->abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { master->tick(ticks); }
+
+  ReSyncMaster* master;
+  bool down = false;
+};
+
+// A restarted upstream hands out its session ids again from rs-1, so a
+// degraded consumer's old cookie can name a session another consumer has
+// just opened there. Ending the old session on re-establish must spare it.
+TEST(ReSyncRecovery, OldCookieSparesTheNewIncarnationsSession) {
+  auto master = make_master();
+  ReSyncMaster first(*master);
+  SwitchableChannel link(first);
+  ReSyncReplica a(link, kQuery);
+  ReSyncReplica b(link, kQuery);
+  for (ReSyncReplica* replica : {&a, &b}) {
+    replica->set_auto_recover(true);
+    replica->start(Mode::Poll);
+    replica->poll();
+  }
+  ASSERT_EQ(a.cookie(), "rs-1#2");
+  ASSERT_EQ(b.cookie(), "rs-2#2");
+
+  // The upstream dies: both polls fail past the (empty) retry budget.
+  link.down = true;
+  EXPECT_THROW(a.poll(), net::TransportError);
+  EXPECT_THROW(b.poll(), net::TransportError);
+
+  // It comes back as a new incarnation; the consumers heal in crossed order.
+  ReSyncMaster second(*master);
+  link.master = &second;
+  link.down = false;
+  b.poll();
+  ASSERT_EQ(b.cookie().rfind("rs-1#", 0), 0u);  // a's old id
+  a.poll();  // ends "rs-1#2" of the old incarnation first
+  EXPECT_EQ(second.session_count(), 2u);
+
+  master->add(make_entry("cn=E8,o=xyz",
+                         {{"objectclass", "person"}, {"dept", "42"}}));
+  second.pump();
+  a.poll();
+  b.poll();
+  // One recovery each, the re-establishment; no stale cookie afterwards.
+  EXPECT_EQ(a.recoveries(), 1u);
+  EXPECT_EQ(b.recoveries(), 1u);
+  EXPECT_EQ(a.content().keys(), master_truth(*master));
+  EXPECT_EQ(b.content().keys(), master_truth(*master));
+}
+
 TEST(ReSyncRecovery, AutoRecoveryReloadsAndConverges) {
   auto master = make_master();
   ReSyncMaster resync(*master);

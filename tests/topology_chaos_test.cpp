@@ -22,6 +22,7 @@
 #include "ldap/error.h"
 #include "net/fault_injector.h"
 #include "net/framed_channel.h"
+#include "resync/replica_client.h"
 #include "sync/content_tracker.h"
 #include "topology/runtime.h"
 #include "wire/codec.h"
@@ -564,7 +565,7 @@ std::vector<std::uint64_t> health_fields(const net::FilterHealth& h) {
   return {h.degraded ? 1u : 0u, h.retries,         h.recoveries,
           h.failed_syncs,       h.busy_rejections, h.degraded_polls,
           h.paged_polls,        h.full_reloads,    h.reconciles,
-          h.reconcile_entries_shipped};
+          h.reconcile_fallbacks, h.reconcile_entries_shipped};
 }
 
 std::vector<std::string> service_keys(
@@ -578,29 +579,38 @@ std::vector<std::string> service_keys(
   return keys;
 }
 
-TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
-  const ChaosSchedule schedule = GetParam();
-  auto service_master = make_master("ldap://root");
-  auto relay_master = make_master("ldap://root");
+// The retry policy of the session twins.
+net::RetryPolicy twin_retry(std::uint64_t seed) {
   net::RetryPolicy retry;
   retry.max_attempts = 4;
   retry.base_backoff_ticks = 1;
   retry.max_backoff_ticks = 6;
-  retry.jitter_seed = schedule.seed;
+  retry.jitter_seed = seed;
+  return retry;
+}
+
+// Paging masters with a low walk-fallback threshold, so the session twins
+// also drain continuation pages and heal by full reload as well as by walk.
+void configure_twin_master(resync::ReSyncMaster& master) {
+  resync::ResourceLimits limits;
+  limits.max_page_entries = 5;
+  master.set_session_time_limit(60);
+  master.set_resource_limits(limits);
+  master.set_reconcile_fallback_fraction(0.1);
+}
+
+TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
+  const ChaosSchedule schedule = GetParam();
+  auto service_master = make_master("ldap://root");
+  auto relay_master = make_master("ldap://root");
+  const net::RetryPolicy retry = twin_retry(schedule.seed);
 
   core::FilterReplicationService::Config service_config;
   service_config.retry = retry;
   core::FilterReplicationService service(service_master, service_config);
   resync::ReSyncMaster root(*relay_master);
-  // Paging masters with a low walk-fallback threshold, so the twin also
-  // drains continuation pages and heals by full reload as well as by walk.
-  resync::ResourceLimits limits;
-  limits.max_page_entries = 5;
-  for (resync::ReSyncMaster* master : {&service.resync(), &root}) {
-    master->set_session_time_limit(60);
-    master->set_resource_limits(limits);
-    master->set_reconcile_fallback_fraction(0.1);
-  }
+  configure_twin_master(service.resync());
+  configure_twin_master(root);
   RelayNode::Config relay_config;
   relay_config.name = "relay";
   relay_config.suffix = Dn::parse("o=xyz");
@@ -699,6 +709,176 @@ TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
 
 INSTANTIATE_TEST_SUITE_P(Schedules, UpstreamSessionTwin,
                          ::testing::ValuesIn(kSchedules), schedule_name);
+
+// The single-filter client runs the same session machine: a one-filter
+// service and a ReSyncReplica over identically seeded faulty links make the
+// same exchanges and keep the same health and content on every round. A
+// poll that failed past the retry budget heals on the next round by ending
+// the old session and walking (or reloading), on both sides.
+class ReplicaSessionTwin : public ::testing::TestWithParam<ChaosSchedule> {};
+
+TEST_P(ReplicaSessionTwin, ReplicaAndServiceStayInStep) {
+  const ChaosSchedule schedule = GetParam();
+  auto service_master = make_master("ldap://root");
+  auto replica_master = make_master("ldap://root");
+  const net::RetryPolicy retry = twin_retry(schedule.seed);
+
+  core::FilterReplicationService::Config service_config;
+  service_config.retry = retry;
+  core::FilterReplicationService service(service_master, service_config);
+  resync::ReSyncMaster root(*replica_master);
+  configure_twin_master(service.resync());
+  configure_twin_master(root);
+
+  net::FaultConfig clean;
+  clean.seed = schedule.faults.seed;
+  auto service_pipe =
+      std::make_shared<net::FaultyPipe>(service.resync(), clean);
+  auto replica_pipe = std::make_shared<net::FaultyPipe>(root, clean);
+  service.set_channel(std::make_shared<net::FramedChannel>(service_pipe));
+  net::FramedChannel replica_channel(replica_pipe);
+  const Query filter = serial_query("0");
+  service.install(filter);
+  resync::ReSyncReplica replica(replica_channel, filter);
+  replica.set_retry_policy(retry);
+  replica.set_auto_recover(true);
+  replica.start();
+  service_pipe->set_config(schedule.faults);
+  replica_pipe->set_config(schedule.faults);
+
+  const auto expect_in_step = [&](const std::string& when) {
+    EXPECT_EQ(counter_fields(service_pipe->counters()),
+              counter_fields(replica_pipe->counters()))
+        << when;
+    EXPECT_EQ(health_fields(service.health().filters.at(filter.key())),
+              health_fields(replica.health()))
+        << when;
+    EXPECT_EQ(service_keys(service, 0), replica.content().keys()) << when;
+  };
+  const auto round = [&] {
+    service.sync();  // pumps its own master first
+    root.pump();
+    try {
+      replica.poll();
+    } catch (const net::TransportError&) {
+      // Down past the retry budget: the next poll heals.
+    }
+    service.resync().tick();
+    root.tick();
+  };
+
+  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
+  int next_rank = 0;
+  for (int step = 0; step < 200; ++step) {
+    mutate_both(rng, next_rank, *service_master, *replica_master);
+    if (step == schedule.crash_step) {
+      service_pipe->crash_master();
+      replica_pipe->crash_master();
+    }
+    if (step == schedule.restart_step) {
+      service_pipe->restart_master();
+      replica_pipe->restart_master();
+    }
+    round();
+    expect_in_step("step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;  // one report per schedule
+  }
+  for (const auto& pipe : {service_pipe, replica_pipe}) {
+    pipe->set_config(clean);
+    pipe->flush_replays();
+  }
+  for (int extra = 0; extra < 12; ++extra) {
+    round();
+    expect_in_step("quiescence " + std::to_string(extra));
+  }
+
+  const net::FilterHealth health = replica.health();
+  EXPECT_FALSE(health.degraded);
+  EXPECT_GT(replica_pipe->counters().faults(), 0u)
+      << "fault schedule was a no-op";
+  if (schedule.crash_step >= 0) {
+    EXPECT_GT(health.failed_syncs, 0u) << "no poll failed past the budget";
+    EXPECT_GT(health.recoveries, 0u) << "the outage never healed";
+  }
+  EXPECT_EQ(health.recoveries, health.full_reloads + health.reconciles);
+  EXPECT_LE(health.reconcile_fallbacks, health.full_reloads);
+  EXPECT_EQ(replica.content().keys(), master_truth(*replica_master, filter));
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, ReplicaSessionTwin,
+                         ::testing::ValuesIn(kSchedules), schedule_name);
+
+// Re-establishing a session whose poll failed past the retry budget ends
+// the old session upstream. With an admin limit of 0 (the relay and
+// fbdr_node default) nothing else ever drops it, and every pump would keep
+// routing changes into the orphan's history.
+TEST(UpstreamSessionLeak, ReestablishEndsTheAbandonedSession) {
+  auto master = make_master("ldap://root");
+  TopologyRuntime::Options options;
+  options.faults = net::FaultConfig{};  // framed, fault-free until an outage
+  TopologyRuntime runtime(master, options);
+  runtime.add_node("relay", "", {serial_query("0")});
+  ASSERT_TRUE(runtime.install());
+  ASSERT_EQ(runtime.root_master().session_count(), 1u);
+
+  net::FaultyPipe& pipe = *runtime.fault_pipe("relay");
+  net::FaultConfig outage;
+  outage.drop_response = 1.0;
+  for (int i = 0; i < 5; ++i) {
+    pipe.set_config(outage);
+    runtime.tick();  // the poll reaches the root; its answer is lost
+    EXPECT_TRUE(runtime.node("relay").any_degraded()) << "outage " << i;
+    pipe.set_config(net::FaultConfig{});
+    runtime.tick();  // re-established
+    EXPECT_FALSE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
+  }
+
+  // One in-filter write per round: the live session drains each round and
+  // holds only the write pumped after its poll; an orphan would hold all.
+  for (int rank = 0; rank < 20; ++rank) {
+    master->modify(Dn::parse("cn=e" + serial_of(rank % 4, rank % 6) + ",o=xyz"),
+                   {{Modification::Op::Replace, "mail",
+                     {"w" + std::to_string(rank) + "@x.com"}}});
+    runtime.tick();
+  }
+  EXPECT_EQ(runtime.root_master().session_count(), 1u);
+  EXPECT_LE(runtime.root_master().history_size(), 1u);
+  EXPECT_EQ(mirror_keys(runtime.node("relay"), serial_query("0")),
+            master_truth(*master, serial_query("0")));
+}
+
+// The end can be lost too: when the outage outlasts the failed poll, the
+// re-establishment's SyncEnd never reaches the root. The cookie is kept and
+// the old session is ended on the next attempt, before another is opened.
+TEST(UpstreamSessionLeak, LostEndIsResentBeforeReopening) {
+  auto master = make_master("ldap://root");
+  TopologyRuntime::Options options;
+  options.faults = net::FaultConfig{};
+  TopologyRuntime runtime(master, options);
+  runtime.add_node("relay", "", {serial_query("0")});
+  ASSERT_TRUE(runtime.install());
+
+  net::FaultyPipe& pipe = *runtime.fault_pipe("relay");
+  net::FaultConfig answers_lost;
+  answers_lost.drop_response = 1.0;
+  net::FaultConfig partitioned;
+  partitioned.drop_request = 1.0;
+  for (int i = 0; i < 3; ++i) {
+    pipe.set_config(answers_lost);
+    runtime.tick();  // the poll reaches the root; its answer is lost
+    pipe.set_config(partitioned);
+    runtime.tick();  // the SyncEnd of the re-establishment is lost
+    EXPECT_TRUE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
+    pipe.set_config(net::FaultConfig{});
+    runtime.tick();  // ended, then re-established
+    EXPECT_FALSE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
+  }
+  EXPECT_EQ(mirror_keys(runtime.node("relay"), serial_query("0")),
+            master_truth(*master, serial_query("0")));
+}
 
 /// Fails its first `failures` exchanges with TransportError and logs every
 /// exchange ("x") and backoff ("e<ticks>") it sees.
