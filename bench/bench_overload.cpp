@@ -5,7 +5,9 @@
 // late, and one opens its session and then never polls at all.
 //
 // The ungoverned master keeps every pending event, every replay-cache body
-// and every journal record alive for the absent consumers; the governed
+// and every journal record alive for the absent consumers (the journal's
+// absent consumer is a reader that never advances: without one, the pump's
+// own reader frees each record it routed, in both worlds); the governed
 // master degrades over-budget sessions to the paper's equation-(3)
 // enumeration, strips replay bodies, evicts pollers past the deadline and
 // compacts the journal to a retention horizon. Reported per world: peak
@@ -143,6 +145,7 @@ WorldResult run_world(const std::string& world, const Options& options) {
   workload::EnterpriseDirectory dir = make_directory(options.employees);
   workload::UpdateGenerator updates(dir, {});
   resync::ReSyncMaster master(*dir.master);
+  const server::ChangeJournal::Reader absent_reader(dir.master->journal());
   if (world == "governed") {
     master.set_resource_limits(governed_limits(options));
   }

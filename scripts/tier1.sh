@@ -6,10 +6,12 @@
 # session (relay, replication service and single-filter replica), and the
 # session baselines and
 # planned installs (journal replay on adoption, index posting maintenance),
-# then a TSan build running the
-# threaded shard-equivalence and chaos suites (the sharded pump is where races
-# would hide — shard-local state crossing a shard boundary, the pump-pool
-# barrier),
+# and the journal readers and the baseline back-ends that are readers
+# (trimming frees records whose pointers since() handed out earlier), then a TSan build running the
+# threaded shard-equivalence and chaos suites and the two-masters-on-one-store
+# journal twin (the sharded pump is where races would hide — shard-local
+# state crossing a shard boundary, the pump-pool barrier, shard threads
+# reading a batch the barrier then frees),
 # then the socket loopback suites under ASan with a hard timeout (stream
 # reassembly and the epoll server are where over-reads would hide), then the
 # socket chaos suites under ASan with their own hard timeout (the ChaosProxy
@@ -34,12 +36,12 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       filter_ir_equivalence_test topology_chaos_test \
       server_ldif_roundtrip_test resync_governor_test sync_compaction_test \
       resync_overload_test resync_reconcile_test resync_baseline_test \
-      sync_install_plan_test server_index_test \
+      sync_install_plan_test server_index_test server_journal_test sync_backends_test \
       resync_shard_equivalence_test bench_common_test \
       wire_roundtrip_test wire_fuzz_test topology_relay_test core_service_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -65,9 +67,10 @@ echo "== tier 1: threaded-pump race run (TSan) =="
 cmake -B build-tsan -S . -DFBDR_SANITIZE=thread -DFBDR_BUILD_BENCHMARKS=OFF \
       -DFBDR_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
-      resync_shard_equivalence_test resync_chaos_test topology_chaos_test
+      resync_shard_equivalence_test resync_chaos_test topology_chaos_test \
+      server_journal_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos|BatchedSync'
+      -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos|BatchedSync|JournalReaderTwin'
 
 echo "== tier 1: bench smoke (routed pump >=2x exhaustive; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2

@@ -221,7 +221,7 @@ std::uint64_t FilterReplicationService::revolutions() const {
 
 SubtreeReplicationService::SubtreeReplicationService(
     std::shared_ptr<server::DirectoryServer> master)
-    : master_(std::move(master)), last_seq_(master_->journal().last_seq()) {}
+    : master_(std::move(master)), shipped_(master_->journal()) {}
 
 void SubtreeReplicationService::add_context(
     containment::ReplicationContext context) {
@@ -230,7 +230,7 @@ void SubtreeReplicationService::add_context(
 
 void SubtreeReplicationService::load() {
   replica_.load_content(*master_);
-  last_seq_ = master_->journal().last_seq();
+  shipped_.advance(master_->journal().last_seq());
 }
 
 ServeOutcome SubtreeReplicationService::serve(const Query& query) {
@@ -240,7 +240,7 @@ ServeOutcome SubtreeReplicationService::serve(const Query& query) {
 }
 
 void SubtreeReplicationService::sync() {
-  if (master_->journal().trimmed_up_to() > last_seq_) {
+  if (shipped_.behind()) {
     // Journal compaction dropped changes this replica never shipped: the
     // per-change stream cannot be reconstructed, so reload the configured
     // contexts wholesale (the subtree analogue of the eq.(3) heal).
@@ -248,8 +248,8 @@ void SubtreeReplicationService::sync() {
     traffic_.count_round_trip();
     return;
   }
-  for (const server::ChangeRecord* record : master_->journal().since(last_seq_)) {
-    last_seq_ = record->seq;
+  const std::vector<const server::ChangeRecord*> records = shipped_.pending();
+  for (const server::ChangeRecord* record : records) {
     // Every change inside a replicated subtree must be shipped: full entry
     // for add/modify, DN for delete; a rename ships delete + add.
     switch (record->type) {
@@ -274,6 +274,7 @@ void SubtreeReplicationService::sync() {
         break;
     }
   }
+  if (!records.empty()) shipped_.advance(records.back()->seq);
   traffic_.count_round_trip();
   // The shipped changes themselves keep the replica's copy current; the
   // answerability decision depends only on the configured contexts, so no

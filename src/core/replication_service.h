@@ -164,7 +164,7 @@ class SubtreeReplicationService {
   std::shared_ptr<server::DirectoryServer> master_;
   replica::SubtreeReplica replica_;
   net::TrafficStats traffic_;
-  std::uint64_t last_seq_ = 0;
+  server::ChangeJournal::Reader shipped_;  // last change shipped
 };
 
 }  // namespace fbdr::core

@@ -36,7 +36,8 @@ namespace fbdr::netio {
 ///   keys <base>|<scope>|<filter>             sorted norm keys of the local
 ///                                            content matching the query
 ///   health                                   "key value" lines (epoch,
-///                                            recoveries, degraded, ...)
+///                                            recoveries, degraded,
+///                                            journal_records, ...)
 ///   quit                                     stop the node's loop
 ///
 /// <scope> is base|one|sub. Attribute values in apply must not contain the

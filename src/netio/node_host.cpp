@@ -273,6 +273,12 @@ std::string NodeHost::do_health() {
     lines.push_back("sessions " +
                     std::to_string(relay_->downstream_master().session_count()));
   }
+  // Journal depth: the root's store, or the relay's mirror.
+  const server::ChangeJournal& journal =
+      store_ ? store_->journal() : relay_->mirror().journal();
+  lines.push_back("journal_records " + std::to_string(journal.size()));
+  lines.push_back("journal_trimmed_up_to " +
+                  std::to_string(journal.trimmed_up_to()));
   const EpollServer::Stats stats = server_->stats();
   lines.push_back("frames_in " + std::to_string(stats.frames_in));
   lines.push_back("frames_out " + std::to_string(stats.frames_out));

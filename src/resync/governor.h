@@ -48,10 +48,11 @@ struct ResourceLimits {
   /// session time limit; the tighter of the two wins.
   std::uint64_t poll_deadline_ticks = 0;
 
-  /// Retention horizon for the master's change journal, in records. The
-  /// journal self-trims past it; a master that pumps after its window was
-  /// compacted away rebases every session from the DIT (see
-  /// ReSyncMaster::pump). 0 = keep everything.
+  /// Retention horizon for the master's change journal, in records: the cap
+  /// on a journal reader that stops advancing (readers that keep up trim the
+  /// journal themselves). The journal self-trims past it; a master that
+  /// pumps after its window was compacted away rebases every session from
+  /// the DIT (see ReSyncMaster::pump). 0 = no cap.
   std::size_t journal_retention_records = 0;
 
   /// Cap on concurrent in-flight reconciliation walks (round 1 answered,

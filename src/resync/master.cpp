@@ -11,7 +11,7 @@ using ldap::ProtocolError;
 
 ReSyncMaster::ReSyncMaster(server::DirectoryServer& master)
     : master_(&master),
-      last_pumped_seq_(master.journal().last_seq()) {
+      pumped_(master.journal()) {
   shards_.push_back(std::make_unique<Shard>(master.schema()));
 }
 
@@ -280,7 +280,7 @@ ReSyncMaster::Session& ReSyncMaster::adopt_session(
   }
   shard.expiry.emplace(clock_.now(), id);
   session.baseline = baseline;
-  if (baseline < last_pumped_seq_) {
+  if (baseline < pumped_.position()) {
     // Prepared before the last pump (round 1 of a walk): the records pumped
     // since never reached it, so diff it against the DIT.
     absorb_events(shard, session, session.session->rebase(master_->dit()));
@@ -634,9 +634,9 @@ void ReSyncMaster::rebase_shard(Shard& shard) {
 }
 
 void ReSyncMaster::pump() {
-  const bool gap = master_->journal().trimmed_up_to() > last_pumped_seq_;
+  const bool gap = pumped_.behind();
   std::vector<const server::ChangeRecord*> records;
-  if (!gap) records = master_->journal().since(last_pumped_seq_);
+  if (!gap) records = pumped_.pending();
 
   // Parallel phase: every shard consumes the (shared, read-only) journal
   // batch through its own router, cache and sessions — or, after a
@@ -673,13 +673,14 @@ void ReSyncMaster::pump() {
       }
     }
   });
+  // Barrier: no shard reads the batch any more, so the journal may free it.
   if (gap) {
-    last_pumped_seq_ = master_->journal().last_seq();
+    pumped_.advance(master_->journal().last_seq());
   } else if (!records.empty()) {
-    last_pumped_seq_ = records.back()->seq;
+    pumped_.advance(records.back()->seq);
   }
 
-  // Barrier: fold the parallel-phase governor counters.
+  // Fold the parallel-phase governor counters.
   for (const std::unique_ptr<Shard>& shard : shards_) {
     governor_.stats().merge(shard->delta);
     shard->delta = GovernorStats{};
@@ -793,7 +794,7 @@ void ReSyncMaster::reset() {
   pending_reconciles_.clear();
   // The restarted master resumes journal consumption at the tail: sessions
   // created after the restart take their baseline from initial() anyway.
-  last_pumped_seq_ = master_->journal().last_seq();
+  pumped_.advance(master_->journal().last_seq());
 }
 
 void ReSyncMaster::abandon(const std::string& cookie) {

@@ -352,7 +352,9 @@ class ReSyncMaster : public ReSyncEndpoint {
   net::LogicalClock clock_;
   net::TrafficStats traffic_;
   ResourceGovernor governor_;
-  std::uint64_t last_pumped_seq_ = 0;
+  /// The journal position of the last pump; the journal drops records once
+  /// this reader (and every other) has consumed them.
+  server::ChangeJournal::Reader pumped_;
   /// No live session's baseline is below this: pump() routes no record at
   /// or below it. The min baseline of the live sessions; reset to the sole
   /// session's baseline when it is the only one, not raised when sessions

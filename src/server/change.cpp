@@ -57,6 +57,29 @@ void ChangeJournal::trim(std::uint64_t up_to_seq) {
   }
 }
 
+ChangeJournal::Reader::Reader(ChangeJournal& journal)
+    : journal_(&journal), slot_(journal.readers_.insert(journal.last_seq())) {}
+
+ChangeJournal::Reader::Reader(Reader&& other) noexcept
+    : journal_(other.journal_), slot_(other.slot_) {
+  other.journal_ = nullptr;
+}
+
+ChangeJournal::Reader::~Reader() {
+  if (journal_ == nullptr) return;  // moved from
+  journal_->readers_.erase(slot_);
+  if (!journal_->readers_.empty()) {
+    journal_->trim(*journal_->readers_.begin());
+  }
+}
+
+void ChangeJournal::Reader::advance(std::uint64_t seq) {
+  auto node = journal_->readers_.extract(slot_);
+  node.value() = seq;
+  slot_ = journal_->readers_.insert(std::move(node));
+  journal_->trim(*journal_->readers_.begin());
+}
+
 void ChangeJournal::set_retention(std::size_t max_records) {
   retention_ = max_records;
   compact();

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,12 +46,47 @@ struct ChangeRecord {
 /// sequence numbers. Sequence numbers double as the protocol's logical
 /// update timeline.
 ///
-/// With a retention horizon set (set_retention) the journal self-compacts:
-/// each append drops the oldest records past the horizon. Consumers that fall
-/// behind the horizon detect the gap via trimmed_up_to() and must rebase from
-/// the DIT (see ReSyncMaster::pump) instead of replaying records.
+/// Consumers register as Readers. Once every live reader has consumed a
+/// record, the journal drops it; a journal with no reader keeps everything.
+///
+/// With a retention horizon set (set_retention) the journal also
+/// self-compacts: each append drops the oldest records past the horizon, even
+/// ones a stalled reader has not consumed. Consumers that fall behind the
+/// horizon detect the gap via trimmed_up_to() and must rebase from the DIT
+/// (see ReSyncMaster::pump) instead of replaying records.
 class ChangeJournal {
  public:
+  /// A registered consumer position: the last sequence number its owner has
+  /// consumed. Starts at the journal's tail. The pointers pending() hands out
+  /// stay valid until this reader advances past them, or until retention
+  /// compacts them away. A reader must not outlive its journal.
+  class Reader {
+   public:
+    explicit Reader(ChangeJournal& journal);
+    Reader(Reader&& other) noexcept;
+    ~Reader();
+
+    std::uint64_t position() const { return *slot_; }
+    /// Compaction dropped records this reader never consumed.
+    bool behind() const { return journal_->trimmed_up_to() > position(); }
+    /// Records after position(), in order.
+    std::vector<const ChangeRecord*> pending() const {
+      return journal_->since(position());
+    }
+    /// Marks every record up to `seq` consumed; the journal then drops what
+    /// all its readers have consumed.
+    void advance(std::uint64_t seq);
+
+   private:
+    ChangeJournal* journal_;
+    std::multiset<std::uint64_t>::iterator slot_;
+  };
+
+  ChangeJournal() = default;
+  // Readers point at their journal.
+  ChangeJournal(const ChangeJournal&) = delete;
+  ChangeJournal& operator=(const ChangeJournal&) = delete;
+
   /// Appends a record; assigns and returns its sequence number. Compacts the
   /// front past the retention horizon.
   std::uint64_t append(ChangeRecord record);
@@ -64,7 +100,8 @@ class ChangeJournal {
   std::size_t size() const noexcept { return records_.size(); }
   const ChangeRecord& at(std::size_t index) const { return records_.at(index); }
 
-  /// Drops records with seq <= `up_to_seq` (log trimming).
+  /// Drops records with seq <= `up_to_seq` (log trimming), regardless of
+  /// readers.
   void trim(std::uint64_t up_to_seq);
 
   /// Retention horizon in records; 0 keeps everything. Applies immediately
@@ -79,9 +116,10 @@ class ChangeJournal {
  private:
   void compact();
 
-  // Deque: O(1) front-pops under retention, and stable references for the
-  // pointers handed out by since() while only appends happen.
+  // Deque: O(1) front-pops, and references (the pointers since() hands out)
+  // that stay valid across appends and the popping of other records.
   std::deque<ChangeRecord> records_;
+  std::multiset<std::uint64_t> readers_;  // positions of the live readers
   std::uint64_t next_seq_ = 1;
   std::size_t retention_ = 0;
   std::uint64_t trimmed_up_to_ = 0;

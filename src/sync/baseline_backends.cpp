@@ -18,13 +18,13 @@ enum class Action {
   Gone,       // a tombstone exists; the DN must be shipped as a delete
 };
 
-/// Replays the journal records after `last_seq` into a last-wins per-DN
-/// action map (tombstone/changelog protocols are stateless per session and
-/// only see the final situation of each DN).
+/// Replays journal records into a last-wins per-DN action map
+/// (tombstone/changelog protocols are stateless per session and only see the
+/// final situation of each DN).
 std::map<std::string, std::pair<Dn, Action>> replay(
-    const server::ChangeJournal& journal, std::uint64_t last_seq) {
+    const std::vector<const ChangeRecord*>& records) {
   std::map<std::string, std::pair<Dn, Action>> finals;
-  for (const ChangeRecord* record : journal.since(last_seq)) {
+  for (const ChangeRecord* record : records) {
     switch (record->type) {
       case ChangeType::Add:
       case ChangeType::Modify:
@@ -64,20 +64,19 @@ UpdateBatch make_initial(const server::DirectoryServer& master,
 
 // --- TombstoneBackend ---
 
-TombstoneBackend::TombstoneBackend(const server::DirectoryServer& master,
+TombstoneBackend::TombstoneBackend(server::DirectoryServer& master,
                                    const ldap::Schema& schema)
     : master_(&master), schema_(&schema) {}
 
 std::size_t TombstoneBackend::register_query(const ldap::Query& query) {
-  State state;
-  state.tracker = std::make_unique<ContentTracker>(query, *schema_);
-  states_.push_back(std::move(state));
+  states_.push_back({std::make_unique<ContentTracker>(query, *schema_),
+                     server::ChangeJournal::Reader(master_->journal())});
   return states_.size() - 1;
 }
 
 UpdateBatch TombstoneBackend::initial(std::size_t id) {
   State& state = states_.at(id);
-  state.last_seq = master_->journal().last_seq();
+  state.polled.advance(master_->journal().last_seq());
   state.initialized = true;
   return make_initial(*master_, *state.tracker);
 }
@@ -85,8 +84,9 @@ UpdateBatch TombstoneBackend::initial(std::size_t id) {
 UpdateBatch TombstoneBackend::poll(std::size_t id) {
   State& state = states_.at(id);
   if (!state.initialized) return initial(id);
+  const std::vector<const ChangeRecord*> records = state.polled.pending();
   UpdateBatch batch;
-  for (const auto& [key, dn_action] : replay(master_->journal(), state.last_seq)) {
+  for (const auto& [key, dn_action] : replay(records)) {
     const auto& [dn, action] = dn_action;
     if (action == Action::Gone) {
       // A tombstone has no attributes: the master cannot tell whether the
@@ -107,7 +107,7 @@ UpdateBatch TombstoneBackend::poll(std::size_t id) {
       batch.deletes.push_back(dn);
     }
   }
-  state.last_seq = master_->journal().last_seq();
+  state.polled.advance(master_->journal().last_seq());
   return batch;
 }
 
@@ -117,20 +117,19 @@ void TombstoneBackend::on_change(const ChangeRecord&) {
 
 // --- ChangelogBackend ---
 
-ChangelogBackend::ChangelogBackend(const server::DirectoryServer& master,
+ChangelogBackend::ChangelogBackend(server::DirectoryServer& master,
                                    const ldap::Schema& schema)
     : master_(&master), schema_(&schema) {}
 
 std::size_t ChangelogBackend::register_query(const ldap::Query& query) {
-  State state;
-  state.tracker = std::make_unique<ContentTracker>(query, *schema_);
-  states_.push_back(std::move(state));
+  states_.push_back({std::make_unique<ContentTracker>(query, *schema_),
+                     server::ChangeJournal::Reader(master_->journal())});
   return states_.size() - 1;
 }
 
 UpdateBatch ChangelogBackend::initial(std::size_t id) {
   State& state = states_.at(id);
-  state.last_seq = master_->journal().last_seq();
+  state.polled.advance(master_->journal().last_seq());
   state.initialized = true;
   return make_initial(*master_, *state.tracker);
 }
@@ -144,8 +143,9 @@ UpdateBatch ChangelogBackend::poll(std::size_t id) {
 
   // Track, per DN, whether any change record since the last poll touched a
   // filter attribute (the changelog's extra information over tombstones).
+  const std::vector<const ChangeRecord*> records = state.polled.pending();
   std::map<std::string, bool> touched_filter;
-  for (const ChangeRecord* record : master_->journal().since(state.last_seq)) {
+  for (const ChangeRecord* record : records) {
     bool touches = record->type != ChangeType::Modify;  // add/del/rename: yes
     if (record->type == ChangeType::Modify) {
       for (const server::Modification& mod : record->mods) {
@@ -163,7 +163,7 @@ UpdateBatch ChangelogBackend::poll(std::size_t id) {
   }
 
   UpdateBatch batch;
-  for (const auto& [key, dn_action] : replay(master_->journal(), state.last_seq)) {
+  for (const auto& [key, dn_action] : replay(records)) {
     const auto& [dn, action] = dn_action;
     if (action == Action::Gone) {
       // "If an entry is first modified out of the content and then deleted,
@@ -186,7 +186,7 @@ UpdateBatch ChangelogBackend::poll(std::size_t id) {
     // else: only non-filter attributes changed on a non-matching entry; its
     // membership cannot have changed, nothing to ship.
   }
-  state.last_seq = master_->journal().last_seq();
+  state.polled.advance(master_->journal().last_seq());
   return batch;
 }
 

@@ -19,7 +19,7 @@ namespace fbdr::sync {
 class TombstoneBackend : public SyncBackend {
  public:
   explicit TombstoneBackend(
-      const server::DirectoryServer& master,
+      server::DirectoryServer& master,
       const ldap::Schema& schema = ldap::Schema::default_instance());
 
   std::size_t register_query(const ldap::Query& query) override;
@@ -31,11 +31,11 @@ class TombstoneBackend : public SyncBackend {
  private:
   struct State {
     std::unique_ptr<ContentTracker> tracker;
-    std::uint64_t last_seq = 0;
+    server::ChangeJournal::Reader polled;  // journal position of the last poll
     bool initialized = false;
   };
 
-  const server::DirectoryServer* master_;
+  server::DirectoryServer* master_;
   const ldap::Schema* schema_;
   std::vector<State> states_;
 };
@@ -48,7 +48,7 @@ class TombstoneBackend : public SyncBackend {
 class ChangelogBackend : public SyncBackend {
  public:
   explicit ChangelogBackend(
-      const server::DirectoryServer& master,
+      server::DirectoryServer& master,
       const ldap::Schema& schema = ldap::Schema::default_instance());
 
   std::size_t register_query(const ldap::Query& query) override;
@@ -60,11 +60,11 @@ class ChangelogBackend : public SyncBackend {
  private:
   struct State {
     std::unique_ptr<ContentTracker> tracker;  // used only for query matching
-    std::uint64_t last_seq = 0;
+    server::ChangeJournal::Reader polled;  // journal position of the last poll
     bool initialized = false;
   };
 
-  const server::DirectoryServer* master_;
+  server::DirectoryServer* master_;
   const ldap::Schema* schema_;
   std::vector<State> states_;
 };

@@ -149,6 +149,59 @@ TEST(ProcessTopologyTest, MidChainRelayCrashHealsThroughStaleCookies) {
   procs.stop();
 }
 
+// Journals are bounded by their readers: every node's journal (the root's
+// store, each relay's mirror) drops what its master has pumped, so over 200
+// rounds of 4 commits no node holds more than one round's records, and the
+// health plane shows it while the tree runs.
+TEST(ProcessTopologyTest, JournalsHoldAtMostOneRoundOfCommits) {
+  SKIP_WITHOUT_SOCKETS();
+  const std::string workdir = make_workdir();
+  ASSERT_FALSE(workdir.empty());
+
+  ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
+  build_chain(procs);
+  ASSERT_NO_THROW(procs.start());
+
+  TwinChain twin;
+  MutationStream stream(procs, twin);
+  stream.seed();
+  for (const char* name : {"d1", "d2", "leaf"}) {
+    procs.control(name).request("installall");
+  }
+  twin.install();
+  procs.tick();  // pumps the seed adds
+  twin.tick();
+
+  const auto journal_records = [&](const char* name) {
+    return std::stoul(procs.health(name).at("journal_records"));
+  };
+  constexpr unsigned long kCommitsPerRound = 4;
+  for (int round = 0; round < 200; ++round) {
+    // Four modifies inside every chain filter: each reaches every mirror.
+    for (int rank = 0; rank < 4; ++rank) {
+      stream.relabel(0, rank, serial_of(0, (round * 4 + rank) % 90 + 10));
+    }
+    ASSERT_LE(journal_records("root"), kCommitsPerRound) << "round " << round;
+    procs.tick();
+    twin.tick();
+    for (const char* name : {"root", "d1", "d2", "leaf"}) {
+      ASSERT_LE(journal_records(name), kCommitsPerRound)
+          << name << " after round " << round;
+    }
+  }
+  assert_converged(procs, twin, "bounded journals");
+  // The root journaled 32 seed adds and 800 modifies and has dropped them
+  // all. A mirror journals a little less: a relabel to the serial an entry
+  // already holds reaches it as an equal re-delivery, which it skips.
+  EXPECT_EQ(procs.health("root").at("journal_trimmed_up_to"), "832");
+  for (const char* name : {"d1", "d2", "leaf"}) {
+    EXPECT_GE(std::stoul(procs.health(name).at("journal_trimmed_up_to")), 780u)
+        << name;
+  }
+
+  procs.stop();
+}
+
 // Startup is a handshake, not a poll: a node that dies before binding its
 // listeners closes its end of the readiness pipe, and start() fails on that
 // EOF at once instead of retrying until spawn_timeout_ms.
