@@ -11,7 +11,9 @@
 //
 // --max-socket-overhead gates the Unix-socket poll wall-clock factor over
 // the in-process pipe (default: no gate; bench_smoke.sh passes the
-// documented ceiling). Prints SKIP and exits 0 when the sandbox forbids
+// documented ceiling). The transports' polls interleave round by round and
+// the factor divides per-poll medians over the same rounds, so one
+// scheduling stall cannot decide the gate. Prints SKIP and exits 0 when the sandbox forbids
 // sockets: there is nothing to measure, and silence would read as coverage.
 //
 // Usage:
@@ -19,6 +21,7 @@
 //               [--sessions=N] [--min-sessions=N] [--json=PATH]
 //               [--max-socket-overhead=F]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -126,71 +129,128 @@ const char* transport_name(Transport transport) {
 
 struct Run {
   double reload_ns = 0.0;
-  double poll_ns = 0.0;
-  std::size_t polls = 0;
+  std::vector<double> poll_ns;  // one sample per round
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   bool converged = false;
 
   double poll_ns_per_op() const {
-    return polls > 0 ? poll_ns / static_cast<double>(polls) : 0.0;
+    double total = 0.0;
+    for (const double ns : poll_ns) total += ns;
+    return poll_ns.empty() ? 0.0 : total / static_cast<double>(poll_ns.size());
+  }
+
+  double poll_ns_median() const {
+    if (poll_ns.empty()) return 0.0;
+    std::vector<double> sorted = poll_ns;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t mid = sorted.size() / 2;
+    return sorted.size() % 2 == 1 ? sorted[mid]
+                                  : (sorted[mid - 1] + sorted[mid]) / 2.0;
   }
 };
 
-/// One full reload + `rounds` polls of the deterministic update stream over
-/// the chosen transport. Twin masters per transport keep the streams
-/// independent but identical, so the traffic tallies must agree byte for
-/// byte across transports.
-Run run_poll(const Options& options, Transport transport,
-             const std::string& socket_dir) {
-  using namespace fbdr;
-  workload::EnterpriseDirectory dir = make_directory(options.employees);
-  resync::ReSyncMaster master(*dir.master);
-  const ldap::Query query = division_query();
-
-  std::unique_ptr<netio::EpollServer> server;
-  std::shared_ptr<net::FramedChannel> channel;
-  if (transport == Transport::InProcess) {
-    channel = std::make_shared<net::FramedChannel>(master);
-  } else {
-    server = std::make_unique<netio::EpollServer>(master);
-    const netio::SocketAddr addr = server->listen(
-        transport == Transport::UnixSocket
-            ? netio::SocketAddr::unix_path(socket_dir + "/bench_poll.sock")
-            : netio::SocketAddr::tcp("127.0.0.1", 0));
-    server->start();
-    netio::SocketPipe::Options pipe;
-    pipe.addr = addr;
-    channel = std::make_shared<net::FramedChannel>(
-        std::make_shared<netio::SocketPipe>(std::move(pipe)));
-  }
-
-  resync::ReSyncReplica replica(*channel, query);
-  Run run;
-  auto start = Clock::now();
-  replica.start(resync::Mode::Poll);
-  run.reload_ns = ns_since(start);
-
-  workload::UpdateGenerator updates(dir, {});
-  for (std::size_t round = 0; round < options.rounds; ++round) {
-    if (server) {
-      std::lock_guard<std::mutex> lock(server->endpoint_mutex());
-      updates.apply(options.updates_per_round);
-      master.pump();
+/// One transport's world: a twin master over the deterministic directory,
+/// its update stream, and a replica polling it over the chosen transport.
+/// Twin masters per transport keep the streams independent but identical,
+/// so the traffic tallies must agree byte for byte across transports.
+class PollWorld {
+ public:
+  PollWorld(const Options& options, Transport transport,
+            const std::string& socket_dir)
+      : dir_(make_directory(options.employees)),
+        master_(*dir_.master),
+        query_(division_query()),
+        updates_(dir_, {}) {
+    using namespace fbdr;
+    if (transport == Transport::InProcess) {
+      channel_ = std::make_shared<net::FramedChannel>(master_);
     } else {
-      updates.apply(options.updates_per_round);
-      master.pump();
+      server_ = std::make_unique<netio::EpollServer>(master_);
+      const netio::SocketAddr addr = server_->listen(
+          transport == Transport::UnixSocket
+              ? netio::SocketAddr::unix_path(socket_dir + "/bench_poll.sock")
+              : netio::SocketAddr::tcp("127.0.0.1", 0));
+      server_->start();
+      netio::SocketPipe::Options pipe;
+      pipe.addr = addr;
+      channel_ = std::make_shared<net::FramedChannel>(
+          std::make_shared<netio::SocketPipe>(std::move(pipe)));
     }
-    start = Clock::now();
-    replica.poll();
-    run.poll_ns += ns_since(start);
+    replica_ = std::make_unique<resync::ReSyncReplica>(*channel_, query_);
   }
-  run.polls = options.rounds;
-  run.bytes = channel->traffic().bytes;
-  run.frames = channel->traffic().frames;
-  run.converged = content_matches(replica, *dir.master, query);
-  if (server) server->stop();
-  return run;
+
+  /// The initial full reload, timed.
+  void reload() {
+    const auto start = Clock::now();
+    replica_->start(fbdr::resync::Mode::Poll);
+    run_.reload_ns = ns_since(start);
+  }
+
+  /// Commits the round's updates and pumps them into the session.
+  void advance(std::size_t updates) {
+    if (server_) {
+      std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
+      updates_.apply(updates);
+      master_.pump();
+    } else {
+      updates_.apply(updates);
+      master_.pump();
+    }
+  }
+
+  /// One poll, timed as one sample.
+  void poll() {
+    const auto start = Clock::now();
+    replica_->poll();
+    run_.poll_ns.push_back(ns_since(start));
+  }
+
+  Run finish() {
+    run_.bytes = channel_->traffic().bytes;
+    run_.frames = channel_->traffic().frames;
+    run_.converged = content_matches(*replica_, *dir_.master, query_);
+    if (server_) server_->stop();
+    return run_;
+  }
+
+ private:
+  fbdr::workload::EnterpriseDirectory dir_;
+  fbdr::resync::ReSyncMaster master_;
+  fbdr::ldap::Query query_;
+  fbdr::workload::UpdateGenerator updates_;
+  std::unique_ptr<fbdr::netio::EpollServer> server_;
+  std::shared_ptr<fbdr::net::FramedChannel> channel_;
+  std::unique_ptr<fbdr::resync::ReSyncReplica> replica_;
+  Run run_;
+};
+
+/// One full reload + `rounds` polls of the deterministic update stream over
+/// every transport, interleaved: each round advances every world by the
+/// same updates, then polls each replica once, in an order that rotates
+/// every round so no transport always goes first. The medians the overhead
+/// factors divide are taken over the same rounds, so a scheduling stall
+/// lands in one sample of one transport and the median drops it, instead of
+/// inflating a whole back-to-back run. Returns the runs in Transport order.
+std::vector<Run> run_polls(const Options& options,
+                           const std::string& socket_dir) {
+  const Transport transports[] = {Transport::InProcess, Transport::UnixSocket,
+                                  Transport::TcpLoopback};
+  std::vector<std::unique_ptr<PollWorld>> worlds;
+  for (const Transport transport : transports) {
+    worlds.push_back(
+        std::make_unique<PollWorld>(options, transport, socket_dir));
+    worlds.back()->reload();
+  }
+  for (std::size_t round = 0; round < options.rounds; ++round) {
+    for (auto& world : worlds) world->advance(options.updates_per_round);
+    for (std::size_t i = 0; i < worlds.size(); ++i) {
+      worlds[(round + i) % worlds.size()]->poll();
+    }
+  }
+  std::vector<Run> runs;
+  for (auto& world : worlds) runs.push_back(world->finish());
+  return runs;
 }
 
 struct ConcurrencyRun {
@@ -268,6 +328,7 @@ void transport_json(fbdr::bench::JsonValue& report, const Run& run,
   fbdr::bench::JsonValue out = fbdr::bench::JsonValue::object();
   out.set("reload_ns", run.reload_ns);
   out.set("poll_ns_per_op", run.poll_ns_per_op());
+  out.set("poll_ns_median", run.poll_ns_median());
   out.set("bytes", run.bytes);
   out.set("frames", run.frames);
   out.set("converged", fbdr::bench::JsonValue::boolean(run.converged));
@@ -304,17 +365,16 @@ int main(int argc, char** argv) {
                       "exact frame traffic, epoll frames/sec under "
                       "concurrent replica sessions");
 
-  const Run inproc = run_poll(options, Transport::InProcess, workdir);
-  const Run unix_run = run_poll(options, Transport::UnixSocket, workdir);
-  const Run tcp_run = run_poll(options, Transport::TcpLoopback, workdir);
+  const std::vector<Run> runs = run_polls(options, workdir);
+  const Run& inproc = runs[0];
+  const Run& unix_run = runs[1];
+  const Run& tcp_run = runs[2];
   const ConcurrencyRun many = run_concurrency(options, workdir);
 
-  const double unix_factor = inproc.poll_ns_per_op() > 0.0
-                                 ? unix_run.poll_ns_per_op() / inproc.poll_ns_per_op()
-                                 : 0.0;
-  const double tcp_factor = inproc.poll_ns_per_op() > 0.0
-                                ? tcp_run.poll_ns_per_op() / inproc.poll_ns_per_op()
-                                : 0.0;
+  const double base = inproc.poll_ns_median();
+  const double unix_factor =
+      base > 0.0 ? unix_run.poll_ns_median() / base : 0.0;
+  const double tcp_factor = base > 0.0 ? tcp_run.poll_ns_median() / base : 0.0;
   const bool bit_identical = unix_run.bytes == inproc.bytes &&
                              tcp_run.bytes == inproc.bytes &&
                              unix_run.frames == inproc.frames &&
@@ -328,6 +388,7 @@ int main(int argc, char** argv) {
         {tcp_run, Transport::TcpLoopback}}) {
     const std::string name = transport_name(transport);
     bench::print_row(name + "_poll_ns_per_op", 0, run.poll_ns_per_op());
+    bench::print_row(name + "_poll_ns_median", 0, run.poll_ns_median());
     bench::print_row(name + "_reload_ns", 0, run.reload_ns);
     bench::print_row(name + "_bytes", 0, static_cast<double>(run.bytes));
   }
@@ -361,10 +422,11 @@ int main(int argc, char** argv) {
   report.set("all_converged", bench::JsonValue::boolean(all_converged));
   bench::write_json_report(options.json_path, report);
 
-  std::printf("# poll: inproc %.0f ns, unix %.0f ns (%.2fx), tcp %.0f ns "
-              "(%.2fx); %zu/%zu concurrent sessions at %.0f frames/s\n",
-              inproc.poll_ns_per_op(), unix_run.poll_ns_per_op(), unix_factor,
-              tcp_run.poll_ns_per_op(), tcp_factor, many.sustained,
+  std::printf("# poll median: inproc %.0f ns, unix %.0f ns (%.2fx), tcp "
+              "%.0f ns (%.2fx); %zu/%zu concurrent sessions at %.0f "
+              "frames/s\n",
+              inproc.poll_ns_median(), unix_run.poll_ns_median(), unix_factor,
+              tcp_run.poll_ns_median(), tcp_factor, many.sustained,
               many.sessions, many.frames_per_sec);
 
   if (!all_converged) {

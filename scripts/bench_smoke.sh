@@ -31,10 +31,12 @@
 #                          ship bit-identical frame traffic to the
 #                          in-process pipe, and keep the Unix-socket poll
 #                          within --max-socket-overhead (default 5.0) times
-#                          the in-process EndpointPipe. The measured factor
-#                          is ~0.6-2.2x on loopback (encode cost dominates;
-#                          the kernel adds tens of microseconds), so 5.0 is
-#                          a regression ceiling, not a typical value.
+#                          the in-process EndpointPipe. The factor divides
+#                          per-poll medians over interleaved rounds and
+#                          reads ~1.2-1.3x on loopback (encode cost
+#                          dominates; the kernel adds tens of
+#                          microseconds), so 5.0 is a regression ceiling,
+#                          not a typical value.
 #                          Prints SKIP and passes when the host forbids
 #                          sockets.
 #   bench_socket_chaos     a SocketPipe replica behind the seeded ChaosProxy

@@ -13,10 +13,11 @@
 # state crossing a shard boundary, the pump-pool barrier, shard threads
 # reading a batch the barrier then frees),
 # then the socket loopback suites under ASan with a hard timeout (stream
-# reassembly and the epoll server are where over-reads would hide), then the
-# socket chaos suites under ASan with their own hard timeout (the ChaosProxy
-# relay legs and the supervised-respawn paths are where use-after-close and
-# leaked-fd bugs would hide).
+# reassembly, the epoll server and the control plane's line parsing are
+# where over-reads would hide), then the socket chaos suites under ASan
+# with their own hard timeout (the ChaosProxy relay legs and the
+# supervised-respawn paths are where use-after-close and leaked-fd bugs
+# would hide).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +40,8 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       sync_install_plan_test server_index_test server_journal_test sync_backends_test \
       resync_shard_equivalence_test bench_common_test \
       wire_roundtrip_test wire_fuzz_test topology_relay_test core_service_test \
-      netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
+      netio_pipe_test netio_socket_test netio_control_test netio_process_test \
+      netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
       -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend'
 
@@ -51,7 +53,7 @@ echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # The hard timeout guards against a hung epoll loop or a wedged child
 # process eating the whole CI run.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ProcessTopology'
+      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology'
 
 echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # The seeded ChaosProxy drives real byte faults (partitions, resets,

@@ -91,6 +91,15 @@ std::vector<std::string> ControlClient::request(const std::string& line) {
 
 std::vector<std::vector<std::string>> ControlClient::request_all(
     const std::vector<std::string>& lines) {
+  send(lines);
+  return finish();
+}
+
+void ControlClient::send(const std::vector<std::string>& lines) {
+  if (fd_ < 0) {
+    throw std::runtime_error("control connection closed (" +
+                             addr_.to_string() + ")");
+  }
   std::string out;
   for (const std::string& line : lines) {
     out += line;
@@ -102,21 +111,40 @@ std::vector<std::vector<std::string>> ControlClient::request_all(
         ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      const int send_errno = errno;
+      fail();
       throw std::runtime_error(std::string("control send: ") +
-                               std::strerror(errno));
+                               std::strerror(send_errno));
     }
     sent += static_cast<std::size_t>(n);
   }
+  unanswered_.insert(unanswered_.end(), lines.begin(), lines.end());
+}
+
+std::vector<std::vector<std::string>> ControlClient::finish() {
   std::vector<std::vector<std::string>> payloads;
-  payloads.reserve(lines.size());
+  payloads.reserve(unanswered_.size());
   std::string first_error;
-  for (const std::string& line : lines) {
-    std::string error;
-    payloads.push_back(read_reply(line, &error));
-    if (first_error.empty()) first_error = std::move(error);
+  try {
+    for (const std::string& line : unanswered_) {
+      std::string error;
+      payloads.push_back(read_reply(line, &error));
+      if (first_error.empty()) first_error = std::move(error);
+    }
+  } catch (...) {
+    fail();
+    throw;
   }
+  unanswered_.clear();
   if (!first_error.empty()) throw std::runtime_error(first_error);
   return payloads;
+}
+
+void ControlClient::fail() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  buffer_.clear();
+  unanswered_.clear();
 }
 
 std::map<std::string, std::string> ControlClient::health() {

@@ -22,6 +22,13 @@ namespace fbdr::netio {
 /// without those operations racing the frame traffic: the node handles
 /// control lines on the same epoll loop thread that dispatches frames.
 ///
+/// Each node has its own connection, so a caller can keep several nodes
+/// busy at once: ProcessTopology::tick() send()s "sync" to every relay of
+/// one depth before it finish()es any of them, and same-depth siblings
+/// overlap their upstream polls on their parent (each on its own session,
+/// against a parent whose content does not move until its own, shallower
+/// level syncs).
+///
 /// Commands (role in parens when restricted):
 ///
 ///   ping                                     liveness probe
@@ -57,11 +64,22 @@ class ControlClient {
   /// Throws std::runtime_error on "err", transport failure or timeout.
   std::vector<std::string> request(const std::string& line);
 
-  /// Pipelined: writes every line in one send, then reads every reply in
-  /// order. All replies are consumed even when one is "err", so the stream
-  /// stays in sync; the first error is then thrown. Returns the payloads.
+  /// Pipelined: send(lines), then finish(). Returns the payloads.
   std::vector<std::vector<std::string>> request_all(
       const std::vector<std::string>& lines);
+
+  /// First half of a pipelined exchange: writes every line in one send and
+  /// reads nothing. A caller can send() to several nodes before it
+  /// finish()es any of them, so the nodes work at once.
+  void send(const std::vector<std::string>& lines);
+
+  /// Second half: reads the reply of every line sent and not yet answered,
+  /// in order, and returns their payloads. All are consumed even when one
+  /// is "err", so the stream stays in step; the first error is then thrown.
+  /// A transport failure (timeout, closed connection, garbled reply) closes
+  /// the client, and its later calls throw: a late reply can never be read
+  /// as the answer to a later command.
+  std::vector<std::vector<std::string>> finish();
 
   /// health command parsed into a key -> value map.
   std::map<std::string, std::string> health();
@@ -72,9 +90,13 @@ class ControlClient {
   std::vector<std::string> read_reply(const std::string& line,
                                       std::string* error);
 
+  /// Closes the connection after a transport failure.
+  void fail();
+
   int fd_ = -1;
   int timeout_ms_;
   std::string buffer_;
+  std::vector<std::string> unanswered_;  // lines sent, replies not yet read
   SocketAddr addr_;
 };
 

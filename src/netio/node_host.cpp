@@ -3,9 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
-#include <sstream>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "net/framed_channel.h"
@@ -16,18 +19,55 @@ namespace fbdr::netio {
 
 namespace {
 
-std::vector<std::string> split(const std::string& text, char delim) {
+std::vector<std::string> split(std::string_view text, char delim) {
   std::vector<std::string> parts;
-  std::size_t start = 0;
   for (;;) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + 1;
+    const std::size_t pos = text.find(delim);
+    parts.emplace_back(text.substr(0, pos));
+    if (pos == std::string_view::npos) return parts;
+    text.remove_prefix(pos + 1);
   }
+}
+
+// The whitespace `std::istream >>` skips (the program runs in the "C"
+// locale).
+bool is_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+std::string_view skip_space(std::string_view text) {
+  std::size_t i = 0;
+  while (i < text.size() && is_space(text[i])) ++i;
+  return text.substr(i);
+}
+
+/// Takes the first whitespace-delimited word off `text` and leaves `text` at
+/// what follows, leading whitespace skipped: the word and the rest of
+/// `in >> word; std::getline(in >> std::ws, rest)` on one line.
+std::string_view next_word(std::string_view& text) {
+  text = skip_space(text);
+  std::size_t end = 0;
+  while (end < text.size() && !is_space(text[end])) ++end;
+  const std::string_view word = text.substr(0, end);
+  text = skip_space(text.substr(end));
+  return word;
+}
+
+/// The count of "tick <n>", read as `std::istream >> std::uint64_t` reads
+/// it: no count leaves `missing`; a sign and leading digits are taken and
+/// the rest ignored (a minus wraps); no digits read 0; an overflow saturates.
+std::uint64_t parse_count(std::string_view text, std::uint64_t missing) {
+  if (text.empty()) return missing;
+  const bool negative = text.front() == '-';
+  if (negative || text.front() == '+') text.remove_prefix(1);
+  std::uint64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc::result_out_of_range) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  if (error != std::errc()) return 0;
+  return negative ? 0 - value : value;
 }
 
 std::string ok(const std::vector<std::string>& payload = {}) {
@@ -40,7 +80,7 @@ std::string err(const std::string& message) { return "err " + message + "\n"; }
 
 /// "<a>=<v1>,<v2>;<a2>=..." into attribute/value pairs.
 std::vector<std::pair<std::string, std::vector<std::string>>> parse_attrs(
-    const std::string& text) {
+    std::string_view text) {
   std::vector<std::pair<std::string, std::vector<std::string>>> attrs;
   if (text.empty()) return attrs;
   for (const std::string& part : split(text, ';')) {
@@ -49,17 +89,19 @@ std::vector<std::pair<std::string, std::vector<std::string>>> parse_attrs(
     if (eq == std::string::npos) {
       throw std::invalid_argument("attribute without '=': " + part);
     }
-    attrs.emplace_back(part.substr(0, eq), split(part.substr(eq + 1), ','));
+    attrs.emplace_back(part.substr(0, eq),
+                       split(std::string_view(part).substr(eq + 1), ','));
   }
   return attrs;
 }
 
 }  // namespace
 
-ldap::Query parse_query_spec(const std::string& spec) {
+ldap::Query parse_query_spec(std::string_view spec) {
   const std::vector<std::string> parts = split(spec, '|');
   if (parts.size() != 3) {
-    throw std::invalid_argument("query spec must be base|scope|filter: " + spec);
+    throw std::invalid_argument("query spec must be base|scope|filter: " +
+                                std::string(spec));
   }
   ldap::Scope scope;
   if (parts[1] == "base") {
@@ -116,6 +158,11 @@ resync::ReSyncEndpoint& NodeHost::endpoint() {
 }
 
 void NodeHost::run() {
+  listen();
+  server_->run();
+}
+
+void NodeHost::listen() {
   server_->listen(options_.listen);
   server_->listen_control(options_.control,
                           [this](const std::string& line) {
@@ -130,14 +177,12 @@ void NodeHost::run() {
     ::close(options_.ready_fd);
     options_.ready_fd = -1;
   }
-  server_->run();
 }
 
 std::string NodeHost::handle_control(const std::string& line) {
   try {
-    std::istringstream in(line);
-    std::string command;
-    in >> command;
+    std::string_view rest = line;
+    const std::string_view command = next_word(rest);
 
     if (command == "ping") return ok();
 
@@ -147,8 +192,7 @@ std::string NodeHost::handle_control(const std::string& line) {
     }
 
     if (command == "tick") {
-      std::uint64_t ticks = 1;
-      in >> ticks;
+      const std::uint64_t ticks = parse_count(rest, 1);
       std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
       endpoint().tick(ticks);
       return ok();
@@ -156,10 +200,8 @@ std::string NodeHost::handle_control(const std::string& line) {
 
     if (command == "install") {
       if (!relay_) return err("install: not a relay");
-      std::string spec;
-      std::getline(in >> std::ws, spec);
       std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
-      relay_->add_filter(parse_query_spec(spec));
+      relay_->add_filter(parse_query_spec(rest));
       return ok();
     }
 
@@ -183,33 +225,22 @@ std::string NodeHost::handle_control(const std::string& line) {
       return ok();
     }
 
-    if (command == "apply") {
-      std::string rest;
-      std::getline(in >> std::ws, rest);
-      return do_apply(rest);
-    }
+    if (command == "apply") return do_apply(rest);
 
-    if (command == "keys") {
-      std::string spec;
-      std::getline(in >> std::ws, spec);
-      return do_keys(spec);
-    }
+    if (command == "keys") return do_keys(rest);
 
     if (command == "health") return do_health();
 
-    return err("unknown command: " + command);
+    return err("unknown command: " + std::string(command));
   } catch (const std::exception& e) {
     return err(e.what());
   }
 }
 
-std::string NodeHost::do_apply(const std::string& rest) {
+std::string NodeHost::do_apply(std::string_view rest) {
   if (!store_) return err("apply: not the root");
-  std::istringstream in(rest);
-  std::string op;
-  in >> op;
-  std::string spec;
-  std::getline(in >> std::ws, spec);
+  const std::string op(next_word(rest));
+  const std::string_view spec = rest;
 
   std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
   if (op == "del") {
@@ -217,7 +248,9 @@ std::string NodeHost::do_apply(const std::string& rest) {
     return ok();
   }
   const std::size_t bar = spec.find('|');
-  if (bar == std::string::npos) return err("apply " + op + ": missing '|'");
+  if (bar == std::string_view::npos) {
+    return err("apply " + op + ": missing '|'");
+  }
   const ldap::Dn dn = ldap::Dn::parse(spec.substr(0, bar));
   const auto attrs = parse_attrs(spec.substr(bar + 1));
 
@@ -238,7 +271,7 @@ std::string NodeHost::do_apply(const std::string& rest) {
   return err("apply: op must be add|del|mod");
 }
 
-std::string NodeHost::do_keys(const std::string& spec) {
+std::string NodeHost::do_keys(std::string_view spec) {
   const ldap::Query query = parse_query_spec(spec);
   std::vector<std::string> keys;
   {
@@ -261,13 +294,13 @@ std::string NodeHost::do_health() {
     lines.push_back("sessions " + std::to_string(master_->session_count()));
     lines.push_back("now " + std::to_string(master_->now()));
   } else {
+    const net::FilterHealth upstream = relay_->upstream_total();
     lines.push_back("role relay");
     lines.push_back("epoch " + std::to_string(relay_->epoch()));
-    lines.push_back("recoveries " + std::to_string(relay_->recoveries()));
-    lines.push_back("degraded " + std::string(relay_->any_degraded() ? "1" : "0"));
+    lines.push_back("recoveries " + std::to_string(upstream.recoveries));
+    lines.push_back("degraded " + std::string(upstream.degraded ? "1" : "0"));
     lines.push_back("failed_streak " + std::to_string(relay_->failed_streak()));
     lines.push_back("root_time " + std::to_string(relay_->root_time()));
-    const net::FilterHealth upstream = relay_->upstream_health().total();
     lines.push_back("full_reloads " + std::to_string(upstream.full_reloads));
     lines.push_back("reconciles " + std::to_string(upstream.reconciles));
     lines.push_back("sessions " +

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/channel.h"
 #include "netio/epoll_server.h"
@@ -19,8 +20,8 @@ namespace fbdr::netio {
 /// (see control.h for the protocol).
 ///
 /// fbdr_node's main() is a thin argv wrapper around this class; tests can
-/// also run a NodeHost in-process (server().start()) to get the exact
-/// serving stack without a fork.
+/// also run a NodeHost in-process (listen(), then server().start()) to get
+/// the exact serving stack without a fork.
 ///
 /// Threading: the node is single-threaded by design — run() puts frame
 /// dispatch AND control handling on the one epoll loop thread, so a sync
@@ -59,17 +60,19 @@ class NodeHost {
 
   explicit NodeHost(Options options);
 
-  /// Binds both listeners, signals ready_fd, and runs the loop inline until
-  /// a quit command.
+  /// listen(), then runs the loop inline until a quit command.
   void run();
+
+  /// Binds both listeners and signals ready_fd.
+  void listen();
 
   EpollServer& server() { return *server_; }
   resync::ReSyncEndpoint& endpoint();
 
  private:
   std::string handle_control(const std::string& line);
-  std::string do_apply(const std::string& rest);
-  std::string do_keys(const std::string& spec);
+  std::string do_apply(std::string_view rest);
+  std::string do_keys(std::string_view spec);
   std::string do_health();
 
   Options options_;
@@ -84,6 +87,6 @@ class NodeHost {
 
 /// Parses "<base>|<scope>|<filter>" with scope base|one|sub (the query
 /// spelling of the control plane and ProcessTopology filter specs).
-ldap::Query parse_query_spec(const std::string& spec);
+ldap::Query parse_query_spec(std::string_view spec);
 
 }  // namespace fbdr::netio

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 
 namespace fbdr::netio {
@@ -226,36 +227,49 @@ std::vector<std::string> ProcessTopology::relay_names_deepest_first() const {
 void ProcessTopology::tick() {
   ++tick_count_;
   supervise();
-  // Deepest-first, like TopologyRuntime::tick(): each relay pulls from its
-  // parent (and pumps its own downstream sessions inside sync()) before the
-  // parent's content moves again, then the root routes its journal and the
-  // clock advances.
-  for (const std::string& name : relay_names_deepest_first()) {
-    Node& n = node(name);
-    if (n.pid <= 0 || !n.client) continue;  // down: degrades, later heals
-    if (supervisor_.enabled) {
-      // Under supervision a node may die mid-command (kill storms); the
-      // round is lost for this relay, the next sweep notices the corpse.
-      try {
-        n.client->request("sync");
-      } catch (const std::exception&) {
-      }
-    } else {
-      n.client->request("sync");
+  // Under supervision a node may die mid-command (kill storms): its round
+  // is lost, and the next sweep notices the corpse. Unsupervised, the first
+  // failure is rethrown once every reply already owed has been read.
+  std::exception_ptr failure;
+  const auto guarded = [&failure](auto&& step) {
+    try {
+      step();
+    } catch (const std::exception&) {
+      if (!failure) failure = std::current_exception();
     }
+  };
+  // Deepest level first, like TopologyRuntime::tick(): each relay pulls
+  // from its parent (and pumps its own downstream sessions inside sync())
+  // before the parent's content moves again. A level syncs as one fan-out:
+  // every relay in it gets its line before any reply is read, so siblings
+  // overlap on their parent. Then the root routes its journal and the clock
+  // advances.
+  const std::vector<std::string> relays = relay_names_deepest_first();
+  for (auto level = relays.begin(); level != relays.end();) {
+    const int depth = node(*level).depth;
+    const auto next = std::find_if(level, relays.end(),
+                                   [&](const std::string& name) {
+                                     return node(name).depth != depth;
+                                   });
+    std::vector<Node*> sent;
+    for (auto it = level; it != next; ++it) {
+      Node& n = node(*it);
+      if (n.pid <= 0 || !n.client) continue;  // down: degrades, later heals
+      guarded([&] {
+        n.client->send({"sync"});
+        sent.push_back(&n);
+      });
+    }
+    for (Node* n : sent) guarded([n] { n->client->finish(); });
+    if (failure && !supervisor_.enabled) std::rethrow_exception(failure);
+    level = next;
   }
   Node& r = node(root_);
   if (r.pid <= 0 || !r.client) return;  // root down: no pump, clock holds
   // Both lines in one write: the root's loop answers them from one read
   // batch, in one send.
-  if (supervisor_.enabled) {
-    try {
-      r.client->request_all({"pump", "tick 1"});
-    } catch (const std::exception&) {
-    }
-  } else {
-    r.client->request_all({"pump", "tick 1"});
-  }
+  guarded([&r] { r.client->request_all({"pump", "tick 1"}); });
+  if (failure && !supervisor_.enabled) std::rethrow_exception(failure);
 }
 
 void ProcessTopology::supervise() {

@@ -110,6 +110,9 @@ class ProcessTopology {
   /// One replication round, exactly TopologyRuntime::tick(): every relay
   /// syncs deepest-first (leaves pull before their parents change again),
   /// then the root pumps its journal into sessions and advances one tick.
+  /// The relays of one depth sync as one fan-out: each gets its "sync" line
+  /// before any reply is read (ControlClient::send/finish), so siblings
+  /// overlap on their parent.
   void tick();
 
   ControlClient& control(const std::string& name);

@@ -351,11 +351,7 @@ server::SearchResult RelayNode::process_search(const Query& query) {
 }
 
 std::uint64_t RelayNode::recoveries() const noexcept {
-  std::uint64_t total = 0;
-  for (const UpstreamFilter& filter : filters_) {
-    total += filter.session.health(downstream_.now()).recoveries;
-  }
-  return total;
+  return upstream_total().recoveries;
 }
 
 net::HealthStats RelayNode::upstream_health() const {
@@ -365,6 +361,14 @@ net::HealthStats RelayNode::upstream_health() const {
                           filter.session.health(downstream_.now()));
   }
   return stats;
+}
+
+net::FilterHealth RelayNode::upstream_total() const noexcept {
+  net::FilterHealth total;
+  for (const UpstreamFilter& filter : filters_) {
+    total += filter.session.health(downstream_.now());
+  }
+  return total;
 }
 
 bool RelayNode::any_degraded() const {

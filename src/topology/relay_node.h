@@ -164,6 +164,9 @@ class RelayNode final : public resync::ReSyncEndpoint,
 
   /// Per-filter upstream session health (degradation, retries, recoveries).
   net::HealthStats upstream_health() const;
+  /// Every upstream session's health folded into one
+  /// (FilterHealth::operator+=), without the per-filter map.
+  net::FilterHealth upstream_total() const noexcept;
 
   bool any_degraded() const;
   std::size_t filter_count() const noexcept { return filters_.size(); }

@@ -264,7 +264,7 @@ std::vector<NodeHealth> TopologyRuntime::health() const {
     health.evicted_sessions = downstream.governor_stats().sessions_evicted;
     health.history_units = downstream.history_units();
     health.replay_bytes = downstream.replay_cache_bytes();
-    const net::FilterHealth upstream = node->relay->upstream_health().total();
+    const net::FilterHealth upstream = node->relay->upstream_total();
     health.upstream_busy = upstream.busy_rejections;
     health.full_reloads = upstream.full_reloads;
     health.reconciles = upstream.reconciles;

@@ -560,7 +560,13 @@ Bytes Codec::encode_request(const ldap::Query& query,
                             const resync::ReSyncControl& control) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(FrameKind::Request));
-  w.tlv(kReqQuery, [&](Writer& f) { put_query(f, query); });
+  // The master keeps a session's query under its cookie, so only a request
+  // that can create a session (initial) or end one (SyncEnd, whose query
+  // guards a respawned master's reused ids) ships it. A Poll or Persist
+  // continuation, reconcile round 2 included, is (mode, cookie) alone.
+  if (control.initial() || control.mode == resync::Mode::SyncEnd) {
+    w.tlv(kReqQuery, [&](Writer& f) { put_query(f, query); });
+  }
   w.tlv(kReqControl, [&](Writer& f) { put_control(f, control); });
   return w.take();
 }

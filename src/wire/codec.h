@@ -25,13 +25,16 @@ using Bytes = std::vector<std::uint8_t>;
 
 /// First byte of every payload: what the remaining TLV fields describe.
 enum class FrameKind : std::uint8_t {
-  Request = 1,   // query + ReSyncControl
+  Request = 1,   // ReSyncControl (+ query on initial and SyncEnd requests)
   Response = 2,  // ReSyncResponse
   Abandon = 3,   // one-way cookie abandon
   Error = 4,     // typed protocol rejection crossing the wire
 };
 
-/// A decoded request: the two arguments of ReSyncEndpoint::handle.
+/// A decoded request: the two arguments of ReSyncEndpoint::handle. A Poll
+/// or Persist continuation names its session by cookie alone and decodes
+/// with a null query filter; a continuation that does carry a query (an
+/// older encoder) decodes it as sent.
 struct RequestFrame {
   ldap::Query query;
   resync::ReSyncControl control;
@@ -88,6 +91,7 @@ class Codec {
   static constexpr int kMaxFilterDepth = 64;
 
   // --- payload encode ---
+  /// Writes the query only for initial and SyncEnd requests (DESIGN.md §14).
   static Bytes encode_request(const ldap::Query& query,
                               const resync::ReSyncControl& control);
   static Bytes encode_response(const resync::ReSyncResponse& response);

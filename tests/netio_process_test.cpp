@@ -16,11 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "netio/process_topology.h"
 #include "netio_test_util.h"
+#include "topology/runtime.h"
 
 #ifndef FBDR_NODE_BIN
 #error "netio_process_test needs FBDR_NODE_BIN (path to the fbdr_node binary)"
@@ -32,8 +36,12 @@ namespace {
 using testutil::assert_converged;
 using testutil::build_chain;
 using testutil::make_workdir;
+using testutil::master_truth;
+using testutil::mirror_keys;
 using testutil::MutationStream;
 using testutil::serial_of;
+using testutil::serial_query;
+using testutil::serial_spec;
 using testutil::topology_options;
 using testutil::TwinChain;
 
@@ -231,6 +239,204 @@ TEST(ProcessTopologyTest, NodeDyingAtStartupFailsStartAtOnce) {
       << "start() waited for the deadline instead of the readiness EOF";
   EXPECT_FALSE(procs.running("d2"));
   EXPECT_TRUE(procs.running("d1")) << "nodes before d2 were spawned normally";
+  procs.stop();
+}
+
+// --- same-depth fan-out ---------------------------------------------------
+
+// root -> relay "r" -> three sibling leaves, in processes and as an
+// in-process TopologyRuntime twin. tick() syncs the siblings as one fan-out
+// (every "sync" line sent before any reply is read); the twin syncs them one
+// after another. Siblings only read from their parent, whose content holds
+// still until its own level syncs, so the two must agree after every round.
+const char* const kSiblings[] = {"a", "b", "c"};
+
+std::string sibling_prefix(const std::string& name) {
+  if (name == "a") return "00";
+  if (name == "b") return "01";
+  return "0";  // r and c replicate the same filter
+}
+
+void build_fan(ProcessTopology& procs) {
+  procs.add_root("root");
+  procs.add_relay("r", "root", {serial_spec("0")});
+  for (const char* leaf : kSiblings) {
+    procs.add_relay(leaf, "r", {serial_spec(sibling_prefix(leaf))});
+  }
+}
+
+struct FanTwin {
+  std::shared_ptr<server::DirectoryServer> master;
+  std::unique_ptr<topology::TopologyRuntime> runtime;
+
+  FanTwin() {
+    master = std::make_shared<server::DirectoryServer>("ldap://root");
+    master->add_context({ldap::Dn::parse("o=xyz"), {}});
+    master->load(ldap::make_entry("o=xyz", {{"objectclass", "organization"}}));
+    topology::TopologyRuntime::Options options;
+    options.retry = {4, 1, 2.0, 16, 0};  // fbdr_node's relay retry policy
+    runtime = std::make_unique<topology::TopologyRuntime>(master, options);
+    runtime->add_node("r", "", {serial_query("0")});
+    for (const char* leaf : kSiblings) {
+      runtime->add_node(leaf, "r", {serial_query(sibling_prefix(leaf))});
+    }
+  }
+};
+
+/// A seeded stream of adds (inside and outside the relay's filter),
+/// deletes and relabels, applied to both roots.
+class SeededStream {
+ public:
+  SeededStream(MutationStream& stream, unsigned seed)
+      : stream_(&stream), rng_(seed) {}
+
+  void step() {
+    const int group = pick(0, 7);
+    switch (pick(0, 3)) {
+      case 0:
+      case 1:
+        stream_->add(group, next_rank_++);
+        break;
+      case 2:
+        stream_->remove(group, pick(0, next_rank_));
+        break;
+      default:
+        stream_->relabel(group, pick(0, next_rank_),
+                         serial_of(pick(0, 7), pick(0, 99)));
+        break;
+    }
+  }
+
+ private:
+  int pick(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+
+  MutationStream* stream_;
+  std::mt19937 rng_;
+  int next_rank_ = 4;  // MutationStream::seed() adds ranks 0..3
+};
+
+void expect_fan_matches(ProcessTopology& procs, FanTwin& twin,
+                        const std::string& note) {
+  for (const char* name : {"r", "a", "b", "c"}) {
+    const ldap::Query query = serial_query(sibling_prefix(name));
+    const std::vector<std::string> keys =
+        procs.keys(name, serial_spec(sibling_prefix(name)));
+    EXPECT_EQ(keys, mirror_keys(twin.runtime->node(name), query))
+        << name << " diverged from its TopologyRuntime twin (" << note << ")";
+    EXPECT_FALSE(keys.empty()) << name << " holds nothing (" << note << ")";
+  }
+}
+
+TEST(ProcessTopologyFanOut, SiblingsMatchRuntimeTwinEveryRound) {
+  SKIP_WITHOUT_SOCKETS();
+  const std::string workdir = make_workdir();
+  ASSERT_FALSE(workdir.empty());
+
+  ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
+  build_fan(procs);
+  ASSERT_NO_THROW(procs.start());
+
+  FanTwin twin;
+  MutationStream stream(procs, *twin.master);
+  stream.seed();
+  for (const char* name : {"r", "a", "b", "c"}) {
+    ASSERT_EQ(procs.control(name).request("installall"),
+              std::vector<std::string>{"1"});
+  }
+  ASSERT_TRUE(twin.runtime->install());
+
+  SeededStream seeded(stream, 2024);
+  for (int round = 0; round < 24; ++round) {
+    for (int op = 0; op < 3; ++op) seeded.step();
+    procs.tick();
+    twin.runtime->tick();
+    expect_fan_matches(procs, twin, "round " + std::to_string(round));
+    if (::testing::Test::HasFailure()) break;
+  }
+  for (int round = 0; round < 3; ++round) {
+    procs.tick();
+    twin.runtime->tick();
+  }
+  for (const char* name : {"r", "a", "b", "c"}) {
+    const ldap::Query query = serial_query(sibling_prefix(name));
+    EXPECT_EQ(procs.keys(name, serial_spec(sibling_prefix(name))),
+              master_truth(*twin.master, query))
+        << name << " diverged from master truth";
+  }
+  procs.stop();
+}
+
+// A sibling SIGKILLed between send and finish: its finish may read its
+// reply or fail, but the other siblings' streams stay in step — the next
+// command on each reads its own reply, not a leftover — and the supervisor
+// respawns the dead node, which heals into the same content.
+TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
+  SKIP_WITHOUT_SOCKETS();
+  const std::string workdir = make_workdir();
+  ASSERT_FALSE(workdir.empty());
+
+  ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
+  build_fan(procs);
+  ProcessTopology::SupervisorOptions supervisor;
+  supervisor.enabled = true;
+  supervisor.seed = 7;
+  procs.set_supervisor(supervisor);
+  ASSERT_NO_THROW(procs.start());
+
+  FanTwin twin;
+  MutationStream stream(procs, *twin.master);
+  stream.seed();
+  for (const char* name : {"r", "a", "b", "c"}) {
+    procs.control(name).request("installall");
+  }
+  ASSERT_TRUE(twin.runtime->install());
+  SeededStream seeded(stream, 99);
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 3; ++op) seeded.step();
+    procs.tick();
+    twin.runtime->tick();
+  }
+
+  // The leaf level of one round, by hand: every sibling gets its line, then
+  // "b" dies before any reply is read.
+  for (int op = 0; op < 3; ++op) seeded.step();
+  for (const char* leaf : kSiblings) procs.control(leaf).send({"sync"});
+  procs.crash("b", /*reap_now=*/false);
+  EXPECT_NO_THROW(procs.control("a").finish());
+  EXPECT_NO_THROW(procs.control("c").finish());
+  try {
+    procs.control("b").finish();  // the reply may have left before the kill
+  } catch (const std::runtime_error&) {
+  }
+  for (const char* leaf : kSiblings) twin.runtime->node(leaf).sync();
+  for (const char* leaf : {"a", "c"}) {
+    const ldap::Query query = serial_query(sibling_prefix(leaf));
+    EXPECT_EQ(procs.control(leaf).request("ping"), std::vector<std::string>{});
+    const std::vector<std::string> keys =
+        procs.keys(leaf, serial_spec(sibling_prefix(leaf)));
+    EXPECT_EQ(keys, mirror_keys(twin.runtime->node(leaf), query)) << leaf;
+    EXPECT_FALSE(keys.empty()) << leaf;
+  }
+
+  // The rest of the round, then rounds until the supervisor has respawned
+  // "b" and it has healed.
+  for (int round = 0; round < 12; ++round) {
+    if (round < 4) {
+      for (int op = 0; op < 3; ++op) seeded.step();
+    }
+    procs.tick();
+    twin.runtime->tick();
+  }
+  // Died once, came back (its restart budget may already be refunded).
+  EXPECT_EQ(procs.unexpected_exits("b"), 1u);
+  EXPECT_EQ(procs.state("b"), ProcessTopology::NodeState::Running);
+  EXPECT_TRUE(procs.running("b"));
+  expect_fan_matches(procs, twin, "after the respawn");
+  for (const char* name : {"r", "a", "c"}) {
+    EXPECT_EQ(procs.unexpected_exits(name), 0u) << name;
+  }
   procs.stop();
 }
 

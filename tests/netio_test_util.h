@@ -126,11 +126,13 @@ inline std::vector<std::string> master_truth(
 }
 
 /// One journaled operation applied to both roots (control plane on the
-/// process side, direct calls on the twin).
+/// process side, direct calls on the twin's master).
 class MutationStream {
  public:
+  MutationStream(ProcessTopology& procs, server::DirectoryServer& master)
+      : procs_(&procs), master_(&master) {}
   MutationStream(ProcessTopology& procs, TwinChain& twin)
-      : procs_(&procs), twin_(&twin) {}
+      : MutationStream(procs, *twin.master) {}
 
   void seed() {
     for (int group = 0; group < 8; ++group) {
@@ -143,7 +145,7 @@ class MutationStream {
     procs_->control("root").request(
         "apply add cn=e" + serial + ",o=xyz|objectclass=person;serialnumber=" +
         serial);
-    twin_->master->add(ldap::make_entry("cn=e" + serial + ",o=xyz",
+    master_->add(ldap::make_entry("cn=e" + serial + ",o=xyz",
                                         {{"objectclass", "person"},
                                          {"serialnumber", serial}}));
   }
@@ -152,7 +154,7 @@ class MutationStream {
     const std::string serial = serial_of(group, rank);
     const std::string dn = "cn=e" + serial + ",o=xyz";
     try {
-      twin_->master->remove(ldap::Dn::parse(dn));
+      master_->remove(ldap::Dn::parse(dn));
     } catch (const ldap::OperationError&) {
       return;  // already gone; skip the process side too
     }
@@ -163,7 +165,7 @@ class MutationStream {
     const std::string serial = serial_of(group, rank);
     const std::string dn = "cn=e" + serial + ",o=xyz";
     try {
-      twin_->master->modify(ldap::Dn::parse(dn),
+      master_->modify(ldap::Dn::parse(dn),
                             {{server::Modification::Op::Replace,
                               "serialnumber",
                               {new_serial}}});
@@ -176,7 +178,7 @@ class MutationStream {
 
  private:
   ProcessTopology* procs_;
-  TwinChain* twin_;
+  server::DirectoryServer* master_;
 };
 
 inline ProcessTopology::Options topology_options(const std::string& workdir,

@@ -352,7 +352,7 @@ TEST(TopologyOverload, RelayBudgetsDegradeAndPageDownstreamSessions) {
   ASSERT_TRUE(runtime.install());
 
   // The initial leaf load already overflows the relay's page size.
-  EXPECT_GT(runtime.node("leaf").upstream_health().total().paged_polls, 0u);
+  EXPECT_GT(runtime.node("leaf").upstream_total().paged_polls, 0u);
 
   // A burst beyond the relay's per-session budget: the leaf's session at
   // the relay degrades; the next leaf poll converges via paged eq.(3).
@@ -367,7 +367,7 @@ TEST(TopologyOverload, RelayBudgetsDegradeAndPageDownstreamSessions) {
       runtime.node("relay").downstream_master().governor_stats();
   EXPECT_GE(relay_stats.sessions_degraded, 1u);
   EXPECT_GT(relay_stats.pages_served, 0u);
-  EXPECT_GT(runtime.node("leaf").upstream_health().total().degraded_polls, 0u);
+  EXPECT_GT(runtime.node("leaf").upstream_total().degraded_polls, 0u);
 
   std::vector<std::string> leaf_keys;
   for (const ldap::EntryPtr& entry :
@@ -402,7 +402,7 @@ TEST(TopologyOverload, BusyRootBouncesInstallAndNodeHealsOnCapacity) {
   runtime.add_node("b", "", {other});
   EXPECT_FALSE(runtime.install());  // node b bounced at the session cap
   EXPECT_TRUE(runtime.node("b").any_degraded());
-  EXPECT_GE(runtime.node("b").upstream_health().total().busy_rejections, 1u);
+  EXPECT_GE(runtime.node("b").upstream_total().busy_rejections, 1u);
 
   // Capacity returns: the degraded node's next sync round refetches.
   runtime.root_master().set_resource_limits({});

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
@@ -588,7 +589,7 @@ TEST(TopologyReconcile, RelayHealsWithoutCascadingAnEpochBump) {
 
   EXPECT_EQ(relay.recoveries(), 1u);
   EXPECT_EQ(relay.epoch(), 0u) << "reconcile heal must not bump the epoch";
-  const net::FilterHealth upstream = relay.upstream_health().total();
+  const net::FilterHealth upstream = relay.upstream_total();
   EXPECT_EQ(upstream.reconciles, 1u);
   EXPECT_EQ(upstream.full_reloads, 0u) << "the install is no recovery";
   EXPECT_EQ(upstream.reconcile_entries_shipped, 1u);
@@ -641,6 +642,93 @@ TEST(TopologyReconcile, RuntimeHealthReportsTheRecoverySplit) {
   EXPECT_NE(runtime.node("relay").mirror().dit().find(
                 Dn::parse("cn=e001,o=xyz")),
             nullptr);
+}
+
+// A digest walk whose round 2 crosses a relay: the leaf's session at the
+// relay expires after the relay has taken a change the leaf has not seen,
+// so the leaf's recovery diverges at round 1 and uploads fingerprints in
+// round 2 — a continuation, which the framed tree ships by cookie alone and
+// the relay forwards under its unwrapped cookie. The framed chain must
+// converge exactly like its DirectChannel twin, on the same recovery split.
+TEST(TopologyReconcile, FramedRound2ThroughRelayMatchesDirectTwin) {
+  struct Chain {
+    std::shared_ptr<server::DirectoryServer> master;
+    std::unique_ptr<topology::TopologyRuntime> runtime;
+  };
+  const auto make_chain = [](bool framed) {
+    Chain chain;
+    chain.master = make_serial_master();
+    topology::TopologyRuntime::Options options;
+    options.session_time_limit = 10;  // relay downstream sessions idle out
+    if (framed) options.faults = net::FaultConfig{};
+    chain.runtime =
+        std::make_unique<topology::TopologyRuntime>(chain.master, options);
+    chain.runtime->add_node("relay", "", {serial_query("00")});
+    chain.runtime->add_node("leaf", "relay", {serial_query("00")});
+    return chain;
+  };
+  Chain framed = make_chain(true);
+  Chain direct = make_chain(false);
+  ASSERT_NE(framed.runtime->framed_link("leaf"), nullptr);
+  ASSERT_EQ(direct.runtime->framed_link("leaf"), nullptr);
+
+  for (Chain* chain : {&framed, &direct}) {
+    topology::TopologyRuntime& runtime = *chain->runtime;
+    ASSERT_TRUE(runtime.install());
+    runtime.run(2);
+    // The relay takes a change; the leaf's session at the relay then idles
+    // out before it polls, so its recovery starts behind the relay.
+    chain->master->modify(
+        Dn::parse("cn=e003,ou=eng,o=xyz"),
+        {{Modification::Op::Replace, "mail", {"moved@xyz.com"}}});
+    runtime.root_master().pump();
+    runtime.node("relay").sync();
+    runtime.node("relay").tick(50);
+    runtime.run(3);
+  }
+
+  const Query query = serial_query("00");
+  const std::vector<std::string> truth = master_truth(*framed.master, query);
+  ASSERT_EQ(truth.size(), 8u);
+  for (const char* name : {"relay", "leaf"}) {
+    std::vector<std::string> framed_keys;
+    std::vector<std::string> direct_keys;
+    for (const auto& entry :
+         framed.runtime->node(name).mirror().evaluate(query)) {
+      framed_keys.push_back(entry->dn().norm_key());
+      const ldap::EntryPtr twin =
+          direct.runtime->node(name).mirror().dit().find(entry->dn());
+      ASSERT_NE(twin, nullptr) << name << " " << entry->dn().to_string();
+      EXPECT_EQ(sync::ContentDigest::hash_entry(*entry),
+                sync::ContentDigest::hash_entry(*twin))
+          << name << " " << entry->dn().to_string();
+    }
+    for (const auto& entry :
+         direct.runtime->node(name).mirror().evaluate(query)) {
+      direct_keys.push_back(entry->dn().norm_key());
+    }
+    std::sort(framed_keys.begin(), framed_keys.end());
+    std::sort(direct_keys.begin(), direct_keys.end());
+    EXPECT_EQ(framed_keys, truth) << name;
+    EXPECT_EQ(direct_keys, truth) << name;
+  }
+  EXPECT_TRUE(framed.runtime->node("leaf").mirror().dit().find(
+                  Dn::parse("cn=e003,ou=eng,o=xyz"))
+                  ->has_value("mail", "moved@xyz.com"));
+
+  // The leaf healed by a walk that reached round 2 (only a round-2 diff
+  // ships entries), the same way on both transports.
+  const net::FilterHealth leaf =
+      framed.runtime->node("leaf").upstream_total();
+  const net::FilterHealth twin_leaf =
+      direct.runtime->node("leaf").upstream_total();
+  EXPECT_EQ(leaf.reconciles, 1u);
+  EXPECT_EQ(leaf.full_reloads, 0u);
+  EXPECT_EQ(leaf.reconcile_entries_shipped, 1u);
+  EXPECT_EQ(twin_leaf.reconciles, leaf.reconciles);
+  EXPECT_EQ(twin_leaf.reconcile_entries_shipped,
+            leaf.reconcile_entries_shipped);
+  EXPECT_EQ(framed.runtime->node("relay").recoveries(), 0u);
 }
 
 }  // namespace

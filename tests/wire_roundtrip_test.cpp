@@ -2,8 +2,10 @@
 // decode(encode(x)) == x for every PDU type the protocol can ship —
 // queries with nested filters and escaped DNs, controls with reconcile
 // offers of both rounds, responses across every flag combination, abandons
-// and typed error frames — plus the forward-compatibility guarantee that
-// unknown TLV tags are skipped, not rejected.
+// and typed error frames — plus the request contract (only initial and
+// SyncEnd requests carry the query; continuations name their session by
+// cookie alone) and the forward-compatibility guarantee that unknown TLV
+// tags are skipped, not rejected.
 
 #include <gtest/gtest.h>
 
@@ -268,18 +270,100 @@ void expect_response_eq(const ReSyncResponse& a, const ReSyncResponse& b) {
 
 // --- roundtrip properties ------------------------------------------------
 
+// The request contract (DESIGN.md §14): a request that can create or end a
+// session — initial, SyncEnd — round-trips its query; a Poll or Persist
+// continuation names its session by cookie alone and decodes with no query.
+// The control round-trips either way.
 TEST(WireRoundtrip, RequestsSurviveEncodeDecode) {
   Rng rng(20050501);
+  int with_query = 0;
+  int cookie_only = 0;
   for (int i = 0; i < 300; ++i) {
     const ldap::Query query = rand_query(rng);
     const ReSyncControl control = rand_control(rng);
     const Bytes payload = Codec::encode_request(query, control);
     ASSERT_EQ(Codec::kind_of(payload), FrameKind::Request);
     const RequestFrame decoded = Codec::decode_request(payload);
-    expect_query_eq(query, decoded.query);
+    if (control.initial() || control.mode == Mode::SyncEnd) {
+      expect_query_eq(query, decoded.query);
+      ++with_query;
+    } else {
+      EXPECT_EQ(decoded.query.filter, nullptr)
+          << "a " << resync::to_string(control.mode)
+          << " continuation shipped its query";
+      ++cookie_only;
+    }
     expect_control_eq(control, decoded.control);
     // The full frame path (length + checksum) is lossless too.
     EXPECT_EQ(Codec::deframe(Codec::frame(payload)), payload);
+  }
+  EXPECT_GT(with_query, 0);
+  EXPECT_GT(cookie_only, 0);
+}
+
+// Every continuation mode, reconcile round 2 included, encodes to exactly
+// the cookie-only request, whatever query the caller passes.
+TEST(WireRoundtrip, ContinuationsDecodeWithoutQuery) {
+  Rng rng(5150);
+  auto round2 = std::make_shared<ReconcileRequest>();
+  round2->round = 2;
+  round2->fingerprints = {{Dn::parse("cn=a,o=xyz"), 7}};
+  for (const Mode mode : {Mode::Poll, Mode::Persist}) {
+    for (const bool reconcile : {false, true}) {
+      ReSyncControl control(mode, "rc-4#2");
+      if (reconcile) control.reconcile = round2;
+      const Bytes payload = Codec::encode_request(rand_query(rng), control);
+      EXPECT_EQ(payload, Codec::encode_request(ldap::Query{}, control))
+          << "the query leaked into a continuation";
+      const RequestFrame decoded = Codec::decode_request(payload);
+      EXPECT_EQ(decoded.query.filter, nullptr);
+      expect_control_eq(control, decoded.control);
+    }
+  }
+  // Initial and SyncEnd requests keep it.
+  const ldap::Query query = rand_query(rng);
+  for (const ReSyncControl& control :
+       {ReSyncControl(Mode::Poll, ""), ReSyncControl(Mode::Persist, ""),
+        ReSyncControl(Mode::SyncEnd, "rs-1#3")}) {
+    expect_query_eq(query,
+                    Codec::decode_request(Codec::encode_request(query, control))
+                        .query);
+  }
+}
+
+// An older encoder wrote the query on every request. Its continuations
+// still decode, query and control both: the query TLV of an initial request
+// spliced ahead of a continuation's control TLV is exactly that frame.
+TEST(WireRoundtrip, ContinuationCarryingAQueryStillDecodes) {
+  Rng rng(8086);
+  for (int i = 0; i < 50; ++i) {
+    const ldap::Query query = rand_query(rng);
+    ReSyncControl control = rand_control(rng);
+    if (control.initial()) control.cookie = "rs-9#" + std::to_string(i);
+    if (control.mode == Mode::SyncEnd) control.mode = Mode::Persist;
+
+    const Bytes initial = Codec::encode_request(query, {control.mode, ""});
+    const auto tlv_size = [](const Bytes& payload, std::size_t at) {
+      return std::size_t{5} + (std::size_t{payload[at + 1]} << 24 |
+                               std::size_t{payload[at + 2]} << 16 |
+                               std::size_t{payload[at + 3]} << 8 |
+                               std::size_t{payload[at + 4]});
+    };
+    ASSERT_EQ(initial[1], 0x01) << "query TLV leads an initial request";
+    const Bytes continuation = Codec::encode_request(query, control);
+    Bytes old_style;
+    old_style.reserve(initial.size() + continuation.size());
+    old_style.push_back(continuation.front());
+    old_style.insert(old_style.end(), initial.begin() + 1,
+                     initial.begin() + 1 +
+                         static_cast<std::ptrdiff_t>(tlv_size(initial, 1)));
+    old_style.insert(old_style.end(), continuation.begin() + 1,
+                     continuation.end());
+
+    const RequestFrame decoded = Codec::decode_request(old_style);
+    expect_query_eq(query, decoded.query);
+    expect_control_eq(control, decoded.control);
+    EXPECT_GT(old_style.size(), continuation.size());
   }
 }
 
