@@ -2,8 +2,8 @@
 // simulation layer peeled away. A root master and two relays run as real
 // fork/exec'd fbdr_node processes wired over Unix-domain sockets in a
 // throwaway workdir; this process drives them through the line-based
-// control plane — the same deepest-first tick protocol the in-process
-// TopologyRuntime uses.
+// control plane. The rounds come from topology::TreeDriver, the same tree
+// core that drives the in-process TopologyRuntime.
 //
 //   1. spawn root -> d1 (serialnumber=0*) -> d2 (serialnumber=00*)
 //   2. apply journaled adds at the root, tick, watch content arrive 1 hop

@@ -7,12 +7,15 @@
 # session baselines and
 # planned installs (journal replay on adoption, index posting maintenance),
 # and the journal readers and the baseline back-ends that are readers
-# (trimming frees records whose pointers since() handed out earlier), then a TSan build running the
+# (trimming frees records whose pointers since() handed out earlier), and
+# the in-process tree driver (TopologyRuntime, the TreeDriver core and the
+# in-process TreeBackend scenarios: handles re-wired mid-round), then a TSan build running the
 # threaded shard-equivalence and chaos suites and the two-masters-on-one-store
 # journal twin (the sharded pump is where races would hide — shard-local
 # state crossing a shard boundary, the pump-pool barrier, shard threads
 # reading a batch the barrier then frees),
-# then the socket loopback suites under ASan with a hard timeout (stream
+# then the socket loopback suites (with the process TreeBackend scenarios)
+# under ASan with a hard timeout (stream
 # reassembly, the epoll server and the control plane's line parsing are
 # where over-reads would hide), then the socket chaos suites under ASan
 # with their own hard timeout (the ChaosProxy relay legs and the
@@ -41,9 +44,10 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       resync_shard_equivalence_test bench_common_test \
       wire_roundtrip_test wire_fuzz_test topology_relay_test core_service_test \
       netio_pipe_test netio_socket_test netio_control_test netio_process_test \
-      netio_chaos_test
+      netio_chaos_test topology_runtime_test topology_tree_driver_test \
+      topology_backend_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend|TopologyRuntime|TreeDriver|TreeBackend.*/InProcess'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -53,7 +57,7 @@ echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # The hard timeout guards against a hung epoll loop or a wedged child
 # process eating the whole CI run.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology'
+      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
 
 echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # The seeded ChaosProxy drives real byte faults (partitions, resets,

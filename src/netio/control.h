@@ -23,11 +23,11 @@ namespace fbdr::netio {
 /// control lines on the same epoll loop thread that dispatches frames.
 ///
 /// Each node has its own connection, so a caller can keep several nodes
-/// busy at once: ProcessTopology::tick() send()s "sync" to every relay of
-/// one depth before it finish()es any of them, and same-depth siblings
-/// overlap their upstream polls on their parent (each on its own session,
-/// against a parent whose content does not move until its own, shallower
-/// level syncs).
+/// busy at once: ProcessTopology's tree driver send()s "sync" to every
+/// relay of one depth before it finish()es any of them, and same-depth
+/// siblings overlap their upstream polls on their parent (each on its own
+/// session, against a parent whose content does not move until its own,
+/// shallower level syncs).
 ///
 /// Commands (role in parens when restricted):
 ///
@@ -36,7 +36,9 @@ namespace fbdr::netio {
 ///   installall                        (relay) install_all(); payload "1"/"0"
 ///   sync                              (relay) one upstream sync round
 ///   pump                              (root)  route journal into sessions
-///   tick <n>                                 advance the logical clock
+///   tick [<n>]                               advance the logical clock n
+///                                            ticks (default 1; n is one
+///                                            decimal word below 2^64)
 ///   apply add <dn>|<a>=<v1>,<v2>;...  (root)  journaled add
 ///   apply del <dn>                    (root)  journaled delete
 ///   apply mod <dn>|<a>=<v1>,<v2>      (root)  journaled replace

@@ -174,8 +174,9 @@ void EpollServer::reap_idle() {
     // node for the process's lifetime.
     if (conn->role != Role::FrameData || conn->fd < 0) continue;
     if (conn->last_activity <= deadline) {
-      idle_reaped_.fetch_add(1);
+      // Closed first, so a reader that sees the reap sees the count drop.
       close_connection(*conn);
+      idle_reaped_.fetch_add(1);
     }
   }
 }

@@ -6,7 +6,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -53,21 +53,17 @@ std::string_view next_word(std::string_view& text) {
   return word;
 }
 
-/// The count of "tick <n>", read as `std::istream >> std::uint64_t` reads
-/// it: no count leaves `missing`; a sign and leading digits are taken and
-/// the rest ignored (a minus wraps); no digits read 0; an overflow saturates.
-std::uint64_t parse_count(std::string_view text, std::uint64_t missing) {
-  if (text.empty()) return missing;
-  const bool negative = text.front() == '-';
-  if (negative || text.front() == '+') text.remove_prefix(1);
+/// The count of "tick <n>": one all-digit decimal word that fits in 64
+/// bits, or no word at all (`missing`). Anything else is nullopt.
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t missing) {
+  const std::string_view word = next_word(text);
+  if (word.empty()) return missing;
   std::uint64_t value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc::result_out_of_range) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  if (error != std::errc()) return 0;
-  return negative ? 0 - value : value;
+  const char* end = word.data() + word.size();
+  const auto [last, error] = std::from_chars(word.data(), end, value);
+  if (error != std::errc() || last != end || !text.empty()) return std::nullopt;
+  return value;
 }
 
 std::string ok(const std::vector<std::string>& payload = {}) {
@@ -192,9 +188,10 @@ std::string NodeHost::handle_control(const std::string& line) {
     }
 
     if (command == "tick") {
-      const std::uint64_t ticks = parse_count(rest, 1);
+      const std::optional<std::uint64_t> ticks = parse_count(rest, 1);
+      if (!ticks) return err("tick: bad count: " + std::string(rest));
       std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
-      endpoint().tick(ticks);
+      endpoint().tick(*ticks);
       return ok();
     }
 
@@ -294,17 +291,18 @@ std::string NodeHost::do_health() {
     lines.push_back("sessions " + std::to_string(master_->session_count()));
     lines.push_back("now " + std::to_string(master_->now()));
   } else {
-    const net::FilterHealth upstream = relay_->upstream_total();
+    const topology::RelayNode::Status status = relay_->status();
     lines.push_back("role relay");
-    lines.push_back("epoch " + std::to_string(relay_->epoch()));
-    lines.push_back("recoveries " + std::to_string(upstream.recoveries));
-    lines.push_back("degraded " + std::string(upstream.degraded ? "1" : "0"));
-    lines.push_back("failed_streak " + std::to_string(relay_->failed_streak()));
-    lines.push_back("root_time " + std::to_string(relay_->root_time()));
-    lines.push_back("full_reloads " + std::to_string(upstream.full_reloads));
-    lines.push_back("reconciles " + std::to_string(upstream.reconciles));
-    lines.push_back("sessions " +
-                    std::to_string(relay_->downstream_master().session_count()));
+    lines.push_back("epoch " + std::to_string(status.epoch));
+    lines.push_back("recoveries " + std::to_string(status.upstream.recoveries));
+    lines.push_back("degraded " +
+                    std::string(status.upstream.degraded ? "1" : "0"));
+    lines.push_back("failed_streak " + std::to_string(status.failed_streak));
+    lines.push_back("root_time " + std::to_string(status.root_time));
+    lines.push_back("full_reloads " +
+                    std::to_string(status.upstream.full_reloads));
+    lines.push_back("reconciles " + std::to_string(status.upstream.reconciles));
+    lines.push_back("sessions " + std::to_string(status.downstream_sessions));
   }
   // Journal depth: the root's store, or the relay's mirror.
   const server::ChangeJournal& journal =

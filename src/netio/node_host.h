@@ -27,9 +27,8 @@ namespace fbdr::netio {
 /// dispatch AND control handling on the one epoll loop thread, so a sync
 /// round can never race a downstream poll. A relay's upstream exchanges
 /// block that loop briefly; its parent lives in another process with its
-/// own loop, so the tree's deepest-first tick order (leaf sync before
-/// parent pump, exactly TopologyRuntime::tick()) proceeds without
-/// deadlock.
+/// own loop, so the tree's deepest-first round order (leaf sync before
+/// parent pump, topology::TreeDriver::tick()) proceeds without deadlock.
 class NodeHost {
  public:
   enum class Role { Root, Relay };

@@ -23,6 +23,55 @@ std::chrono::steady_clock::time_point deadline_after(int ms) {
 
 }  // namespace
 
+class ProcessTopology::Node final : public topology::NodeHandle {
+ public:
+  Node(ProcessTopology& owner, std::string node_name,
+       std::vector<std::string> filter_specs,
+       std::vector<std::string> round_lines)
+      : name(std::move(node_name)),
+        filters(std::move(filter_specs)),
+        round(std::move(round_lines)),
+        listen(SocketAddr::unix_path(owner.options_.workdir + "/" + name +
+                                     ".sock")),
+        control_addr(SocketAddr::unix_path(owner.options_.workdir + "/" +
+                                           name + ".ctl")),
+        owner_(owner) {}
+
+  bool up() const override { return pid > 0 && client; }
+  void begin_sync() override { client->send(round); }
+  void end_sync() override { client->finish(); }
+  void crash() override {
+    if (pid <= 0) return;
+    owner_.reap(*this, /*politely=*/false);
+    owner_.note_death(*this);
+  }
+  void restart() override {
+    if (pid > 0) throw std::logic_error("node still running: " + name);
+    owner_.launch(*this);
+    restarts = 0;  // manual revival is an operator override: fresh budget
+  }
+
+  const std::string name;
+  const std::vector<std::string> filters;
+  const std::vector<std::string> round;  // one round's lines, in one write
+  std::vector<std::string> extra_args;
+  const SocketAddr listen;
+  const SocketAddr control_addr;
+  SocketAddr parent_override;  // e.g. a ChaosProxy in front of the parent
+  bool has_parent_override = false;
+  pid_t pid = -1;
+  std::unique_ptr<ControlClient> client;
+  // Supervision state:
+  NodeState state = NodeState::Declared;
+  std::uint64_t restarts = 0;          // respawn attempts this storm
+  std::uint64_t unexpected_exits = 0;  // deaths seen by the waitpid sweep
+  std::uint64_t backoff_until = 0;     // tick_count_ gate for next attempt
+  std::uint64_t running_since = 0;     // tick_count_ at last (re)spawn
+
+ private:
+  ProcessTopology& owner_;
+};
+
 ProcessTopology::ProcessTopology(Options options)
     : options_(std::move(options)) {
   if (options_.node_binary.empty() || options_.workdir.empty()) {
@@ -39,51 +88,31 @@ ProcessTopology::~ProcessTopology() {
 }
 
 void ProcessTopology::add_root(const std::string& name) {
-  if (!root_.empty()) throw std::logic_error("root already declared: " + root_);
-  Node node;
-  node.name = name;
-  node.depth = 0;
-  node.listen = SocketAddr::unix_path(options_.workdir + "/" + name + ".sock");
-  node.control_addr =
-      SocketAddr::unix_path(options_.workdir + "/" + name + ".ctl");
-  root_ = name;
-  order_.push_back(name);
-  nodes_.emplace(name, std::move(node));
+  // Both lines in one write: the root's loop answers them from one read
+  // batch, in one send.
+  tree_.add_root(name, std::make_unique<Node>(*this, name,
+                                              std::vector<std::string>{},
+                                              std::vector<std::string>{
+                                                  "pump", "tick 1"}));
 }
 
 void ProcessTopology::add_relay(const std::string& name,
                                 const std::string& parent,
                                 std::vector<std::string> filter_specs) {
-  const Node& up = node(parent);  // throws on unknown parent
-  Node relay;
-  relay.name = name;
-  relay.parent = parent;
-  relay.filters = std::move(filter_specs);
-  relay.depth = up.depth + 1;
-  relay.listen = SocketAddr::unix_path(options_.workdir + "/" + name + ".sock");
-  relay.control_addr =
-      SocketAddr::unix_path(options_.workdir + "/" + name + ".ctl");
-  order_.push_back(name);
-  nodes_.emplace(name, std::move(relay));
+  tree_.add(name, parent,
+            std::make_unique<Node>(*this, name, std::move(filter_specs),
+                                   std::vector<std::string>{"sync"}));
 }
 
-ProcessTopology::Node& ProcessTopology::node(const std::string& name) {
-  const auto it = nodes_.find(name);
-  if (it == nodes_.end()) throw std::invalid_argument("unknown node: " + name);
-  return it->second;
-}
-
-const ProcessTopology::Node& ProcessTopology::node(
-    const std::string& name) const {
-  const auto it = nodes_.find(name);
-  if (it == nodes_.end()) throw std::invalid_argument("unknown node: " + name);
-  return it->second;
+ProcessTopology::Node& ProcessTopology::node(const std::string& name) const {
+  return static_cast<Node&>(tree_.handle(name));
 }
 
 int ProcessTopology::spawn(Node& n) {
+  const std::string& parent = tree_.parent(n.name);  // empty = root
   std::vector<std::string> args = {
       options_.node_binary,
-      "--role",    n.parent.empty() ? "root" : "relay",
+      "--role",    parent.empty() ? "root" : "relay",
       "--name",    n.name,
       "--suffix",  options_.suffix,
       "--listen",  n.listen.to_string(),
@@ -98,12 +127,12 @@ int ProcessTopology::spawn(Node& n) {
     args.push_back("--connect-timeout-ms");
     args.push_back(std::to_string(options_.node_connect_timeout_ms));
   }
-  if (!n.parent.empty()) {
+  if (!parent.empty()) {
     args.push_back("--parent");
     args.push_back(n.has_parent_override ? n.parent_override.to_string()
-                                         : node(n.parent).listen.to_string());
+                                         : node(parent).listen.to_string());
     args.push_back("--parent-url");
-    args.push_back("ldap://" + n.parent);
+    args.push_back("ldap://" + parent);
   }
   for (const std::string& extra : n.extra_args) args.push_back(extra);
 
@@ -167,7 +196,7 @@ void ProcessTopology::wait_ready(Node& n, int fd) {
     // Every copy of the write end is gone: the child exited (or its exec
     // failed) before binding its listeners.
     if (n.pid > 0) {
-      ::waitpid(n.pid, &n.last_exit_status, 0);
+      ::waitpid(n.pid, nullptr, 0);
       n.pid = -1;
     }
     throw std::runtime_error("node " + n.name + " exited during startup");
@@ -176,21 +205,19 @@ void ProcessTopology::wait_ready(Node& n, int fd) {
                            std::to_string(options_.spawn_timeout_ms) + " ms");
 }
 
-void ProcessTopology::install_filters(Node& n) {
+void ProcessTopology::launch(Node& n) {
+  wait_ready(n, spawn(n));
   for (const std::string& spec : n.filters) {
     n.client->request("install " + spec);
   }
+  n.state = NodeState::Running;
+  n.running_since = tick_count_;
 }
 
 void ProcessTopology::start() {
-  if (root_.empty()) throw std::logic_error("no root declared");
-  for (const std::string& name : order_) {
-    Node& n = node(name);
-    wait_ready(n, spawn(n));
-    install_filters(n);
-    n.state = NodeState::Running;
-    n.running_since = tick_count_;
-  }
+  const std::vector<std::string> names = tree_.names();
+  if (names.empty()) throw std::logic_error("no root declared");
+  for (const std::string& name : names) launch(node(name));
 }
 
 void ProcessTopology::set_supervisor(SupervisorOptions options) {
@@ -205,82 +232,26 @@ void ProcessTopology::set_extra_args(const std::string& name,
 void ProcessTopology::set_parent_proxy(const std::string& name,
                                        const SocketAddr& addr) {
   Node& n = node(name);
-  if (n.parent.empty()) {
+  if (tree_.parent(name).empty()) {
     throw std::logic_error("root has no parent link to proxy: " + name);
   }
   n.parent_override = addr;
   n.has_parent_override = true;
 }
 
-std::vector<std::string> ProcessTopology::relay_names_deepest_first() const {
-  std::vector<std::string> names;
-  for (const std::string& name : order_) {
-    if (!node(name).parent.empty()) names.push_back(name);
-  }
-  std::stable_sort(names.begin(), names.end(),
-                   [this](const std::string& a, const std::string& b) {
-                     return node(a).depth > node(b).depth;
-                   });
-  return names;
-}
-
 void ProcessTopology::tick() {
   ++tick_count_;
   supervise();
-  // Under supervision a node may die mid-command (kill storms): its round
-  // is lost, and the next sweep notices the corpse. Unsupervised, the first
-  // failure is rethrown once every reply already owed has been read.
-  std::exception_ptr failure;
-  const auto guarded = [&failure](auto&& step) {
-    try {
-      step();
-    } catch (const std::exception&) {
-      if (!failure) failure = std::current_exception();
-    }
-  };
-  // Deepest level first, like TopologyRuntime::tick(): each relay pulls
-  // from its parent (and pumps its own downstream sessions inside sync())
-  // before the parent's content moves again. A level syncs as one fan-out:
-  // every relay in it gets its line before any reply is read, so siblings
-  // overlap on their parent. Then the root routes its journal and the clock
-  // advances.
-  const std::vector<std::string> relays = relay_names_deepest_first();
-  for (auto level = relays.begin(); level != relays.end();) {
-    const int depth = node(*level).depth;
-    const auto next = std::find_if(level, relays.end(),
-                                   [&](const std::string& name) {
-                                     return node(name).depth != depth;
-                                   });
-    std::vector<Node*> sent;
-    for (auto it = level; it != next; ++it) {
-      Node& n = node(*it);
-      if (n.pid <= 0 || !n.client) continue;  // down: degrades, later heals
-      guarded([&] {
-        n.client->send({"sync"});
-        sent.push_back(&n);
-      });
-    }
-    for (Node* n : sent) guarded([n] { n->client->finish(); });
-    if (failure && !supervisor_.enabled) std::rethrow_exception(failure);
-    level = next;
-  }
-  Node& r = node(root_);
-  if (r.pid <= 0 || !r.client) return;  // root down: no pump, clock holds
-  // Both lines in one write: the root's loop answers them from one read
-  // batch, in one send.
-  guarded([&r] { r.client->request_all({"pump", "tick 1"}); });
-  if (failure && !supervisor_.enabled) std::rethrow_exception(failure);
+  tree_.tick(/*lose_failed_rounds=*/supervisor_.enabled);
 }
 
 void ProcessTopology::supervise() {
   // Sweep first — always, supervised or not — so no child ever lingers as
   // a zombie and unexpected deaths show up in the report.
-  for (const std::string& name : order_) {
+  for (const std::string& name : tree_.names()) {
     Node& n = node(name);
     if (n.pid <= 0) continue;
-    int status = 0;
-    if (::waitpid(n.pid, &status, WNOHANG) == n.pid) {
-      n.last_exit_status = status;
+    if (::waitpid(n.pid, nullptr, WNOHANG) == n.pid) {
       n.pid = -1;
       n.client.reset();
       note_death(n);
@@ -293,22 +264,18 @@ void ProcessTopology::supervise() {
   // kernel has not told us about yet (hung loop, half-dead process).
   if (supervisor_.probe_every_ticks > 0 &&
       tick_count_ % supervisor_.probe_every_ticks == 0) {
-    for (const std::string& name : order_) {
+    for (const std::string& name : tree_.names()) {
       Node& n = node(name);
       if (n.pid <= 0 || !n.client) continue;
       try {
         n.client->request("ping");
       } catch (const std::exception&) {
-        ::kill(n.pid, SIGKILL);
-        ::waitpid(n.pid, &n.last_exit_status, 0);
-        n.pid = -1;
-        n.client.reset();
-        note_death(n);
+        n.crash();
       }
     }
   }
 
-  for (const std::string& name : order_) {
+  for (const std::string& name : tree_.names()) {
     Node& n = node(name);
     // A node that stayed up long enough earns its restart budget back: the
     // cap is for restart storms, not for a long life with rare crashes.
@@ -356,30 +323,14 @@ std::uint64_t ProcessTopology::backoff_ticks(const Node& n) const {
   return std::max<std::uint64_t>(wait, 1);
 }
 
-bool ProcessTopology::try_respawn(Node& n) {
+void ProcessTopology::try_respawn(Node& n) {
   n.restarts += 1;
   try {
-    wait_ready(n, spawn(n));
-    install_filters(n);
-    n.state = NodeState::Running;
-    n.running_since = tick_count_;
-    return true;
+    launch(n);
   } catch (const std::exception&) {
     // Died or stalled during startup — the classic crash loop.
-    if (n.pid > 0) {
-      ::kill(n.pid, SIGKILL);
-      ::waitpid(n.pid, nullptr, 0);
-      n.pid = -1;
-    }
-    n.client.reset();
-    n.unexpected_exits += 1;
-    if (n.restarts >= supervisor_.max_restarts) {
-      n.state = NodeState::GaveUp;
-    } else {
-      n.state = NodeState::Backoff;
-      n.backoff_until = tick_count_ + backoff_ticks(n);
-    }
-    return false;
+    reap(n, /*politely=*/false);
+    note_death(n);
   }
 }
 
@@ -400,45 +351,29 @@ std::map<std::string, std::string> ProcessTopology::health(
 }
 
 void ProcessTopology::crash(const std::string& name, bool reap_now) {
-  Node& n = node(name);
-  if (n.pid <= 0) return;
-  if (!reap_now) {
-    // Leave the corpse for the next supervise() sweep — the honest shape of
-    // a crash nobody was watching for (and the zombie-reaping test's hook).
-    ::kill(n.pid, SIGKILL);
+  if (reap_now) {
+    tree_.crash(name);
     return;
   }
-  ::kill(n.pid, SIGKILL);
-  ::waitpid(n.pid, &n.last_exit_status, 0);
-  n.pid = -1;
-  n.client.reset();
-  note_death(n);
+  // Leave the corpse for the next supervise() sweep — the honest shape of a
+  // crash nobody was watching for (and the zombie-reaping test's hook).
+  const pid_t pid = node(name).pid;
+  if (pid > 0) ::kill(pid, SIGKILL);
 }
 
-void ProcessTopology::respawn(const std::string& name) {
-  Node& n = node(name);
-  if (n.pid > 0) throw std::logic_error("node still running: " + name);
-  wait_ready(n, spawn(n));
-  install_filters(n);
-  // Manual revival is an operator override: fresh restart budget.
-  n.state = NodeState::Running;
-  n.running_since = tick_count_;
-  n.restarts = 0;
-}
+void ProcessTopology::respawn(const std::string& name) { tree_.restart(name); }
 
-void ProcessTopology::reap(Node& n, bool force) {
+void ProcessTopology::reap(Node& n, bool politely) {
   if (n.pid <= 0) return;
-  if (force) {
-    ::kill(n.pid, SIGKILL);
-  } else if (n.client) {
+  bool quit = false;
+  if (politely && n.client) {
     try {
       n.client->request("quit");
+      quit = true;
     } catch (const std::exception&) {
-      ::kill(n.pid, SIGKILL);
     }
-  } else {
-    ::kill(n.pid, SIGKILL);
   }
+  if (!quit) ::kill(n.pid, SIGKILL);
   ::waitpid(n.pid, nullptr, 0);
   n.pid = -1;
   n.client.reset();
@@ -447,19 +382,16 @@ void ProcessTopology::reap(Node& n, bool force) {
 void ProcessTopology::stop() {
   // Children before parents: a relay quitting mid-sync against a dead
   // parent would just eat its retry budget.
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+  const std::vector<std::string> names = tree_.names();
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
     Node& n = node(*it);
-    reap(n, /*force=*/false);
+    reap(n, /*politely=*/true);
     n.state = NodeState::Stopped;
   }
 }
 
 bool ProcessTopology::running(const std::string& name) const {
   return node(name).pid > 0;
-}
-
-int ProcessTopology::depth(const std::string& name) const {
-  return node(name).depth;
 }
 
 ProcessTopology::NodeState ProcessTopology::state(
@@ -488,7 +420,8 @@ std::map<std::string, std::string> ProcessTopology::supervisor_report() const {
     return "unknown";
   };
   std::map<std::string, std::string> report;
-  for (const auto& [name, n] : nodes_) {
+  for (const std::string& name : tree_.names()) {
+    const Node& n = node(name);
     report[name] = std::string(label(n.state)) +
                    " restarts=" + std::to_string(n.restarts) +
                    " exits=" + std::to_string(n.unexpected_exits);

@@ -10,6 +10,7 @@
 
 #include "netio/control.h"
 #include "netio/socket_addr.h"
+#include "topology/tree_driver.h"
 
 namespace fbdr::netio {
 
@@ -17,8 +18,9 @@ namespace fbdr::netio {
 /// master and each relay run as fork/exec'd fbdr_node binaries, wired over
 /// Unix-domain sockets in a private workdir, driven through the control
 /// plane. This is TopologyRuntime with the simulation layer peeled away —
-/// same deepest-first tick protocol, same heal-through-StaleCookie recovery
-/// story, but the "network" is the kernel's and a crash is a SIGKILL.
+/// the same topology::TreeDriver runs the rounds, the same heal-through-
+/// StaleCookie recovery story plays out, but the "network" is the kernel's
+/// and a crash is a SIGKILL.
 ///
 /// Lifecycle: add_root()/add_relay() declare the tree, start() spawns every
 /// process (parents first) and waits for each one's readiness byte (see
@@ -107,12 +109,14 @@ class ProcessTopology {
   /// node dying during startup or a readiness timeout.
   void start();
 
-  /// One replication round, exactly TopologyRuntime::tick(): every relay
-  /// syncs deepest-first (leaves pull before their parents change again),
-  /// then the root pumps its journal into sessions and advances one tick.
-  /// The relays of one depth sync as one fan-out: each gets its "sync" line
-  /// before any reply is read (ControlClient::send/finish), so siblings
-  /// overlap on their parent.
+  /// One supervision pass, then one replication round: TreeDriver::tick(),
+  /// the round TopologyRuntime::tick() runs. A node's begin_sync() sends
+  /// "sync" and its end_sync() reads the reply (ControlClient::send/finish),
+  /// so the relays of one depth sync as one fan-out and siblings overlap on
+  /// their parent. The root gets "pump" and "tick 1" in one write.
+  /// Unsupervised, the first failure is rethrown once every reply already
+  /// owed has been read; supervised, a node that fails loses its round and
+  /// the next sweep notices it.
   void tick();
 
   ControlClient& control(const std::string& name);
@@ -144,44 +148,23 @@ class ProcessTopology {
   void stop();
 
   bool running(const std::string& name) const;
-  int depth(const std::string& name) const;
-  std::vector<std::string> relay_names_deepest_first() const;
 
   NodeState state(const std::string& name) const;
   std::uint64_t restarts(const std::string& name) const;
   /// Deaths noticed by the waitpid sweep (crashes + kills), as opposed to
   /// deliberate stop()/reap.
   std::uint64_t unexpected_exits(const std::string& name) const;
-  std::uint64_t ticks() const { return tick_count_; }
 
   /// One line per node: "<state> restarts=<n> exits=<n>" — the control
   /// panel a soak asserts against.
   std::map<std::string, std::string> supervisor_report() const;
 
  private:
-  struct Node {
-    std::string name;
-    std::string parent;  // empty = root
-    std::vector<std::string> filters;
-    std::vector<std::string> extra_args;
-    int depth = 0;
-    SocketAddr listen;
-    SocketAddr control_addr;
-    SocketAddr parent_override;  // e.g. a ChaosProxy in front of the parent
-    bool has_parent_override = false;
-    pid_t pid = -1;
-    std::unique_ptr<ControlClient> client;
-    // Supervision state:
-    NodeState state = NodeState::Declared;
-    std::uint64_t restarts = 0;          // respawn attempts this storm
-    std::uint64_t unexpected_exits = 0;  // deaths seen by the waitpid sweep
-    std::uint64_t backoff_until = 0;     // tick_count_ gate for next attempt
-    std::uint64_t running_since = 0;     // tick_count_ at last (re)spawn
-    int last_exit_status = 0;            // raw waitpid status
-  };
+  /// One fbdr_node process: its tree handle, spawn arguments and
+  /// supervision state.
+  class Node;
 
-  Node& node(const std::string& name);
-  const Node& node(const std::string& name) const;
+  Node& node(const std::string& name) const;
   /// fork/execs the node with the write end of a fresh readiness pipe as
   /// --ready-fd; returns the read end, which wait_ready consumes.
   int spawn(Node& node);
@@ -190,19 +173,20 @@ class ProcessTopology {
   /// client. EOF means the child exited before it was ready and fails at
   /// once; no byte within spawn_timeout_ms fails at the deadline.
   void wait_ready(Node& node, int ready_fd);
-  void install_filters(Node& node);
-  void reap(Node& node, bool force);
+  /// Spawns the node, waits until it is ready and installs its filters.
+  void launch(Node& node);
+  /// Ends the node's process and reaps it: "quit" when `politely` and its
+  /// control plane answers, else SIGKILL.
+  void reap(Node& node, bool politely);
   /// Records a death seen by waitpid/probe and schedules the respawn (or
   /// GaveUp) under supervision.
   void note_death(Node& node);
   std::uint64_t backoff_ticks(const Node& node) const;
-  bool try_respawn(Node& node);
+  void try_respawn(Node& node);
 
   Options options_;
   SupervisorOptions supervisor_;
-  std::vector<std::string> order_;  // declaration order (parents first)
-  std::map<std::string, Node> nodes_;
-  std::string root_;
+  topology::TreeDriver tree_;  // declaration order is parents first
   std::uint64_t tick_count_ = 0;
 };
 

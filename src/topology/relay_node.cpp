@@ -350,10 +350,6 @@ server::SearchResult RelayNode::process_search(const Query& query) {
   return result;
 }
 
-std::uint64_t RelayNode::recoveries() const noexcept {
-  return upstream_total().recoveries;
-}
-
 net::HealthStats RelayNode::upstream_health() const {
   net::HealthStats stats;
   for (const UpstreamFilter& filter : filters_) {
@@ -371,11 +367,9 @@ net::FilterHealth RelayNode::upstream_total() const noexcept {
   return total;
 }
 
-bool RelayNode::any_degraded() const {
-  for (const UpstreamFilter& filter : filters_) {
-    if (filter.session.degraded()) return true;
-  }
-  return false;
+RelayNode::Status RelayNode::status() const {
+  return {epoch_, failed_streak_, root_time_, downstream_.session_count(),
+          upstream_total()};
 }
 
 }  // namespace fbdr::topology

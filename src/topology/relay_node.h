@@ -158,8 +158,6 @@ class RelayNode final : public resync::ReSyncEndpoint,
   std::uint64_t root_time() const noexcept { return root_time_; }
 
   std::uint64_t admission_rejects() const noexcept { return admission_rejects_; }
-  /// Upstream session recoveries, summed over the filters.
-  std::uint64_t recoveries() const noexcept;
   std::uint64_t reparents() const noexcept { return reparents_; }
 
   /// Per-filter upstream session health (degradation, retries, recoveries).
@@ -168,7 +166,16 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// (FilterHealth::operator+=), without the per-filter map.
   net::FilterHealth upstream_total() const noexcept;
 
-  bool any_degraded() const;
+  /// What a health report reads off the relay, in one place: the fbdr_node
+  /// "health" command and TopologyRuntime::health() both print from it.
+  struct Status {
+    std::uint64_t epoch = 0;
+    std::uint64_t failed_streak = 0;
+    std::uint64_t root_time = 0;
+    std::size_t downstream_sessions = 0;
+    net::FilterHealth upstream;  // upstream_total()
+  };
+  Status status() const;
   std::size_t filter_count() const noexcept { return filters_.size(); }
 
   replica::FilterReplica& filter_replica() noexcept { return replica_; }

@@ -13,6 +13,7 @@
 #include "server/directory_server.h"
 #include "server/distributed.h"
 #include "topology/relay_node.h"
+#include "topology/tree_driver.h"
 
 namespace fbdr::topology {
 
@@ -52,13 +53,13 @@ struct NodeHealth {
 /// FramedChannels over per-link FaultyPipes with distinct deterministic
 /// seeds.
 ///
-/// tick() runs one logical round deepest-first: every node polls the content
-/// its parent holds *now*, then the parent refreshes from its own parent,
-/// and the root pumps and advances last. The measured staleness is therefore
-/// one tick per hop — the latency cost a cascade trades for fan-out relief
-/// at the root, which is exactly what bench_topology_fanout quantifies.
+/// tick() is TreeDriver::tick() over in-process handles: deepest-first, so
+/// the measured staleness is one tick per hop — the latency cost a cascade
+/// trades for fan-out relief at the root, which is exactly what
+/// bench_topology_fanout quantifies.
 ///
-/// The runtime also owns the two control-plane reactions of the design:
+/// The runtime also owns the two control-plane reactions of the design,
+/// run right after each node's own sync (before the next node syncs):
 ///   - referral chasing: a parent that does not admit a node's filter set
 ///     answers with a referral; the runtime re-wires the node to the
 ///     referred URL (walking up ancestor by ancestor, terminating at the
@@ -102,7 +103,7 @@ class TopologyRuntime {
   /// chain). Returns true when every session is established.
   bool install();
 
-  /// One logical round over the whole tree (see class comment).
+  /// One logical round over the whole tree (TreeDriver::tick()).
   void tick();
 
   /// Runs `rounds` ticks.
@@ -125,7 +126,7 @@ class TopologyRuntime {
 
   RelayNode& node(const std::string& name);
   const RelayNode& node(const std::string& name) const;
-  bool has_node(const std::string& name) const;
+  /// Every node in declaration order.
   std::vector<std::string> node_names() const;
 
   /// Current parent of `name`: "" when wired to the root master.
@@ -143,41 +144,29 @@ class TopologyRuntime {
   server::ServerMap server_map() const;
 
  private:
-  struct Node {
-    std::string name;
-    std::string parent;  // "" = root
-    std::unique_ptr<RelayNode> relay;
-    // The current upstream link's handles; null on direct links.
-    net::FaultyPipe* fault_pipe = nullptr;
-    net::FramedChannel* framed_link = nullptr;
-  };
+  class Root;
+  class Relay;
 
-  Node& find_node(const std::string& name);
-  const Node& find_node(const std::string& name) const;
-  std::size_t depth_of(const Node& node) const;
+  /// The node `name`; throws std::invalid_argument for the root ("") or an
+  /// unknown name.
+  Relay& relay(const std::string& name) const;
 
-  /// The ReSync endpoint serving `url`: the root master or a node.
-  resync::ReSyncEndpoint* endpoint_at(const std::string& url);
-
-  /// A fresh upstream channel from `node` to `endpoint`: framed over a
+  /// A fresh upstream channel from `relay` to `endpoint`: framed over a
   /// FaultyPipe when Options::faults is set, else direct.
   std::shared_ptr<net::Channel> make_channel(resync::ReSyncEndpoint& endpoint,
-                                             Node& node);
+                                             Relay& relay);
 
-  /// Re-wires `node` to the endpoint at `url` (referral chase target or
-  /// grandparent). Falls back to the root when the URL is unknown.
-  void rewire_to(Node& node, const std::string& url);
-
-  /// Node names ordered deepest-first (the tick order).
-  std::vector<const Node*> by_depth_desc() const;
+  /// Re-wires `relay` to the endpoint at `url` (referral chase target or
+  /// grandparent). Falls back to the root when the URL is unknown or its own.
+  void rewire_to(Relay& relay, const std::string& url);
 
   /// Referral chase + re-parent policy for one node, after its sync round.
-  void react(Node& node);
+  void react(Relay& relay);
 
   std::shared_ptr<server::DirectoryServer> root_;
   Options options_;
   resync::ReSyncMaster root_endpoint_;
-  std::vector<std::unique_ptr<Node>> nodes_;  // insertion order
+  TreeDriver tree_;  // the root master is the node named ""
   std::uint64_t link_counter_ = 0;
 };
 

@@ -47,14 +47,14 @@ namespace fbdr::netio {
 namespace {
 
 using testutil::assert_converged;
-using testutil::build_chain;
+using testutil::build_tree;
 using testutil::make_workdir;
 using testutil::master_truth;
 using testutil::MutationStream;
 using testutil::serial_query;
 using testutil::serial_spec;
 using testutil::topology_options;
-using testutil::TwinChain;
+using testutil::RuntimeTwin;
 
 // ---------------------------------------------------------------------------
 // FaultSchedule unit behavior
@@ -360,13 +360,9 @@ bool phase_is_quiet(const net::FaultConfig& c) {
 
 /// Non-asserting convergence probe for the heal loop: true once every
 /// process node's content equals master truth (and is non-empty).
-bool quietly_converged(ProcessTopology& procs, TwinChain& twin) {
-  const struct {
-    const char* name;
-    const char* prefix;
-  } nodes[] = {{"d1", "0"}, {"d2", "00"}, {"leaf", "000"}};
+bool quietly_converged(ProcessTopology& procs, RuntimeTwin& twin) {
   try {
-    for (const auto& n : nodes) {
+    for (const testutil::RelaySpec& n : testutil::kChain) {
       const std::vector<std::string> keys =
           procs.keys(n.name, serial_spec(n.prefix));
       if (keys.empty() ||
@@ -397,7 +393,7 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
   options.node_io_timeout_ms = kNodeIoTimeoutMs;
   options.node_connect_timeout_ms = kNodeIoTimeoutMs;
   ProcessTopology procs(options);
-  build_chain(procs);
+  build_tree(procs);
 
   ProcessTopology::SupervisorOptions sup;
   sup.enabled = true;
@@ -420,13 +416,13 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
                          SocketAddr::unix_path(workdir + "/leaf.px"));
   ASSERT_NO_THROW(procs.start());
 
-  TwinChain twin;
+  RuntimeTwin twin;
   MutationStream stream(procs, twin);
   stream.seed();
   for (const char* name : {"d1", "d2", "leaf"}) {
     procs.control(name).request("installall");
   }
-  twin.install();
+  ASSERT_TRUE(twin.runtime.install());
 
   std::mt19937_64 kill_rng(seed);
   std::string last_phase;
@@ -452,7 +448,7 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
     stream.add(7, 10 + static_cast<int>(round));   // outside the chain
     if (round % 3 == 0) stream.remove(0, static_cast<int>(round) / 3);
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
 
   // Quiesce: faults off, half-open links severed, heal until converged
@@ -461,7 +457,7 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
   proxies.sever_all();
   for (int extra = 0; extra < 30; ++extra) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
     if (all_running(procs) && quietly_converged(procs, twin)) break;
   }
 
@@ -534,7 +530,7 @@ TEST(ChaosSupervision, CrashLoopingRelayLandsInGaveUpWhileTreeServes) {
   options.node_io_timeout_ms = kNodeIoTimeoutMs;
   options.node_connect_timeout_ms = kNodeIoTimeoutMs;
   ProcessTopology procs(options);
-  build_chain(procs);
+  build_tree(procs);
 
   ProcessTopology::SupervisorOptions sup;
   sup.enabled = true;
@@ -547,16 +543,16 @@ TEST(ChaosSupervision, CrashLoopingRelayLandsInGaveUpWhileTreeServes) {
   procs.set_supervisor(sup);
   ASSERT_NO_THROW(procs.start());
 
-  TwinChain twin;
+  RuntimeTwin twin;
   MutationStream stream(procs, twin);
   stream.seed();
   for (const char* name : {"d1", "d2", "leaf"}) {
     procs.control(name).request("installall");
   }
-  twin.install();
+  ASSERT_TRUE(twin.runtime.install());
   for (int round = 0; round < 3; ++round) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
 
   // From now on d2 dies before it can serve anything: every supervised
@@ -569,7 +565,7 @@ TEST(ChaosSupervision, CrashLoopingRelayLandsInGaveUpWhileTreeServes) {
          rounds < 60) {
     stream.add(0, 20 + rounds);
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
     ++rounds;
   }
 
@@ -583,7 +579,7 @@ TEST(ChaosSupervision, CrashLoopingRelayLandsInGaveUpWhileTreeServes) {
   // exactly through its live link.
   for (int round = 0; round < 3; ++round) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
   EXPECT_EQ(procs.keys("d1", serial_spec("0")),
             master_truth(*twin.master, serial_query("0")));
@@ -601,7 +597,7 @@ TEST(ChaosSupervision, ZombieChildIsReapedBySweepAndSurfaced) {
 
   // Unsupervised on purpose: the zombie sweep must run regardless.
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_chain(procs);
+  build_tree(procs);
   ASSERT_NO_THROW(procs.start());
   EXPECT_EQ(procs.unexpected_exits("d1"), 0u);
 

@@ -69,11 +69,17 @@ const Row kRows[] = {
     {"relay", "pump", "err pump: not the root\n"},
     {"relay", "apply add cn=x,o=xyz|sn=x", "err apply: not the root\n"},
     // The clock: a missing count is one tick, tabs separate like spaces.
+    // A count is one decimal word below 2^64; anything else is refused and
+    // leaves the clock alone, so the root's "now" below counts 1+2+1+2.
     {"root", "tick", "ok 0\n"},
     {"root", "tick 2", "ok 0\n"},
     {"root", "tick\t1", "ok 0\n"},
-    {"root", "tick abc", "ok 0\n"},
-    {"root", "tick 2x", "ok 0\n"},
+    {"root", "tick abc", "err tick: bad count: abc\n"},
+    {"root", "tick 2x", "err tick: bad count: 2x\n"},
+    {"root", "tick -1", "err tick: bad count: -1\n"},
+    {"root", "tick 18446744073709551616",
+     "err tick: bad count: 18446744073709551616\n"},
+    {"root", "tick 2", "ok 0\n"},
     // Journaled writes, well formed and with runs of spaces.
     {"root", "apply add cn=e001,o=xyz|objectclass=person;serialnumber=001",
      "ok 0\n"},

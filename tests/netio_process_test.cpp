@@ -34,7 +34,7 @@ namespace fbdr::netio {
 namespace {
 
 using testutil::assert_converged;
-using testutil::build_chain;
+using testutil::build_tree;
 using testutil::make_workdir;
 using testutil::master_truth;
 using testutil::mirror_keys;
@@ -43,7 +43,7 @@ using testutil::serial_of;
 using testutil::serial_query;
 using testutil::serial_spec;
 using testutil::topology_options;
-using testutil::TwinChain;
+using testutil::RuntimeTwin;
 
 TEST(ProcessTopologyTest, DepthThreeChainConvergesToInProcessTwin) {
   SKIP_WITHOUT_SOCKETS();
@@ -51,10 +51,10 @@ TEST(ProcessTopologyTest, DepthThreeChainConvergesToInProcessTwin) {
   ASSERT_FALSE(workdir.empty());
 
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_chain(procs);
+  build_tree(procs);
   ASSERT_NO_THROW(procs.start());
 
-  TwinChain twin;
+  RuntimeTwin twin;
   MutationStream stream(procs, twin);
   stream.seed();
 
@@ -62,7 +62,7 @@ TEST(ProcessTopologyTest, DepthThreeChainConvergesToInProcessTwin) {
   for (const char* name : {"d1", "d2", "leaf"}) {
     procs.control(name).request("installall");
   }
-  twin.install();
+  ASSERT_TRUE(twin.runtime.install());
 
   for (int round = 0; round < 12; ++round) {
     stream.add(0, 10 + round);           // inside every chain filter
@@ -72,12 +72,12 @@ TEST(ProcessTopologyTest, DepthThreeChainConvergesToInProcessTwin) {
       stream.relabel(1, round / 4, serial_of(0, 40 + round));
     }
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
   // Quiescence: no new mutations, a few healing rounds.
   for (int round = 0; round < 4; ++round) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
 
   assert_converged(procs, twin, "fault-free chain");
@@ -98,19 +98,19 @@ TEST(ProcessTopologyTest, MidChainRelayCrashHealsThroughStaleCookies) {
   ASSERT_FALSE(workdir.empty());
 
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_chain(procs);
+  build_tree(procs);
   ASSERT_NO_THROW(procs.start());
 
-  TwinChain twin;
+  RuntimeTwin twin;
   MutationStream stream(procs, twin);
   stream.seed();
   for (const char* name : {"d1", "d2", "leaf"}) {
     procs.control(name).request("installall");
   }
-  twin.install();
+  ASSERT_TRUE(twin.runtime.install());
   for (int round = 0; round < 4; ++round) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
   const auto leaf_before = procs.health("leaf");
 
@@ -125,7 +125,7 @@ TEST(ProcessTopologyTest, MidChainRelayCrashHealsThroughStaleCookies) {
   for (int round = 0; round < 3; ++round) {
     stream.add(0, 20 + round);
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
 
   // Back — as a FRESH process: empty mirror, no sessions, no memory of the
@@ -137,11 +137,11 @@ TEST(ProcessTopologyTest, MidChainRelayCrashHealsThroughStaleCookies) {
   for (int round = 0; round < 6; ++round) {
     stream.add(0, 30 + round);
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
   for (int round = 0; round < 4; ++round) {
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
   }
 
   assert_converged(procs, twin, "after mid-chain crash + respawn");
@@ -167,18 +167,18 @@ TEST(ProcessTopologyTest, JournalsHoldAtMostOneRoundOfCommits) {
   ASSERT_FALSE(workdir.empty());
 
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_chain(procs);
+  build_tree(procs);
   ASSERT_NO_THROW(procs.start());
 
-  TwinChain twin;
+  RuntimeTwin twin;
   MutationStream stream(procs, twin);
   stream.seed();
   for (const char* name : {"d1", "d2", "leaf"}) {
     procs.control(name).request("installall");
   }
-  twin.install();
+  ASSERT_TRUE(twin.runtime.install());
   procs.tick();  // pumps the seed adds
-  twin.tick();
+  twin.runtime.tick();
 
   const auto journal_records = [&](const char* name) {
     return std::stoul(procs.health(name).at("journal_records"));
@@ -191,7 +191,7 @@ TEST(ProcessTopologyTest, JournalsHoldAtMostOneRoundOfCommits) {
     }
     ASSERT_LE(journal_records("root"), kCommitsPerRound) << "round " << round;
     procs.tick();
-    twin.tick();
+    twin.runtime.tick();
     for (const char* name : {"root", "d1", "d2", "leaf"}) {
       ASSERT_LE(journal_records(name), kCommitsPerRound)
           << name << " after round " << round;
@@ -221,7 +221,7 @@ TEST(ProcessTopologyTest, NodeDyingAtStartupFailsStartAtOnce) {
   ProcessTopology::Options options = topology_options(workdir, FBDR_NODE_BIN);
   options.spawn_timeout_ms = 20000;
   ProcessTopology procs(options);
-  build_chain(procs);
+  build_tree(procs);
   procs.set_extra_args("d2", {"--crash-on-start"});
 
   const auto begin = std::chrono::steady_clock::now();
@@ -251,37 +251,16 @@ TEST(ProcessTopologyTest, NodeDyingAtStartupFailsStartAtOnce) {
 // still until its own level syncs, so the two must agree after every round.
 const char* const kSiblings[] = {"a", "b", "c"};
 
+// r and c replicate the same filter.
+const std::vector<testutil::RelaySpec> kFan = {
+    {"r", "", "0"}, {"a", "r", "00"}, {"b", "r", "01"}, {"c", "r", "0"}};
+
 std::string sibling_prefix(const std::string& name) {
-  if (name == "a") return "00";
-  if (name == "b") return "01";
-  return "0";  // r and c replicate the same filter
-}
-
-void build_fan(ProcessTopology& procs) {
-  procs.add_root("root");
-  procs.add_relay("r", "root", {serial_spec("0")});
-  for (const char* leaf : kSiblings) {
-    procs.add_relay(leaf, "r", {serial_spec(sibling_prefix(leaf))});
+  for (const testutil::RelaySpec& relay : kFan) {
+    if (name == relay.name) return relay.prefix;
   }
+  return "";
 }
-
-struct FanTwin {
-  std::shared_ptr<server::DirectoryServer> master;
-  std::unique_ptr<topology::TopologyRuntime> runtime;
-
-  FanTwin() {
-    master = std::make_shared<server::DirectoryServer>("ldap://root");
-    master->add_context({ldap::Dn::parse("o=xyz"), {}});
-    master->load(ldap::make_entry("o=xyz", {{"objectclass", "organization"}}));
-    topology::TopologyRuntime::Options options;
-    options.retry = {4, 1, 2.0, 16, 0};  // fbdr_node's relay retry policy
-    runtime = std::make_unique<topology::TopologyRuntime>(master, options);
-    runtime->add_node("r", "", {serial_query("0")});
-    for (const char* leaf : kSiblings) {
-      runtime->add_node(leaf, "r", {serial_query(sibling_prefix(leaf))});
-    }
-  }
-};
 
 /// A seeded stream of adds (inside and outside the relay's filter),
 /// deletes and relabels, applied to both roots.
@@ -317,13 +296,13 @@ class SeededStream {
   int next_rank_ = 4;  // MutationStream::seed() adds ranks 0..3
 };
 
-void expect_fan_matches(ProcessTopology& procs, FanTwin& twin,
+void expect_fan_matches(ProcessTopology& procs, RuntimeTwin& twin,
                         const std::string& note) {
   for (const char* name : {"r", "a", "b", "c"}) {
     const ldap::Query query = serial_query(sibling_prefix(name));
     const std::vector<std::string> keys =
         procs.keys(name, serial_spec(sibling_prefix(name)));
-    EXPECT_EQ(keys, mirror_keys(twin.runtime->node(name), query))
+    EXPECT_EQ(keys, mirror_keys(twin.runtime.node(name), query))
         << name << " diverged from its TopologyRuntime twin (" << note << ")";
     EXPECT_FALSE(keys.empty()) << name << " holds nothing (" << note << ")";
   }
@@ -335,29 +314,29 @@ TEST(ProcessTopologyFanOut, SiblingsMatchRuntimeTwinEveryRound) {
   ASSERT_FALSE(workdir.empty());
 
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_fan(procs);
+  build_tree(procs, kFan);
   ASSERT_NO_THROW(procs.start());
 
-  FanTwin twin;
+  RuntimeTwin twin(kFan);
   MutationStream stream(procs, *twin.master);
   stream.seed();
   for (const char* name : {"r", "a", "b", "c"}) {
     ASSERT_EQ(procs.control(name).request("installall"),
               std::vector<std::string>{"1"});
   }
-  ASSERT_TRUE(twin.runtime->install());
+  ASSERT_TRUE(twin.runtime.install());
 
   SeededStream seeded(stream, 2024);
   for (int round = 0; round < 24; ++round) {
     for (int op = 0; op < 3; ++op) seeded.step();
     procs.tick();
-    twin.runtime->tick();
+    twin.runtime.tick();
     expect_fan_matches(procs, twin, "round " + std::to_string(round));
     if (::testing::Test::HasFailure()) break;
   }
   for (int round = 0; round < 3; ++round) {
     procs.tick();
-    twin.runtime->tick();
+    twin.runtime.tick();
   }
   for (const char* name : {"r", "a", "b", "c"}) {
     const ldap::Query query = serial_query(sibling_prefix(name));
@@ -378,25 +357,25 @@ TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
   ASSERT_FALSE(workdir.empty());
 
   ProcessTopology procs(topology_options(workdir, FBDR_NODE_BIN));
-  build_fan(procs);
+  build_tree(procs, kFan);
   ProcessTopology::SupervisorOptions supervisor;
   supervisor.enabled = true;
   supervisor.seed = 7;
   procs.set_supervisor(supervisor);
   ASSERT_NO_THROW(procs.start());
 
-  FanTwin twin;
+  RuntimeTwin twin(kFan);
   MutationStream stream(procs, *twin.master);
   stream.seed();
   for (const char* name : {"r", "a", "b", "c"}) {
     procs.control(name).request("installall");
   }
-  ASSERT_TRUE(twin.runtime->install());
+  ASSERT_TRUE(twin.runtime.install());
   SeededStream seeded(stream, 99);
   for (int round = 0; round < 6; ++round) {
     for (int op = 0; op < 3; ++op) seeded.step();
     procs.tick();
-    twin.runtime->tick();
+    twin.runtime.tick();
   }
 
   // The leaf level of one round, by hand: every sibling gets its line, then
@@ -410,13 +389,13 @@ TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
     procs.control("b").finish();  // the reply may have left before the kill
   } catch (const std::runtime_error&) {
   }
-  for (const char* leaf : kSiblings) twin.runtime->node(leaf).sync();
+  for (const char* leaf : kSiblings) twin.runtime.node(leaf).sync();
   for (const char* leaf : {"a", "c"}) {
     const ldap::Query query = serial_query(sibling_prefix(leaf));
     EXPECT_EQ(procs.control(leaf).request("ping"), std::vector<std::string>{});
     const std::vector<std::string> keys =
         procs.keys(leaf, serial_spec(sibling_prefix(leaf)));
-    EXPECT_EQ(keys, mirror_keys(twin.runtime->node(leaf), query)) << leaf;
+    EXPECT_EQ(keys, mirror_keys(twin.runtime.node(leaf), query)) << leaf;
     EXPECT_FALSE(keys.empty()) << leaf;
   }
 
@@ -427,7 +406,7 @@ TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
       for (int op = 0; op < 3; ++op) seeded.step();
     }
     procs.tick();
-    twin.runtime->tick();
+    twin.runtime.tick();
   }
   // Died once, came back (its restart budget may already be refunded).
   EXPECT_EQ(procs.unexpected_exits("b"), 1u);

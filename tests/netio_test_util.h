@@ -1,7 +1,8 @@
 // Shared fixtures for the multi-process socket tests: the depth-3
 // fork/exec'd fbdr_node chain (root -> d1 -> d2 -> leaf over Unix sockets,
 // serialnumber bit-prefix containment filters), its fault-free in-process
-// twin, and the journaled mutation stream applied to both. Convergence is
+// TopologyRuntime twin built from the same spec, and the journaled mutation
+// stream applied to both. Convergence is
 // always asserted three ways per node: process content == master truth ==
 // twin mirror, and non-empty so the comparison proved something.
 //
@@ -20,13 +21,12 @@
 
 #include "ldap/entry.h"
 #include "ldap/error.h"
-#include "net/channel.h"
 #include "netio/process_topology.h"
 #include "netio/socket_addr.h"
-#include "resync/master.h"
 #include "server/directory_server.h"
 #include "sync/content_tracker.h"
 #include "topology/relay_node.h"
+#include "topology/runtime.h"
 
 #define SKIP_WITHOUT_SOCKETS()                                        \
   do {                                                                \
@@ -59,52 +59,45 @@ inline ldap::Query serial_query(const std::string& prefix) {
                             serial_filter(prefix));
 }
 
-/// The in-process fault-free twin of the process chain: root master plus
-/// RelayNode d1 -> d2 -> leaf over DirectChannels.
-struct TwinChain {
+/// One relay of a test tree: its name, its parent ("" = the root) and the
+/// serial prefix of its one filter. A process tree and its in-process twin
+/// are built from the same spec.
+struct RelaySpec {
+  const char* name;
+  const char* parent;
+  const char* prefix;
+};
+
+/// The depth-3 chain root -> d1 -> d2 -> leaf.
+inline const std::vector<RelaySpec> kChain = {
+    {"d1", "", "0"}, {"d2", "d1", "00"}, {"leaf", "d2", "000"}};
+
+/// A master holding only the o=xyz suffix entry.
+inline std::shared_ptr<server::DirectoryServer> make_master() {
+  auto master = std::make_shared<server::DirectoryServer>("ldap://root");
+  master->add_context({ldap::Dn::parse("o=xyz"), {}});
+  master->load(ldap::make_entry("o=xyz", {{"objectclass", "organization"}}));
+  return master;
+}
+
+/// The fault-free in-process twin of a process tree: a TopologyRuntime over
+/// its own master, with fbdr_node's relay retry policy.
+struct RuntimeTwin {
+  explicit RuntimeTwin(const std::vector<RelaySpec>& spec = kChain)
+      : master(make_master()), runtime(master, options()) {
+    for (const RelaySpec& relay : spec) {
+      runtime.add_node(relay.name, relay.parent, {serial_query(relay.prefix)});
+    }
+  }
+
   std::shared_ptr<server::DirectoryServer> master;
-  std::unique_ptr<resync::ReSyncMaster> resync;
-  std::unique_ptr<topology::RelayNode> d1, d2, leaf;
+  topology::TopologyRuntime runtime;
 
-  TwinChain() {
-    master = std::make_shared<server::DirectoryServer>("ldap://root");
-    master->add_context({ldap::Dn::parse("o=xyz"), {}});
-    master->load(
-        ldap::make_entry("o=xyz", {{"objectclass", "organization"}}));
-    resync = std::make_unique<resync::ReSyncMaster>(*master);
-
-    const auto relay = [](const std::string& name) {
-      topology::RelayNode::Config config;
-      config.name = name;
-      config.suffix = ldap::Dn::parse("o=xyz");
-      config.retry = {4, 1, 2.0, 16, 0};
-      return std::make_unique<topology::RelayNode>(std::move(config));
-    };
-    d1 = relay("d1");
-    d2 = relay("d2");
-    leaf = relay("leaf");
-    d1->connect(std::make_shared<net::DirectChannel>(*resync), "ldap://root");
-    d2->connect(std::make_shared<net::DirectChannel>(*d1), "ldap://d1");
-    leaf->connect(std::make_shared<net::DirectChannel>(*d2), "ldap://d2");
-    d1->add_filter(serial_query("0"));
-    d2->add_filter(serial_query("00"));
-    leaf->add_filter(serial_query("000"));
-  }
-
-  void install() {
-    ASSERT_TRUE(d1->install_all());
-    ASSERT_TRUE(d2->install_all());
-    ASSERT_TRUE(leaf->install_all());
-  }
-
-  /// Same round as ProcessTopology::tick(): deepest-first sync, root pump,
-  /// one clock tick.
-  void tick() {
-    leaf->sync();
-    d2->sync();
-    d1->sync();
-    resync->pump();
-    resync->tick(1);
+ private:
+  static topology::TopologyRuntime::Options options() {
+    topology::TopologyRuntime::Options options;
+    options.retry = {4, 1, 2.0, 16, 0};
+    return options;
   }
 };
 
@@ -126,12 +119,15 @@ inline std::vector<std::string> master_truth(
 }
 
 /// One journaled operation applied to both roots (control plane on the
-/// process side, direct calls on the twin's master).
+/// process side, direct calls on the twin's master), or to the master alone
+/// when there is no process tree.
 class MutationStream {
  public:
   MutationStream(ProcessTopology& procs, server::DirectoryServer& master)
       : procs_(&procs), master_(&master) {}
-  MutationStream(ProcessTopology& procs, TwinChain& twin)
+  explicit MutationStream(server::DirectoryServer& master)
+      : procs_(nullptr), master_(&master) {}
+  MutationStream(ProcessTopology& procs, RuntimeTwin& twin)
       : MutationStream(procs, *twin.master) {}
 
   void seed() {
@@ -142,9 +138,11 @@ class MutationStream {
 
   void add(int group, int rank) {
     const std::string serial = serial_of(group, rank);
-    procs_->control("root").request(
-        "apply add cn=e" + serial + ",o=xyz|objectclass=person;serialnumber=" +
-        serial);
+    if (procs_ != nullptr) {
+      procs_->control("root").request("apply add cn=e" + serial +
+                                      ",o=xyz|objectclass=person;serialnumber=" +
+                                      serial);
+    }
     master_->add(ldap::make_entry("cn=e" + serial + ",o=xyz",
                                         {{"objectclass", "person"},
                                          {"serialnumber", serial}}));
@@ -158,7 +156,7 @@ class MutationStream {
     } catch (const ldap::OperationError&) {
       return;  // already gone; skip the process side too
     }
-    procs_->control("root").request("apply del " + dn);
+    if (procs_ != nullptr) procs_->control("root").request("apply del " + dn);
   }
 
   void relabel(int group, int rank, const std::string& new_serial) {
@@ -172,8 +170,10 @@ class MutationStream {
     } catch (const ldap::OperationError&) {
       return;
     }
-    procs_->control("root").request("apply mod " + dn +
-                                    "|serialnumber=" + new_serial);
+    if (procs_ != nullptr) {
+      procs_->control("root").request("apply mod " + dn +
+                                      "|serialnumber=" + new_serial);
+    }
   }
 
  private:
@@ -195,29 +195,24 @@ inline std::string make_workdir() {
   return dir ? dir : "";
 }
 
-inline void build_chain(ProcessTopology& procs) {
+inline void build_tree(ProcessTopology& procs,
+                       const std::vector<RelaySpec>& spec = kChain) {
   procs.add_root("root");
-  procs.add_relay("d1", "root", {serial_spec("0")});
-  procs.add_relay("d2", "d1", {serial_spec("00")});
-  procs.add_relay("leaf", "d2", {serial_spec("000")});
+  for (const RelaySpec& relay : spec) {
+    procs.add_relay(relay.name, *relay.parent ? relay.parent : "root",
+                    {serial_spec(relay.prefix)});
+  }
 }
 
-inline void assert_converged(ProcessTopology& procs, TwinChain& twin,
+inline void assert_converged(ProcessTopology& procs, RuntimeTwin& twin,
                              const std::string& note) {
-  const struct {
-    const char* name;
-    const char* prefix;
-    const topology::RelayNode* twin_node;
-  } nodes[] = {{"d1", "0", twin.d1.get()},
-               {"d2", "00", twin.d2.get()},
-               {"leaf", "000", twin.leaf.get()}};
-  for (const auto& n : nodes) {
+  for (const RelaySpec& n : kChain) {
     const ldap::Query query = serial_query(n.prefix);
     const std::vector<std::string> process_keys =
         procs.keys(n.name, serial_spec(n.prefix));
     EXPECT_EQ(process_keys, master_truth(*twin.master, query))
         << n.name << " diverged from master truth (" << note << ")";
-    EXPECT_EQ(process_keys, mirror_keys(*n.twin_node, query))
+    EXPECT_EQ(process_keys, mirror_keys(twin.runtime.node(n.name), query))
         << n.name << " diverged from its in-process twin (" << note << ")";
     EXPECT_FALSE(process_keys.empty())
         << n.name << " holds nothing — the comparison proved nothing ("

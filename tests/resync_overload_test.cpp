@@ -401,13 +401,13 @@ TEST(TopologyOverload, BusyRootBouncesInstallAndNodeHealsOnCapacity) {
   runtime.add_node("a", "", {kQuery});
   runtime.add_node("b", "", {other});
   EXPECT_FALSE(runtime.install());  // node b bounced at the session cap
-  EXPECT_TRUE(runtime.node("b").any_degraded());
+  EXPECT_TRUE(runtime.node("b").upstream_total().degraded);
   EXPECT_GE(runtime.node("b").upstream_total().busy_rejections, 1u);
 
   // Capacity returns: the degraded node's next sync round refetches.
   runtime.root_master().set_resource_limits({});
   runtime.run(2);
-  EXPECT_FALSE(runtime.node("b").any_degraded());
+  EXPECT_FALSE(runtime.node("b").upstream_total().degraded);
   std::vector<std::string> b_keys;
   for (const ldap::EntryPtr& entry :
        runtime.node("b").mirror().evaluate(other)) {

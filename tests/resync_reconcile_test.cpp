@@ -587,7 +587,7 @@ TEST(TopologyReconcile, RelayHealsWithoutCascadingAnEpochBump) {
                  {{Modification::Op::Replace, "mail", {"new@xyz.com"}}});
   relay.sync();
 
-  EXPECT_EQ(relay.recoveries(), 1u);
+  EXPECT_EQ(relay.upstream_total().recoveries, 1u);
   EXPECT_EQ(relay.epoch(), 0u) << "reconcile heal must not bump the epoch";
   const net::FilterHealth upstream = relay.upstream_total();
   EXPECT_EQ(upstream.reconciles, 1u);
@@ -728,7 +728,7 @@ TEST(TopologyReconcile, FramedRound2ThroughRelayMatchesDirectTwin) {
   EXPECT_EQ(twin_leaf.reconciles, leaf.reconciles);
   EXPECT_EQ(twin_leaf.reconcile_entries_shipped,
             leaf.reconcile_entries_shipped);
-  EXPECT_EQ(framed.runtime->node("relay").recoveries(), 0u);
+  EXPECT_EQ(framed.runtime->node("relay").upstream_total().recoveries, 0u);
 }
 
 }  // namespace

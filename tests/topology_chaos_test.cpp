@@ -261,7 +261,7 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
     std::uint64_t downstream_recoveries = 0;
     for (const std::string& name : faulty.node_names()) {
       if (faulty.parent_of(name) == schedule.crash_node) {
-        downstream_recoveries += faulty.node(name).recoveries();
+        downstream_recoveries += faulty.node(name).upstream_total().recoveries;
       }
     }
     EXPECT_GT(downstream_recoveries, 0u)
@@ -650,7 +650,7 @@ TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
                 health_fields(relay_health.filters.at(query.key())))
           << when << " " << query.to_string();
     }
-    if (relay.any_degraded()) return;
+    if (relay.upstream_total().degraded) return;
     ++content_rounds;
     for (std::size_t slot = 0; slot < filters.size(); ++slot) {
       EXPECT_EQ(service_keys(service, slot), mirror_keys(relay, filters[slot]))
@@ -690,7 +690,7 @@ TEST_P(UpstreamSessionTwin, ServiceAndRelayStayInStep) {
     expect_in_step("quiescence " + std::to_string(extra));
   }
 
-  EXPECT_FALSE(relay.any_degraded());
+  EXPECT_FALSE(relay.upstream_total().degraded);
   EXPECT_GT(content_rounds, 100u) << "content was rarely comparable";
   EXPECT_GT(service_pipe->counters().faults(), 0u)
       << "fault schedule was a no-op";
@@ -827,10 +827,10 @@ TEST(UpstreamSessionLeak, ReestablishEndsTheAbandonedSession) {
   for (int i = 0; i < 5; ++i) {
     pipe.set_config(outage);
     runtime.tick();  // the poll reaches the root; its answer is lost
-    EXPECT_TRUE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_TRUE(runtime.node("relay").upstream_total().degraded) << "outage " << i;
     pipe.set_config(net::FaultConfig{});
     runtime.tick();  // re-established
-    EXPECT_FALSE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_FALSE(runtime.node("relay").upstream_total().degraded) << "outage " << i;
     EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
   }
 
@@ -869,11 +869,11 @@ TEST(UpstreamSessionLeak, LostEndIsResentBeforeReopening) {
     runtime.tick();  // the poll reaches the root; its answer is lost
     pipe.set_config(partitioned);
     runtime.tick();  // the SyncEnd of the re-establishment is lost
-    EXPECT_TRUE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_TRUE(runtime.node("relay").upstream_total().degraded) << "outage " << i;
     EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
     pipe.set_config(net::FaultConfig{});
     runtime.tick();  // ended, then re-established
-    EXPECT_FALSE(runtime.node("relay").any_degraded()) << "outage " << i;
+    EXPECT_FALSE(runtime.node("relay").upstream_total().degraded) << "outage " << i;
     EXPECT_EQ(runtime.root_master().session_count(), 1u) << "outage " << i;
   }
   EXPECT_EQ(mirror_keys(runtime.node("relay"), serial_query("0")),

@@ -178,7 +178,7 @@ TEST(TopologyRelay, UpstreamStaleCookieCascadesAsEpochBump) {
   // invalidate its own descendants.
   world.root->tick(50);
   world.relay->sync();
-  EXPECT_EQ(world.relay->recoveries(), 1u);
+  EXPECT_EQ(world.relay->upstream_total().recoveries, 1u);
   EXPECT_EQ(world.relay->epoch(), 1u);
   EXPECT_THROW(world.relay->handle(serial_query("000"),
                                    {Mode::Poll, downstream.cookie}),

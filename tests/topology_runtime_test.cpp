@@ -148,7 +148,7 @@ TEST(TopologyRuntime, ReparentsOrphanedSubtreeToGrandparent) {
   runtime.restart_node("mid");
   runtime.run(2);
   EXPECT_EQ(runtime.parent_of("leaf"), "");
-  EXPECT_FALSE(runtime.node("mid").any_degraded());
+  EXPECT_FALSE(runtime.node("mid").upstream_total().degraded);
   EXPECT_EQ(mirror_keys(runtime.node("mid"), serial_query("00")),
             master_truth(*dir.master, serial_query("00")));
 }
