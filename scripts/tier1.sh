@@ -13,7 +13,8 @@
 # threaded shard-equivalence and chaos suites and the two-masters-on-one-store
 # journal twin (the sharded pump is where races would hide — shard-local
 # state crossing a shard boundary, the pump-pool barrier, shard threads
-# reading a batch the barrier then frees),
+# reading a batch the barrier then frees) and the in-process socket suites
+# (the epoll loop thread against the test thread),
 # then the socket loopback suites (with the process TreeBackend scenarios)
 # under ASan with a hard timeout (stream
 # reassembly, the epoll server and the control plane's line parsing are
@@ -57,7 +58,7 @@ echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # The hard timeout guards against a hung epoll loop or a wedged child
 # process eating the whole CI run.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
+      -R 'SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
 
 echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # The seeded ChaosProxy drives real byte faults (partitions, resets,
@@ -74,9 +75,14 @@ cmake -B build-tsan -S . -DFBDR_SANITIZE=thread -DFBDR_BUILD_BENCHMARKS=OFF \
       -DFBDR_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
       resync_shard_equivalence_test resync_chaos_test topology_chaos_test \
-      server_journal_test
+      server_journal_test netio_socket_test netio_chaos_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
       -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos|BatchedSync|JournalReaderTwin'
+# The socket suites in-process: the epoll loop thread dispatches frames
+# under endpoint_mutex() while the test thread mutates the endpoint and
+# reads the server's counters.
+timeout 600 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
+      -R 'SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ChaosProxyTest'
 
 echo "== tier 1: bench smoke (routed pump >=2x exhaustive; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2

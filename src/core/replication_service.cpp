@@ -1,7 +1,9 @@
 #include "core/replication_service.h"
 
 #include <map>
-#include <set>
+
+#include "resync/protocol.h"
+#include "sync/replica_content.h"
 
 namespace fbdr::core {
 
@@ -148,49 +150,17 @@ std::map<std::string, EntryPtr> FilterReplicationService::snapshot(
 void FilterReplicationService::apply_delta(
     std::size_t slot, const resync::ReSyncResponse& response) {
   if (response.pdus.empty() && !response.complete_enumeration) return;
-  // Rebuild this query's content from the delta: adds/mods upsert, deletes
-  // drop. set_content needs the full list, so fold into a map first.
-  std::map<std::string, EntryPtr> content = snapshot(slot);
-  std::set<std::string> mentioned;
-  for (const resync::EntryPdu& pdu : response.pdus) {
-    switch (pdu.action) {
-      case resync::Action::Add:
-      case resync::Action::Modify:
-        content[pdu.dn.norm_key()] = pdu.entry;
-        break;
-      case resync::Action::Delete:
-        content.erase(pdu.dn.norm_key());
-        break;
-      case resync::Action::Retain:
-        break;
-    }
-    if (response.complete_enumeration && pdu.action != resync::Action::Delete) {
-      mentioned.insert(pdu.dn.norm_key());
-    }
-  }
-  if (response.complete_enumeration) {
-    // Equation (3): the poll enumerated the whole content — anything it did
-    // not mention has left the filter and must be dropped, or the replica
-    // would serve ghost entries after a degraded (history-less) poll.
-    std::erase_if(content, [&mentioned](const auto& item) {
-      return mentioned.count(item.first) == 0;
-    });
-  }
-  std::vector<EntryPtr> entries;
-  entries.reserve(content.size());
-  for (auto& [key, entry] : content) entries.push_back(std::move(entry));
-  replica_.set_content(slot, entries);
+  sync::ReplicaContent content(snapshot(slot));
+  content.apply(resync::to_batch(response));
+  replica_.set_content(slot, content.entries());
 }
 
 void FilterReplicationService::adopt_full(
     std::size_t slot, const resync::ReSyncResponse& response,
     bool /*recovery*/) {
-  std::vector<EntryPtr> entries;
-  entries.reserve(response.pdus.size());
-  for (const resync::EntryPdu& pdu : response.pdus) {
-    if (pdu.entry) entries.push_back(pdu.entry);
-  }
-  replica_.set_content(slot, entries);
+  sync::ReplicaContent content;
+  content.apply(resync::to_batch(response));
+  replica_.set_content(slot, content.entries());
 }
 
 void FilterReplicationService::sync() {

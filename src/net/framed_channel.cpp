@@ -5,59 +5,68 @@
 
 namespace fbdr::net {
 
-namespace {
-
-wire::Bytes encode_error_frame(wire::ErrorFrame::Kind kind,
-                               const std::string& message,
-                               std::int32_t result_code = 0) {
-  wire::ErrorFrame error;
-  error.kind = kind;
-  error.result_code = result_code;
-  error.message = message;
-  return wire::Codec::frame(wire::Codec::encode_error(error));
-}
-
-}  // namespace
-
-wire::Bytes EndpointPipe::transfer(const wire::Bytes& frame) {
+ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
+                        const wire::Bytes& frame) {
+  using Outcome = ServedFrame::Outcome;
+  wire::Bytes payload;
+  wire::FrameKind kind;
   wire::RequestFrame request;
   try {
-    const wire::Bytes payload = wire::Codec::deframe(frame);
-    if (wire::Codec::kind_of(payload) != wire::FrameKind::Request) {
-      throw wire::CodecError("frame in request position is not a request");
+    payload = wire::Codec::deframe(frame);
+    kind = wire::Codec::kind_of(payload);
+    if (kind == wire::FrameKind::Request) {
+      request = wire::Codec::decode_request(payload);
+    } else if (kind != wire::FrameKind::Abandon) {
+      throw wire::CodecError("frame is neither a request nor an abandon");
     }
-    request = wire::Codec::decode_request(payload);
   } catch (const wire::CodecError& e) {
-    // The server cannot parse the frame, so it drops it; the client sees
-    // the exchange fail at the transport level and retries.
-    throw TransportError(std::string("garbled request frame: ") + e.what());
+    return {Outcome::Garbled, {}, e.what()};
   }
+
+  if (kind == wire::FrameKind::Abandon) {
+    // One-way, best effort: nothing that goes wrong here reaches the sender.
+    try {
+      endpoint.abandon(wire::Codec::decode_abandon(payload));
+      return {Outcome::Abandoned, {}, {}};
+    } catch (const std::exception&) {
+      return {Outcome::Dropped, {}, {}};
+    }
+  }
+
   // Note the catch order: the specific protocol errors (stale cookie, busy)
   // must ship as their own kinds so the client-side rethrow is type-exact.
+  wire::ErrorFrame error;
   try {
-    return wire::Codec::frame(
-        wire::Codec::encode_response(endpoint_->handle(request.query,
-                                                       request.control)));
+    return {Outcome::Reply,
+            wire::Codec::frame(wire::Codec::encode_response(
+                endpoint.handle(request.query, request.control))),
+            {}};
   } catch (const ldap::StaleCookieError& e) {
-    return encode_error_frame(wire::ErrorFrame::Kind::StaleCookie, e.what());
+    error = {wire::ErrorFrame::Kind::StaleCookie, 0, e.what()};
   } catch (const ldap::BusyError& e) {
-    return encode_error_frame(wire::ErrorFrame::Kind::Busy, e.what());
+    error = {wire::ErrorFrame::Kind::Busy, 0, e.what()};
   } catch (const ldap::ProtocolError& e) {
-    return encode_error_frame(wire::ErrorFrame::Kind::Protocol, e.what());
+    error = {wire::ErrorFrame::Kind::Protocol, 0, e.what()};
   } catch (const ldap::OperationError& e) {
-    return encode_error_frame(wire::ErrorFrame::Kind::Operation, e.what(),
-                              static_cast<std::int32_t>(e.code()));
+    error = {wire::ErrorFrame::Kind::Operation,
+             static_cast<std::int32_t>(e.code()), e.what()};
   }
+  return {Outcome::Reply, wire::Codec::frame(wire::Codec::encode_error(error)),
+          {}};
+}
+
+wire::Bytes EndpointPipe::transfer(const wire::Bytes& frame) {
+  ServedFrame served = serve_frame(*endpoint_, frame);
+  // The server cannot parse the frame, so it drops it; the client sees
+  // the exchange fail at the transport level and retries.
+  if (served.outcome != ServedFrame::Outcome::Reply) {
+    throw TransportError("garbled request frame: " + served.error);
+  }
+  return std::move(served.reply);
 }
 
 void EndpointPipe::send(const wire::Bytes& frame) {
-  try {
-    const wire::Bytes payload = wire::Codec::deframe(frame);
-    if (wire::Codec::kind_of(payload) != wire::FrameKind::Abandon) return;
-    endpoint_->abandon(wire::Codec::decode_abandon(payload));
-  } catch (const wire::CodecError&) {
-    // One-way garbage is silently dropped; abandon is best effort anyway.
-  }
+  serve_frame(*endpoint_, frame);  // one-way: no outcome reaches the sender
 }
 
 void EndpointPipe::elapse(std::uint64_t ticks) { endpoint_->tick(ticks); }

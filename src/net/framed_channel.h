@@ -51,12 +51,32 @@ class BytePipe {
   virtual void elapse(std::uint64_t ticks) = 0;
 };
 
+/// What serve_frame did with one inbound frame.
+struct ServedFrame {
+  enum class Outcome {
+    Reply,      // a request was answered; `reply` is the frame to send back
+    Abandoned,  // an abandon reached the endpoint
+    Dropped,    // an abandon was dropped: garbled payload or endpoint error
+    Garbled,    // no frame, or neither a decodable request nor an abandon
+  };
+  Outcome outcome = Outcome::Garbled;
+  wire::Bytes reply;
+  std::string error;  // Garbled: why the frame was rejected
+};
+
+/// The server end of every framed link, in-process or socket: deframes
+/// `frame`, checks its kind, and dispatches a request to handle() or an
+/// abandon to abandon(). Protocol rejections (stale cookie, busy,
+/// operation/protocol errors) cross back as typed error frames, so the
+/// client rethrows exactly what a direct link would have thrown. A one-way
+/// abandon never reports back: a garbled payload or an endpoint error drops
+/// it. What a Garbled frame means is the transport's call.
+ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
+                        const wire::Bytes& frame);
+
 /// The server end of a framed link, terminating at an in-process
-/// ReSyncEndpoint: deframe + decode the request (a garbled frame is dropped
-/// by the server, surfacing client-side as TransportError), dispatch it,
-/// and encode the answer. Protocol rejections (stale cookie, busy,
-/// operation/protocol errors) cross back as typed error frames so the
-/// client rethrows exactly what a direct link would have thrown.
+/// ReSyncEndpoint through serve_frame. A garbled request is dropped by the
+/// server, which the client sees as TransportError.
 class EndpointPipe final : public BytePipe {
  public:
   explicit EndpointPipe(resync::ReSyncEndpoint& endpoint)

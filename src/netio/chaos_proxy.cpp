@@ -63,7 +63,7 @@ ChaosProxy::~ChaosProxy() {
 SocketAddr ChaosProxy::listen() {
   SocketAddr bound;
   std::string error;
-  listen_fd_ = open_listener(options_.listen, 64, &bound, &error);
+  listen_fd_ = open_listener(options_.listen, kListenBacklog, &bound, &error);
   if (listen_fd_ < 0) {
     throw std::runtime_error("chaos proxy listen " +
                              options_.listen.to_string() + ": " + error);

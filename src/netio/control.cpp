@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -26,7 +25,8 @@ ControlClient::~ControlClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string ControlClient::read_line() {
+std::string ControlClient::read_line(
+    std::chrono::steady_clock::time_point deadline) {
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -34,24 +34,7 @@ std::string ControlClient::read_line() {
       buffer_.erase(0, newline + 1);
       return line;
     }
-    // EINTR-safe wait with the deadline recomputed per retry: SIGCHLD from
-    // supervised children lands on this thread routinely.
-    const auto give_up = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeout_ms_);
-    pollfd pfd{fd_, POLLIN, 0};
-    int ready;
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            give_up - std::chrono::steady_clock::now())
-                            .count();
-      ready = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(left, 0)));
-      if (ready >= 0 || errno != EINTR) break;
-      if (std::chrono::steady_clock::now() >= give_up) {
-        ready = 0;
-        break;
-      }
-    }
-    if (ready <= 0) {
+    if (poll_until(fd_, POLLIN, deadline) <= 0) {
       throw std::runtime_error("control reply timed out (" +
                                addr_.to_string() + ")");
     }
@@ -70,7 +53,9 @@ std::string ControlClient::read_line() {
 
 std::vector<std::string> ControlClient::read_reply(const std::string& line,
                                                    std::string* error) {
-  const std::string status = read_line();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms_);
+  const std::string status = read_line(deadline);
   if (status.rfind("err ", 0) == 0) {
     *error = "control command '" + line + "' failed: " + status.substr(4);
     return {};
@@ -81,7 +66,9 @@ std::vector<std::string> ControlClient::read_reply(const std::string& line,
   const unsigned long count = std::stoul(status.substr(3));
   std::vector<std::string> payload;
   payload.reserve(count);
-  for (unsigned long i = 0; i < count; ++i) payload.push_back(read_line());
+  for (unsigned long i = 0; i < count; ++i) {
+    payload.push_back(read_line(deadline));
+  }
   return payload;
 }
 
@@ -105,18 +92,11 @@ void ControlClient::send(const std::vector<std::string>& lines) {
     out += line;
     out += '\n';
   }
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t n =
-        ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int send_errno = errno;
-      fail();
-      throw std::runtime_error(std::string("control send: ") +
-                               std::strerror(send_errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!send_all(fd_, out.data(), out.size())) {
+    const int send_errno = errno;
+    fail();
+    throw std::runtime_error(std::string("control send: ") +
+                             std::strerror(send_errno));
   }
   unanswered_.insert(unanswered_.end(), lines.begin(), lines.end());
 }

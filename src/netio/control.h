@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,6 +57,8 @@ namespace fbdr::netio {
 /// so it never has this restriction).
 class ControlClient {
  public:
+  /// Connects within `timeout_ms`; every reply must then arrive within
+  /// `timeout_ms` of the wait for it.
   ControlClient(const SocketAddr& addr, int timeout_ms = 10000);
   ~ControlClient();
 
@@ -87,8 +90,9 @@ class ControlClient {
   std::map<std::string, std::string> health();
 
  private:
-  std::string read_line();
-  /// Reads one reply to `line`: its payload, or the error message in *error.
+  std::string read_line(std::chrono::steady_clock::time_point deadline);
+  /// Reads one reply to `line`, all of it within timeout_ms: its payload,
+  /// or the error message in *error.
   std::vector<std::string> read_reply(const std::string& line,
                                       std::string* error);
 

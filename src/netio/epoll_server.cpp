@@ -9,25 +9,9 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "ldap/error.h"
-#include "net/channel.h"
-#include "resync/endpoint.h"
+#include "net/framed_channel.h"
 
 namespace fbdr::netio {
-
-namespace {
-
-wire::Bytes encode_error_frame(wire::ErrorFrame::Kind kind,
-                               const std::string& message,
-                               std::int32_t result_code = 0) {
-  wire::ErrorFrame error;
-  error.kind = kind;
-  error.result_code = result_code;
-  error.message = message;
-  return wire::Codec::frame(wire::Codec::encode_error(error));
-}
-
-}  // namespace
 
 EpollServer::EpollServer(resync::ReSyncEndpoint& endpoint, Options options)
     : endpoint_(&endpoint), options_(options) {
@@ -41,10 +25,7 @@ EpollServer::EpollServer(resync::ReSyncEndpoint& endpoint, Options options)
     ::close(epoll_fd_);
     throw std::runtime_error(std::string("eventfd: ") + std::strerror(errno));
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  watch(wake_fd_);
 }
 
 EpollServer::~EpollServer() {
@@ -60,47 +41,42 @@ EpollServer::~EpollServer() {
 }
 
 SocketAddr EpollServer::listen(const SocketAddr& addr) {
-  SocketAddr bound;
-  std::string error;
-  frame_listen_fd_ = open_listener(addr, options_.backlog, &bound, &error);
-  if (frame_listen_fd_ < 0) {
-    throw std::runtime_error("listen " + addr.to_string() + ": " + error);
-  }
-  set_nonblocking(frame_listen_fd_);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = frame_listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, frame_listen_fd_, &ev);
-  return bound;
+  return add_listener(addr, frame_listen_fd_);
 }
 
 SocketAddr EpollServer::listen_control(const SocketAddr& addr,
                                        ControlHandler handler) {
+  control_handler_ = std::move(handler);
+  return add_listener(addr, control_listen_fd_);
+}
+
+SocketAddr EpollServer::add_listener(const SocketAddr& addr, int& fd) {
   SocketAddr bound;
   std::string error;
-  control_listen_fd_ = open_listener(addr, options_.backlog, &bound, &error);
-  if (control_listen_fd_ < 0) {
+  fd = open_listener(addr, kListenBacklog, &bound, &error);
+  if (fd < 0) {
     throw std::runtime_error("listen " + addr.to_string() + ": " + error);
   }
-  control_handler_ = std::move(handler);
-  set_nonblocking(control_listen_fd_);
+  set_nonblocking(fd);
+  watch(fd);
+  return bound;
+}
+
+void EpollServer::watch(int fd) {
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = control_listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, control_listen_fd_, &ev);
-  return bound;
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
 }
 
 void EpollServer::start() {
   stop_requested_.store(false);
-  running_.store(true);
   thread_ = std::thread([this] { run(); });
 }
 
 void EpollServer::stop() {
   request_stop();
   if (thread_.joinable()) thread_.join();
-  running_.store(false);
 }
 
 void EpollServer::run() {
@@ -207,10 +183,7 @@ void EpollServer::accept_ready(int listen_fd, Role role) {
     conn->fd = fd;
     conn->role = role;
     conn->last_activity = std::chrono::steady_clock::now();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    watch(fd);
     connections_[fd] = std::move(conn);
     accepted_.fetch_add(1);
     if (role == Role::FrameData) open_connections_.fetch_add(1);
@@ -280,64 +253,23 @@ void EpollServer::read_batch(Connection& conn) {
 }
 
 void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
+  using Outcome = net::ServedFrame::Outcome;
   frames_in_.fetch_add(1);
-
-  wire::Bytes payload;
-  wire::FrameKind kind;
-  try {
-    payload = wire::Codec::deframe(frame);
-    kind = wire::Codec::kind_of(payload);
-  } catch (const wire::CodecError&) {
-    close_garbled(conn);
-    return;
-  }
-
-  if (kind == wire::FrameKind::Abandon) {
-    // One-way, best effort — mirror EndpointPipe::send: a garbled abandon
-    // payload is silently dropped, a decodable one is dispatched.
-    try {
-      const std::string cookie = wire::Codec::decode_abandon(payload);
-      std::lock_guard<std::mutex> lock(endpoint_mutex_);
-      endpoint_->abandon(cookie);
-      abandons_.fetch_add(1);
-    } catch (...) {
-    }
-    return;
-  }
-
-  if (kind != wire::FrameKind::Request) {
-    close_garbled(conn);
-    return;
-  }
-
-  wire::RequestFrame request;
-  try {
-    request = wire::Codec::decode_request(payload);
-  } catch (const wire::CodecError&) {
-    close_garbled(conn);
-    return;
-  }
-
-  // Same catch order as EndpointPipe::transfer: the specific protocol
-  // errors ship as their own kinds so the client-side rethrow stays
-  // type-exact across the process boundary.
-  wire::Bytes reply;
-  try {
+  net::ServedFrame served;
+  {
+    // Counted under the lock: whoever sees an abandon land sees it counted.
     std::lock_guard<std::mutex> lock(endpoint_mutex_);
-    reply = wire::Codec::frame(wire::Codec::encode_response(
-        endpoint_->handle(request.query, request.control)));
-  } catch (const ldap::StaleCookieError& e) {
-    reply = encode_error_frame(wire::ErrorFrame::Kind::StaleCookie, e.what());
-  } catch (const ldap::BusyError& e) {
-    reply = encode_error_frame(wire::ErrorFrame::Kind::Busy, e.what());
-  } catch (const ldap::ProtocolError& e) {
-    reply = encode_error_frame(wire::ErrorFrame::Kind::Protocol, e.what());
-  } catch (const ldap::OperationError& e) {
-    reply = encode_error_frame(wire::ErrorFrame::Kind::Operation, e.what(),
-                               static_cast<std::int32_t>(e.code()));
+    served = net::serve_frame(*endpoint_, frame);
+    if (served.outcome == Outcome::Abandoned) abandons_.fetch_add(1);
   }
-  frames_out_.fetch_add(1);
-  enqueue(conn, reply.data(), reply.size());
+  if (served.outcome == Outcome::Garbled) {
+    // The socket spelling of "the server drops the frame": the client sees
+    // a transport failure and retries over a fresh connection.
+    close_garbled(conn);
+  } else if (served.outcome == Outcome::Reply) {
+    frames_out_.fetch_add(1);
+    enqueue(conn, served.reply.data(), served.reply.size());
+  }
 }
 
 void EpollServer::dispatch_control(Connection& conn, const std::string& line) {

@@ -24,19 +24,12 @@ namespace fbdr::netio {
 /// number of SocketPipe clients over one listening socket.
 ///
 /// Per connection it reassembles the byte stream into wire frames
-/// (FrameReassembler), dispatches request frames to the endpoint, and
-/// queues encoded responses back out. The semantics of the in-process
-/// EndpointPipe are preserved exactly:
-///
-///  - A garbled frame (bad header, checksum mismatch, undecodable request)
-///    makes the connection unrecoverable, so the server closes it; the
-///    client surfaces net::TransportError and retries over a fresh
-///    connection — the socket spelling of "the server drops the frame".
-///  - Protocol rejections (stale cookie, busy, protocol, operation) cross
-///    back as typed ErrorFrames in the same catch order, so the client-side
-///    rethrow is type-exact.
-///  - Abandon frames are one-way best effort: dispatched if they decode,
-///    silently dropped if only their payload is garbled.
+/// (FrameReassembler), hands each to net::serve_frame — the dispatcher the
+/// in-process EndpointPipe runs too — and queues the replies back out. A
+/// garbled frame (bad header, checksum mismatch, undecodable request) makes
+/// the connection unrecoverable, so the server closes it; the client
+/// surfaces net::TransportError and retries over a fresh connection — the
+/// socket spelling of "the server drops the frame".
 ///
 /// Replies are coalesced: while the frames (or control lines) of one
 /// readable event are dispatched, their replies only queue, and the queue
@@ -62,7 +55,6 @@ namespace fbdr::netio {
 class EpollServer {
  public:
   struct Options {
-    int backlog = 64;
     /// Queued-unsent bytes above which a connection's reads are paused.
     std::size_t max_write_buffer = 4u << 20;
     /// Frame connections with no read/write activity for this long are
@@ -120,10 +112,6 @@ class EpollServer {
   /// single-threaded mode fbdr_node uses.
   void run();
 
-  /// One bounded iteration of the loop; returns false once a stop was
-  /// requested. Usable without start()/run() for deterministic stepping.
-  bool poll_once(int timeout_ms);
-
   /// Signals the loop to exit (thread-safe, callable from handlers).
   void request_stop();
 
@@ -156,6 +144,13 @@ class EpollServer {
     std::chrono::steady_clock::time_point last_activity;
   };
 
+  /// One bounded iteration of the loop; returns false once a stop was
+  /// requested.
+  bool poll_once(int timeout_ms);
+  /// Opens a listener at `addr` into `fd` and watches it.
+  SocketAddr add_listener(const SocketAddr& addr, int& fd);
+  /// Adds `fd` to the epoll set for reads.
+  void watch(int fd);
   void accept_ready(int listen_fd, Role role);
   void read_ready(Connection& conn);
   /// Reads and dispatches until EAGAIN, close or backpressure pause.
@@ -187,7 +182,6 @@ class EpollServer {
 
   std::thread thread_;
   std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> running_{false};
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> closed_{0};

@@ -17,9 +17,8 @@ namespace fbdr::netio {
 
 namespace {
 
-std::chrono::steady_clock::time_point deadline_after(int ms) {
-  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-}
+/// How long the driver waits for a node's control plane to answer.
+constexpr int kControlTimeoutMs = 15000;
 
 }  // namespace
 
@@ -170,18 +169,11 @@ int ProcessTopology::spawn(Node& n) {
 }
 
 void ProcessTopology::wait_ready(Node& n, int fd) {
-  const auto deadline = deadline_after(options_.spawn_timeout_ms);
-  pollfd pfd{fd, POLLIN, 0};
-  int ready = 0;
-  do {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    ready = ::poll(&pfd, 1,
-                   static_cast<int>(std::max<std::int64_t>(left.count(), 0)));
-  } while (ready < 0 && errno == EINTR);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.spawn_timeout_ms);
   char byte = 0;
   ssize_t got = -1;
-  if (ready > 0) {
+  if (poll_until(fd, POLLIN, deadline) > 0) {
     do {
       got = ::read(fd, &byte, 1);
     } while (got < 0 && errno == EINTR);
@@ -189,7 +181,7 @@ void ProcessTopology::wait_ready(Node& n, int fd) {
   ::close(fd);
   if (got == 1) {
     n.client = std::make_unique<ControlClient>(n.control_addr,
-                                               options_.control_timeout_ms);
+                                               kControlTimeoutMs);
     return;
   }
   if (got == 0) {

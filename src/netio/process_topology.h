@@ -47,7 +47,6 @@ class ProcessTopology {
     std::uint64_t session_time_limit = 0;
     /// How long a spawned node may take to report ready.
     int spawn_timeout_ms = 10000;
-    int control_timeout_ms = 15000;
     /// Upstream SocketPipe deadlines inside each relay process (0 = the
     /// fbdr_node defaults). Chaos tests shrink these so a partitioned link
     /// fails fast instead of eating the 10s default per attempt.

@@ -171,24 +171,9 @@ int open_client(const SocketAddr& addr, int timeout_ms, std::string* error) {
       ::close(fd);
       return -1;
     }
-    // EINTR-safe wait: a signal (SIGCHLD from a supervised child dying is
-    // routine here) must not burn the connect attempt — retry the poll with
-    // the remaining slice of the deadline.
-    const auto give_up = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(timeout_ms);
-    pollfd pfd{fd, POLLOUT, 0};
-    int ready;
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            give_up - std::chrono::steady_clock::now())
-                            .count();
-      ready = ::poll(&pfd, 1, static_cast<int>(std::max<long long>(left, 0)));
-      if (ready >= 0 || errno != EINTR) break;
-      if (std::chrono::steady_clock::now() >= give_up) {
-        ready = 0;  // interrupted past the deadline: report a timeout
-        break;
-      }
-    }
+    const int ready = poll_until(fd, POLLOUT,
+                                 std::chrono::steady_clock::now() +
+                                     std::chrono::milliseconds(timeout_ms));
     int so_error = 0;
     socklen_t so_len = sizeof(so_error);
     ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &so_len);
@@ -212,6 +197,35 @@ int open_client(const SocketAddr& addr, int timeout_ms, std::string* error) {
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+int poll_until(int fd, short events,
+               std::chrono::steady_clock::time_point deadline) {
+  pollfd pfd{fd, events, 0};
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::max<long long>(left, 0)));
+    if (ready >= 0 || errno != EINTR) return ready;
+    // Interrupted past the deadline: report a timeout.
+    if (std::chrono::steady_clock::now() >= deadline) return 0;
+  }
+}
+
+bool send_all(int fd, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::send(fd, bytes, size, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace fbdr::netio

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -40,8 +42,12 @@ struct SocketAddr {
 /// (if given) receives the errno text of the first refused syscall.
 bool sockets_available(std::string* reason = nullptr);
 
-// --- low-level helpers shared by SocketPipe and EpollServer -------------
-// All return a valid fd or -1 with `error` filled; fds are close-on-exec.
+// --- low-level helpers shared by the socket clients and servers ---------
+// The fd-returning ones return a valid fd or -1 with `error` filled; fds
+// are close-on-exec.
+
+/// The listen backlog of the EpollServer and ChaosProxy listeners.
+inline constexpr int kListenBacklog = 64;
 
 /// Binds + listens at `addr`; on success writes the actually-bound address
 /// (TCP port 0 resolved) to `bound`. A pre-existing Unix socket path is
@@ -54,5 +60,17 @@ int open_client(const SocketAddr& addr, int timeout_ms, std::string* error);
 
 /// Puts `fd` into non-blocking mode. Returns false on failure.
 bool set_nonblocking(int fd);
+
+/// Waits until `fd` reports one of `events` (POLLIN, POLLOUT) or `deadline`
+/// passes. A signal does not cut the wait short (SIGCHLD from a supervised
+/// child is routine): the poll resumes on the time left. Returns what
+/// poll() does: > 0 ready, 0 timed out, < 0 failed with errno set.
+int poll_until(int fd, short events,
+               std::chrono::steady_clock::time_point deadline);
+
+/// Writes all `size` bytes to the blocking socket `fd`, across partial
+/// writes and signals. A peer that closed yields EPIPE, not SIGPIPE.
+/// Returns false with errno set on failure.
+bool send_all(int fd, const void* data, std::size_t size);
 
 }  // namespace fbdr::netio

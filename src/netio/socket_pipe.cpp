@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace fbdr::netio {
 
@@ -39,16 +38,8 @@ void SocketPipe::ensure_connected() {
 }
 
 void SocketPipe::write_all(const wire::Bytes& frame) {
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    // MSG_NOSIGNAL: a peer that closed mid-write yields EPIPE, not SIGPIPE.
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail(std::string("send failed: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!send_all(fd_, frame.data(), frame.size())) {
+    fail(std::string("send failed: ") + std::strerror(errno));
   }
 }
 
@@ -61,17 +52,9 @@ wire::Bytes SocketPipe::read_frame(
     std::chrono::steady_clock::time_point deadline) {
   std::uint8_t chunk[4096];
   while (!reassembler_.has_frame()) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) fail("response timed out");
-
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      fail(std::string("poll failed: ") + std::strerror(errno));
-    }
+    const int ready = poll_until(fd_, POLLIN, deadline);
     if (ready == 0) fail("response timed out");
+    if (ready < 0) fail(std::string("poll failed: ") + std::strerror(errno));
 
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) fail("connection closed by peer");
@@ -123,11 +106,6 @@ void SocketPipe::send(const wire::Bytes& frame) {
   }
 }
 
-void SocketPipe::elapse(std::uint64_t ticks) {
-  if (options_.backoff_ms_per_tick > 0 && ticks > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<std::uint64_t>(options_.backoff_ms_per_tick) * ticks));
-  }
-}
+void SocketPipe::elapse(std::uint64_t /*ticks*/) {}
 
 }  // namespace fbdr::netio

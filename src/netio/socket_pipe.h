@@ -27,8 +27,8 @@ namespace fbdr::netio {
 ///    Replay-safe cookie sequence numbers make the re-send idempotent, so
 ///    a reconnect mid-session heals exactly like a dropped frame on the
 ///    in-process FaultyPipe.
-///  - elapse() sleeps backoff_ms_per_tick per logical tick (default 0:
-///    logical backoff costs no wall clock, which is what tests want).
+///  - elapse() is a no-op: logical backoff costs no wall clock, and the
+///    server's clock moves by its own control plane, not by this link.
 ///
 /// The pipe is intentionally single-connection and synchronous: one
 /// request frame out, one response frame back — or, through transfer_all(),
@@ -44,8 +44,6 @@ class SocketPipe final : public net::BytePipe {
     /// Deadline for one whole response (per transfer(); per batch of
     /// responses in transfer_all()).
     int io_timeout_ms = 10000;
-    /// Wall-clock milliseconds per logical tick in elapse().
-    int backoff_ms_per_tick = 0;
   };
 
   explicit SocketPipe(Options options);

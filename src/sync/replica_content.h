@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ldap/entry.h"
@@ -14,6 +15,11 @@ namespace fbdr::sync {
 /// contents equal the master-side ContentTracker's after each poll.
 class ReplicaContent {
  public:
+  ReplicaContent() = default;
+  /// Starts from `entries`, keyed by normalized DN.
+  explicit ReplicaContent(std::map<std::string, ldap::EntryPtr> entries)
+      : entries_(std::move(entries)) {}
+
   /// Applies one batch. Handles full reloads, the add/mod/delete actions of
   /// equation (2) and the retain-based complete enumeration of equation (3).
   /// Deletes of unknown DNs (the conservative notifications of the baseline

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +20,8 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "ldap/entry.h"
@@ -373,6 +376,149 @@ TEST(SocketErrors, AbandonIsOneWayAndReachesTheEndpoint) {
   EXPECT_GE(server.stats().abandons, 1u);
   server.stop();
 }
+
+// --- serve_frame: one dispatcher behind both server ends ---------------
+
+enum class Transport { InProcess, Socket };
+
+/// One framed link to `endpoint`: an EndpointPipe, or an EpollServer on a
+/// Unix socket with a SocketPipe client. Declare it after the endpoint, so
+/// the server stops before the endpoint goes.
+class TestLink {
+ public:
+  TestLink(Transport transport, resync::ReSyncEndpoint& endpoint) {
+    if (transport == Transport::InProcess) {
+      channel_ = std::make_unique<net::FramedChannel>(endpoint);
+      return;
+    }
+    server_ = std::make_unique<EpollServer>(endpoint);
+    SocketPipe::Options options;
+    options.addr = server_->listen(dir_.addr("serve.sock"));
+    server_->start();
+    pipe_ = std::make_shared<SocketPipe>(options);
+    channel_ = std::make_unique<net::FramedChannel>(pipe_);
+  }
+
+  net::FramedChannel& channel() { return *channel_; }
+  EpollServer* server() { return server_.get(); }
+  SocketPipe* pipe() { return pipe_.get(); }
+
+ private:
+  SocketDir dir_;
+  std::unique_ptr<EpollServer> server_;
+  std::shared_ptr<SocketPipe> pipe_;
+  std::unique_ptr<net::FramedChannel> channel_;
+};
+
+class ServeFrameTwin : public ::testing::TestWithParam<Transport> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Transport::Socket) SKIP_WITHOUT_SOCKETS();
+  }
+};
+
+// An abandon the endpoint rejects (ReSyncMaster cannot parse the cookie) is
+// dropped on both ends: the one-way sender never sees the error, nothing is
+// counted as abandoned, and the link keeps serving.
+TEST_P(ServeFrameTwin, RejectedAbandonIsDroppedAndTheLinkStaysUsable) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  TestLink link(GetParam(), resync);
+
+  const ReSyncResponse first =
+      link.channel().exchange(kQueries[0], {Mode::Poll, ""});
+  EXPECT_NO_THROW(link.channel().abandon("rs-1#x"));
+  // On a socket the abandon is read before this request, in order.
+  const ReSyncResponse next =
+      link.channel().exchange(kQueries[0], {Mode::Poll, first.cookie});
+  EXPECT_FALSE(next.cookie.empty());
+
+  if (EpollServer* server = link.server()) {
+    const EpollServer::Stats stats = server->stats();
+    EXPECT_EQ(stats.frames_in, 3u);
+    EXPECT_EQ(stats.frames_out, 2u);
+    EXPECT_EQ(stats.abandons, 0u);
+    EXPECT_EQ(stats.garbled_closes, 0u);
+    EXPECT_EQ(link.pipe()->connects(), 1u);
+    server->with_endpoint([](resync::ReSyncEndpoint& endpoint) {
+      EXPECT_EQ(static_cast<ReSyncMaster&>(endpoint).session_count(), 1u);
+    });
+  } else {
+    EXPECT_EQ(resync.session_count(), 1u);
+  }
+}
+
+/// An endpoint whose every request and abandon throws the error `kind`
+/// selects: 0 stale cookie, 1 busy, 2 protocol, 3 operation.
+class ThrowingEndpoint final : public resync::ReSyncEndpoint {
+ public:
+  std::atomic<int> kind{0};
+
+  ReSyncResponse handle(const Query&, const ReSyncControl&) override {
+    raise();
+  }
+  void abandon(const std::string&) override { raise(); }
+  void tick(std::uint64_t) override {}
+  void reset() override {}
+  const std::string& url() const override { return url_; }
+
+ private:
+  [[noreturn]] void raise() const {
+    switch (kind.load()) {
+      case 0: throw ldap::StaleCookieError("stale");
+      case 1: throw ldap::BusyError("busy");
+      case 2: throw ldap::ProtocolError("protocol");
+      default:
+        throw ldap::OperationError(ldap::ResultCode::NoSuchObject, "gone");
+    }
+  }
+
+  std::string url_ = "ldap://throwing";
+};
+
+// Each error kind the endpoint throws reaches the client as exactly that
+// type (not a base class), the operation error with its result code; the
+// same kinds thrown at an abandon never reach the sender.
+TEST_P(ServeFrameTwin, EndpointErrorsArriveTypeExact) {
+  ThrowingEndpoint endpoint;
+  TestLink link(GetParam(), endpoint);
+  const std::type_index expected[] = {
+      typeid(ldap::StaleCookieError), typeid(ldap::BusyError),
+      typeid(ldap::ProtocolError), typeid(ldap::OperationError)};
+
+  for (int kind = 0; kind < 4; ++kind) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
+    endpoint.kind = kind;
+    EXPECT_NO_THROW(link.channel().abandon("rs-1#1"));
+    std::type_index thrown = typeid(void);
+    try {
+      link.channel().exchange(kQueries[0], {Mode::Poll, ""});
+    } catch (const ldap::OperationError& e) {
+      thrown = typeid(e);
+      EXPECT_EQ(e.code(), ldap::ResultCode::NoSuchObject);
+    } catch (const std::exception& e) {
+      thrown = typeid(e);
+    }
+    EXPECT_EQ(thrown, expected[kind]);
+  }
+
+  if (EpollServer* server = link.server()) {
+    const EpollServer::Stats stats = server->stats();
+    EXPECT_EQ(stats.frames_out, 4u);
+    EXPECT_EQ(stats.abandons, 0u);
+    EXPECT_EQ(stats.garbled_closes, 0u);
+    EXPECT_EQ(link.pipe()->connects(), 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ServeFrameTwin,
+                         ::testing::Values(Transport::InProcess,
+                                           Transport::Socket),
+                         [](const auto& p) {
+                           return p.param == Transport::InProcess
+                                      ? std::string("InProcess")
+                                      : std::string("Socket");
+                         });
 
 // N concurrent replica connections multiplexed by one epoll loop: every
 // session converges, and the server really held them all open at once.
