@@ -8,12 +8,22 @@
 //
 // --max-wire-overhead gates CI on the framed/direct wall-clock factor for
 // the poll loop (the steady-state path): the codec must stay a small
-// multiplier on an exchange, not a dominating cost. Both worlds must also
-// end bit-identically converged at every scenario, or the bench fails.
+// multiplier on an exchange, not a dominating cost. That factor divides by
+// the replica's apply work too, so it rises whenever shared work gets
+// cheaper; three codec-only numbers sit beside it:
+//   decode_over_encode       codec microbench decode ns / encode ns
+//                            (--max-decode-factor)
+//   persist_overhead_factor  framed persist push ns / direct push ns
+//                            (--max-persist-overhead)
+//   codec_ns_per_poll        encode + in-place decode of one poll's
+//                            requests and replies, no replica work
+// Both worlds must also end bit-identically converged at every scenario,
+// or the bench fails.
 //
 // Usage:
 //   bench_wire [--employees=N] [--rounds=N] [--updates-per-round=N]
 //              [--json=PATH] [--max-wire-overhead=F]
+//              [--max-decode-factor=F] [--max-persist-overhead=F]
 
 #include <chrono>
 #include <cstdio>
@@ -45,6 +55,8 @@ struct Options {
   std::size_t updates_per_round = 50;
   std::string json_path = "BENCH_wire.json";
   double max_wire_overhead = 0.0;
+  double max_decode_factor = 0.0;
+  double max_persist_overhead = 0.0;
 };
 
 Options parse_options(int argc, char** argv) {
@@ -66,6 +78,10 @@ Options parse_options(int argc, char** argv) {
       options.json_path = json;
     } else if (const char* overhead = value("--max-wire-overhead=")) {
       options.max_wire_overhead = std::strtod(overhead, nullptr);
+    } else if (const char* factor = value("--max-decode-factor=")) {
+      options.max_decode_factor = std::strtod(factor, nullptr);
+    } else if (const char* persist = value("--max-persist-overhead=")) {
+      options.max_persist_overhead = std::strtod(persist, nullptr);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);
@@ -119,16 +135,48 @@ bool content_matches(const fbdr::resync::ReSyncReplica& replica,
   return replica.content().keys() == truth.content_keys();
 }
 
+/// One exchange of a direct link, kept for the codec-only replay.
+struct Exchange {
+  fbdr::ldap::Query query;
+  fbdr::resync::ReSyncControl control;
+  fbdr::resync::ReSyncResponse response;
+};
+
+/// A direct link that keeps every exchange it carries while `recording`.
+class RecordingChannel final : public fbdr::net::Channel {
+ public:
+  explicit RecordingChannel(fbdr::resync::ReSyncEndpoint& endpoint)
+      : inner_(endpoint) {}
+
+  fbdr::resync::ReSyncResponse exchange(
+      const fbdr::ldap::Query& query,
+      const fbdr::resync::ReSyncControl& control) override {
+    fbdr::resync::ReSyncResponse response = inner_.exchange(query, control);
+    if (recording) log.push_back({query, control, response});
+    return response;
+  }
+  void abandon(const std::string& cookie) override { inner_.abandon(cookie); }
+  void elapse(std::uint64_t ticks) override { inner_.elapse(ticks); }
+
+  bool recording = false;
+  std::vector<Exchange> log;
+
+ private:
+  fbdr::net::DirectChannel inner_;
+};
+
 /// full_reload + poll: one session started (the full reload), then `rounds`
-/// of update/pump/poll. `reload` and `poll` come back separately.
-void run_poll(const Options& options, bool framed, Run& reload, Run& poll) {
+/// of update/pump/poll. `reload` and `poll` come back separately. With
+/// `record`, the direct world's poll exchanges are kept there.
+void run_poll(const Options& options, bool framed, Run& reload, Run& poll,
+              std::vector<Exchange>* record = nullptr) {
   using namespace fbdr;
   workload::EnterpriseDirectory dir = make_directory(options.employees);
   resync::ReSyncMaster master(*dir.master);
   const ldap::Query query = division_query();
 
   net::FramedChannel framed_channel(master);
-  net::DirectChannel direct_channel(master);
+  RecordingChannel direct_channel(master);
   net::Channel& channel =
       framed ? static_cast<net::Channel&>(framed_channel) : direct_channel;
   resync::ReSyncReplica replica(channel, query);
@@ -146,6 +194,7 @@ void run_poll(const Options& options, bool framed, Run& reload, Run& poll) {
   master.reset_traffic();
   framed_channel.reset_traffic();
   workload::UpdateGenerator updates(dir, {});
+  direct_channel.recording = record != nullptr;
   double poll_ns = 0.0;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     updates.apply(options.updates_per_round);
@@ -161,6 +210,37 @@ void run_poll(const Options& options, bool framed, Run& reload, Run& poll) {
   poll.entries =
       framed ? framed_channel.traffic().entries : master.traffic().entries;
   poll.converged = content_matches(replica, *dir.master, query);
+  if (record) *record = std::move(direct_channel.log);
+}
+
+/// The codec alone on the poll scenario's traffic: each recorded request
+/// and reply encoded into a reused frame buffer and decoded in place, as
+/// the two ends of a framed link do, with no replica or master work. One
+/// untimed pass first: the recorded entries are cold by now, and a cold
+/// encode costs several times a warm one.
+double codec_ns(const std::vector<Exchange>& exchanges) {
+  using namespace fbdr;
+  wire::Bytes request;
+  wire::Bytes reply;
+  const auto replay = [&] {
+    for (const Exchange& exchange : exchanges) {
+      request.clear();
+      wire::Codec::frame_request(request, exchange.query, exchange.control);
+      const wire::RequestFrame decoded_request =
+          wire::Codec::decode_request(wire::Codec::payload_of(request));
+      reply.clear();
+      wire::Codec::frame_response(reply, exchange.response);
+      const resync::ReSyncResponse decoded_reply =
+          wire::Codec::decode_response(wire::Codec::payload_of(reply));
+      if (decoded_reply.pdus.size() != exchange.response.pdus.size()) {
+        std::abort();
+      }
+    }
+  };
+  replay();
+  const auto start = Clock::now();
+  replay();
+  return ns_since(start);
 }
 
 /// persist: a subscribed session receiving pushes. The framed world encodes
@@ -189,7 +269,7 @@ Run run_persist(const Options& options, bool framed) {
       const auto start = Clock::now();
       const wire::Bytes frame = bench::push_frame(cookie, pdus);
       const resync::ReSyncResponse decoded =
-          wire::Codec::decode_response(wire::Codec::deframe(frame));
+          wire::Codec::decode_response(wire::Codec::payload_of(frame));
       push_ns += ns_since(start);
       run.bytes += frame.size();
       ++run.frames;
@@ -331,6 +411,18 @@ int main(int argc, char** argv) {
   Run framed_reload, framed_poll, direct_reload, direct_poll;
   run_poll(options, /*framed=*/true, framed_reload, framed_poll);
   run_poll(options, /*framed=*/false, direct_reload, direct_poll);
+  // A third run only records the poll traffic, so the two timed runs above
+  // carry no recording cost.
+  std::vector<Exchange> poll_traffic;
+  {
+    Run unused_reload, unused_poll;
+    run_poll(options, /*framed=*/false, unused_reload, unused_poll,
+             &poll_traffic);
+  }
+  const double codec_ns_per_poll =
+      options.rounds > 0
+          ? codec_ns(poll_traffic) / static_cast<double>(options.rounds)
+          : 0.0;
   const Run framed_persist = run_persist(options, /*framed=*/true);
   const Run direct_persist = run_persist(options, /*framed=*/false);
   const Run framed_reconcile = run_reconcile(options, /*framed=*/true);
@@ -359,11 +451,16 @@ int main(int argc, char** argv) {
   }
   bench::print_row("codec_encode_ns", 0, micro.encode_ns);
   bench::print_row("codec_decode_ns", 0, micro.decode_ns);
+  bench::print_row("codec_ns_per_poll", 0, codec_ns_per_poll);
 
+  const auto ratio = [](double over, double under) {
+    return under > 0.0 ? over / under : 0.0;
+  };
   const double overhead_factor =
-      direct_poll.ns_per_op() > 0.0
-          ? framed_poll.ns_per_op() / direct_poll.ns_per_op()
-          : 0.0;
+      ratio(framed_poll.ns_per_op(), direct_poll.ns_per_op());
+  const double decode_over_encode = ratio(micro.decode_ns, micro.encode_ns);
+  const double persist_overhead_factor =
+      ratio(framed_persist.ns_per_op(), direct_persist.ns_per_op());
   const double micro_mb_per_s =
       micro.encode_ns + micro.decode_ns > 0.0
           ? static_cast<double>(micro.payload_bytes) * 1000.0 /
@@ -386,6 +483,9 @@ int main(int argc, char** argv) {
   codec.set("roundtrip_mb_per_s", micro_mb_per_s);
   report.set("codec_micro", std::move(codec));
   report.set("poll_overhead_factor", overhead_factor);
+  report.set("decode_over_encode", decode_over_encode);
+  report.set("persist_overhead_factor", persist_overhead_factor);
+  report.set("codec_ns_per_poll", codec_ns_per_poll);
   report.set("all_converged", bench::JsonValue::boolean(all_converged));
   bench::write_json_report(options.json_path, report);
 
@@ -393,6 +493,9 @@ int main(int argc, char** argv) {
               "(%.2fx); codec %.1f MB/s roundtrip\n",
               framed_poll.ns_per_op(), direct_poll.ns_per_op(),
               overhead_factor, micro_mb_per_s);
+  std::printf("# codec only: decode %.2fx encode; %.0f ns per poll; "
+              "persist push framed %.2fx direct\n",
+              decode_over_encode, codec_ns_per_poll, persist_overhead_factor);
 
   if (!all_converged) {
     std::fprintf(stderr, "FAIL: a scenario left framed and direct replicas "
@@ -407,5 +510,20 @@ int main(int argc, char** argv) {
                  overhead_factor, options.max_wire_overhead);
     return 1;
   }
-  return 0;
+  bool gates_hold = true;
+  if (options.max_decode_factor > 0.0 &&
+      decode_over_encode > options.max_decode_factor) {
+    std::fprintf(stderr, "FAIL: decode costs %.2fx encode, allowed %.2fx\n",
+                 decode_over_encode, options.max_decode_factor);
+    gates_hold = false;
+  }
+  if (options.max_persist_overhead > 0.0 &&
+      persist_overhead_factor > options.max_persist_overhead) {
+    std::fprintf(stderr,
+                 "FAIL: a framed persist push costs %.2fx a direct one, "
+                 "allowed %.2fx\n",
+                 persist_overhead_factor, options.max_persist_overhead);
+    gates_hold = false;
+  }
+  return gates_hold ? 0 : 1;
 }

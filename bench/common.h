@@ -102,7 +102,9 @@ inline wire::Bytes push_frame(const std::string& cookie,
   push.pdus = pdus;
   push.cookie = cookie;
   push.persistent = true;
-  return wire::Codec::frame(wire::Codec::encode_response(push));
+  wire::Bytes frame;
+  wire::Codec::frame_response(frame, push);
+  return frame;
 }
 
 inline void print_banner(const std::string& title, const std::string& note) {

@@ -9,7 +9,9 @@
 # and the journal readers and the baseline back-ends that are readers
 # (trimming frees records whose pointers since() handed out earlier), and
 # the in-process tree driver (TopologyRuntime, the TreeDriver core and the
-# in-process TreeBackend scenarios: handles re-wired mid-round), then a TSan build running the
+# in-process TreeBackend scenarios: handles re-wired mid-round), and the
+# in-place frame decoders (a frame decoded as a span into the reassembler's
+# buffer after the next feed moved it is a use-after-free), then a TSan build running the
 # threaded shard-equivalence and chaos suites and the two-masters-on-one-store
 # journal twin (the sharded pump is where races would hide — shard-local
 # state crossing a shard boundary, the pump-pool barrier, shard threads
@@ -43,12 +45,13 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       resync_overload_test resync_reconcile_test resync_baseline_test \
       sync_install_plan_test server_index_test server_journal_test sync_backends_test \
       resync_shard_equivalence_test bench_common_test \
-      wire_roundtrip_test wire_fuzz_test topology_relay_test core_service_test \
+      wire_roundtrip_test wire_fuzz_test wire_alloc_test topology_relay_test \
+      core_service_test \
       netio_pipe_test netio_socket_test netio_control_test netio_process_test \
       netio_chaos_test topology_runtime_test topology_tree_driver_test \
       topology_backend_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend|TopologyRuntime|TreeDriver|TreeBackend.*/InProcess'
+      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|WireAllocations|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend|TopologyRuntime|TreeDriver|TreeBackend.*/InProcess'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes

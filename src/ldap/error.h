@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace fbdr::ldap {
 
@@ -36,12 +37,21 @@ class ParseError : public std::runtime_error {
 class OperationError : public std::runtime_error {
  public:
   OperationError(ResultCode code, const std::string& what)
-      : std::runtime_error(to_string(code) + ": " + what), code_(code) {}
+      : std::runtime_error(to_string(code) + ": " + what),
+        code_(code),
+        prefix_(to_string(code).size() + 2) {}
 
   ResultCode code() const noexcept { return code_; }
 
+  /// The message as given, without the "<code>: " prefix what() carries:
+  /// what crosses a framed link, where the receiver adds the prefix again.
+  std::string_view message() const noexcept {
+    return std::string_view(what()).substr(prefix_);
+  }
+
  private:
   ResultCode code_;
+  std::size_t prefix_;
 };
 
 /// Error thrown by the replication / synchronization protocol layers.

@@ -5,14 +5,14 @@
 
 namespace fbdr::net {
 
-ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
-                        const wire::Bytes& frame) {
+ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint, wire::ByteSpan frame,
+                        wire::Bytes& reply) {
   using Outcome = ServedFrame::Outcome;
-  wire::Bytes payload;
+  wire::ByteSpan payload;
   wire::FrameKind kind;
   wire::RequestFrame request;
   try {
-    payload = wire::Codec::deframe(frame);
+    payload = wire::Codec::payload_of(frame);
     kind = wire::Codec::kind_of(payload);
     if (kind == wire::FrameKind::Request) {
       request = wire::Codec::decode_request(payload);
@@ -20,16 +20,16 @@ ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
       throw wire::CodecError("frame is neither a request nor an abandon");
     }
   } catch (const wire::CodecError& e) {
-    return {Outcome::Garbled, {}, e.what()};
+    return {Outcome::Garbled, e.what()};
   }
 
   if (kind == wire::FrameKind::Abandon) {
     // One-way, best effort: nothing that goes wrong here reaches the sender.
     try {
       endpoint.abandon(wire::Codec::decode_abandon(payload));
-      return {Outcome::Abandoned, {}, {}};
+      return {Outcome::Abandoned, {}};
     } catch (const std::exception&) {
-      return {Outcome::Dropped, {}, {}};
+      return {Outcome::Dropped, {}};
     }
   }
 
@@ -37,10 +37,9 @@ ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
   // must ship as their own kinds so the client-side rethrow is type-exact.
   wire::ErrorFrame error;
   try {
-    return {Outcome::Reply,
-            wire::Codec::frame(wire::Codec::encode_response(
-                endpoint.handle(request.query, request.control))),
-            {}};
+    wire::Codec::frame_response(
+        reply, endpoint.handle(request.query, request.control));
+    return {Outcome::Reply, {}};
   } catch (const ldap::StaleCookieError& e) {
     error = {wire::ErrorFrame::Kind::StaleCookie, 0, e.what()};
   } catch (const ldap::BusyError& e) {
@@ -48,25 +47,28 @@ ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
   } catch (const ldap::ProtocolError& e) {
     error = {wire::ErrorFrame::Kind::Protocol, 0, e.what()};
   } catch (const ldap::OperationError& e) {
+    // The bare message: the client's rethrow adds the code prefix again.
     error = {wire::ErrorFrame::Kind::Operation,
-             static_cast<std::int32_t>(e.code()), e.what()};
+             static_cast<std::int32_t>(e.code()), std::string(e.message())};
   }
-  return {Outcome::Reply, wire::Codec::frame(wire::Codec::encode_error(error)),
-          {}};
+  wire::Codec::frame_error(reply, error);
+  return {Outcome::Reply, {}};
 }
 
 wire::Bytes EndpointPipe::transfer(const wire::Bytes& frame) {
-  ServedFrame served = serve_frame(*endpoint_, frame);
+  wire::Bytes reply;
+  const ServedFrame served = serve_frame(*endpoint_, frame, reply);
   // The server cannot parse the frame, so it drops it; the client sees
   // the exchange fail at the transport level and retries.
   if (served.outcome != ServedFrame::Outcome::Reply) {
     throw TransportError("garbled request frame: " + served.error);
   }
-  return std::move(served.reply);
+  return reply;
 }
 
 void EndpointPipe::send(const wire::Bytes& frame) {
-  serve_frame(*endpoint_, frame);  // one-way: no outcome reaches the sender
+  wire::Bytes no_reply;  // an abandon is never answered
+  serve_frame(*endpoint_, frame, no_reply);
 }
 
 void EndpointPipe::elapse(std::uint64_t ticks) { endpoint_->tick(ticks); }
@@ -74,17 +76,18 @@ void EndpointPipe::elapse(std::uint64_t ticks) { endpoint_->tick(ticks); }
 void BytePipe::transfer_all(const std::vector<wire::Bytes>& frames,
                             const ReplySink& on_reply) {
   for (const wire::Bytes& frame : frames) {
-    if (!on_reply(transfer(frame))) return;
+    const wire::Bytes reply = transfer(frame);
+    if (!on_reply(Reply(reply))) return;
   }
 }
 
-resync::ReSyncResponse FramedChannel::decode_reply(const wire::Bytes& reply) {
+resync::ReSyncResponse FramedChannel::decode_reply(wire::ByteSpan reply) {
   traffic_.count_frame(reply.size());
   resync::ReSyncResponse response;
   wire::ErrorFrame error;
   bool is_error = false;
   try {
-    const wire::Bytes payload = wire::Codec::deframe(reply);
+    const wire::ByteSpan payload = wire::Codec::payload_of(reply);
     switch (wire::Codec::kind_of(payload)) {
       case wire::FrameKind::Response:
         response = wire::Codec::decode_response(payload);
@@ -108,27 +111,26 @@ resync::ReSyncResponse FramedChannel::decode_reply(const wire::Bytes& reply) {
 
 resync::ReSyncResponse FramedChannel::exchange(
     const ldap::Query& query, const resync::ReSyncControl& control) {
-  const wire::Bytes request =
-      wire::Codec::frame(wire::Codec::encode_request(query, control));
+  request_.clear();
+  wire::Codec::frame_request(request_, query, control);
   traffic_.count_round_trip();
-  traffic_.count_frame(request.size());
-  return decode_reply(pipe_->transfer(request));  // TransportError flows
+  traffic_.count_frame(request_.size());
+  return decode_reply(pipe_->transfer(request_));  // TransportError flows
 }
 
 void FramedChannel::exchange_all(std::span<ExchangeItem> items) {
-  std::vector<wire::Bytes> frames;
-  frames.reserve(items.size());
-  for (const ExchangeItem& item : items) {
-    frames.push_back(
-        wire::Codec::frame(wire::Codec::encode_request(*item.query, item.control)));
+  batch_.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    batch_[i].clear();  // keeps its capacity from the last batch
+    wire::Codec::frame_request(batch_[i], *items[i].query, items[i].control);
   }
   std::size_t done = 0;  // items with an outcome
   const auto count_request = [&] {
     traffic_.count_round_trip();
-    traffic_.count_frame(frames[done].size());
+    traffic_.count_frame(batch_[done].size());
   };
   try {
-    pipe_->transfer_all(frames, [&](wire::Bytes reply) {
+    pipe_->transfer_all(batch_, [&](BytePipe::Reply reply) {
       count_request();
       ExchangeItem& item = items[done++];
       try {
@@ -148,11 +150,11 @@ void FramedChannel::exchange_all(std::span<ExchangeItem> items) {
 }
 
 void FramedChannel::abandon(const std::string& cookie) {
-  const wire::Bytes frame =
-      wire::Codec::frame(wire::Codec::encode_abandon(cookie));
-  traffic_.count_frame(frame.size());
+  request_.clear();
+  wire::Codec::frame_abandon(request_, cookie);
+  traffic_.count_frame(request_.size());
   try {
-    pipe_->send(frame);
+    pipe_->send(request_);
   } catch (const TransportError&) {
     // Best effort: a lost abandon only delays session expiry.
   }

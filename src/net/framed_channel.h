@@ -31,9 +31,21 @@ class BytePipe {
   /// undecodable server-side.
   virtual wire::Bytes transfer(const wire::Bytes& frame) = 0;
 
+  /// One reply of a transfer_all batch: bytes the pipe owns until the sink
+  /// returns. A sink that keeps the reply takes it as wire::Bytes, a copy.
+  class Reply {
+   public:
+    explicit Reply(wire::ByteSpan bytes) : bytes_(bytes) {}
+    operator wire::ByteSpan() const noexcept { return bytes_; }
+    operator wire::Bytes() const { return {bytes_.begin(), bytes_.end()}; }
+
+   private:
+    wire::ByteSpan bytes_;
+  };
+
   /// Receives the replies of a transfer_all batch in order. Returns false
   /// when the batch may end after this reply.
-  using ReplySink = std::function<bool(wire::Bytes reply)>;
+  using ReplySink = std::function<bool(Reply reply)>;
 
   /// Carries `frames` in order and hands each reply to `on_reply`. The
   /// default runs transfer() one frame at a time and sends nothing more
@@ -54,25 +66,26 @@ class BytePipe {
 /// What serve_frame did with one inbound frame.
 struct ServedFrame {
   enum class Outcome {
-    Reply,      // a request was answered; `reply` is the frame to send back
+    Reply,      // a request was answered; its reply frame was appended
     Abandoned,  // an abandon reached the endpoint
     Dropped,    // an abandon was dropped: garbled payload or endpoint error
     Garbled,    // no frame, or neither a decodable request nor an abandon
   };
   Outcome outcome = Outcome::Garbled;
-  wire::Bytes reply;
   std::string error;  // Garbled: why the frame was rejected
 };
 
-/// The server end of every framed link, in-process or socket: deframes
-/// `frame`, checks its kind, and dispatches a request to handle() or an
-/// abandon to abandon(). Protocol rejections (stale cookie, busy,
-/// operation/protocol errors) cross back as typed error frames, so the
-/// client rethrows exactly what a direct link would have thrown. A one-way
-/// abandon never reports back: a garbled payload or an endpoint error drops
-/// it. What a Garbled frame means is the transport's call.
-ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint,
-                        const wire::Bytes& frame);
+/// The server end of every framed link, in-process or socket: validates
+/// `frame` and decodes it in place, checks its kind, and dispatches a
+/// request to handle() or an abandon to abandon(). A request's reply frame
+/// is encoded straight onto the end of `reply`. Protocol rejections (stale
+/// cookie, busy, operation/protocol errors) cross back as typed error
+/// frames, so the client rethrows exactly what a direct link would have
+/// thrown. A one-way abandon never reports back: a garbled payload or an
+/// endpoint error drops it. What a Garbled frame means is the transport's
+/// call.
+ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint, wire::ByteSpan frame,
+                        wire::Bytes& reply);
 
 /// The server end of a framed link, terminating at an in-process
 /// ReSyncEndpoint through serve_frame. A garbled request is dropped by the
@@ -123,12 +136,16 @@ class FramedChannel final : public Channel {
   BytePipe& pipe() noexcept { return *pipe_; }
 
  private:
-  /// Decodes one reply frame: the response, or the typed protocol error
-  /// thrown; a garbled frame throws TransportError.
-  resync::ReSyncResponse decode_reply(const wire::Bytes& reply);
+  /// Decodes one reply frame in place: the response, or the typed protocol
+  /// error thrown; a garbled frame throws TransportError.
+  resync::ReSyncResponse decode_reply(wire::ByteSpan reply);
 
   std::shared_ptr<BytePipe> pipe_;
   TrafficStats traffic_;
+  // Request frames are encoded into these and sent from them; they keep
+  // their capacity, so a steady-state exchange allocates nothing to send.
+  wire::Bytes request_;
+  std::vector<wire::Bytes> batch_;
 };
 
 }  // namespace fbdr::net

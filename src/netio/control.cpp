@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -25,13 +26,14 @@ ControlClient::~ControlClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string ControlClient::read_line(
+std::string_view ControlClient::read_line(
     std::chrono::steady_clock::time_point deadline) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', read_pos_);
     if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+      const std::string_view line(buffer_.data() + read_pos_,
+                                  newline - read_pos_);
+      read_pos_ = newline + 1;
       return line;
     }
     if (poll_until(fd_, POLLIN, deadline) <= 0) {
@@ -47,6 +49,9 @@ std::string ControlClient::read_line(
       throw std::runtime_error("control connection closed (" +
                                addr_.to_string() + ")");
     }
+    // The lines read so far go before the buffer grows.
+    buffer_.erase(0, read_pos_);
+    read_pos_ = 0;
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -55,19 +60,22 @@ std::vector<std::string> ControlClient::read_reply(const std::string& line,
                                                    std::string* error) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms_);
-  const std::string status = read_line(deadline);
-  if (status.rfind("err ", 0) == 0) {
-    *error = "control command '" + line + "' failed: " + status.substr(4);
+  const std::string_view status = read_line(deadline);
+  if (status.starts_with("err ")) {
+    *error = "control command '" + line + "' failed: " +
+             std::string(status.substr(4));
     return {};
   }
-  if (status.rfind("ok ", 0) != 0) {
-    throw std::runtime_error("malformed control reply: " + status);
+  unsigned long count = 0;
+  const char* end = status.data() + status.size();
+  if (!status.starts_with("ok ") ||
+      std::from_chars(status.data() + 3, end, count).ptr != end) {
+    throw std::runtime_error("malformed control reply: " + std::string(status));
   }
-  const unsigned long count = std::stoul(status.substr(3));
   std::vector<std::string> payload;
   payload.reserve(count);
   for (unsigned long i = 0; i < count; ++i) {
-    payload.push_back(read_line(deadline));
+    payload.emplace_back(read_line(deadline));
   }
   return payload;
 }
@@ -88,6 +96,9 @@ void ControlClient::send(const std::vector<std::string>& lines) {
                              addr_.to_string() + ")");
   }
   std::string out;
+  std::size_t size = 0;
+  for (const std::string& line : lines) size += line.size() + 1;
+  out.reserve(size);
   for (const std::string& line : lines) {
     out += line;
     out += '\n';
@@ -124,6 +135,7 @@ void ControlClient::fail() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
   buffer_.clear();
+  read_pos_ = 0;
   unanswered_.clear();
 }
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netio/socket_addr.h"
@@ -90,7 +91,9 @@ class ControlClient {
   std::map<std::string, std::string> health();
 
  private:
-  std::string read_line(std::chrono::steady_clock::time_point deadline);
+  /// The next reply line without its '\n': a view into buffer_, valid
+  /// until the next read_line.
+  std::string_view read_line(std::chrono::steady_clock::time_point deadline);
   /// Reads one reply to `line`, all of it within timeout_ms: its payload,
   /// or the error message in *error.
   std::vector<std::string> read_reply(const std::string& line,
@@ -102,6 +105,7 @@ class ControlClient {
   int fd_ = -1;
   int timeout_ms_;
   std::string buffer_;
+  std::size_t read_pos_ = 0;  // buffer_ before this offset is read
   std::vector<std::string> unanswered_;  // lines sent, replies not yet read
   SocketAddr addr_;
 };

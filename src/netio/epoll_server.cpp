@@ -219,14 +219,18 @@ void EpollServer::read_batch(Connection& conn) {
     if (conn.role == Role::Control) {
       conn.line_buffer.append(reinterpret_cast<const char*>(chunk),
                               static_cast<std::size_t>(n));
+      std::size_t start = 0;
       std::size_t newline;
-      while ((newline = conn.line_buffer.find('\n')) != std::string::npos) {
-        std::string line = conn.line_buffer.substr(0, newline);
-        conn.line_buffer.erase(0, newline + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        dispatch_control(conn, line);
+      while ((newline = conn.line_buffer.find('\n', start)) !=
+             std::string::npos) {
+        std::size_t end = newline;
+        if (end > start && conn.line_buffer[end - 1] == '\r') --end;
+        line_.assign(conn.line_buffer, start, end - start);
+        start = newline + 1;
+        dispatch_control(conn, line_);
         if (conn.fd < 0) return;
       }
+      conn.line_buffer.erase(0, start);
     } else {
       try {
         conn.reassembler.feed(chunk, static_cast<std::size_t>(n));
@@ -239,7 +243,7 @@ void EpollServer::read_batch(Connection& conn) {
         return;
       }
       while (conn.reassembler.has_frame()) {
-        dispatch_frame(conn, conn.reassembler.next_frame());
+        dispatch_frame(conn, conn.reassembler.next());
         if (conn.fd < 0) return;
       }
     }
@@ -249,17 +253,22 @@ void EpollServer::read_batch(Connection& conn) {
       flush(conn);
       if (conn.fd < 0 || conn.read_paused) return;
     }
+    // A short read took everything the socket held. The loop is
+    // level-triggered, so bytes that arrive later wake it again; reading
+    // on would only cost a recv that returns EAGAIN.
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
   }
 }
 
-void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
+void EpollServer::dispatch_frame(Connection& conn, wire::ByteSpan frame) {
   using Outcome = net::ServedFrame::Outcome;
   frames_in_.fetch_add(1);
   net::ServedFrame served;
   {
     // Counted under the lock: whoever sees an abandon land sees it counted.
     std::lock_guard<std::mutex> lock(endpoint_mutex_);
-    served = net::serve_frame(*endpoint_, frame);
+    // The reply is encoded straight onto the connection's out queue.
+    served = net::serve_frame(*endpoint_, frame, out_queue(conn));
     if (served.outcome == Outcome::Abandoned) abandons_.fetch_add(1);
   }
   if (served.outcome == Outcome::Garbled) {
@@ -268,7 +277,6 @@ void EpollServer::dispatch_frame(Connection& conn, const wire::Bytes& frame) {
     close_garbled(conn);
   } else if (served.outcome == Outcome::Reply) {
     frames_out_.fetch_add(1);
-    enqueue(conn, served.reply.data(), served.reply.size());
   }
 }
 
@@ -276,20 +284,17 @@ void EpollServer::dispatch_control(Connection& conn, const std::string& line) {
   control_lines_.fetch_add(1);
   if (!control_handler_) return;
   const std::string reply = control_handler_(line);
-  if (!reply.empty()) {
-    enqueue(conn, reinterpret_cast<const std::uint8_t*>(reply.data()),
-            reply.size());
-  }
+  std::vector<std::uint8_t>& out = out_queue(conn);
+  out.insert(out.end(), reply.begin(), reply.end());
 }
 
-void EpollServer::enqueue(Connection& conn, const std::uint8_t* data,
-                          std::size_t size) {
+std::vector<std::uint8_t>& EpollServer::out_queue(Connection& conn) {
   // Queued only: read_ready() flushes once the whole read batch is answered.
   if (conn.out_offset == conn.out.size()) {
     conn.out.clear();
     conn.out_offset = 0;
   }
-  conn.out.insert(conn.out.end(), data, data + size);
+  return conn.out;
 }
 
 void EpollServer::write_ready(Connection& conn) {

@@ -153,14 +153,16 @@ class EpollServer {
   void watch(int fd);
   void accept_ready(int listen_fd, Role role);
   void read_ready(Connection& conn);
-  /// Reads and dispatches until EAGAIN, close or backpressure pause.
+  /// Reads and dispatches until a short read, close or backpressure pause.
   void read_batch(Connection& conn);
   void write_ready(Connection& conn);
   /// Sends as much of the queued reply bytes as the kernel takes now.
   void flush(Connection& conn);
-  void dispatch_frame(Connection& conn, const wire::Bytes& frame);
+  /// Serves one frame, a span into the connection's reassembler.
+  void dispatch_frame(Connection& conn, wire::ByteSpan frame);
   void dispatch_control(Connection& conn, const std::string& line);
-  void enqueue(Connection& conn, const std::uint8_t* data, std::size_t size);
+  /// The connection's queue of unsent reply bytes, to append to.
+  std::vector<std::uint8_t>& out_queue(Connection& conn);
   void update_interest(Connection& conn);
   void close_connection(Connection& conn);
   /// Counts a garbled frame, flushes the replies already queued, closes.
@@ -179,6 +181,7 @@ class EpollServer {
 
   std::map<int, std::unique_ptr<Connection>> connections_;
   std::vector<int> doomed_;  // fds to close after the event batch
+  std::string line_;         // the control line being dispatched
 
   std::thread thread_;
   std::atomic<bool> stop_requested_{false};

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "wire/codec.h"
@@ -15,36 +14,46 @@ namespace fbdr::netio {
 /// can hold half a header, three frames and the start of a fourth. The
 /// reassembler buffers fed bytes, validates each frame header the moment 16
 /// bytes of it exist (wire::Codec::validate_header — magic, version, length
-/// bound), and emits complete header+payload frames in arrival order.
+/// bound), and hands out complete header+payload frames in arrival order.
+///
+/// Frames are handed out in place: next() returns a span into the
+/// reassembler's own buffer, valid until the next feed() or reset() (the
+/// buffer-ownership rule of DESIGN.md §14). A caller decodes each frame
+/// before it feeds more bytes.
 ///
 /// A hostile or corrupt header makes feed() throw wire::CodecError with the
 /// buffered bytes intact; past that point the stream has no recoverable
 /// framing, so callers must drop the connection (SocketPipe and EpollServer
-/// both do). Frames already extracted before the bad header remain
-/// retrievable via next_frame().
+/// both do). Frames completed before the bad header remain retrievable.
 class FrameReassembler {
  public:
-  /// Appends stream bytes and extracts every frame they complete. Throws
+  /// Appends stream bytes and finds every frame they complete. Throws
   /// wire::CodecError when the stream's next header is invalid.
   void feed(const std::uint8_t* data, std::size_t size);
 
-  bool has_frame() const { return !frames_.empty(); }
+  bool has_frame() const noexcept { return head_ < complete_; }
 
   /// Pops the oldest complete frame (header + payload, ready for
-  /// wire::Codec::deframe). Precondition: has_frame().
+  /// wire::Codec::payload_of), valid until the next feed() or reset().
+  /// Precondition: has_frame().
+  wire::ByteSpan next();
+
+  /// next(), copied out.
   wire::Bytes next_frame();
 
   /// Bytes buffered toward a not-yet-complete frame.
-  std::size_t pending_bytes() const { return buffer_.size(); }
+  std::size_t pending_bytes() const noexcept {
+    return buffer_.size() - complete_;
+  }
 
   void reset();
 
  private:
+  // [head_, complete_) holds the whole frames not yet popped, back to back;
+  // [complete_, end) the start of the next one.
   std::vector<std::uint8_t> buffer_;
-  std::deque<wire::Bytes> frames_;
-  // Payload length declared by the validated header of the frame currently
-  // being buffered; unset (SIZE_MAX) until 16 header bytes have arrived.
-  std::size_t expected_payload_ = SIZE_MAX;
+  std::size_t head_ = 0;
+  std::size_t complete_ = 0;
 };
 
 }  // namespace fbdr::netio

@@ -66,10 +66,64 @@ std::optional<std::uint64_t> parse_count(std::string_view text,
   return value;
 }
 
-std::string ok(const std::vector<std::string>& payload = {}) {
-  std::string reply = "ok " + std::to_string(payload.size()) + "\n";
-  for (const std::string& line : payload) reply += line + "\n";
-  return reply;
+/// An "ok" reply built in one reserved string: the payload lines go in as
+/// they come, and the "ok <n>" status line goes in front of them at the end.
+class OkReply {
+ public:
+  explicit OkReply(std::size_t reserve) {
+    text_.reserve(kStatusBytes + reserve);
+  }
+
+  void line(std::string_view text) {
+    text_ += text;
+    text_ += '\n';
+    ++lines_;
+  }
+
+  /// "<key> <value>"
+  template <typename Int>
+  void line(std::string_view key, Int value) {
+    text_ += key;
+    text_ += ' ';
+    append_number(value);
+    text_ += '\n';
+    ++lines_;
+  }
+
+  std::string take() {
+    const std::size_t payload = text_.size();
+    text_ += "ok ";
+    append_number(lines_);
+    text_ += '\n';
+    std::rotate(text_.begin(),
+                text_.begin() + static_cast<std::ptrdiff_t>(payload),
+                text_.end());
+    return std::move(text_);
+  }
+
+ private:
+  static constexpr std::size_t kStatusBytes = 24;  // "ok " + 20 digits + '\n'
+
+  template <typename Int>
+  void append_number(Int value) {
+    char digits[24];
+    const auto [end, error] =
+        std::to_chars(digits, digits + sizeof(digits), value);
+    text_.append(digits, end);
+  }
+
+  std::string text_;
+  std::size_t lines_ = 0;
+};
+
+std::string ok() { return "ok 0\n"; }
+
+std::string ok(const std::vector<std::string>& payload) {
+  std::size_t size = 0;
+  for (const std::string& line : payload) size += line.size() + 1;
+  OkReply reply(size);
+  for (const std::string& line : payload) reply.line(line);
+  return reply.take();
 }
 
 std::string err(const std::string& message) { return "err " + message + "\n"; }
@@ -285,40 +339,37 @@ std::string NodeHost::do_keys(std::string_view spec) {
 
 std::string NodeHost::do_health() {
   std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
-  std::vector<std::string> lines;
+  OkReply reply(512);
   if (master_) {
-    lines.push_back("role root");
-    lines.push_back("sessions " + std::to_string(master_->session_count()));
-    lines.push_back("now " + std::to_string(master_->now()));
+    reply.line("role root");
+    reply.line("sessions", master_->session_count());
+    reply.line("now", master_->now());
   } else {
     const topology::RelayNode::Status status = relay_->status();
-    lines.push_back("role relay");
-    lines.push_back("epoch " + std::to_string(status.epoch));
-    lines.push_back("recoveries " + std::to_string(status.upstream.recoveries));
-    lines.push_back("degraded " +
-                    std::string(status.upstream.degraded ? "1" : "0"));
-    lines.push_back("failed_streak " + std::to_string(status.failed_streak));
-    lines.push_back("root_time " + std::to_string(status.root_time));
-    lines.push_back("full_reloads " +
-                    std::to_string(status.upstream.full_reloads));
-    lines.push_back("reconciles " + std::to_string(status.upstream.reconciles));
-    lines.push_back("sessions " + std::to_string(status.downstream_sessions));
+    reply.line("role relay");
+    reply.line("epoch", status.epoch);
+    reply.line("recoveries", status.upstream.recoveries);
+    reply.line("degraded", status.upstream.degraded ? 1 : 0);
+    reply.line("failed_streak", status.failed_streak);
+    reply.line("root_time", status.root_time);
+    reply.line("full_reloads", status.upstream.full_reloads);
+    reply.line("reconciles", status.upstream.reconciles);
+    reply.line("sessions", status.downstream_sessions);
   }
   // Journal depth: the root's store, or the relay's mirror.
   const server::ChangeJournal& journal =
       store_ ? store_->journal() : relay_->mirror().journal();
-  lines.push_back("journal_records " + std::to_string(journal.size()));
-  lines.push_back("journal_trimmed_up_to " +
-                  std::to_string(journal.trimmed_up_to()));
+  reply.line("journal_records", journal.size());
+  reply.line("journal_trimmed_up_to", journal.trimmed_up_to());
   const EpollServer::Stats stats = server_->stats();
-  lines.push_back("frames_in " + std::to_string(stats.frames_in));
-  lines.push_back("frames_out " + std::to_string(stats.frames_out));
-  lines.push_back("connections " + std::to_string(server_->open_connections()));
-  lines.push_back("garbled_closes " + std::to_string(stats.garbled_closes));
-  lines.push_back("backpressure " + std::to_string(stats.backpressure_pauses));
-  lines.push_back("idle_reaped " + std::to_string(stats.idle_reaped));
-  lines.push_back("shed_accepts " + std::to_string(stats.shed_accepts));
-  return ok(lines);
+  reply.line("frames_in", stats.frames_in);
+  reply.line("frames_out", stats.frames_out);
+  reply.line("connections", server_->open_connections());
+  reply.line("garbled_closes", stats.garbled_closes);
+  reply.line("backpressure", stats.backpressure_pauses);
+  reply.line("idle_reaped", stats.idle_reaped);
+  reply.line("shed_accepts", stats.shed_accepts);
+  return reply.take();
 }
 
 }  // namespace fbdr::netio

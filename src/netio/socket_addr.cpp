@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -215,15 +216,30 @@ int poll_until(int fd, short events,
 }
 
 bool send_all(int fd, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, bytes, size, MSG_NOSIGNAL);
+  iovec part{const_cast<void*>(data), size};
+  return send_all(fd, std::span<iovec>(&part, 1));
+}
+
+bool send_all(int fd, std::span<iovec> parts) {
+  while (!parts.empty()) {
+    msghdr message{};
+    message.msg_iov = parts.data();
+    message.msg_iovlen = std::min<std::size_t>(parts.size(), IOV_MAX);
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    bytes += n;
-    size -= static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (!parts.empty() && sent >= parts.front().iov_len) {
+      sent -= parts.front().iov_len;
+      parts = parts.subspan(1);
+    }
+    if (sent > 0) {
+      iovec& part = parts.front();
+      part.iov_base = static_cast<char*>(part.iov_base) + sent;
+      part.iov_len -= sent;
+    }
   }
   return true;
 }

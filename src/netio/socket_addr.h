@@ -1,8 +1,11 @@
 #pragma once
 
+#include <sys/uio.h>
+
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace fbdr::netio {
@@ -72,5 +75,9 @@ int poll_until(int fd, short events,
 /// writes and signals. A peer that closed yields EPIPE, not SIGPIPE.
 /// Returns false with errno set on failure.
 bool send_all(int fd, const void* data, std::size_t size);
+
+/// send_all over the buffers `parts` names, in order, with as few sendmsg
+/// calls as the kernel allows. Advances `parts` past what was sent.
+bool send_all(int fd, std::span<iovec> parts);
 
 }  // namespace fbdr::netio

@@ -37,10 +37,15 @@ void SocketPipe::ensure_connected() {
   ++connects_;
 }
 
-void SocketPipe::write_all(const wire::Bytes& frame) {
-  if (!send_all(fd_, frame.data(), frame.size())) {
+void SocketPipe::write_all(std::span<iovec> parts) {
+  if (!send_all(fd_, parts)) {
     fail(std::string("send failed: ") + std::strerror(errno));
   }
+}
+
+void SocketPipe::write_all(const wire::Bytes& frame) {
+  iovec part{const_cast<std::uint8_t*>(frame.data()), frame.size()};
+  write_all(std::span<iovec>(&part, 1));
 }
 
 std::chrono::steady_clock::time_point SocketPipe::io_deadline() const {
@@ -48,7 +53,7 @@ std::chrono::steady_clock::time_point SocketPipe::io_deadline() const {
          std::chrono::milliseconds(options_.io_timeout_ms);
 }
 
-wire::Bytes SocketPipe::read_frame(
+wire::ByteSpan SocketPipe::read_frame(
     std::chrono::steady_clock::time_point deadline) {
   std::uint8_t chunk[4096];
   while (!reassembler_.has_frame()) {
@@ -69,30 +74,30 @@ wire::Bytes SocketPipe::read_frame(
       fail(std::string("garbled response stream: ") + e.what());
     }
   }
-  return reassembler_.next_frame();
+  return reassembler_.next();
 }
 
 wire::Bytes SocketPipe::transfer(const wire::Bytes& frame) {
   ensure_connected();
   write_all(frame);
-  return read_frame(io_deadline());
+  const wire::ByteSpan reply = read_frame(io_deadline());
+  return wire::Bytes(reply.begin(), reply.end());
 }
 
 void SocketPipe::transfer_all(const std::vector<wire::Bytes>& frames,
                               const ReplySink& on_reply) {
   if (frames.empty()) return;
   ensure_connected();
-  wire::Bytes batch;
-  std::size_t total = 0;
-  for (const wire::Bytes& frame : frames) total += frame.size();
-  batch.reserve(total);
+  // One sendmsg over the frames where they lie, no concatenated copy.
+  parts_.clear();
   for (const wire::Bytes& frame : frames) {
-    batch.insert(batch.end(), frame.begin(), frame.end());
+    parts_.push_back({const_cast<std::uint8_t*>(frame.data()), frame.size()});
   }
-  write_all(batch);
+  write_all(parts_);
   const auto deadline = io_deadline();
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    on_reply(read_frame(deadline));
+    // Decoded by the sink before the next read can move the buffer.
+    on_reply(Reply(read_frame(deadline)));
   }
 }
 

@@ -3,8 +3,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
+
+#include <sys/uio.h>
 
 #include "net/framed_channel.h"
 #include "netio/frame_reassembler.h"
@@ -71,14 +74,17 @@ class SocketPipe final : public net::BytePipe {
 
  private:
   void ensure_connected();
+  void write_all(std::span<iovec> parts);
   void write_all(const wire::Bytes& frame);
-  wire::Bytes read_frame(std::chrono::steady_clock::time_point deadline);
+  /// The next reply, a span into the reassembler valid until the next read.
+  wire::ByteSpan read_frame(std::chrono::steady_clock::time_point deadline);
   std::chrono::steady_clock::time_point io_deadline() const;
   [[noreturn]] void fail(const std::string& what);
 
   Options options_;
   int fd_ = -1;
   FrameReassembler reassembler_;
+  std::vector<iovec> parts_;  // the frames of a batch, for one sendmsg
   std::uint64_t connects_ = 0;
 };
 

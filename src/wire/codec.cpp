@@ -1,5 +1,7 @@
 #include "wire/codec.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -71,22 +73,55 @@ constexpr std::uint8_t kFlagContinued = 0x20;
 constexpr std::uint8_t kFlagInSync = 0x01;
 constexpr std::uint8_t kFlagFallback = 0x02;
 
-// --- primitive writer ---------------------------------------------------
+// --- primitive writers ----------------------------------------------------
+// Every encoder runs twice over the same value: once with a Sizer, which
+// only counts bytes, then with a Writer into a buffer grown to exactly that
+// count. Both see the same calls, so the count is exact.
 
+void store_u32(std::uint8_t* at, std::uint32_t v) {
+  at[0] = static_cast<std::uint8_t>(v >> 24);
+  at[1] = static_cast<std::uint8_t>(v >> 16);
+  at[2] = static_cast<std::uint8_t>(v >> 8);
+  at[3] = static_cast<std::uint8_t>(v);
+}
+
+std::uint32_t load_u32(const std::uint8_t* at) {
+  return (static_cast<std::uint32_t>(at[0]) << 24) |
+         (static_cast<std::uint32_t>(at[1]) << 16) |
+         (static_cast<std::uint32_t>(at[2]) << 8) |
+         static_cast<std::uint32_t>(at[3]);
+}
+
+class Sizer {
+ public:
+  std::size_t size() const noexcept { return size_; }
+
+  void u8(std::uint8_t) { size_ += 1; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void u64(std::uint64_t) { size_ += 8; }
+  void str(std::string_view s) { size_ += 4 + s.size(); }
+
+  template <typename Body>
+  void tlv(std::uint8_t, Body&& body) {
+    size_ += 5;
+    body(*this);
+  }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Writes into memory the Sizer has already accounted for: no bounds or
+/// capacity checks on the way.
 class Writer {
  public:
-  Bytes take() { return std::move(out_); }
+  explicit Writer(std::uint8_t* out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *out_++ = v; }
 
   void u32(std::uint32_t v) {
-    // Every length, count and integer of a frame goes through here, so
-    // the four bytes are appended in one insert.
-    const std::uint8_t bytes[4] = {static_cast<std::uint8_t>(v >> 24),
-                                   static_cast<std::uint8_t>(v >> 16),
-                                   static_cast<std::uint8_t>(v >> 8),
-                                   static_cast<std::uint8_t>(v)};
-    out_.insert(out_.end(), bytes, bytes + 4);
+    store_u32(out_, v);
+    out_ += 4;
   }
 
   void u64(std::uint64_t v) {
@@ -94,28 +129,68 @@ class Writer {
     u32(static_cast<std::uint32_t>(v));
   }
 
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
   }
 
   /// Writes one TLV field: tag, then a length backpatched around `body`.
   template <typename Body>
   void tlv(std::uint8_t tag, Body&& body) {
     u8(tag);
-    const std::size_t at = out_.size();
-    u32(0);
+    std::uint8_t* length = out_;
+    out_ += 4;
     body(*this);
-    const std::size_t len = out_.size() - at - 4;
-    out_[at] = static_cast<std::uint8_t>(len >> 24);
-    out_[at + 1] = static_cast<std::uint8_t>(len >> 16);
-    out_[at + 2] = static_cast<std::uint8_t>(len >> 8);
-    out_[at + 3] = static_cast<std::uint8_t>(len);
+    store_u32(length, static_cast<std::uint32_t>(out_ - length - 4));
   }
 
  private:
-  Bytes out_;
+  std::uint8_t* out_;
 };
+
+/// Sizes `put`, grows `out` once by `header` plus that size, and writes the
+/// payload after the `header` bytes; returns where the new bytes start.
+template <typename Put>
+std::uint8_t* append(Bytes& out, std::size_t header, Put&& put) {
+  Sizer sizer;
+  put(sizer);
+  if (sizer.size() > Codec::kMaxPayloadBytes) {
+    throw CodecError("payload exceeds frame size limit");
+  }
+  const std::size_t at = out.size();
+  out.resize(at + header + sizer.size());
+  Writer writer(out.data() + at + header);
+  put(writer);
+  return out.data() + at;
+}
+
+template <typename Put>
+Bytes encode_payload(Put&& put) {
+  Bytes out;
+  append(out, 0, put);
+  return out;
+}
+
+void write_header(std::uint8_t* frame, std::size_t payload_size) {
+  frame[0] = static_cast<std::uint8_t>(Codec::kMagic >> 8);
+  frame[1] = static_cast<std::uint8_t>(Codec::kMagic);
+  frame[2] = Codec::kCodecVersion;
+  frame[3] = 0;  // reserved, must be zero on send, ignored on receive
+  store_u32(frame + 4, static_cast<std::uint32_t>(payload_size));
+  const std::uint64_t sum =
+      Codec::checksum(frame + Codec::kFrameHeaderBytes, payload_size);
+  store_u32(frame + 8, static_cast<std::uint32_t>(sum >> 32));
+  store_u32(frame + 12, static_cast<std::uint32_t>(sum));
+}
+
+/// Appends one frame whose payload `put` writes.
+template <typename Put>
+void append_frame(Bytes& out, Put&& put) {
+  const std::size_t before = out.size();
+  std::uint8_t* frame = append(out, Codec::kFrameHeaderBytes, put);
+  write_header(frame, out.size() - before - Codec::kFrameHeaderBytes);
+}
 
 // --- primitive reader ---------------------------------------------------
 
@@ -124,10 +199,11 @@ class Writer {
 /// hostile length field fails with CodecError instead of an OOM.
 class Reader {
  public:
-  Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+  explicit Reader(ByteSpan bytes) : data_(bytes.data()), size_(bytes.size()) {}
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
   bool done() const noexcept { return pos_ == size_; }
+  const std::uint8_t* position() const noexcept { return data_ + pos_; }
 
   std::uint8_t u8() {
     need(1);
@@ -136,10 +212,7 @@ class Reader {
 
   std::uint32_t u32() {
     need(4);
-    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    const std::uint32_t v = load_u32(data_ + pos_);
     pos_ += 4;
     return v;
   }
@@ -164,9 +237,19 @@ class Reader {
   /// extent of one TLV value. Unknown tags are skipped by discarding it.
   Reader field(std::size_t len) {
     need(len);
-    Reader sub(data_ + pos_, len);
+    Reader sub(ByteSpan(data_ + pos_, len));
     pos_ += len;
     return sub;
+  }
+
+  /// Consumes `prefix` when the remaining bytes start with it.
+  bool skip_if(ByteSpan prefix) {
+    if (remaining() < prefix.size() ||
+        std::memcmp(data_ + pos_, prefix.data(), prefix.size()) != 0) {
+      return false;
+    }
+    pos_ += prefix.size();
+    return true;
   }
 
  private:
@@ -184,7 +267,8 @@ class Reader {
 
 // --- ldap value encoders -------------------------------------------------
 
-void put_dn(Writer& w, const ldap::Dn& dn) {
+template <typename W>
+void put_dn(W& w, const ldap::Dn& dn) {
   w.u32(static_cast<std::uint32_t>(dn.rdns().size()));
   for (const ldap::Rdn& rdn : dn.rdns()) {
     w.str(rdn.type());
@@ -205,7 +289,8 @@ ldap::Dn get_dn(Reader& r) {
   return ldap::Dn::from_rdns(std::move(rdns));
 }
 
-void put_filter(Writer& w, const ldap::Filter& filter) {
+template <typename W>
+void put_filter(W& w, const ldap::Filter& filter) {
   w.u8(static_cast<std::uint8_t>(filter.kind()));
   switch (filter.kind()) {
     case ldap::FilterKind::And:
@@ -285,7 +370,8 @@ ldap::FilterPtr get_filter(Reader& r, int depth) {
   throw CodecError("unknown filter kind " + std::to_string(kind));
 }
 
-void put_entry(Writer& w, const ldap::Entry& entry) {
+template <typename W>
+void put_entry(W& w, const ldap::Entry& entry) {
   put_dn(w, entry.dn());
   w.u32(static_cast<std::uint32_t>(entry.attributes().size()));
   for (const auto& [name, values] : entry.attributes()) {
@@ -295,33 +381,40 @@ void put_entry(Writer& w, const ldap::Entry& entry) {
   }
 }
 
-ldap::EntryPtr get_entry(Reader& r) {
-  auto entry = std::make_shared<ldap::Entry>(get_dn(r));
+/// Decodes an entry. The encoder writes a PDU's DN and its entry's DN from
+/// the same value, so the entry's DN usually repeats `pdu_dn_bytes` byte for
+/// byte: then it is a copy of the DN already built from them.
+ldap::EntryPtr get_entry(Reader& r, const ldap::Dn& pdu_dn,
+                         ByteSpan pdu_dn_bytes) {
+  const bool same_dn = !pdu_dn_bytes.empty() && r.skip_if(pdu_dn_bytes);
+  auto entry =
+      std::make_shared<ldap::Entry>(same_dn ? ldap::Dn(pdu_dn) : get_dn(r));
   const std::uint32_t attrs = r.u32();
   for (std::uint32_t i = 0; i < attrs; ++i) {
     const std::string_view name = r.view();
     const std::uint32_t count = r.u32();
     std::vector<std::string> values;
     if (count <= r.remaining() / 4) values.reserve(count);
-    for (std::uint32_t j = 0; j < count; ++j) values.push_back(r.str());
-    entry->set_values(name, std::move(values));
+    for (std::uint32_t j = 0; j < count; ++j) values.emplace_back(r.view());
+    entry->append_values(name, std::move(values));
   }
   return entry;
 }
 
-void put_query(Writer& w, const ldap::Query& query) {
+template <typename W>
+void put_query(W& w, const ldap::Query& query) {
   if (!query.base.is_root()) {
-    w.tlv(kQueryBase, [&](Writer& f) { put_dn(f, query.base); });
+    w.tlv(kQueryBase, [&](auto& f) { put_dn(f, query.base); });
   }
   if (query.scope != ldap::Scope::Subtree) {
     w.tlv(kQueryScope,
-          [&](Writer& f) { f.u8(static_cast<std::uint8_t>(query.scope)); });
+          [&](auto& f) { f.u8(static_cast<std::uint8_t>(query.scope)); });
   }
   if (query.filter != nullptr) {
-    w.tlv(kQueryFilter, [&](Writer& f) { put_filter(f, *query.filter); });
+    w.tlv(kQueryFilter, [&](auto& f) { put_filter(f, *query.filter); });
   }
   if (!(query.attrs == ldap::AttributeSelection{})) {
-    w.tlv(kQueryAttrs, [&](Writer& f) {
+    w.tlv(kQueryAttrs, [&](auto& f) {
       f.u8(query.attrs.all ? 1 : 0);
       f.u32(static_cast<std::uint32_t>(query.attrs.names.size()));
       for (const std::string& name : query.attrs.names) f.str(name);
@@ -366,26 +459,27 @@ ldap::Query get_query(Reader extent) {
   return query;
 }
 
-void put_reconcile_request(Writer& w, const resync::ReconcileRequest& req) {
+template <typename W>
+void put_reconcile_request(W& w, const resync::ReconcileRequest& req) {
   if (req.round != 1) {
     w.tlv(kRcqRound,
-          [&](Writer& f) { f.u32(static_cast<std::uint32_t>(req.round)); });
+          [&](auto& f) { f.u32(static_cast<std::uint32_t>(req.round)); });
   }
   if (req.root_digest != 0) {
-    w.tlv(kRcqRootDigest, [&](Writer& f) { f.u64(req.root_digest); });
+    w.tlv(kRcqRootDigest, [&](auto& f) { f.u64(req.root_digest); });
   }
   if (req.entry_count != 0) {
-    w.tlv(kRcqEntryCount, [&](Writer& f) { f.u64(req.entry_count); });
+    w.tlv(kRcqEntryCount, [&](auto& f) { f.u64(req.entry_count); });
   }
   for (const resync::DigestPdu& bucket : req.buckets) {
-    w.tlv(kRcqBucket, [&](Writer& f) {
+    w.tlv(kRcqBucket, [&](auto& f) {
       f.u32(bucket.bucket);
       f.u64(bucket.digest);
       f.u64(bucket.count);
     });
   }
   for (const sync::EntryFingerprint& fp : req.fingerprints) {
-    w.tlv(kRcqFingerprint, [&](Writer& f) {
+    w.tlv(kRcqFingerprint, [&](auto& f) {
       put_dn(f, fp.dn);
       f.u64(fp.hash);
     });
@@ -429,17 +523,18 @@ resync::ReconcileRequest get_reconcile_request(Reader extent) {
   return req;
 }
 
-void put_control(Writer& w, const resync::ReSyncControl& control) {
+template <typename W>
+void put_control(W& w, const resync::ReSyncControl& control) {
   if (control.mode != resync::Mode::Poll) {
     w.tlv(kCtlMode,
-          [&](Writer& f) { f.u8(static_cast<std::uint8_t>(control.mode)); });
+          [&](auto& f) { f.u8(static_cast<std::uint8_t>(control.mode)); });
   }
   if (!control.cookie.empty()) {
-    w.tlv(kCtlCookie, [&](Writer& f) { f.str(control.cookie); });
+    w.tlv(kCtlCookie, [&](auto& f) { f.str(control.cookie); });
   }
   if (control.reconcile != nullptr) {
     w.tlv(kCtlReconcile,
-          [&](Writer& f) { put_reconcile_request(f, *control.reconcile); });
+          [&](auto& f) { put_reconcile_request(f, *control.reconcile); });
   }
 }
 
@@ -471,21 +566,23 @@ resync::ReSyncControl get_control(Reader extent) {
   return control;
 }
 
-void put_pdu(Writer& w, const resync::EntryPdu& pdu) {
+template <typename W>
+void put_pdu(W& w, const resync::EntryPdu& pdu) {
   if (pdu.action != resync::Action::Add) {
     w.tlv(kPduAction,
-          [&](Writer& f) { f.u8(static_cast<std::uint8_t>(pdu.action)); });
+          [&](auto& f) { f.u8(static_cast<std::uint8_t>(pdu.action)); });
   }
   if (!pdu.dn.is_root()) {
-    w.tlv(kPduDn, [&](Writer& f) { put_dn(f, pdu.dn); });
+    w.tlv(kPduDn, [&](auto& f) { put_dn(f, pdu.dn); });
   }
   if (pdu.entry != nullptr) {
-    w.tlv(kPduEntry, [&](Writer& f) { put_entry(f, *pdu.entry); });
+    w.tlv(kPduEntry, [&](auto& f) { put_entry(f, *pdu.entry); });
   }
 }
 
 resync::EntryPdu get_pdu(Reader extent) {
   resync::EntryPdu pdu;
+  ByteSpan dn_bytes;  // the DN field's encoding, once decoded
   while (!extent.done()) {
     const std::uint8_t tag = extent.u8();
     Reader f = extent.field(extent.u32());
@@ -498,11 +595,14 @@ resync::EntryPdu get_pdu(Reader extent) {
         pdu.action = static_cast<resync::Action>(action);
         break;
       }
-      case kPduDn:
+      case kPduDn: {
+        const std::uint8_t* start = f.position();
         pdu.dn = get_dn(f);
+        dn_bytes = ByteSpan(start, f.position());
         break;
+      }
       case kPduEntry:
-        pdu.entry = get_entry(f);
+        pdu.entry = get_entry(f, pdu.dn, dn_bytes);
         break;
       default:
         break;
@@ -511,19 +611,34 @@ resync::EntryPdu get_pdu(Reader extent) {
   return pdu;
 }
 
-void put_reconcile_response(Writer& w, const resync::ReconcileResponse& rsp) {
+template <typename W>
+void put_reconcile_response(W& w, const resync::ReconcileResponse& rsp) {
   std::uint8_t flags = 0;
   if (rsp.in_sync) flags |= kFlagInSync;
   if (rsp.fallback) flags |= kFlagFallback;
   if (flags != 0) {
-    w.tlv(kRcpFlags, [&](Writer& f) { f.u8(flags); });
+    w.tlv(kRcpFlags, [&](auto& f) { f.u8(flags); });
   }
   if (!rsp.need_buckets.empty()) {
-    w.tlv(kRcpNeedBuckets, [&](Writer& f) {
+    w.tlv(kRcpNeedBuckets, [&](auto& f) {
       f.u32(static_cast<std::uint32_t>(rsp.need_buckets.size()));
       for (std::uint32_t bucket : rsp.need_buckets) f.u32(bucket);
     });
   }
+}
+
+/// The number of top-level `tag` fields in `extent`, so a decoder can size
+/// for them up front. Stops at the first malformed field: the decode
+/// proper reports it.
+std::size_t count_fields(ByteSpan extent, std::uint8_t tag) {
+  std::size_t count = 0;
+  while (extent.size() >= 5) {
+    const std::size_t length = load_u32(extent.data() + 1);
+    if (length > extent.size() - 5) break;
+    if (extent[0] == tag) ++count;
+    extent = extent.subspan(5 + length);
+  }
+  return count;
 }
 
 resync::ReconcileResponse get_reconcile_response(Reader extent) {
@@ -552,33 +667,30 @@ resync::ReconcileResponse get_reconcile_response(Reader extent) {
   return rsp;
 }
 
-}  // namespace
+// --- payload writers ------------------------------------------------------
 
-// --- payload encode ------------------------------------------------------
-
-Bytes Codec::encode_request(const ldap::Query& query,
-                            const resync::ReSyncControl& control) {
-  Writer w;
+template <typename W>
+void put_request(W& w, const ldap::Query& query,
+                 const resync::ReSyncControl& control) {
   w.u8(static_cast<std::uint8_t>(FrameKind::Request));
   // The master keeps a session's query under its cookie, so only a request
   // that can create a session (initial) or end one (SyncEnd, whose query
   // guards a respawned master's reused ids) ships it. A Poll or Persist
   // continuation, reconcile round 2 included, is (mode, cookie) alone.
   if (control.initial() || control.mode == resync::Mode::SyncEnd) {
-    w.tlv(kReqQuery, [&](Writer& f) { put_query(f, query); });
+    w.tlv(kReqQuery, [&](auto& f) { put_query(f, query); });
   }
-  w.tlv(kReqControl, [&](Writer& f) { put_control(f, control); });
-  return w.take();
+  w.tlv(kReqControl, [&](auto& f) { put_control(f, control); });
 }
 
-Bytes Codec::encode_response(const resync::ReSyncResponse& response) {
-  Writer w;
+template <typename W>
+void put_response(W& w, const resync::ReSyncResponse& response) {
   w.u8(static_cast<std::uint8_t>(FrameKind::Response));
   for (const resync::EntryPdu& pdu : response.pdus) {
-    w.tlv(kRspPdu, [&](Writer& f) { put_pdu(f, pdu); });
+    w.tlv(kRspPdu, [&](auto& f) { put_pdu(f, pdu); });
   }
   if (!response.cookie.empty()) {
-    w.tlv(kRspCookie, [&](Writer& f) { f.str(response.cookie); });
+    w.tlv(kRspCookie, [&](auto& f) { f.str(response.cookie); });
   }
   std::uint8_t flags = 0;
   if (response.persistent) flags |= kFlagPersistent;
@@ -588,49 +700,84 @@ Bytes Codec::encode_response(const resync::ReSyncResponse& response) {
   if (response.more) flags |= kFlagMore;
   if (response.continued) flags |= kFlagContinued;
   if (flags != 0) {
-    w.tlv(kRspFlags, [&](Writer& f) { f.u8(flags); });
+    w.tlv(kRspFlags, [&](auto& f) { f.u8(flags); });
   }
   if (!response.referral_url.empty()) {
-    w.tlv(kRspReferral, [&](Writer& f) { f.str(response.referral_url); });
+    w.tlv(kRspReferral, [&](auto& f) { f.str(response.referral_url); });
   }
   if (response.origin_time != 0) {
-    w.tlv(kRspOriginTime, [&](Writer& f) { f.u64(response.origin_time); });
+    w.tlv(kRspOriginTime, [&](auto& f) { f.u64(response.origin_time); });
   }
   if (response.reconcile != nullptr) {
     w.tlv(kRspReconcile,
-          [&](Writer& f) { put_reconcile_response(f, *response.reconcile); });
+          [&](auto& f) { put_reconcile_response(f, *response.reconcile); });
   }
-  return w.take();
 }
 
-Bytes Codec::encode_abandon(const std::string& cookie) {
-  Writer w;
+template <typename W>
+void put_abandon(W& w, const std::string& cookie) {
   w.u8(static_cast<std::uint8_t>(FrameKind::Abandon));
   if (!cookie.empty()) {
-    w.tlv(kAbnCookie, [&](Writer& f) { f.str(cookie); });
+    w.tlv(kAbnCookie, [&](auto& f) { f.str(cookie); });
   }
-  return w.take();
 }
 
-Bytes Codec::encode_error(const ErrorFrame& error) {
-  Writer w;
+template <typename W>
+void put_error(W& w, const ErrorFrame& error) {
   w.u8(static_cast<std::uint8_t>(FrameKind::Error));
   w.tlv(kErrKind,
-        [&](Writer& f) { f.u8(static_cast<std::uint8_t>(error.kind)); });
+        [&](auto& f) { f.u8(static_cast<std::uint8_t>(error.kind)); });
   if (error.result_code != 0) {
-    w.tlv(kErrResultCode, [&](Writer& f) {
+    w.tlv(kErrResultCode, [&](auto& f) {
       f.u32(static_cast<std::uint32_t>(error.result_code));
     });
   }
   if (!error.message.empty()) {
-    w.tlv(kErrMessage, [&](Writer& f) { f.str(error.message); });
+    w.tlv(kErrMessage, [&](auto& f) { f.str(error.message); });
   }
-  return w.take();
+}
+
+}  // namespace
+
+// --- encode --------------------------------------------------------------
+
+void Codec::frame_request(Bytes& out, const ldap::Query& query,
+                          const resync::ReSyncControl& control) {
+  append_frame(out, [&](auto& w) { put_request(w, query, control); });
+}
+
+void Codec::frame_response(Bytes& out, const resync::ReSyncResponse& response) {
+  append_frame(out, [&](auto& w) { put_response(w, response); });
+}
+
+void Codec::frame_abandon(Bytes& out, const std::string& cookie) {
+  append_frame(out, [&](auto& w) { put_abandon(w, cookie); });
+}
+
+void Codec::frame_error(Bytes& out, const ErrorFrame& error) {
+  append_frame(out, [&](auto& w) { put_error(w, error); });
+}
+
+Bytes Codec::encode_request(const ldap::Query& query,
+                            const resync::ReSyncControl& control) {
+  return encode_payload([&](auto& w) { put_request(w, query, control); });
+}
+
+Bytes Codec::encode_response(const resync::ReSyncResponse& response) {
+  return encode_payload([&](auto& w) { put_response(w, response); });
+}
+
+Bytes Codec::encode_abandon(const std::string& cookie) {
+  return encode_payload([&](auto& w) { put_abandon(w, cookie); });
+}
+
+Bytes Codec::encode_error(const ErrorFrame& error) {
+  return encode_payload([&](auto& w) { put_error(w, error); });
 }
 
 // --- payload decode ------------------------------------------------------
 
-FrameKind Codec::kind_of(const Bytes& payload) {
+FrameKind Codec::kind_of(ByteSpan payload) {
   if (payload.empty()) {
     throw CodecError("empty payload");
   }
@@ -642,12 +789,12 @@ FrameKind Codec::kind_of(const Bytes& payload) {
   return static_cast<FrameKind>(kind);
 }
 
-RequestFrame Codec::decode_request(const Bytes& payload) {
+RequestFrame Codec::decode_request(ByteSpan payload) {
   if (kind_of(payload) != FrameKind::Request) {
     throw CodecError("payload is not a request frame");
   }
   try {
-    Reader r(payload.data() + 1, payload.size() - 1);
+    Reader r(payload.subspan(1));
     RequestFrame request;
     request.query.filter = nullptr;
     while (!r.done()) {
@@ -670,13 +817,14 @@ RequestFrame Codec::decode_request(const Bytes& payload) {
   }
 }
 
-resync::ReSyncResponse Codec::decode_response(const Bytes& payload) {
+resync::ReSyncResponse Codec::decode_response(ByteSpan payload) {
   if (kind_of(payload) != FrameKind::Response) {
     throw CodecError("payload is not a response frame");
   }
   try {
-    Reader r(payload.data() + 1, payload.size() - 1);
+    Reader r(payload.subspan(1));
     resync::ReSyncResponse response;
+    response.pdus.reserve(count_fields(payload.subspan(1), kRspPdu));
     while (!r.done()) {
       const std::uint8_t tag = r.u8();
       Reader f = r.field(r.u32());
@@ -717,11 +865,11 @@ resync::ReSyncResponse Codec::decode_response(const Bytes& payload) {
   }
 }
 
-std::string Codec::decode_abandon(const Bytes& payload) {
+std::string Codec::decode_abandon(ByteSpan payload) {
   if (kind_of(payload) != FrameKind::Abandon) {
     throw CodecError("payload is not an abandon frame");
   }
-  Reader r(payload.data() + 1, payload.size() - 1);
+  Reader r(payload.subspan(1));
   std::string cookie;
   while (!r.done()) {
     const std::uint8_t tag = r.u8();
@@ -731,11 +879,11 @@ std::string Codec::decode_abandon(const Bytes& payload) {
   return cookie;
 }
 
-ErrorFrame Codec::decode_error(const Bytes& payload) {
+ErrorFrame Codec::decode_error(ByteSpan payload) {
   if (kind_of(payload) != FrameKind::Error) {
     throw CodecError("payload is not an error frame");
   }
-  Reader r(payload.data() + 1, payload.size() - 1);
+  Reader r(payload.subspan(1));
   ErrorFrame error;
   while (!r.done()) {
     const std::uint8_t tag = r.u8();
@@ -774,19 +922,14 @@ std::uint64_t Codec::checksum(const std::uint8_t* data, std::size_t size) {
   return hash;
 }
 
-Bytes Codec::frame(const Bytes& payload) {
+Bytes Codec::frame(ByteSpan payload) {
   if (payload.size() > kMaxPayloadBytes) {
     throw CodecError("payload exceeds frame size limit");
   }
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(kMagic >> 8));
-  w.u8(static_cast<std::uint8_t>(kMagic));
-  w.u8(kCodecVersion);
-  w.u8(0);  // reserved, must be zero on send, ignored on receive
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u64(checksum(payload.data(), payload.size()));
-  Bytes out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
+  Bytes out(kFrameHeaderBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes));
+  write_header(out.data(), payload.size());
   return out;
 }
 
@@ -810,7 +953,7 @@ std::size_t Codec::validate_header(const std::uint8_t* header) {
   return length;
 }
 
-Bytes Codec::deframe(const Bytes& frame) {
+ByteSpan Codec::payload_of(ByteSpan frame) {
   if (frame.size() < kFrameHeaderBytes) {
     throw CodecError("short frame: " + std::to_string(frame.size()) + " bytes");
   }
@@ -818,13 +961,19 @@ Bytes Codec::deframe(const Bytes& frame) {
   if (length != frame.size() - kFrameHeaderBytes) {
     throw CodecError("frame length mismatch");
   }
-  Reader r(frame.data() + 8, 8);  // the checksum field
-  const std::uint64_t expected = r.u64();
-  const std::uint8_t* payload = frame.data() + kFrameHeaderBytes;
-  if (checksum(payload, length) != expected) {
+  const std::uint64_t expected =
+      (static_cast<std::uint64_t>(load_u32(frame.data() + 8)) << 32) |
+      load_u32(frame.data() + 12);
+  const ByteSpan payload = frame.subspan(kFrameHeaderBytes);
+  if (checksum(payload.data(), payload.size()) != expected) {
     throw CodecError("frame checksum mismatch");
   }
-  return Bytes(payload, payload + length);
+  return payload;
+}
+
+Bytes Codec::deframe(ByteSpan frame) {
+  const ByteSpan payload = payload_of(frame);
+  return Bytes(payload.begin(), payload.end());
 }
 
 void Codec::throw_error(const ErrorFrame& error) {

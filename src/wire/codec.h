@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,12 @@ class CodecError : public std::runtime_error {
 };
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Frame or payload bytes owned by someone else: a send buffer, a reply, or
+/// a connection's reassembly buffer (DESIGN.md §14 says how long each
+/// stays valid). Every decoder reads from one, so a frame is decoded in the
+/// buffer it arrived in.
+using ByteSpan = std::span<const std::uint8_t>;
 
 /// First byte of every payload: what the remaining TLV fields describe.
 enum class FrameKind : std::uint8_t {
@@ -90,24 +97,40 @@ class Codec {
   /// payload must not be able to exhaust the stack).
   static constexpr int kMaxFilterDepth = 64;
 
-  // --- payload encode ---
+  // --- frame encode: each appends one whole frame (header + payload) to
+  // `out`. The payload is sized first, so `out` grows once, and the header's
+  // length and checksum are written over the encoded bytes in place. A
+  // buffer reused across frames therefore stops allocating. ---
   /// Writes the query only for initial and SyncEnd requests (DESIGN.md §14).
+  static void frame_request(Bytes& out, const ldap::Query& query,
+                            const resync::ReSyncControl& control);
+  static void frame_response(Bytes& out,
+                             const resync::ReSyncResponse& response);
+  static void frame_abandon(Bytes& out, const std::string& cookie);
+  static void frame_error(Bytes& out, const ErrorFrame& error);
+
+  // --- payload encode: the same payload bytes without a header ---
   static Bytes encode_request(const ldap::Query& query,
                               const resync::ReSyncControl& control);
   static Bytes encode_response(const resync::ReSyncResponse& response);
   static Bytes encode_abandon(const std::string& cookie);
   static Bytes encode_error(const ErrorFrame& error);
 
-  // --- payload decode (throws CodecError) ---
-  static FrameKind kind_of(const Bytes& payload);
-  static RequestFrame decode_request(const Bytes& payload);
-  static resync::ReSyncResponse decode_response(const Bytes& payload);
-  static std::string decode_abandon(const Bytes& payload);
-  static ErrorFrame decode_error(const Bytes& payload);
+  // --- payload decode (throws CodecError); reads the span in place ---
+  static FrameKind kind_of(ByteSpan payload);
+  static RequestFrame decode_request(ByteSpan payload);
+  static resync::ReSyncResponse decode_response(ByteSpan payload);
+  static std::string decode_abandon(ByteSpan payload);
+  static ErrorFrame decode_error(ByteSpan payload);
 
   // --- framing ---
-  static Bytes frame(const Bytes& payload);
-  static Bytes deframe(const Bytes& frame);
+  /// Validates a whole frame — header, length, checksum — and returns its
+  /// payload: a span into `frame`, nothing copied. Throws CodecError.
+  static ByteSpan payload_of(ByteSpan frame);
+  /// payload_of, copied out.
+  static Bytes deframe(ByteSpan frame);
+  /// Header + a copy of `payload`.
+  static Bytes frame(ByteSpan payload);
 
   /// Validates the fixed-size header of a (possibly still incomplete) frame
   /// — magic, codec version, payload length bound — and returns the payload

@@ -132,6 +132,71 @@ TEST(FrameReassembler, HostileLengthRejectedBeforeBuffering) {
                wire::CodecError);
 }
 
+/// Decodes one frame and re-encodes what it held: equal strings mean equal
+/// decodes.
+wire::Bytes decoded_as(wire::ByteSpan payload) {
+  switch (wire::Codec::kind_of(payload)) {
+    case wire::FrameKind::Request: {
+      const wire::RequestFrame request = wire::Codec::decode_request(payload);
+      return wire::Codec::encode_request(request.query, request.control);
+    }
+    case wire::FrameKind::Response:
+      return wire::Codec::encode_response(
+          wire::Codec::decode_response(payload));
+    case wire::FrameKind::Abandon:
+      return wire::Codec::encode_abandon(wire::Codec::decode_abandon(payload));
+    case wire::FrameKind::Error:
+      return wire::Codec::encode_error(wire::Codec::decode_error(payload));
+  }
+  return {};
+}
+
+// Frames decoded in place — spans into the reassembler's buffer, between
+// two feeds — decode exactly as copies of them do, wherever the stream of
+// pipelined frames is split. Under ASan a span read after the feed that
+// moved its bytes is a use-after-free.
+TEST(FrameReassembler, InPlaceDecodeMatchesCopiedDecodeAtEverySplit) {
+  resync::ReSyncResponse response;
+  response.cookie = "rs-2#9";
+  for (int i = 0; i < 3; ++i) {
+    resync::EntryPdu pdu;
+    pdu.dn = Dn::parse("cn=E" + std::to_string(i) + ",o=xyz");
+    pdu.entry = make_entry(pdu.dn.to_string(),
+                           {{"objectclass", "person"}, {"dept", "7"}});
+    response.pdus.push_back(std::move(pdu));
+  }
+  const std::vector<wire::Bytes> frames = {
+      wire::Codec::frame(wire::Codec::encode_request(
+          Query::parse("o=xyz", Scope::Subtree, "(dept=7)"), {Mode::Poll, ""})),
+      wire::Codec::frame(wire::Codec::encode_response(response)),
+      sample_frame(3),
+      wire::Codec::frame(wire::Codec::encode_error(
+          {wire::ErrorFrame::Kind::Busy, 0, "busy"})),
+  };
+  wire::Bytes stream;
+  std::vector<wire::Bytes> expected;
+  for (const wire::Bytes& frame : frames) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    expected.push_back(decoded_as(wire::Codec::deframe(frame)));
+  }
+
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    FrameReassembler reassembler;
+    std::vector<wire::Bytes> got;
+    const auto drain = [&] {
+      while (reassembler.has_frame()) {
+        got.push_back(decoded_as(wire::Codec::payload_of(reassembler.next())));
+      }
+    };
+    reassembler.feed(stream.data(), split);
+    drain();
+    reassembler.feed(stream.data() + split, stream.size() - split);
+    drain();
+    ASSERT_EQ(got, expected) << "split at " << split;
+    EXPECT_EQ(reassembler.pending_bytes(), 0u);
+  }
+}
+
 // --- ChunkedPipe: a BytePipe that mangles delivery granularity ----------
 
 /// Wraps an EndpointPipe and re-delivers every response frame through a

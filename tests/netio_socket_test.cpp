@@ -490,16 +490,27 @@ TEST_P(ServeFrameTwin, EndpointErrorsArriveTypeExact) {
     SCOPED_TRACE("kind " + std::to_string(kind));
     endpoint.kind = kind;
     EXPECT_NO_THROW(link.channel().abandon("rs-1#1"));
+    std::string direct_message;
+    try {
+      net::DirectChannel(endpoint).exchange(kQueries[0], {Mode::Poll, ""});
+    } catch (const std::exception& e) {
+      direct_message = e.what();
+    }
     std::type_index thrown = typeid(void);
+    std::string message;
     try {
       link.channel().exchange(kQueries[0], {Mode::Poll, ""});
     } catch (const ldap::OperationError& e) {
       thrown = typeid(e);
+      message = e.what();
       EXPECT_EQ(e.code(), ldap::ResultCode::NoSuchObject);
     } catch (const std::exception& e) {
       thrown = typeid(e);
+      message = e.what();
     }
     EXPECT_EQ(thrown, expected[kind]);
+    // The message too arrives as a direct link throws it.
+    EXPECT_EQ(message, direct_message);
   }
 
   if (EpollServer* server = link.server()) {
@@ -922,6 +933,55 @@ TEST(SocketPipelining, BatchedPollsMatchSingleTransfersOnTwin) {
   const EpollServer::Stats stats = server.stats();
   EXPECT_EQ(stats.frames_in, 3u + 6u * 3u);
   EXPECT_EQ(stats.frames_out, stats.frames_in);
+  EXPECT_EQ(stats.garbled_closes, 0u);
+  server.stop();
+}
+
+// A pipelined batch larger than the server's 16 KiB read chunk reaches it
+// over several readable events, one read each; every reply still comes
+// back, in request order, byte-identical to the in-process twin's.
+TEST(SocketPipelining, BatchLargerThanOneReadIsServedWhole) {
+  SKIP_WITHOUT_SOCKETS();
+  auto socket_master = make_master();
+  auto twin_master = make_master();
+  ReSyncMaster socket_resync(*socket_master);
+  ReSyncMaster twin_resync(*twin_master);
+
+  SocketDir dir;
+  EpollServer server(socket_resync);
+  SocketPipe::Options pipe_options;
+  pipe_options.addr = server.listen(dir.addr("master.sock"));
+  server.start();
+  SocketPipe pipe(pipe_options);
+  net::EndpointPipe twin_pipe(twin_resync);
+
+  // Initial requests whose filters carry a long value: about 3 KiB a frame.
+  const std::string padding(3000, 'x');
+  std::vector<wire::Bytes> frames;
+  std::size_t batch_bytes = 0;
+  for (int i = 0; i < 8; ++i) {
+    const Query query = Query::parse(
+        "o=xyz", Scope::Subtree,
+        "(|(dept=7)(description=" + padding + std::to_string(i) + "))");
+    frames.push_back(wire::Codec::frame(
+        wire::Codec::encode_request(query, {Mode::Poll, ""})));
+    batch_bytes += frames.back().size();
+  }
+  ASSERT_GT(batch_bytes, 16384u);
+
+  std::vector<wire::Bytes> replies;
+  pipe.transfer_all(frames, [&](wire::Bytes reply) {
+    replies.push_back(std::move(reply));
+    return true;
+  });
+  ASSERT_EQ(replies.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(replies[i], twin_pipe.transfer(frames[i])) << "reply " << i;
+  }
+  EXPECT_EQ(pipe.connects(), 1u);
+  const EpollServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.frames_in, frames.size());
+  EXPECT_EQ(stats.frames_out, frames.size());
   EXPECT_EQ(stats.garbled_closes, 0u);
   server.stop();
 }

@@ -148,6 +148,68 @@ TEST(WireFuzz, RandomGarbagePayloadsNeverCrash) {
   }
 }
 
+/// Every decoder's outcome on `payload`: the re-encoded value, or "error".
+std::string decode_outcomes(ByteSpan payload) {
+  std::string out;
+  const auto note = [&](auto&& decode) {
+    try {
+      const Bytes bytes = decode();
+      out.append(bytes.begin(), bytes.end());
+    } catch (const CodecError&) {
+      out += "error";
+    }
+    out += '|';
+  };
+  note([&] {
+    const RequestFrame request = Codec::decode_request(payload);
+    return Codec::encode_request(request.query, request.control);
+  });
+  note([&] { return Codec::encode_response(Codec::decode_response(payload)); });
+  note([&] { return Codec::encode_abandon(Codec::decode_abandon(payload)); });
+  note([&] { return Codec::encode_error(Codec::decode_error(payload)); });
+  return out;
+}
+
+// The span decoders read a frame where it lies, in a buffer that goes on
+// past it (a reassembled stream holds the next frame there). A mutated
+// payload or frame decodes in place exactly as its exact-size copy does,
+// so no decoder reads past its span — an over-read into the next bytes,
+// which ASan cannot see, would change the outcome.
+TEST(WireFuzz, SpanDecodeInsideAStreamMatchesCopiedDecode) {
+  std::mt19937 rng(4242);
+  const std::vector<Bytes> seeds = {sample_request(), sample_response(),
+                                    Codec::encode_abandon("rs-9#4"),
+                                    Codec::encode_error(
+                                        {ErrorFrame::Kind::Busy, 0, "busy"})};
+  for (int i = 0; i < 3000; ++i) {
+    Bytes payload = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    const int flips = 1 + static_cast<int>(rng() % 6);
+    for (int f = 0; f < flips; ++f) {
+      payload[rng() % payload.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+    payload.resize(payload.size() - rng() % 4);  // a truncation, sometimes
+
+    Bytes stream = payload;
+    for (std::size_t tail = 1 + rng() % 32; tail > 0; --tail) {
+      stream.push_back(static_cast<std::uint8_t>(rng()));
+    }
+    EXPECT_EQ(decode_outcomes(ByteSpan(stream.data(), payload.size())),
+              decode_outcomes(payload));
+
+    // The same payload framed, then validated in place ahead of the next
+    // frame of the stream.
+    Bytes frames = Codec::frame(payload);
+    const std::size_t frame_size = frames.size();
+    const Bytes next = Codec::frame(seeds[rng() % seeds.size()]);
+    frames.insert(frames.end(), next.begin(), next.end());
+    const ByteSpan in_place =
+        Codec::payload_of(ByteSpan(frames.data(), frame_size));
+    EXPECT_EQ(in_place.data(), frames.data() + Codec::kFrameHeaderBytes);
+    EXPECT_EQ(decode_outcomes(in_place), decode_outcomes(payload));
+  }
+}
+
 // A hostile length field must be rejected before any allocation: a tiny
 // payload declaring a huge string/count cannot cause an OOM.
 TEST(WireFuzz, HostileLengthFieldsAreRejectedBeforeAllocation) {
