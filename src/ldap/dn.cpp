@@ -73,15 +73,10 @@ void append_rdn(std::string& out, const std::string& type,
                 const std::string& value) {
   out += type;
   out += '=';
-  std::string_view rest = value;
-  for (std::size_t special; (special = rest.find_first_of(",+\\")) !=
-                            std::string_view::npos;) {
-    out.append(rest.substr(0, special));
-    out += '\\';
-    out += rest[special];
-    rest.remove_prefix(special + 1);
+  for (char c : value) {
+    if (c == ',' || c == '+' || c == '\\') out.push_back('\\');
+    out.push_back(c);
   }
-  out.append(rest);
 }
 
 }  // namespace

@@ -26,19 +26,6 @@ void Entry::set_values(std::string_view attr, std::vector<std::string> values) {
   }
 }
 
-void Entry::append_values(std::string_view attr,
-                          std::vector<std::string> values) {
-  const bool in_order =
-      !values.empty() && (attrs_.empty() || attrs_.rbegin()->first < attr) &&
-      std::none_of(attr.begin(), attr.end(),
-                   [](char c) { return c != text::to_lower(c); });
-  if (!in_order) {
-    set_values(attr, std::move(values));
-    return;
-  }
-  attrs_.emplace_hint(attrs_.end(), attr, std::move(values));
-}
-
 bool Entry::remove_value(std::string_view attr, std::string_view value,
                          const Schema& schema) {
   const std::string key = text::lower(attr);

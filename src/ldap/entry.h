@@ -35,11 +35,6 @@ class Entry {
   /// Replaces all values of an attribute. An empty vector removes it.
   void set_values(std::string_view attr, std::vector<std::string> values);
 
-  /// set_values for a caller that supplies attributes in attributes()
-  /// order, as the wire decoder does: a lowercase name that sorts after
-  /// every present one goes in at the end, without a search.
-  void append_values(std::string_view attr, std::vector<std::string> values);
-
   /// Removes one value; returns true when it was present.
   bool remove_value(std::string_view attr, std::string_view value,
                     const Schema& schema = Schema::default_instance());

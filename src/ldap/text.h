@@ -14,8 +14,9 @@ inline char to_lower(char c) {
 }
 
 inline std::string lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = to_lower(c);
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) out.push_back(to_lower(c));
   return out;
 }
 

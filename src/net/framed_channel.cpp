@@ -77,7 +77,7 @@ void BytePipe::transfer_all(const std::vector<wire::Bytes>& frames,
                             const ReplySink& on_reply) {
   for (const wire::Bytes& frame : frames) {
     const wire::Bytes reply = transfer(frame);
-    if (!on_reply(Reply(reply))) return;
+    if (!on_reply(reply)) return;
   }
 }
 
@@ -130,7 +130,7 @@ void FramedChannel::exchange_all(std::span<ExchangeItem> items) {
     traffic_.count_frame(batch_[done].size());
   };
   try {
-    pipe_->transfer_all(batch_, [&](BytePipe::Reply reply) {
+    pipe_->transfer_all(batch_, [&](wire::ByteSpan reply) {
       count_request();
       ExchangeItem& item = items[done++];
       try {

@@ -31,21 +31,10 @@ class BytePipe {
   /// undecodable server-side.
   virtual wire::Bytes transfer(const wire::Bytes& frame) = 0;
 
-  /// One reply of a transfer_all batch: bytes the pipe owns until the sink
-  /// returns. A sink that keeps the reply takes it as wire::Bytes, a copy.
-  class Reply {
-   public:
-    explicit Reply(wire::ByteSpan bytes) : bytes_(bytes) {}
-    operator wire::ByteSpan() const noexcept { return bytes_; }
-    operator wire::Bytes() const { return {bytes_.begin(), bytes_.end()}; }
-
-   private:
-    wire::ByteSpan bytes_;
-  };
-
   /// Receives the replies of a transfer_all batch in order. Returns false
-  /// when the batch may end after this reply.
-  using ReplySink = std::function<bool(Reply reply)>;
+  /// when the batch may end after this reply. The bytes are the pipe's and
+  /// valid until the sink returns; a sink that keeps a reply copies it.
+  using ReplySink = std::function<bool(wire::ByteSpan reply)>;
 
   /// Carries `frames` in order and hands each reply to `on_reply`. The
   /// default runs transfer() one frame at a time and sends nothing more

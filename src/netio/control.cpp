@@ -66,10 +66,15 @@ std::vector<std::string> ControlClient::read_reply(const std::string& line,
              std::string(status.substr(4));
     return {};
   }
+  // "ok <count>": the count is one or more digits that fit, and nothing else.
   unsigned long count = 0;
   const char* end = status.data() + status.size();
-  if (!status.starts_with("ok ") ||
-      std::from_chars(status.data() + 3, end, count).ptr != end) {
+  bool well_formed = status.starts_with("ok ");
+  if (well_formed) {
+    const auto [ptr, ec] = std::from_chars(status.data() + 3, end, count);
+    well_formed = ec == std::errc{} && ptr == end;
+  }
+  if (!well_formed) {
     throw std::runtime_error("malformed control reply: " + std::string(status));
   }
   std::vector<std::string> payload;

@@ -97,7 +97,7 @@ void SocketPipe::transfer_all(const std::vector<wire::Bytes>& frames,
   const auto deadline = io_deadline();
   for (std::size_t i = 0; i < frames.size(); ++i) {
     // Decoded by the sink before the next read can move the buffer.
-    on_reply(Reply(read_frame(deadline)));
+    on_reply(read_frame(deadline));
   }
 }
 

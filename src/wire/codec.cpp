@@ -203,7 +203,6 @@ class Reader {
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
   bool done() const noexcept { return pos_ == size_; }
-  const std::uint8_t* position() const noexcept { return data_ + pos_; }
 
   std::uint8_t u8() {
     need(1);
@@ -240,16 +239,6 @@ class Reader {
     Reader sub(ByteSpan(data_ + pos_, len));
     pos_ += len;
     return sub;
-  }
-
-  /// Consumes `prefix` when the remaining bytes start with it.
-  bool skip_if(ByteSpan prefix) {
-    if (remaining() < prefix.size() ||
-        std::memcmp(data_ + pos_, prefix.data(), prefix.size()) != 0) {
-      return false;
-    }
-    pos_ += prefix.size();
-    return true;
   }
 
  private:
@@ -381,14 +370,8 @@ void put_entry(W& w, const ldap::Entry& entry) {
   }
 }
 
-/// Decodes an entry. The encoder writes a PDU's DN and its entry's DN from
-/// the same value, so the entry's DN usually repeats `pdu_dn_bytes` byte for
-/// byte: then it is a copy of the DN already built from them.
-ldap::EntryPtr get_entry(Reader& r, const ldap::Dn& pdu_dn,
-                         ByteSpan pdu_dn_bytes) {
-  const bool same_dn = !pdu_dn_bytes.empty() && r.skip_if(pdu_dn_bytes);
-  auto entry =
-      std::make_shared<ldap::Entry>(same_dn ? ldap::Dn(pdu_dn) : get_dn(r));
+ldap::EntryPtr get_entry(Reader& r) {
+  auto entry = std::make_shared<ldap::Entry>(get_dn(r));
   const std::uint32_t attrs = r.u32();
   for (std::uint32_t i = 0; i < attrs; ++i) {
     const std::string_view name = r.view();
@@ -396,7 +379,7 @@ ldap::EntryPtr get_entry(Reader& r, const ldap::Dn& pdu_dn,
     std::vector<std::string> values;
     if (count <= r.remaining() / 4) values.reserve(count);
     for (std::uint32_t j = 0; j < count; ++j) values.emplace_back(r.view());
-    entry->append_values(name, std::move(values));
+    entry->set_values(name, std::move(values));
   }
   return entry;
 }
@@ -582,7 +565,6 @@ void put_pdu(W& w, const resync::EntryPdu& pdu) {
 
 resync::EntryPdu get_pdu(Reader extent) {
   resync::EntryPdu pdu;
-  ByteSpan dn_bytes;  // the DN field's encoding, once decoded
   while (!extent.done()) {
     const std::uint8_t tag = extent.u8();
     Reader f = extent.field(extent.u32());
@@ -595,14 +577,11 @@ resync::EntryPdu get_pdu(Reader extent) {
         pdu.action = static_cast<resync::Action>(action);
         break;
       }
-      case kPduDn: {
-        const std::uint8_t* start = f.position();
+      case kPduDn:
         pdu.dn = get_dn(f);
-        dn_bytes = ByteSpan(start, f.position());
         break;
-      }
       case kPduEntry:
-        pdu.entry = get_entry(f, pdu.dn, dn_bytes);
+        pdu.entry = get_entry(f);
         break;
       default:
         break;
@@ -625,20 +604,6 @@ void put_reconcile_response(W& w, const resync::ReconcileResponse& rsp) {
       for (std::uint32_t bucket : rsp.need_buckets) f.u32(bucket);
     });
   }
-}
-
-/// The number of top-level `tag` fields in `extent`, so a decoder can size
-/// for them up front. Stops at the first malformed field: the decode
-/// proper reports it.
-std::size_t count_fields(ByteSpan extent, std::uint8_t tag) {
-  std::size_t count = 0;
-  while (extent.size() >= 5) {
-    const std::size_t length = load_u32(extent.data() + 1);
-    if (length > extent.size() - 5) break;
-    if (extent[0] == tag) ++count;
-    extent = extent.subspan(5 + length);
-  }
-  return count;
 }
 
 resync::ReconcileResponse get_reconcile_response(Reader extent) {
@@ -824,7 +789,6 @@ resync::ReSyncResponse Codec::decode_response(ByteSpan payload) {
   try {
     Reader r(payload.subspan(1));
     resync::ReSyncResponse response;
-    response.pdus.reserve(count_fields(payload.subspan(1), kRspPdu));
     while (!r.done()) {
       const std::uint8_t tag = r.u8();
       Reader f = r.field(r.u32());

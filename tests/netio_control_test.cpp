@@ -9,6 +9,8 @@
 // Skips loudly when the sandbox forbids sockets.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <memory>
@@ -228,6 +230,35 @@ TEST(ControlPlane, EveryReplyIsPinnedByteForByte) {
   relay.server().stop();
   root.server().stop();
   std::system(("rm -rf " + dir).c_str());
+}
+
+// The status line comes from another process: "ok " must carry a count of
+// one or more digits that fits, else the client refuses the reply instead
+// of reading it as some number of payload lines.
+TEST(ControlPlane, MalformedReplyCountIsRefused) {
+  SKIP_WITHOUT_SOCKETS();
+  for (const std::string status :
+       {"ok ", "ok x", "ok 1x", "ok -1", "ok 99999999999999999999999"}) {
+    SocketAddr bound;
+    std::string error;
+    const int listener = open_listener(SocketAddr::tcp("127.0.0.1", 0),
+                                       kListenBacklog, &bound, &error);
+    ASSERT_GE(listener, 0) << error;
+    ControlClient client(bound, 5000);
+    client.send({"ping"});
+    const int peer = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(peer, 0);
+    const std::string reply = status + "\n";
+    ASSERT_TRUE(send_all(peer, reply.data(), reply.size()));
+    try {
+      client.finish();
+      ADD_FAILURE() << "accepted '" << status << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "malformed control reply: " + status);
+    }
+    ::close(peer);
+    ::close(listener);
+  }
 }
 
 }  // namespace

@@ -916,8 +916,8 @@ TEST(SocketPipelining, BatchedPollsMatchSingleTransfersOnTwin) {
 
     const std::vector<wire::Bytes> frames = poll_frames(cookies);
     std::vector<wire::Bytes> batched;
-    pipe->transfer_all(frames, [&](wire::Bytes reply) {
-      batched.push_back(std::move(reply));
+    pipe->transfer_all(frames, [&](wire::ByteSpan reply) {
+      batched.emplace_back(reply.begin(), reply.end());
       return true;
     });
     ASSERT_EQ(batched.size(), frames.size());
@@ -970,8 +970,8 @@ TEST(SocketPipelining, BatchLargerThanOneReadIsServedWhole) {
   ASSERT_GT(batch_bytes, 16384u);
 
   std::vector<wire::Bytes> replies;
-  pipe.transfer_all(frames, [&](wire::Bytes reply) {
-    replies.push_back(std::move(reply));
+  pipe.transfer_all(frames, [&](wire::ByteSpan reply) {
+    replies.emplace_back(reply.begin(), reply.end());
     return true;
   });
   ASSERT_EQ(replies.size(), frames.size());

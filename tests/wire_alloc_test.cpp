@@ -118,8 +118,8 @@ TEST(WireAllocations, IdleFramedPollExchangeMakesAtMostEight) {
 }
 
 // One Add PDU's entry is a shared Entry with its DN and a map node plus a
-// value vector per attribute; the PDU has its own DN. The entry's DN is a
-// copy of the PDU's, built once.
+// value vector per attribute; the PDU has its own DN. Pinned at the count
+// the copying decoder had, so in-place decoding adds nothing per PDU.
 TEST(WireAllocations, DecodedAddPduStaysWithinBound) {
   ReSyncResponse none;
   none.cookie = "rs-1#42";
