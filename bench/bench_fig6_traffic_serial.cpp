@@ -16,6 +16,7 @@
 #include <algorithm>
 
 #include "common.h"
+#include "subtree_model.h"
 
 int main() {
   using namespace fbdr;

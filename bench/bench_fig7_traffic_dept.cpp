@@ -15,6 +15,7 @@
 #include <algorithm>
 
 #include "common.h"
+#include "subtree_model.h"
 
 int main() {
   using namespace fbdr;

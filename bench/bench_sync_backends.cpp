@@ -10,9 +10,8 @@
 
 #include "common.h"
 #include "resync/protocol.h"
-#include "sync/baseline_backends.h"
 #include "sync/replica_content.h"
-#include "sync/session_history_backend.h"
+#include "sync_backends.h"
 #include "wire/codec.h"
 
 int main() {
@@ -26,6 +25,7 @@ int main() {
     bool converged = false;
   };
   std::vector<Result> results;
+  wire::Bytes frame;  // reused: each poll's batch is framed into it in place
 
   for (int which = 0; which < 4; ++which) {
     // Fresh, identically seeded directory and update stream per back-end.
@@ -70,8 +70,9 @@ int main() {
       response.pdus = resync::to_pdus(batch);
       response.full_reload = batch.full_reload;
       response.complete_enumeration = batch.complete_enumeration;
-      result.bytes +=
-          wire::Codec::frame(wire::Codec::encode_response(response)).size();
+      frame.clear();
+      wire::Codec::frame_response(frame, response);
+      result.bytes += frame.size();
       replica.apply(batch);
     }
 

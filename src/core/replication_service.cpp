@@ -189,66 +189,4 @@ std::uint64_t FilterReplicationService::revolutions() const {
   return selector_ ? selector_->revolutions() : 0;
 }
 
-SubtreeReplicationService::SubtreeReplicationService(
-    std::shared_ptr<server::DirectoryServer> master)
-    : master_(std::move(master)), shipped_(master_->journal()) {}
-
-void SubtreeReplicationService::add_context(
-    containment::ReplicationContext context) {
-  replica_.add_context(std::move(context));
-}
-
-void SubtreeReplicationService::load() {
-  replica_.load_content(*master_);
-  shipped_.advance(master_->journal().last_seq());
-}
-
-ServeOutcome SubtreeReplicationService::serve(const Query& query) {
-  ServeOutcome outcome;
-  outcome.hit = replica_.handle(query).hit;
-  return outcome;
-}
-
-void SubtreeReplicationService::sync() {
-  if (shipped_.behind()) {
-    // Journal compaction dropped changes this replica never shipped: the
-    // per-change stream cannot be reconstructed, so reload the configured
-    // contexts wholesale (the subtree analogue of the eq.(3) heal).
-    load();
-    traffic_.count_round_trip();
-    return;
-  }
-  const std::vector<const server::ChangeRecord*> records = shipped_.pending();
-  for (const server::ChangeRecord* record : records) {
-    // Every change inside a replicated subtree must be shipped: full entry
-    // for add/modify, DN for delete; a rename ships delete + add.
-    switch (record->type) {
-      case server::ChangeType::Add:
-      case server::ChangeType::Modify:
-        if (replica_.covers(record->dn) && record->after) {
-          traffic_.note_entry();
-        }
-        break;
-      case server::ChangeType::Delete:
-        if (replica_.covers(record->dn)) {
-          traffic_.note_dn();
-        }
-        break;
-      case server::ChangeType::ModifyDn:
-        if (replica_.covers(record->dn)) {
-          traffic_.note_dn();
-        }
-        if (replica_.covers(record->new_dn) && record->after) {
-          traffic_.note_entry();
-        }
-        break;
-    }
-  }
-  if (!records.empty()) shipped_.advance(records.back()->seq);
-  traffic_.count_round_trip();
-  // The shipped changes themselves keep the replica's copy current; the
-  // answerability decision depends only on the configured contexts, so no
-  // full rescan is needed here.
-}
-
 }  // namespace fbdr::core

@@ -9,7 +9,6 @@
 #include "net/channel.h"
 #include "net/stats.h"
 #include "replica/filter_replica.h"
-#include "replica/subtree_replica.h"
 #include "resync/master.h"
 #include "resync/upstream_session.h"
 #include "select/evolution.h"
@@ -136,35 +135,6 @@ class FilterReplicationService : private resync::SessionStore {
   std::vector<InstalledFilter> sessions_;
   std::optional<select::FilterSelector> selector_;
   std::uint64_t sync_round_ = 0;
-};
-
-/// The subtree-based counterpart used as the comparison baseline: a
-/// SubtreeReplica over configured replication contexts; every master change
-/// inside a context is shipped to the replica on sync().
-class SubtreeReplicationService {
- public:
-  explicit SubtreeReplicationService(
-      std::shared_ptr<server::DirectoryServer> master);
-
-  void add_context(containment::ReplicationContext context);
-
-  /// Loads the configured contexts from the master (initial fill is not
-  /// counted as update traffic, mirroring the filter service).
-  void load();
-
-  ServeOutcome serve(const ldap::Query& query);
-
-  /// Ships every journaled change inside the contexts since the last sync.
-  void sync();
-
-  replica::SubtreeReplica& subtree_replica() noexcept { return replica_; }
-  const net::TrafficStats& traffic() const noexcept { return traffic_; }
-
- private:
-  std::shared_ptr<server::DirectoryServer> master_;
-  replica::SubtreeReplica replica_;
-  net::TrafficStats traffic_;
-  server::ChangeJournal::Reader shipped_;  // last change shipped
 };
 
 }  // namespace fbdr::core

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
-/// Small ASCII text helpers shared across the LDAP model. Directory strings in
+/// Small ASCII text helpers shared across the library. Directory strings in
 /// this reproduction are ASCII; case-insensitive matching rules lowercase
 /// bytes in [A-Z] only, which matches LDAP caseIgnoreMatch behaviour for the
 /// attribute values the paper's workloads use.
@@ -56,6 +59,18 @@ inline std::size_t find_ci(std::string_view haystack, std::string_view needle,
     if (iequals(haystack.substr(i, needle.size()), needle)) return i;
   }
   return std::string_view::npos;
+}
+
+/// A number field of the wire and control formats (cookie sequence numbers
+/// and epochs, control counts, command-line flags): the whole of `s` is one
+/// or more decimal digits whose value fits in 64 bits. A sign, a space or
+/// any byte after the digits makes it nullopt.
+inline std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  const auto [last, error] = std::from_chars(s.data(), end, value);
+  if (error != std::errc() || last != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace fbdr::ldap::text

@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+
+#include "ldap/text.h"
 
 namespace fbdr::netio {
 
@@ -67,19 +69,15 @@ std::vector<std::string> ControlClient::read_reply(const std::string& line,
     return {};
   }
   // "ok <count>": the count is one or more digits that fit, and nothing else.
-  unsigned long count = 0;
-  const char* end = status.data() + status.size();
-  bool well_formed = status.starts_with("ok ");
-  if (well_formed) {
-    const auto [ptr, ec] = std::from_chars(status.data() + 3, end, count);
-    well_formed = ec == std::errc{} && ptr == end;
-  }
-  if (!well_formed) {
+  const std::optional<std::uint64_t> count =
+      status.starts_with("ok ") ? ldap::text::parse_u64(status.substr(3))
+                                : std::nullopt;
+  if (!count) {
     throw std::runtime_error("malformed control reply: " + std::string(status));
   }
   std::vector<std::string> payload;
-  payload.reserve(count);
-  for (unsigned long i = 0; i < count; ++i) {
+  payload.reserve(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
     payload.emplace_back(read_line(deadline));
   }
   return payload;

@@ -12,12 +12,16 @@
 // drives the tree through the control plane; the README quickstart drives
 // them by hand with socat/nc.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 
+#include "ldap/text.h"
 #include "netio/node_host.h"
 
 namespace {
@@ -53,6 +57,13 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    // A count or duration: all digits, at most `max`.
+    const auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const std::string text = value();
+      const std::optional<std::uint64_t> n = fbdr::ldap::text::parse_u64(text);
+      if (!n || *n > max) usage((arg + ": bad number '" + text + "'").c_str());
+      return *n;
+    };
     try {
       if (arg == "--role") {
         const std::string role = value();
@@ -80,21 +91,21 @@ int main(int argc, char** argv) {
       } else if (arg == "--parent-url") {
         options.parent_url = value();
       } else if (arg == "--session-limit") {
-        options.session_time_limit = std::stoull(value());
+        options.session_time_limit = number(UINT64_MAX);
       } else if (arg == "--retry-attempts") {
-        options.retry.max_attempts = std::stoull(value());
+        options.retry.max_attempts = number(SIZE_MAX);
       } else if (arg == "--io-timeout-ms") {
-        options.io_timeout_ms = std::stoi(value());
+        options.io_timeout_ms = static_cast<int>(number(INT_MAX));
       } else if (arg == "--connect-timeout-ms") {
-        options.connect_timeout_ms = std::stoi(value());
+        options.connect_timeout_ms = static_cast<int>(number(INT_MAX));
       } else if (arg == "--idle-timeout-ms") {
-        options.idle_timeout_ms = std::stoi(value());
+        options.idle_timeout_ms = static_cast<int>(number(INT_MAX));
       } else if (arg == "--max-conns") {
-        options.max_connections = std::stoull(value());
+        options.max_connections = number(SIZE_MAX);
       } else if (arg == "--ready-fd") {
         // Set by a spawning parent (ProcessTopology): the write end of its
         // readiness pipe.
-        options.ready_fd = std::stoi(value());
+        options.ready_fd = static_cast<int>(number(INT_MAX));
       } else if (arg == "--crash-on-start") {
         // Supervision regression hook: die before serving anything, as a
         // node whose binary/config is broken would.

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "ldap/text.h"
 #include "net/framed_channel.h"
 #include "netio/socket_pipe.h"
 #include "server/change.h"
@@ -59,11 +59,7 @@ std::optional<std::uint64_t> parse_count(std::string_view text,
                                          std::uint64_t missing) {
   const std::string_view word = next_word(text);
   if (word.empty()) return missing;
-  std::uint64_t value = 0;
-  const char* end = word.data() + word.size();
-  const auto [last, error] = std::from_chars(word.data(), end, value);
-  if (error != std::errc() || last != end || !text.empty()) return std::nullopt;
-  return value;
+  return text.empty() ? ldap::text::parse_u64(word) : std::nullopt;
 }
 
 /// An "ok" reply built in one reserved string: the payload lines go in as

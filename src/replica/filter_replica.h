@@ -10,10 +10,30 @@
 #include <vector>
 
 #include "containment/engine.h"
-#include "replica/replica.h"
 #include "server/directory_server.h"
 
 namespace fbdr::replica {
+
+/// Outcome of presenting one client query to a replica.
+struct Decision {
+  bool hit = false;          // answered locally, no referral generated
+  std::string answered_by;   // which replication unit answered (diagnostics)
+};
+
+/// Hit/miss statistics (§3.1: hit-ratio is "the fraction of client requests
+/// which can be completely answered (without generating referrals) by the
+/// replica").
+struct ReplicaStats {
+  std::uint64_t queries = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t referrals = 0;
+  std::uint64_t containment_checks = 0;  // query-processing overhead (§7.4)
+
+  double hit_ratio() const {
+    return queries == 0 ? 0.0 : static_cast<double>(hits) /
+                                    static_cast<double>(queries);
+  }
+};
 
 /// The filter-based replication model proposed by the paper (§3): the
 /// replica stores entries satisfying one or more LDAP queries plus, per
@@ -24,7 +44,7 @@ namespace fbdr::replica {
 /// Containment checks go through a template-aware ContainmentEngine
 /// (Propositions 1-3); stored entries are pooled with reference counts so
 /// overlapping queries do not double-count replica size.
-class FilterReplica : public Replica {
+class FilterReplica {
  public:
   explicit FilterReplica(
       const ldap::Schema& schema = ldap::Schema::default_instance(),
@@ -73,10 +93,13 @@ class FilterReplica : public Replica {
   /// x-axis of Figs. 8-9).
   std::size_t stored_filter_count() const { return query_count() + cache_.size(); }
 
-  // --- Replica interface ---
-  Decision handle(const ldap::Query& query) override;
-  std::size_t stored_entries() const override;
-  std::string model_name() const override { return "filter"; }
+  /// Decides whether the replica can completely answer `query`.
+  Decision handle(const ldap::Query& query);
+
+  /// Entries currently stored.
+  std::size_t stored_entries() const;
+
+  const ReplicaStats& stats() const noexcept { return stats_; }
 
   /// Entry lookup (serving path).
   bool holds_entry(const ldap::Dn& dn) const;
@@ -112,6 +135,7 @@ class FilterReplica : public Replica {
   std::deque<CachedQuery> cache_;
   std::size_t cache_window_ = 0;
   std::map<std::string, std::pair<ldap::EntryPtr, std::uint32_t>> pool_;
+  ReplicaStats stats_;
 };
 
 }  // namespace fbdr::replica

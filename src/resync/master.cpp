@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ldap/error.h"
+#include "ldap/text.h"
 
 namespace fbdr::resync {
 
@@ -80,11 +81,10 @@ ReSyncMaster::CookieParts ReSyncMaster::parse_cookie(const std::string& cookie) 
     return parts;
   }
   parts.id = cookie.substr(0, hash);
-  try {
-    parts.seq = std::stoull(cookie.substr(hash + 1));
-  } catch (const std::exception&) {
-    throw ProtocolError("malformed resync cookie '" + cookie + "'");
-  }
+  const std::optional<std::uint64_t> seq =
+      ldap::text::parse_u64(std::string_view(cookie).substr(hash + 1));
+  if (!seq) throw ProtocolError("malformed resync cookie '" + cookie + "'");
+  parts.seq = *seq;
   parts.has_seq = true;
   return parts;
 }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ldap/error.h"
+#include "ldap/text.h"
 
 namespace fbdr::topology {
 
@@ -267,16 +268,15 @@ std::string RelayNode::unwrap_cookie(const std::string& cookie) const {
   if (cookie.empty() || cookie.front() != 'e' || bang == std::string::npos) {
     throw ldap::ProtocolError("malformed relay cookie '" + cookie + "'");
   }
-  std::uint64_t epoch = 0;
-  try {
-    epoch = std::stoull(cookie.substr(1, bang - 1));
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> epoch =
+      ldap::text::parse_u64(std::string_view(cookie).substr(1, bang - 1));
+  if (!epoch) {
     throw ldap::ProtocolError("malformed relay cookie epoch '" + cookie + "'");
   }
-  if (epoch != epoch_) {
+  if (*epoch != epoch_) {
     throw ldap::StaleCookieError(
         "relay " + url_ + " rebuilt its content (epoch " +
-        std::to_string(epoch_) + ", cookie has " + std::to_string(epoch) + ")");
+        std::to_string(epoch_) + ", cookie has " + std::to_string(*epoch) + ")");
   }
   return cookie.substr(bang + 1);
 }

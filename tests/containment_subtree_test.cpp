@@ -1,4 +1,4 @@
-#include "containment/subtree.h"
+#include "subtree_model.h"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "subtree_model.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
 
@@ -156,13 +157,13 @@ TEST(SubtreeReplicationService, ServesAndShipsWholeContexts) {
   const std::string cc = dir.country_codes[0];
   service.add_context({ldap::Dn::parse("c=" + cc + ",o=ibm"), {}});
   service.load();
-  EXPECT_GT(service.subtree_replica().stored_entries(), 0u);
+  EXPECT_GT(service.stored_entries(), 0u);
 
   // Hit only for bases inside the context.
   EXPECT_TRUE(
-      service.serve(Query::parse("c=" + cc + ",o=ibm", Scope::Subtree, "(a=1)"))
+      service.handle(Query::parse("c=" + cc + ",o=ibm", Scope::Subtree, "(a=1)"))
           .hit);
-  EXPECT_FALSE(service.serve(serial_query("000000")).hit);  // null base
+  EXPECT_FALSE(service.handle(serial_query("000000")).hit);  // null base
 
   // Updates inside the context are shipped; outside ones are not.
   std::size_t inside = 0;
@@ -205,7 +206,7 @@ TEST(EndToEnd, FilterBeatsSubtreeOnNullBasedWorkload) {
   for (const std::size_t member : dir.division_members[0]) {
     const Query q = serial_query(dir.employees[member].serial);
     if (filter_service.serve(q).hit) ++filter_hits;
-    if (subtree_service.serve(q).hit) ++subtree_hits;
+    if (subtree_service.handle(q).hit) ++subtree_hits;
   }
   EXPECT_EQ(filter_hits, dir.division_members[0].size());
   EXPECT_EQ(subtree_hits, 0u);

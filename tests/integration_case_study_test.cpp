@@ -13,8 +13,8 @@
 #include <algorithm>
 
 #include "core/replication_service.h"
-#include "sync/baseline_backends.h"
-#include "sync/session_history_backend.h"
+#include "subtree_model.h"
+#include "sync_backends.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
 #include "workload/workload_gen.h"
@@ -133,7 +133,7 @@ TEST(CaseStudy, FilterUpdateTrafficBelowSubtreeAtSameBudget) {
   }
   subtree_service.load();
   const std::size_t filter_entries = filter_service.filter_replica().stored_entries();
-  const std::size_t subtree_entries = subtree_service.subtree_replica().stored_entries();
+  const std::size_t subtree_entries = subtree_service.stored_entries();
   ASSERT_GT(subtree_entries, filter_entries)
       << "precondition: subtree replica should be at least as large";
 

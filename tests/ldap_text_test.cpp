@@ -47,6 +47,16 @@ TEST(Text, FindCi) {
   EXPECT_EQ(find_ci("ab", "abc", 0), std::string_view::npos);
 }
 
+TEST(Text, ParseU64AcceptsOnlyAWholeDigitField) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("0042"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "1x", "+1", "-1", " 1", "1 ", "0x10",
+                          "-18446744073709551615", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(TrafficStats, CountersAndAccumulate) {
   net::TrafficStats stats;
   stats.count_round_trip();

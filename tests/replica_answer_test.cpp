@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "replica/replica_endpoint.h"
-#include "replica/subtree_endpoint.h"
 #include "server/directory_server.h"
+#include "subtree_model.h"
 
 namespace fbdr::replica {
 namespace {

@@ -1,4 +1,4 @@
-#include "replica/subtree_replica.h"
+#include "subtree_model.h"
 
 #include <gtest/gtest.h>
 

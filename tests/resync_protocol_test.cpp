@@ -112,6 +112,37 @@ TEST(ReSyncMaster, LegacyCookieWithoutSequenceIsRejectedAsStale) {
   EXPECT_NO_THROW(resync.handle(kQuery, {Mode::Poll, cookie}));
 }
 
+// A cookie's sequence number is the whole field after '#', digits only.
+// Forms that a lenient integer parse would read as the live sequence number
+// (a trailing byte, a sign, a space, a negative that wraps around to it) are
+// malformed: they neither poll nor end the session.
+TEST(ReSyncMaster, MalformedCookieSequenceIsRefused) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  const std::string cookie = resync.handle(kQuery, {Mode::Poll, ""}).cookie;
+  const std::string id = cookie.substr(0, cookie.find('#'));
+  ASSERT_EQ(cookie, id + "#1");
+  master->add(person("E1", "42"));
+  resync.pump();
+
+  for (const std::string& bad :
+       {id + "#1x", id + "#+1", id + "# 1", id + "#1 trailing",
+        id + "#-18446744073709551615", id + "#"}) {
+    EXPECT_THROW(resync.handle(kQuery, {Mode::Poll, bad}), ldap::ProtocolError)
+        << bad;
+    EXPECT_THROW(resync.handle(kQuery, {Mode::SyncEnd, bad}),
+                 ldap::ProtocolError)
+        << bad;
+  }
+
+  // The session was neither advanced nor ended: its real cookie polls the
+  // pending change as a fresh delta, not as a replay.
+  EXPECT_EQ(resync.session_count(), 1u);
+  const ReSyncResponse response = resync.handle(kQuery, {Mode::Poll, cookie});
+  EXPECT_EQ(response.entries_sent(), 1u);
+  EXPECT_EQ(resync.replays_suppressed(), 0u);
+}
+
 TEST(ReSyncMaster, SyncEndRemovesSession) {
   auto master = make_master();
   ReSyncMaster resync(*master);

@@ -12,9 +12,8 @@
 #include "ldap/error.h"
 
 #include "server/directory_server.h"
-#include "sync/baseline_backends.h"
 #include "sync/replica_content.h"
-#include "sync/session_history_backend.h"
+#include "sync_backends.h"
 
 namespace fbdr::sync {
 namespace {

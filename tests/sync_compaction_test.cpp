@@ -17,6 +17,7 @@
 #include "ldap/error.h"
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
+#include "subtree_model.h"
 #include "sync/content_tracker.h"
 
 namespace fbdr::resync {
@@ -235,7 +236,7 @@ TEST(SyncCompactionGap, SubtreeServiceReloadsAcrossTheGap) {
 
   service.sync();  // gap: full reload instead of replaying trimmed records
   std::vector<std::string> have;
-  for (const ldap::EntryPtr& entry : service.subtree_replica().entries()) {
+  for (const ldap::EntryPtr& entry : service.entries()) {
     have.push_back(entry->dn().norm_key());
   }
   std::sort(have.begin(), have.end());

@@ -158,6 +158,34 @@ TEST(TopologyRelay, CookiesCarryEpochAndRestartInvalidatesThem) {
       world.relay->handle(serial_query("00"), {Mode::SyncEnd, polled.cookie}));
 }
 
+// The epoch between 'e' and '!' is digits only. Forms that a lenient integer
+// parse would read as the live epoch 0 are malformed, not admitted.
+TEST(TopologyRelay, MalformedCookieEpochIsRefused) {
+  Relayed world = make_relayed();
+  ASSERT_TRUE(world.relay->install_all());
+  const ReSyncResponse initial =
+      world.relay->handle(serial_query("00"), {Mode::Poll, ""});
+  ASSERT_EQ(initial.cookie.rfind("e0!", 0), 0u);
+  const std::string inner = initial.cookie.substr(3);
+
+  for (const std::string& bad :
+       {"e0junk!" + inner, "e+0!" + inner, "e 0!" + inner, "e-0!" + inner,
+        "e!" + inner}) {
+    EXPECT_THROW(world.relay->handle(serial_query("00"), {Mode::Poll, bad}),
+                 ldap::ProtocolError)
+        << bad;
+    EXPECT_THROW(world.relay->handle(serial_query("00"), {Mode::SyncEnd, bad}),
+                 ldap::ProtocolError)
+        << bad;
+  }
+
+  // The downstream session is untouched: the real cookie still polls it.
+  const ReSyncResponse polled =
+      world.relay->handle(serial_query("00"), {Mode::Poll, initial.cookie});
+  EXPECT_FALSE(polled.full_reload);
+  EXPECT_EQ(polled.cookie.rfind("e0!", 0), 0u);
+}
+
 TEST(TopologyRelay, UpstreamStaleCookieCascadesAsEpochBump) {
   // Documents the pre-reconciliation cascade: against a root that does not
   // speak reconciliation (the version gate ignores the digest offer), an
