@@ -83,9 +83,11 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else if (const char* speedup = value("--min-speedup=")) {
-      options.min_speedup = std::strtod(speedup, nullptr);
+      options.min_speedup = fbdr::bench::gate_flag<double>(
+          "--min-speedup=", speedup);
     } else if (const char* parallel = value("--min-parallel-speedup=")) {
-      options.min_parallel_speedup = std::strtod(parallel, nullptr);
+      options.min_parallel_speedup = fbdr::bench::gate_flag<double>(
+          "--min-parallel-speedup=", parallel);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);

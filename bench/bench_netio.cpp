@@ -79,11 +79,13 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* sessions = value("--sessions=")) {
       options.sessions = std::strtoull(sessions, nullptr, 10);
     } else if (const char* min_sessions = value("--min-sessions=")) {
-      options.min_sessions = std::strtoull(min_sessions, nullptr, 10);
+      options.min_sessions = fbdr::bench::gate_flag<std::size_t>(
+          "--min-sessions=", min_sessions);
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else if (const char* overhead = value("--max-socket-overhead=")) {
-      options.max_socket_overhead = std::strtod(overhead, nullptr);
+      options.max_socket_overhead = fbdr::bench::gate_flag<double>(
+          "--max-socket-overhead=", overhead);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);

@@ -76,7 +76,8 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else if (const char* factor = value("--min-factor=")) {
-      options.min_factor = std::strtod(factor, nullptr);
+      options.min_factor = fbdr::bench::gate_flag<double>(
+          "--min-factor=", factor);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);

@@ -62,7 +62,8 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else if (const char* savings = value("--min-savings=")) {
-      options.min_savings = std::strtod(savings, nullptr);
+      options.min_savings = fbdr::bench::gate_flag<double>(
+          "--min-savings=", savings);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);

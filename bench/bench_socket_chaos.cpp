@@ -74,7 +74,8 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* seed = value("--seed=")) {
       options.seed = std::strtoull(seed, nullptr, 10);
     } else if (const char* polls = value("--max-recovery-polls=")) {
-      options.max_recovery_polls = std::strtoull(polls, nullptr, 10);
+      options.max_recovery_polls = fbdr::bench::gate_flag<std::size_t>(
+          "--max-recovery-polls=", polls);
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else {

@@ -13,6 +13,9 @@
 // cheaper; three codec-only numbers sit beside it:
 //   decode_over_encode       codec microbench decode ns / encode ns
 //                            (--max-decode-factor)
+//   decode_ns_per_pdu        codec microbench decode ns per PDU; unlike
+//                            the ratio it does not rise when only encode
+//                            gets faster
 //   persist_overhead_factor  framed persist push ns / direct push ns
 //                            (--max-persist-overhead)
 //   codec_ns_per_poll        encode + in-place decode of one poll's
@@ -77,11 +80,14 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* json = value("--json=")) {
       options.json_path = json;
     } else if (const char* overhead = value("--max-wire-overhead=")) {
-      options.max_wire_overhead = std::strtod(overhead, nullptr);
+      options.max_wire_overhead = fbdr::bench::gate_flag<double>(
+          "--max-wire-overhead=", overhead);
     } else if (const char* factor = value("--max-decode-factor=")) {
-      options.max_decode_factor = std::strtod(factor, nullptr);
+      options.max_decode_factor = fbdr::bench::gate_flag<double>(
+          "--max-decode-factor=", factor);
     } else if (const char* persist = value("--max-persist-overhead=")) {
-      options.max_persist_overhead = std::strtod(persist, nullptr);
+      options.max_persist_overhead = fbdr::bench::gate_flag<double>(
+          "--max-persist-overhead=", persist);
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       std::exit(2);
@@ -348,6 +354,7 @@ struct CodecMicro {
   double encode_ns = 0.0;
   double decode_ns = 0.0;
   std::size_t payload_bytes = 0;
+  std::size_t pdus = 0;
 };
 
 CodecMicro run_codec_micro(std::size_t batch = 64, std::size_t reps = 400) {
@@ -381,6 +388,7 @@ CodecMicro run_codec_micro(std::size_t batch = 64, std::size_t reps = 400) {
     if (decoded.pdus.size() != batch) std::abort();
   }
   micro.decode_ns = ns_since(start) / static_cast<double>(reps);
+  micro.pdus = batch;
   return micro;
 }
 
@@ -459,6 +467,8 @@ int main(int argc, char** argv) {
   const double overhead_factor =
       ratio(framed_poll.ns_per_op(), direct_poll.ns_per_op());
   const double decode_over_encode = ratio(micro.decode_ns, micro.encode_ns);
+  const double decode_ns_per_pdu =
+      ratio(micro.decode_ns, static_cast<double>(micro.pdus));
   const double persist_overhead_factor =
       ratio(framed_persist.ns_per_op(), direct_persist.ns_per_op());
   const double micro_mb_per_s =
@@ -484,6 +494,7 @@ int main(int argc, char** argv) {
   report.set("codec_micro", std::move(codec));
   report.set("poll_overhead_factor", overhead_factor);
   report.set("decode_over_encode", decode_over_encode);
+  report.set("decode_ns_per_pdu", decode_ns_per_pdu);
   report.set("persist_overhead_factor", persist_overhead_factor);
   report.set("codec_ns_per_poll", codec_ns_per_poll);
   report.set("all_converged", bench::JsonValue::boolean(all_converged));
@@ -493,9 +504,10 @@ int main(int argc, char** argv) {
               "(%.2fx); codec %.1f MB/s roundtrip\n",
               framed_poll.ns_per_op(), direct_poll.ns_per_op(),
               overhead_factor, micro_mb_per_s);
-  std::printf("# codec only: decode %.2fx encode; %.0f ns per poll; "
-              "persist push framed %.2fx direct\n",
-              decode_over_encode, codec_ns_per_poll, persist_overhead_factor);
+  std::printf("# codec only: decode %.2fx encode, %.0f ns per PDU; %.0f ns "
+              "per poll; persist push framed %.2fx direct\n",
+              decode_over_encode, decode_ns_per_pdu, codec_ns_per_poll,
+              persist_overhead_factor);
 
   if (!all_converged) {
     std::fprintf(stderr, "FAIL: a scenario left framed and direct replicas "

@@ -3,10 +3,15 @@
 // Helpers shared by the experiment drivers. Every bench prints CSV-style
 // rows "series,x,y" so EXPERIMENTS.md can quote them directly.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/replication_service.h"
@@ -92,6 +97,31 @@ inline std::vector<std::size_t> parse_csv(const char* text) {
     cursor = *end == ',' ? end + 1 : end;
   }
   return out;
+}
+
+/// The value of a gate flag (--max-* / --min-*) when the whole of `text`
+/// is one finite, non-negative number of type T; nullopt otherwise.
+template <typename T>
+std::optional<T> parse_gate(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || last != end || !(value >= T{})) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+/// Reads the gate flag `flag` (its "--name=" prefix) from its value `text`.
+/// A value parse_gate rejects is a usage error that exits 2: read leniently,
+/// a typo would turn the gate off.
+template <typename T>
+T gate_flag(const char* flag, const char* text) {
+  if (const std::optional<T> value = parse_gate<T>(text)) return *value;
+  std::fprintf(stderr, "usage: %s%s: not a finite non-negative number\n", flag,
+               text);
+  std::exit(2);
 }
 
 /// The Response frame a persist push of `pdus` on session `cookie` travels

@@ -29,7 +29,6 @@ const std::vector<std::string>& NormalizedValueCache::get(
     ++hits_;
     return it->second;
   }
-  ++misses_;
   std::vector<std::string>& normalized = slot.attrs[attr];
   const std::string& name = attrs.name(attr);
   if (const std::vector<std::string>* raw = entry->get(name)) {

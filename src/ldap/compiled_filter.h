@@ -42,7 +42,6 @@ class NormalizedValueCache {
   void clear();
   std::size_t entry_count() const noexcept { return entries_.size(); }
   std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
 
  private:
   struct PerEntry {
@@ -53,7 +52,6 @@ class NormalizedValueCache {
   std::unordered_map<const Entry*, PerEntry> entries_;
   std::size_t capacity_;
   std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 /// A canonical filter IR flattened once into a contiguous predicate program.
@@ -119,8 +117,6 @@ class CompiledFilter {
   /// ChangeRouter checks this against its own interner before indexing by
   /// id; a mismatch degrades the session to the unindexed fallback class.
   const AttrInterner* attr_interner() const noexcept { return interner_; }
-
-  std::size_t node_count() const noexcept { return nodes_.size(); }
 
  private:
   struct Node {

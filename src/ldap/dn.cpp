@@ -96,33 +96,51 @@ Dn Dn::parse(std::string_view raw) {
 
 Dn Dn::from_rdns(std::vector<Rdn> root_to_leaf) {
   Dn dn;
-  dn.rdns_ = std::move(root_to_leaf);
-  dn.rebuild_strings();
+  if (root_to_leaf.empty()) return dn;
+  auto rep = std::make_shared<Rep>();
+  rep->rdns = std::move(root_to_leaf);
+  // "type=value," per RDN: one allocation per string unless values need
+  // escapes.
+  std::size_t size = 0;
+  for (const Rdn& rdn : rep->rdns) {
+    size += rdn.type().size() + rdn.value().size() + 2;
+  }
+  rep->text.reserve(size);
+  rep->key.reserve(size);
+  // Leaf-first display/normalized form.
+  for (auto it = rep->rdns.rbegin(); it != rep->rdns.rend(); ++it) {
+    if (!rep->text.empty()) {
+      rep->text += ',';
+      rep->key += ',';
+    }
+    append_rdn(rep->text, it->type(), it->value());
+    append_rdn(rep->key, it->type(), it->norm_value());
+  }
+  dn.rep_ = std::move(rep);
   return dn;
 }
 
 const Rdn& Dn::leaf_rdn() const {
   if (is_root()) throw OperationError(ResultCode::InvalidDnSyntax, "root DN has no RDN");
-  return rdns_.back();
+  return rdns().back();
 }
 
 Dn Dn::parent() const {
   if (is_root()) {
     throw OperationError(ResultCode::InvalidDnSyntax, "root DN has no parent");
   }
-  std::vector<Rdn> rdns(rdns_.begin(), rdns_.end() - 1);
-  return from_rdns(std::move(rdns));
+  return from_rdns(std::vector<Rdn>(rdns().begin(), rdns().end() - 1));
 }
 
 Dn Dn::child(Rdn rdn) const {
-  std::vector<Rdn> rdns = rdns_;
-  rdns.push_back(std::move(rdn));
-  return from_rdns(std::move(rdns));
+  std::vector<Rdn> rdns_out = rdns();
+  rdns_out.push_back(std::move(rdn));
+  return from_rdns(std::move(rdns_out));
 }
 
 bool Dn::is_ancestor_of(const Dn& other) const {
   if (depth() >= other.depth()) return false;
-  return std::equal(rdns_.begin(), rdns_.end(), other.rdns_.begin());
+  return std::equal(rdns().begin(), rdns().end(), other.rdns().begin());
 }
 
 bool Dn::is_ancestor_or_self(const Dn& other) const {
@@ -139,32 +157,11 @@ Dn Dn::rebase(const Dn& old_base, const Dn& new_base) const {
                          "rebase: '" + old_base.to_string() +
                              "' is not an ancestor of '" + to_string() + "'");
   }
-  std::vector<Rdn> rdns = new_base.rdns_;
-  rdns.insert(rdns.end(), rdns_.begin() + static_cast<std::ptrdiff_t>(old_base.depth()),
-              rdns_.end());
-  return from_rdns(std::move(rdns));
-}
-
-void Dn::rebuild_strings() {
-  text_.clear();
-  key_.clear();
-  // "type=value," per RDN: one allocation per string unless values need
-  // escapes.
-  std::size_t size = 0;
-  for (const Rdn& rdn : rdns_) {
-    size += rdn.type().size() + rdn.value().size() + 2;
-  }
-  text_.reserve(size);
-  key_.reserve(size);
-  // Leaf-first display/normalized form.
-  for (auto it = rdns_.rbegin(); it != rdns_.rend(); ++it) {
-    if (!text_.empty()) {
-      text_ += ',';
-      key_ += ',';
-    }
-    append_rdn(text_, it->type(), it->value());
-    append_rdn(key_, it->type(), it->norm_value());
-  }
+  std::vector<Rdn> rdns_out = new_base.rdns();
+  rdns_out.insert(rdns_out.end(),
+                  rdns().begin() + static_cast<std::ptrdiff_t>(old_base.depth()),
+                  rdns().end());
+  return from_rdns(std::move(rdns_out));
 }
 
 }  // namespace fbdr::ldap

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +37,9 @@ class Rdn {
 ///
 /// Internally RDNs are held in root-to-leaf order so that ancestor tests are
 /// vector-prefix tests; the LDAP string form is leaf-first
-/// (`cn=John Doe,ou=research,c=us,o=xyz`). DNs are immutable values.
+/// (`cn=John Doe,ou=research,c=us,o=xyz`). DNs are immutable values: the
+/// RDNs and both string forms live in one shared representation, so a copy
+/// is a reference-count bump and the null DN holds none.
 class Dn {
  public:
   /// Constructs the null DN (DIT root).
@@ -50,11 +53,11 @@ class Dn {
   /// Builds a DN from RDNs given in root-to-leaf order.
   static Dn from_rdns(std::vector<Rdn> root_to_leaf);
 
-  bool is_root() const noexcept { return rdns_.empty(); }
-  std::size_t depth() const noexcept { return rdns_.size(); }
+  bool is_root() const noexcept { return rep_ == nullptr; }
+  std::size_t depth() const noexcept { return rdns().size(); }
 
   /// RDN components in root-to-leaf order; index 0 is closest to the root.
-  const std::vector<Rdn>& rdns() const noexcept { return rdns_; }
+  const std::vector<Rdn>& rdns() const noexcept { return rep().rdns; }
 
   /// The leaf (leftmost in string form) RDN. Precondition: !is_root().
   const Rdn& leaf_rdn() const;
@@ -82,21 +85,32 @@ class Dn {
   Dn rebase(const Dn& old_base, const Dn& new_base) const;
 
   /// LDAP string form, leaf-first. The null DN prints as "".
-  const std::string& to_string() const noexcept { return text_; }
+  const std::string& to_string() const noexcept { return rep().text; }
 
   /// Canonical lowercase key for maps/sets.
-  const std::string& norm_key() const noexcept { return key_; }
+  const std::string& norm_key() const noexcept { return rep().key; }
 
-  friend bool operator==(const Dn& a, const Dn& b) { return a.key_ == b.key_; }
+  friend bool operator==(const Dn& a, const Dn& b) {
+    return a.rep_ == b.rep_ || a.norm_key() == b.norm_key();
+  }
   friend bool operator!=(const Dn& a, const Dn& b) { return !(a == b); }
-  friend bool operator<(const Dn& a, const Dn& b) { return a.key_ < b.key_; }
+  friend bool operator<(const Dn& a, const Dn& b) {
+    return a.norm_key() < b.norm_key();
+  }
 
  private:
-  void rebuild_strings();
+  struct Rep {
+    std::vector<Rdn> rdns;  // root-to-leaf
+    std::string text;       // leaf-first display form
+    std::string key;        // leaf-first normalized form
+  };
+  static const Rep& null_rep() noexcept {
+    static const Rep kNull;
+    return kNull;
+  }
+  const Rep& rep() const noexcept { return rep_ ? *rep_ : null_rep(); }
 
-  std::vector<Rdn> rdns_;  // root-to-leaf
-  std::string text_;       // leaf-first display form
-  std::string key_;        // leaf-first normalized form
+  std::shared_ptr<const Rep> rep_;  // null for the null DN
 };
 
 /// Paper §3.4.1 helper: isSuffix(a, b) is true when DN `a` is an ancestor of

@@ -6,35 +6,56 @@
 
 namespace fbdr::ldap {
 
+namespace {
+
+/// Where the attribute named `key` (lowercased) is or would be inserted;
+/// names arriving in sorted order go straight to the end.
+template <typename Attrs>
+auto slot(Attrs& attrs, std::string_view key) {
+  if (attrs.empty() || attrs.back().first < key) return attrs.end();
+  return std::lower_bound(
+      attrs.begin(), attrs.end(), key,
+      [](const Entry::Attribute& attr, std::string_view k) { return attr.first < k; });
+}
+
+}  // namespace
+
 void Entry::add_value(std::string_view attr, std::string_view value,
                       const Schema& schema) {
-  const std::string key = text::lower(attr);
-  std::vector<std::string>& values = attrs_[key];
+  std::string key = text::lower(attr);
+  auto it = slot(attrs_, key);
+  if (it == attrs_.end() || it->first != key) {
+    it = attrs_.emplace(it, std::move(key), std::vector<std::string>{});
+  }
+  std::vector<std::string>& values = it->second;
   const bool present = std::any_of(values.begin(), values.end(),
                                    [&](const std::string& v) {
-                                     return schema.equals(key, v, value);
+                                     return schema.equals(it->first, v, value);
                                    });
   if (!present) values.emplace_back(value);
 }
 
 void Entry::set_values(std::string_view attr, std::vector<std::string> values) {
-  const std::string key = text::lower(attr);
-  if (values.empty()) {
-    attrs_.erase(key);
+  std::string key = text::lower(attr);
+  const auto it = slot(attrs_, key);
+  if (it == attrs_.end() || it->first != key) {
+    if (!values.empty()) attrs_.emplace(it, std::move(key), std::move(values));
+  } else if (values.empty()) {
+    attrs_.erase(it);
   } else {
-    attrs_[key] = std::move(values);
+    it->second = std::move(values);
   }
 }
 
 bool Entry::remove_value(std::string_view attr, std::string_view value,
                          const Schema& schema) {
   const std::string key = text::lower(attr);
-  const auto it = attrs_.find(key);
-  if (it == attrs_.end()) return false;
+  const auto it = slot(attrs_, key);
+  if (it == attrs_.end() || it->first != key) return false;
   auto& values = it->second;
   const auto pos = std::find_if(values.begin(), values.end(),
                                 [&](const std::string& v) {
-                                  return schema.equals(key, v, value);
+                                  return schema.equals(it->first, v, value);
                                 });
   if (pos == values.end()) return false;
   values.erase(pos);
@@ -43,27 +64,26 @@ bool Entry::remove_value(std::string_view attr, std::string_view value,
 }
 
 bool Entry::remove_attribute(std::string_view attr) {
-  return attrs_.erase(text::lower(attr)) > 0;
-}
-
-bool Entry::has_attribute(std::string_view attr) const {
-  return attrs_.count(text::lower(attr)) > 0;
+  const std::string key = text::lower(attr);
+  return std::erase_if(attrs_, [&](const Attribute& a) { return a.first == key; }) > 0;
 }
 
 bool Entry::has_value(std::string_view attr, std::string_view value,
                       const Schema& schema) const {
-  const std::string key = text::lower(attr);
-  const auto it = attrs_.find(key);
-  if (it == attrs_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](const std::string& v) {
-                       return schema.equals(key, v, value);
-                     });
+  const std::vector<std::string>* values = get(attr);
+  if (!values) return false;
+  return std::any_of(values->begin(), values->end(), [&](const std::string& v) {
+    return schema.equals(attr, v, value);
+  });
 }
 
 const std::vector<std::string>* Entry::get(std::string_view attr) const {
-  const auto it = attrs_.find(text::lower(attr));
-  return it == attrs_.end() ? nullptr : &it->second;
+  if (std::any_of(attr.begin(), attr.end(),
+                  [](char c) { return text::to_lower(c) != c; })) {
+    return get(text::lower(attr));
+  }
+  const auto it = slot(attrs_, attr);
+  return it == attrs_.end() || it->first != attr ? nullptr : &it->second;
 }
 
 std::string_view Entry::first(std::string_view attr) const {

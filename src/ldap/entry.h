@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ldap/dn.h"
@@ -18,9 +18,13 @@ namespace fbdr::ldap {
 ///
 /// Entries held by the DIT are immutable (`std::shared_ptr<const Entry>`);
 /// update operations build modified copies. This gives the change journal and
-/// sync back-ends cheap before/after snapshots.
+/// sync back-ends cheap before/after snapshots. The attributes are one flat
+/// vector sorted by name, so a copy or a free handles no tree node per
+/// attribute, only the vector and each attribute's values.
 class Entry {
  public:
+  using Attribute = std::pair<std::string, std::vector<std::string>>;
+
   Entry() = default;
   explicit Entry(Dn dn) : dn_(std::move(dn)) {}
 
@@ -32,8 +36,12 @@ class Entry {
   void add_value(std::string_view attr, std::string_view value,
                  const Schema& schema = Schema::default_instance());
 
-  /// Replaces all values of an attribute. An empty vector removes it.
+  /// Replaces all values of an attribute. An empty vector removes it. Names
+  /// set in sorted order append at the end.
   void set_values(std::string_view attr, std::vector<std::string> values);
+
+  /// Makes room for `count` attributes (a decoder that knows the count).
+  void reserve(std::size_t count) { attrs_.reserve(count); }
 
   /// Removes one value; returns true when it was present.
   bool remove_value(std::string_view attr, std::string_view value,
@@ -42,7 +50,9 @@ class Entry {
   /// Removes the whole attribute; returns true when it was present.
   bool remove_attribute(std::string_view attr);
 
-  bool has_attribute(std::string_view attr) const;
+  bool has_attribute(std::string_view attr) const {
+    return get(attr) != nullptr;
+  }
 
   /// True when the attribute holds `value` under its matching rule.
   bool has_value(std::string_view attr, std::string_view value,
@@ -57,9 +67,8 @@ class Entry {
   /// Lowercased names of all attributes, in sorted order.
   std::vector<std::string> attribute_names() const;
 
-  const std::map<std::string, std::vector<std::string>>& attributes() const noexcept {
-    return attrs_;
-  }
+  /// (name, values) pairs sorted by the lowercased name.
+  const std::vector<Attribute>& attributes() const noexcept { return attrs_; }
 
   /// Values of the objectclass attribute (possibly empty).
   const std::vector<std::string>& object_classes() const;
@@ -78,7 +87,7 @@ class Entry {
 
  private:
   Dn dn_;
-  std::map<std::string, std::vector<std::string>> attrs_;  // key lowercased
+  std::vector<Attribute> attrs_;  // sorted by name; names lowercased
 };
 
 using EntryPtr = std::shared_ptr<const Entry>;

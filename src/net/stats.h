@@ -92,7 +92,6 @@ struct HealthStats {
 
   std::size_t degraded_count() const;
   bool any_degraded() const { return degraded_count() > 0; }
-  std::uint64_t max_ticks_behind() const { return total().ticks_behind; }
   /// Every filter folded into one (FilterHealth::operator+=).
   FilterHealth total() const;
 

@@ -96,14 +96,6 @@ std::size_t FilterReplica::query_count() const {
   return count;
 }
 
-std::vector<std::size_t> FilterReplica::query_ids() const {
-  std::vector<std::size_t> ids;
-  for (std::size_t i = 0; i < stored_.size(); ++i) {
-    if (stored_[i].active) ids.push_back(i);
-  }
-  return ids;
-}
-
 std::vector<EntryPtr> FilterReplica::query_content(std::size_t id) const {
   const StoredQuery& stored = stored_.at(id);
   if (!stored.active) {

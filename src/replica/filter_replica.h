@@ -71,7 +71,6 @@ class FilterReplica {
   void set_content(std::size_t id, const std::vector<ldap::EntryPtr>& entries);
 
   std::size_t query_count() const;  // stored queries (excluding cache)
-  std::vector<std::size_t> query_ids() const;
   const ldap::Query& query_at(std::size_t id) const;
 
   /// Entries currently held for one stored query.

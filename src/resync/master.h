@@ -63,9 +63,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// ungoverned default). The journal retention horizon is applied to the
   /// served directory's change journal immediately.
   void set_resource_limits(const ResourceLimits& limits);
-  const ResourceLimits& resource_limits() const noexcept {
-    return governor_.limits();
-  }
 
   /// What the governor did so far (cumulative; survives reset()).
   const GovernorStats& governor_stats() const noexcept {

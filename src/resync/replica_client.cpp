@@ -139,8 +139,4 @@ void NotificationRouter::subscribe(ReSyncReplica& replica) {
   by_cookie_[replica.cookie()] = &replica;
 }
 
-void NotificationRouter::unsubscribe(const std::string& cookie) {
-  by_cookie_.erase(cookie);
-}
-
 }  // namespace fbdr::resync

@@ -133,7 +133,6 @@ class NotificationRouter {
  public:
   void attach(ReSyncMaster& master);
   void subscribe(ReSyncReplica& replica);
-  void unsubscribe(const std::string& cookie);
 
  private:
   std::map<std::string, ReSyncReplica*> by_cookie_;

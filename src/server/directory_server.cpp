@@ -190,8 +190,9 @@ std::uint64_t DirectoryServer::remove(const Dn& dn) {
   return journal_.append(std::move(record));
 }
 
-std::uint64_t DirectoryServer::modify(const Dn& dn, std::vector<Modification> mods) {
-  auto [before, after] = dit_.modify(dn, mods);
+std::uint64_t DirectoryServer::modify(const Dn& dn, std::vector<Modification> mods,
+                                      EntryPtr after_image) {
+  auto [before, after] = dit_.modify(dn, mods, std::move(after_image));
   ChangeRecord record;
   record.type = ChangeType::Modify;
   record.dn = dn;

@@ -80,7 +80,9 @@ class DirectoryServer : public SearchEndpoint {
   // --- update operations (journaled) ---
   std::uint64_t add(ldap::EntryPtr entry);
   std::uint64_t remove(const ldap::Dn& dn);
-  std::uint64_t modify(const ldap::Dn& dn, std::vector<Modification> mods);
+  /// A given `after` is installed as is (see Dit::modify).
+  std::uint64_t modify(const ldap::Dn& dn, std::vector<Modification> mods,
+                       ldap::EntryPtr after = nullptr);
   /// Renames `dn` (and its subtree) to `new_dn`; one ModifyDn record per
   /// moved entry.
   std::uint64_t modify_dn(const ldap::Dn& dn, const ldap::Dn& new_dn);

@@ -45,13 +45,14 @@ void Dit::add(EntryPtr entry) {
   if (contains(dn)) {
     throw OperationError(ResultCode::EntryAlreadyExists, dn.to_string());
   }
-  if (!is_suffix_dn(dn) && !contains(dn.parent())) {
+  const Dn parent = dn.parent();
+  if (!is_suffix_dn(dn) && !contains(parent)) {
     throw OperationError(ResultCode::NoSuchObject,
                          "parent of '" + dn.to_string() + "' not present");
   }
   index_entry(*entry);
   entries_[dn.norm_key()] = std::move(entry);
-  children_[dn.parent().norm_key()].insert(dn.norm_key());
+  children_[parent.norm_key()].insert(dn.norm_key());
 }
 
 EntryPtr Dit::remove(const Dn& dn) {
@@ -76,33 +77,37 @@ EntryPtr Dit::remove(const Dn& dn) {
 }
 
 std::pair<EntryPtr, EntryPtr> Dit::modify(const Dn& dn,
-                                          const std::vector<Modification>& mods) {
+                                          const std::vector<Modification>& mods,
+                                          EntryPtr after) {
   const auto it = entries_.find(dn.norm_key());
   if (it == entries_.end()) {
     throw OperationError(ResultCode::NoSuchObject, dn.to_string());
   }
   const EntryPtr before = it->second;
-  auto after = std::make_shared<Entry>(*before);
-  for (const Modification& mod : mods) {
-    switch (mod.op) {
-      case Modification::Op::AddValues:
-        for (const std::string& value : mod.values) {
-          after->add_value(mod.attr, value);
-        }
-        break;
-      case Modification::Op::DeleteValues:
-        if (mod.values.empty()) {
-          after->remove_attribute(mod.attr);
-        } else {
+  if (!after) {
+    auto modified = std::make_shared<Entry>(*before);
+    for (const Modification& mod : mods) {
+      switch (mod.op) {
+        case Modification::Op::AddValues:
           for (const std::string& value : mod.values) {
-            after->remove_value(mod.attr, value);
+            modified->add_value(mod.attr, value);
           }
-        }
-        break;
-      case Modification::Op::Replace:
-        after->set_values(mod.attr, mod.values);
-        break;
+          break;
+        case Modification::Op::DeleteValues:
+          if (mod.values.empty()) {
+            modified->remove_attribute(mod.attr);
+          } else {
+            for (const std::string& value : mod.values) {
+              modified->remove_value(mod.attr, value);
+            }
+          }
+          break;
+        case Modification::Op::Replace:
+          modified->set_values(mod.attr, mod.values);
+          break;
+      }
     }
+    after = std::move(modified);
   }
   // An attribute no modification names kept its values, so its postings
   // stay as they are.

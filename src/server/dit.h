@@ -26,7 +26,6 @@ class Dit {
   /// Registers a naming-context suffix; entries at a suffix DN may be added
   /// without their parent existing in this DIT.
   void add_suffix(const ldap::Dn& suffix);
-  const std::vector<ldap::Dn>& suffixes() const noexcept { return suffixes_; }
 
   bool contains(const ldap::Dn& dn) const;
   ldap::EntryPtr find(const ldap::Dn& dn) const;  // null when absent
@@ -42,9 +41,11 @@ class Dit {
   /// Applies modifications, returning (before, after) snapshots. Throws
   /// NoSuchObject; unknown delete-values are ignored (lenient, like most
   /// servers in relaxed mode). Only the indexed attributes the
-  /// modifications name are re-indexed.
+  /// modifications name are re-indexed. A given `after` is installed as is:
+  /// it must be what `mods` make of the stored entry.
   std::pair<ldap::EntryPtr, ldap::EntryPtr> modify(
-      const ldap::Dn& dn, const std::vector<Modification>& mods);
+      const ldap::Dn& dn, const std::vector<Modification>& mods,
+      ldap::EntryPtr after = nullptr);
 
   /// Renames/moves the entry (and any subtree under it) to `new_dn`. Returns
   /// the per-entry (old DN, new DN, snapshot) triples, parent first.

@@ -90,7 +90,6 @@ class ChangeRouter {
              ldap::NormalizedValueCache* cache = nullptr);
 
   std::size_t session_count() const noexcept { return live_count_; }
-  std::size_t holder_keys() const noexcept { return holders_.size(); }
 
   struct Stats {
     std::uint64_t routed_changes = 0;

@@ -180,7 +180,8 @@ void RelayNode::upsert(const EntryPtr& entry) {
         mods.push_back({server::Modification::Op::Replace, attr, {}});
       }
     }
-    mirror_.modify(entry->dn(), std::move(mods));
+    // `mods` still drive re-indexing and the journal; `entry` is their result.
+    mirror_.modify(entry->dn(), std::move(mods), entry);
     return;
   }
   ensure_parents(entry->dn());

@@ -140,9 +140,8 @@ class RelayNode final : public resync::ReSyncEndpoint,
   const std::string& parent_url() const noexcept { return parent_url_; }
 
   /// Non-empty when the parent refused a filter with a referral; the
-  /// runtime consumes it via rewire() + clear_referral().
+  /// runtime consumes it via rewire().
   const std::string& referred_to() const noexcept { return referred_to_; }
-  void clear_referral() { referred_to_.clear(); }
 
   /// Consecutive sync() rounds in which every attempted upstream exchange
   /// failed at the transport level — the re-parenting trigger.

@@ -232,6 +232,9 @@ class Reader {
     return s;
   }
 
+  /// The bytes not read yet, without consuming them.
+  ByteSpan rest() const noexcept { return ByteSpan(data_ + pos_, remaining()); }
+
   /// Consumes `len` bytes and returns a sub-reader bounded to them — the
   /// extent of one TLV value. Unknown tags are skipped by discarding it.
   Reader field(std::size_t len) {
@@ -370,9 +373,19 @@ void put_entry(W& w, const ldap::Entry& entry) {
   }
 }
 
-ldap::EntryPtr get_entry(Reader& r) {
-  auto entry = std::make_shared<ldap::Entry>(get_dn(r));
+/// Decodes an entry. `dn_bytes` are the wire bytes of `dn`, the PDU's own
+/// DN, which the encoder writes again at the head of the entry: when they
+/// repeat the entry shares `dn` instead of parsing it twice (the DN encoding
+/// is prefix-free, so equal leading bytes are the same whole DN).
+ldap::EntryPtr get_entry(Reader& r, ByteSpan dn_bytes, const ldap::Dn& dn) {
+  const ByteSpan rest = r.rest();
+  const bool same_dn = !dn_bytes.empty() && rest.size() >= dn_bytes.size() &&
+                       std::equal(dn_bytes.begin(), dn_bytes.end(), rest.begin());
+  auto entry = std::make_shared<ldap::Entry>(same_dn ? dn : get_dn(r));
+  if (same_dn) r.field(dn_bytes.size());
   const std::uint32_t attrs = r.u32();
+  // A name and a value count take at least 8 bytes.
+  if (attrs <= r.remaining() / 8) entry->reserve(attrs);
   for (std::uint32_t i = 0; i < attrs; ++i) {
     const std::string_view name = r.view();
     const std::uint32_t count = r.u32();
@@ -565,6 +578,7 @@ void put_pdu(W& w, const resync::EntryPdu& pdu) {
 
 resync::EntryPdu get_pdu(Reader extent) {
   resync::EntryPdu pdu;
+  ByteSpan dn_bytes;  // wire form of pdu.dn
   while (!extent.done()) {
     const std::uint8_t tag = extent.u8();
     Reader f = extent.field(extent.u32());
@@ -577,11 +591,14 @@ resync::EntryPdu get_pdu(Reader extent) {
         pdu.action = static_cast<resync::Action>(action);
         break;
       }
-      case kPduDn:
+      case kPduDn: {
+        const ByteSpan rest = f.rest();
         pdu.dn = get_dn(f);
+        dn_bytes = rest.first(rest.size() - f.remaining());
         break;
+      }
       case kPduEntry:
-        pdu.entry = get_entry(f);
+        pdu.entry = get_entry(f, dn_bytes, pdu.dn);
         break;
       default:
         break;

@@ -6,7 +6,7 @@
 
 namespace fbdr::workload {
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
+ZipfSampler::ZipfSampler(std::size_t n, double s) {
   if (n == 0) throw std::invalid_argument("ZipfSampler over empty domain");
   cdf_.resize(n);
   double total = 0.0;

@@ -17,14 +17,12 @@ class ZipfSampler {
   std::size_t sample(std::mt19937& rng) const;
 
   std::size_t size() const noexcept { return cdf_.size(); }
-  double skew() const noexcept { return s_; }
 
   /// Probability mass of rank k (diagnostics).
   double pmf(std::size_t k) const;
 
  private:
   std::vector<double> cdf_;
-  double s_ = 0.0;
 };
 
 }  // namespace fbdr::workload

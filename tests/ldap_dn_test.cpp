@@ -169,5 +169,70 @@ TEST(DnDepth, CountsComponents) {
   EXPECT_EQ(Dn::parse("cn=a,ou=b,o=c").depth(), 3u);
 }
 
+TEST(DnRep, CopiesShareOneRepresentation) {
+  const Dn a = Dn::parse("cn=John,ou=research,o=xyz");
+  const Dn b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  Dn c;
+  c = b;
+  EXPECT_EQ(&a.to_string(), &b.to_string());
+  EXPECT_EQ(&a.norm_key(), &c.norm_key());
+  EXPECT_EQ(&a.rdns(), &c.rdns());
+  EXPECT_EQ(a, c);
+}
+
+TEST(DnRep, SeparatelyParsedEqualDnsCompareAndOrderEqual) {
+  const Dn a = Dn::parse("CN=John,OU=Research,O=xyz");
+  const Dn b = Dn::parse("cn=john, ou=research ,o=XYZ");
+  EXPECT_NE(&a.to_string(), &b.to_string());  // two representations
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a != b);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_EQ(a.norm_key(), b.norm_key());
+  EXPECT_EQ(DnHash{}(a), DnHash{}(b));
+  EXPECT_EQ(a.to_string(), "cn=John,ou=Research,o=xyz");  // values keep case
+  EXPECT_EQ(b.to_string(), "cn=john,ou=research,o=XYZ");
+}
+
+TEST(DnRep, NullDnIsTheSameEveryWayItIsMade) {
+  const Dn made;
+  const Dn parsed = Dn::parse("  ");
+  const Dn built = Dn::from_rdns({});
+  const Dn stripped = Dn::parse("o=xyz").parent();
+  for (const Dn* dn : {&made, &parsed, &built, &stripped}) {
+    EXPECT_TRUE(dn->is_root());
+    EXPECT_EQ(dn->depth(), 0u);
+    EXPECT_TRUE(dn->rdns().empty());
+    EXPECT_EQ(dn->to_string(), "");
+    EXPECT_EQ(dn->norm_key(), "");
+    EXPECT_EQ(*dn, made);
+    EXPECT_FALSE(*dn < made);
+    EXPECT_TRUE(*dn < Dn::parse("o=xyz"));
+    EXPECT_TRUE(dn->is_ancestor_of(Dn::parse("o=xyz")));
+    EXPECT_FALSE(dn->is_ancestor_of(made));
+    EXPECT_THROW((void)dn->leaf_rdn(), OperationError);
+  }
+  EXPECT_NE(made, Dn::parse("o=xyz"));
+}
+
+TEST(DnRep, DerivedDnsLeaveTheirSourceUnchanged) {
+  const Dn dn = Dn::parse("cn=John,ou=Research,o=xyz");
+  const Dn copy = dn;  // NOLINT(performance-unnecessary-copy-initialization)
+  const Dn parent = dn.parent();
+  const Dn child = dn.child(Rdn("uid", "J1"));
+  const Dn moved = dn.rebase(Dn::parse("ou=research,o=xyz"), Dn::parse("o=abc"));
+  EXPECT_EQ(dn.to_string(), "cn=John,ou=Research,o=xyz");
+  EXPECT_EQ(&dn.to_string(), &copy.to_string());
+  EXPECT_EQ(parent.to_string(), "ou=Research,o=xyz");
+  EXPECT_TRUE(parent.is_parent_of(dn));
+  EXPECT_EQ(child.to_string(), "uid=J1,cn=John,ou=Research,o=xyz");
+  EXPECT_EQ(child.parent(), dn);
+  EXPECT_TRUE(dn.is_parent_of(child));
+  EXPECT_EQ(moved.to_string(), "cn=John,o=abc");
+  EXPECT_EQ(Dn().child(Rdn("o", "xyz")), Dn::parse("o=xyz"));
+  EXPECT_EQ(dn.rebase(Dn(), Dn::parse("o=top")),
+            Dn::parse("cn=John,ou=Research,o=xyz,o=top"));
+}
+
 }  // namespace
 }  // namespace fbdr::ldap

@@ -117,9 +117,11 @@ TEST(WireAllocations, IdleFramedPollExchangeMakesAtMostEight) {
   EXPECT_EQ(channel.traffic().round_trips, 5u + static_cast<std::uint64_t>(kPolls));
 }
 
-// One Add PDU's entry is a shared Entry with its DN and a map node plus a
-// value vector per attribute; the PDU has its own DN. Pinned at the count
-// the copying decoder had, so in-place decoding adds nothing per PDU.
+// One Add PDU is its DN (a shared representation, its RDN vector and two
+// strings), the shared Entry, the entry's attribute vector, a value vector
+// per attribute, the one value too long for the small-string buffer and
+// the response's PDU vector. The entry shares the PDU's DN, so the DN is
+// parsed and allocated once.
 TEST(WireAllocations, DecodedAddPduStaysWithinBound) {
   ReSyncResponse none;
   none.cookie = "rs-1#42";
@@ -127,7 +129,21 @@ TEST(WireAllocations, DecodedAddPduStaysWithinBound) {
   one.pdus.push_back(add_pdu(7));
   const long per_pdu = decode_allocations(Codec::encode_response(one)) -
                        decode_allocations(Codec::encode_response(none));
-  EXPECT_LE(per_pdu, 17);
+  EXPECT_LE(per_pdu, 12);
+}
+
+TEST(WireAllocations, DecodedEntrySharesThePduDn) {
+  ReSyncResponse response;
+  response.cookie = "rs-1#42";
+  response.pdus.push_back(add_pdu(7));
+  const ReSyncResponse decoded =
+      Codec::decode_response(Codec::encode_response(response));
+  ASSERT_EQ(decoded.pdus.size(), 1u);
+  const resync::EntryPdu& pdu = decoded.pdus.front();
+  ASSERT_NE(pdu.entry, nullptr);
+  EXPECT_EQ(pdu.dn, response.pdus.front().dn);
+  EXPECT_EQ(&pdu.entry->dn().to_string(), &pdu.dn.to_string());
+  EXPECT_EQ(*pdu.entry, *response.pdus.front().entry);
 }
 
 }  // namespace
