@@ -1,4 +1,4 @@
-#include "select/evolution.h"
+#include "evolution.h"
 
 #include <algorithm>
 

@@ -15,8 +15,8 @@
 #include <map>
 
 #include "common.h"
+#include "evolution.h"
 #include "replica/filter_replica.h"
-#include "select/evolution.h"
 
 namespace {
 

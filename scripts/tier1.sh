@@ -1,29 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the plain build + full test suite, then an ASan/UBSan build
-# running the chaos/soak test (the faulty-transport paths are where memory
-# bugs would hide — duplicated in-flight requests, replay caches, session
-# teardown on master reset), every consumer of the shared upstream
-# session (relay, replication service and single-filter replica), and the
-# session baselines and
-# planned installs (journal replay on adoption, index posting maintenance),
-# and the journal readers and the baseline back-ends that are readers
-# (trimming frees records whose pointers since() handed out earlier), and
-# the in-process tree driver (TopologyRuntime, the TreeDriver core and the
-# in-process TreeBackend scenarios: handles re-wired mid-round), and the
-# in-place frame decoders (a frame decoded as a span into the reassembler's
-# buffer after the next feed moved it is a use-after-free), then a TSan build running the
-# threaded shard-equivalence and chaos suites and the two-masters-on-one-store
-# journal twin (the sharded pump is where races would hide — shard-local
-# state crossing a shard boundary, the pump-pool barrier, shard threads
-# reading a batch the barrier then frees) and the in-process socket suites
-# (the epoll loop thread against the test thread),
+# running every suite except the socket ones (memory bugs hide everywhere:
+# faulty-transport retries and replay caches, session teardown, journal
+# readers handing out pointers that trimming frees, in-place frame decoders
+# reading a buffer the next feed moved, the shared DN representation and
+# flat attribute storage of every entry, the parsers under fuzz), then a
+# TSan build running the threaded shard-equivalence and chaos suites and the
+# two-masters-on-one-store journal twin (the sharded pump is where races
+# would hide — shard-local state crossing a shard boundary, the pump-pool
+# barrier, shard threads reading a batch the barrier then frees) and the
+# in-process socket suites (the epoll loop thread against the test thread),
 # then the socket loopback suites (with the process TreeBackend scenarios)
-# under ASan with a hard timeout (stream
-# reassembly, the epoll server and the control plane's line parsing are
-# where over-reads would hide), then the socket chaos suites under ASan
-# with their own hard timeout (the ChaosProxy relay legs and the
-# supervised-respawn paths are where use-after-close and leaked-fd bugs
-# would hide).
+# under ASan with a hard timeout (stream reassembly, the epoll server and
+# the control plane's line parsing are where over-reads would hide), then
+# the socket chaos suites under ASan with their own hard timeout (the
+# ChaosProxy relay legs and the supervised-respawn paths are where
+# use-after-close and leaked-fd bugs would hide).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,23 +27,17 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 echo "== tier 1: lint (non-fatal) =="
 scripts/lint.sh || echo "lint: reported issues (non-fatal)"
 
-echo "== tier 1: sanitizer chaos + overload-soak run (ASan + UBSan) =="
+# The suites of the two timed socket stages below. The untimed ASan stage
+# runs every other suite, so each suite runs under ASan exactly once.
+socket_suites='SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
+socket_chaos_suites='FaultScheduleTest|ChaosProxyTest|ChaosSoak|ChaosSupervision'
+
+echo "== tier 1: every non-socket suite (ASan + UBSan) =="
 cmake -B build-asan -S . -DFBDR_SANITIZE=address -DFBDR_BUILD_BENCHMARKS=OFF \
       -DFBDR_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
-      resync_recovery_test resync_protocol_test routing_equivalence_test \
-      filter_ir_equivalence_test topology_chaos_test \
-      server_ldif_roundtrip_test resync_governor_test sync_compaction_test \
-      resync_overload_test resync_reconcile_test resync_baseline_test \
-      sync_install_plan_test server_index_test server_journal_test sync_backends_test \
-      resync_shard_equivalence_test bench_common_test \
-      wire_roundtrip_test wire_fuzz_test wire_alloc_test topology_relay_test \
-      core_service_test \
-      netio_pipe_test netio_socket_test netio_control_test netio_process_test \
-      netio_chaos_test topology_runtime_test topology_tree_driver_test \
-      topology_backend_test
+cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultReplay|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|BatchedSync|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|WireAllocations|FrameReassembler|ChunkedPipe|FramedChannelAccounting|TopologyRelay|FilterReplicationService|UpstreamSessionTwin|ReplicaSessionTwin|UpstreamSessionLeak|SessionBaseline|InstallPlan|IndexTest|JournalReader|BackendConvergence|BackendTrafficOrdering|TombstoneBackend|ChangelogBackend|SubtreeReplicationService|TopologyRuntime|TreeDriver|TreeBackend.*/InProcess'
+      -E "$socket_suites|$socket_chaos_suites"
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -61,7 +47,7 @@ echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # The hard timeout guards against a hung epoll loop or a wedged child
 # process eating the whole CI run.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
+      -R "$socket_suites"
 
 echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # The seeded ChaosProxy drives real byte faults (partitions, resets,
@@ -71,7 +57,7 @@ echo "== tier 1: socket chaos + supervision soak (ASan, hard timeout) =="
 # sockets; the hard timeout guards against a wedged proxy loop or a
 # respawn storm that never settles.
 timeout 600 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'FaultScheduleTest|ChaosProxyTest|ChaosSoak|ChaosSupervision'
+      -R "$socket_chaos_suites"
 
 echo "== tier 1: threaded-pump race run (TSan) =="
 cmake -B build-tsan -S . -DFBDR_SANITIZE=thread -DFBDR_BUILD_BENCHMARKS=OFF \

@@ -11,7 +11,6 @@
 #include "replica/filter_replica.h"
 #include "resync/master.h"
 #include "resync/upstream_session.h"
-#include "select/evolution.h"
 #include "select/selector.h"
 #include "server/directory_server.h"
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "ldap/error.h"
 #include "ldap/text.h"
@@ -14,10 +15,6 @@ ReSyncMaster::ReSyncMaster(server::DirectoryServer& master)
     : master_(&master),
       pumped_(master.journal()) {
   shards_.push_back(std::make_unique<Shard>(master.schema()));
-}
-
-std::string ReSyncMaster::new_session_id() {
-  return "rs-" + std::to_string(++cookie_counter_);
 }
 
 ReSyncMaster::Shard& ReSyncMaster::shard_for(const std::string& id) {
@@ -42,7 +39,7 @@ ReSyncMaster::find_session(const std::string& id, Shard*& shard) {
 void ReSyncMaster::set_pump_shards(std::size_t shards) {
   if (shards == 0) shards = 1;
   if (shards == shards_.size()) return;
-  if (session_count() != 0) {
+  if (session_count() + pending_reconciles() != 0) {
     throw std::logic_error(
         "set_pump_shards: cannot repartition with live sessions");
   }
@@ -103,26 +100,17 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
     // must be the session's, and the sequence number one it issued or last
     // answered. A restarted endpoint reuses its ids (DESIGN.md §12), so a
     // cookie from its earlier incarnation may name another consumer's
-    // session; that SyncEnd is a no-op.
+    // session; that SyncEnd is a no-op. A walk between its rounds ends the
+    // same way.
     const CookieParts parts = parse_cookie(control.cookie);
-    const auto held = [&parts](std::uint64_t next_seq, std::uint64_t last_seq) {
-      return parts.has_seq &&
-             (parts.seq == next_seq || (last_seq != 0 && parts.seq == last_seq));
-    };
-    const auto pit = pending_reconciles_.find(parts.id);
-    if (pit != pending_reconciles_.end()) {
-      const PendingReconcile& walk = pit->second;
-      if (held(walk.expected_seq, walk.last_seq) &&
-          (walk.session == nullptr || walk.session->query() == query)) {
-        pending_reconciles_.erase(pit);
-      }
-      return {};
-    }
     Shard* shard = nullptr;
     const auto it = find_session(parts.id, shard);
-    if (it != shard->sessions.end() &&
-        held(it->second.next_seq, it->second.last_seq) &&
-        it->second.session->query() == query) {
+    if (it == shard->sessions.end()) return {};
+    const Session& session = it->second;
+    if (parts.has_seq &&
+        (parts.seq == session.next_seq ||
+         (session.last_seq != 0 && parts.seq == session.last_seq)) &&
+        session.session->query() == query) {
       drop_session(*shard, it);
     }
     return {};
@@ -133,16 +121,9 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
   Session* session = nullptr;
 
   if (control.initial()) {
-    if (control.reconcile && reconcile_enabled_ &&
-        control.reconcile->round == 1) {
-      // The replica offers digests instead of accepting a full reload.
-      return handle_reconcile_round1(query, control);
-    }
     // Admission control: past the session cap no session is created; the
-    // client sees a protocol-level busy result and retries with backoff.
-    // (A master with reconciliation disabled lands here even for reconcile
-    // offers: the response carries no reconcile field, which tells the
-    // client the peer does not speak reconciliation.)
+    // client sees a protocol-level busy result and retries with backoff. A
+    // walk between its rounds counts against the cap like a session.
     if (!governor_.admits(session_count() + pending_reconciles())) {
       ++governor_.stats().sessions_rejected_busy;
       ReSyncResponse busy;
@@ -150,12 +131,21 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
       busy.origin_time = clock_.now();
       return busy;
     }
+    // The replica offers digests instead of accepting a full reload. A
+    // master with reconciliation disabled answers the offer with the plain
+    // reload below: the response carries no reconcile field, which tells
+    // the client the peer does not speak reconciliation.
+    if (control.reconcile && reconcile_enabled_ &&
+        control.reconcile->round == 1) {
+      return handle_reconcile_round1(query, control);
+    }
     // (i) Initial request: create the session and send the whole content.
     auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
     const std::uint64_t baseline = journal_head();
     const sync::UpdateBatch batch = qs->initial(master_->dit());
-    id = new_session_id();
-    session = &adopt_session(id, std::move(qs), control.mode, baseline);
+    session = &insert_session(std::move(qs), control.mode, baseline);
+    register_session(*session);
+    id = session->id;
     paginate(*session, to_pdus(batch), /*full_reload=*/true,
              /*complete_enumeration=*/false, response);
     response.cookie = make_cookie(id, session->next_seq);
@@ -173,12 +163,6 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
                                    "' has no sequence number");
     }
     id = parts.id;
-    // Reconciliation walk cookies ("rc-<n>#<seq>") live in their own
-    // namespace and never collide with session ids.
-    const auto pit = pending_reconciles_.find(id);
-    if (pit != pending_reconciles_.end()) {
-      return handle_reconcile_round2(pit->second, parts, control);
-    }
     Shard* shard = nullptr;
     const auto it = find_session(id, shard);
     if (it == shard->sessions.end()) {
@@ -224,8 +208,15 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
                           "' (expected seq " + std::to_string(session->next_seq) +
                           ")");
     }
+    if (session->walking() &&
+        (!control.reconcile || control.reconcile->round != 2)) {
+      throw ProtocolError("reconcile cookie '" + control.cookie +
+                          "' requires round-2 fingerprints");
+    }
     session->mode = control.mode;
-    if (session->overflow_pos < session->overflow.size()) {
+    if (session->walking()) {
+      handle_reconcile_round2(*session, *control.reconcile, response);
+    } else if (session->overflow_pos < session->overflow.size()) {
       // Drain the continuation pages of the previous logical batch before
       // computing anything new.
       serve_overflow(*session, response);
@@ -256,31 +247,38 @@ void ReSyncMaster::finalize(Session& session, const ReSyncControl& control,
   // root time learned on their last upstream sync.
   response.origin_time = clock_.now();
   response.persistent = control.mode == Mode::Persist;
-  session.current_cookie = response.cookie;
   cache_response(session, response);
 }
 
-ReSyncMaster::Session& ReSyncMaster::adopt_session(
-    const std::string& id, std::unique_ptr<sync::QuerySession> query_session,
-    Mode mode, std::uint64_t baseline) {
+ReSyncMaster::Session& ReSyncMaster::insert_session(
+    std::unique_ptr<sync::QuerySession> query_session, Mode mode,
+    std::uint64_t baseline) {
+  const std::string id = "rs-" + std::to_string(++cookie_counter_);
   Shard& shard = shard_for(id);
-  Session fresh;
-  fresh.session = std::move(query_session);
-  fresh.mode = mode;
-  fresh.id = id;
-  fresh.shard = &shard;
-  Session& session = shard.sessions.emplace(id, std::move(fresh)).first->second;
+  Session& session = shard.sessions[id];
+  session.session = std::move(query_session);
+  session.mode = mode;
+  session.last_active = clock_.now();
+  session.baseline = baseline;
+  session.id = id;
+  session.shard = &shard;
+  shard.expiry.emplace(clock_.now(), id);
+  ++walking_;
+  return session;
+}
+
+void ReSyncMaster::register_session(Session& session) {
+  --walking_;
   // Register with the shard's change router and seed its holder mirror from
   // the tracked content.
+  Shard& shard = *session.shard;
   session.route = shard.router.add_session(
       session.session->query(), &session.session->tracker().compiled_filter());
   shard.by_handle[session.route] = &session;
   for (const auto& [key, entry] : session.session->tracker().content()) {
     shard.router.note_enter(session.route, key);
   }
-  shard.expiry.emplace(clock_.now(), id);
-  session.baseline = baseline;
-  if (baseline < pumped_.position()) {
+  if (session.baseline < pumped_.position()) {
     // Prepared before the last pump (round 1 of a walk): the records pumped
     // since never reached it, so diff it against the DIT.
     absorb_events(shard, session, session.session->rebase(master_->dit()));
@@ -289,15 +287,6 @@ ReSyncMaster::Session& ReSyncMaster::adopt_session(
   route_floor_ = session_count() == 1
                      ? session.baseline
                      : std::min(route_floor_, session.baseline);
-  return session;
-}
-
-std::size_t ReSyncMaster::pending_reconciles() const {
-  std::size_t live = 0;
-  for (const auto& [id, pending] : pending_reconciles_) {
-    if (!pending.completed) ++live;
-  }
-  return live;
 }
 
 ReSyncResponse ReSyncMaster::reconcile_fallback(
@@ -305,37 +294,28 @@ ReSyncResponse ReSyncMaster::reconcile_fallback(
     const ReSyncControl& control) {
   ++governor_.stats().reconcile_fallbacks;
   const sync::UpdateBatch batch = qs->full_content_batch();
-  const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(qs), control.mode, baseline);
+  Session& session = insert_session(std::move(qs), control.mode, baseline);
+  register_session(session);
   ReSyncResponse response;
   auto rec = std::make_shared<ReconcileResponse>();
   rec->fallback = true;
   response.reconcile = std::move(rec);
   paginate(session, to_pdus(batch), /*full_reload=*/true,
            /*complete_enumeration=*/false, response);
-  response.cookie = make_cookie(id, session.next_seq);
+  response.cookie = make_cookie(session.id, session.next_seq);
   finalize(session, control, response);
   return response;
 }
 
 ReSyncResponse ReSyncMaster::handle_reconcile_round1(
     const ldap::Query& query, const ReSyncControl& control) {
-  // A live (incomplete) walk holds a provisional session's worth of state;
-  // it counts against the session cap like a session would.
-  if (!governor_.admits(session_count() + pending_reconciles())) {
-    ++governor_.stats().sessions_rejected_busy;
-    ReSyncResponse busy;
-    busy.busy = true;
-    busy.origin_time = clock_.now();
-    return busy;
-  }
   ++governor_.stats().reconcile_walks;
   auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
   const std::uint64_t baseline = journal_head();
   qs->prepare(master_->dit());
   const ReconcileRequest& offer = *control.reconcile;
 
-  // Walk cap: rather than holding more provisional state, ship it all.
+  // Walk cap: rather than holding more walking sessions, ship it all.
   const std::size_t walk_cap = governor_.limits().max_pending_reconciles;
   if (walk_cap != 0 && pending_reconciles() >= walk_cap) {
     return reconcile_fallback(std::move(qs), baseline, control);
@@ -347,14 +327,13 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
     // Roots match: the replica already holds the exact content.
     ++governor_.stats().reconciles_completed;
     qs->ack_content();
-    const std::string id = new_session_id();
-    Session& session =
-        adopt_session(id, std::move(qs), control.mode, baseline);
+    Session& session = insert_session(std::move(qs), control.mode, baseline);
+    register_session(session);
     ReSyncResponse response;
     auto rec = std::make_shared<ReconcileResponse>();
     rec->in_sync = true;
     response.reconcile = std::move(rec);
-    response.cookie = make_cookie(id, session.next_seq);
+    response.cookie = make_cookie(session.id, session.next_seq);
     finalize(session, control, response);
     return response;
   }
@@ -395,69 +374,32 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
     return reconcile_fallback(std::move(qs), baseline, control);
   }
 
-  // Hold the walk; round 2 brings fingerprints for exactly these buckets.
-  const std::string rcid = "rc-" + std::to_string(++reconcile_counter_);
-  PendingReconcile pending;
-  pending.session = std::move(qs);
-  pending.baseline = baseline;
-  pending.mode = control.mode;
-  pending.need_buckets = need;
-  pending.last_active = clock_.now();
+  // Hold the walk as a session the router does not see yet; round 2 polls
+  // its cookie with fingerprints for exactly these buckets.
+  Session& session = insert_session(std::move(qs), control.mode, baseline);
+  session.need_buckets = need;
   ReSyncResponse response;
   auto rec = std::make_shared<ReconcileResponse>();
   rec->need_buckets = std::move(need);
   response.reconcile = std::move(rec);
-  response.cookie = make_cookie(rcid, pending.expected_seq);
+  response.cookie = make_cookie(session.id, session.next_seq);
   response.origin_time = clock_.now();
-  pending.last_response = response;
-  pending_reconciles_.emplace(rcid, std::move(pending));
   return response;
 }
 
-ReSyncResponse ReSyncMaster::handle_reconcile_round2(
-    PendingReconcile& pending, const CookieParts& parts,
-    const ReSyncControl& control) {
-  if (parts.seq != 0 && parts.seq == pending.last_seq) {
-    // Duplicated/retried round-2 request: re-answer from the walk's replay
-    // cache. The promoted session's state is untouched, so the walk cannot
-    // be corrupted by retransmissions.
-    ++replays_;
-    pending.last_active = clock_.now();
-    count_pdus(traffic_, pending.last_response.pdus);
-    pending.last_response.origin_time = clock_.now();
-    return pending.last_response;
-  }
-  if (pending.completed || parts.seq != pending.expected_seq) {
-    throw ProtocolError("out-of-sequence reconcile cookie '" + control.cookie +
-                        "' (expected seq " +
-                        std::to_string(pending.expected_seq) + ")");
-  }
-  if (!control.reconcile || control.reconcile->round != 2) {
-    throw ProtocolError("reconcile cookie '" + control.cookie +
-                        "' requires round-2 fingerprints");
-  }
-  const sync::UpdateBatch diff = pending.session->diff_batch(
-      control.reconcile->fingerprints, pending.need_buckets);
-  const std::size_t shipped =
-      diff.adds.size() + diff.mods.size() + diff.deletes.size();
-  const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(pending.session),
-                                   pending.mode, pending.baseline);
-  session.mode = control.mode;
-  ReSyncResponse response;
+void ReSyncMaster::handle_reconcile_round2(Session& session,
+                                           const ReconcileRequest& upload,
+                                           ReSyncResponse& response) {
+  const sync::UpdateBatch diff = session.session->diff_batch(
+      upload.fingerprints, std::exchange(session.need_buckets, {}));
+  register_session(session);
   // An all-false reconcile field marks "here is your diff".
   response.reconcile = std::make_shared<ReconcileResponse>();
   paginate(session, to_pdus(diff), /*full_reload=*/false,
            /*complete_enumeration=*/false, response);
-  response.cookie = make_cookie(id, session.next_seq);
-  finalize(session, control, response);
   ++governor_.stats().reconciles_completed;
-  governor_.stats().reconcile_entries_shipped += shipped;
-  pending.last_seq = parts.seq;
-  pending.completed = true;
-  pending.last_response = response;
-  pending.last_active = clock_.now();
-  return response;
+  governor_.stats().reconcile_entries_shipped +=
+      diff.adds.size() + diff.mods.size() + diff.deletes.size();
 }
 
 void ReSyncMaster::paginate(Session& session, std::vector<EntryPdu> pdus,
@@ -628,6 +570,7 @@ void ReSyncMaster::enforce_global_history() {
 
 void ReSyncMaster::rebase_shard(Shard& shard) {
   for (auto& [id, session] : shard.sessions) {
+    if (session.walking()) continue;  // rebased when registered
     absorb_events(shard, session, session.session->rebase(master_->dit()));
     ++shard.delta.compaction_rebases;
   }
@@ -668,6 +611,7 @@ void ReSyncMaster::pump() {
         // router's holder mirror is still maintained by apply_change, so
         // routing can be switched back on afterwards.
         for (auto& [id, session] : shard.sessions) {
+          if (session.walking()) continue;
           apply_change(shard, session, *record, nullptr);
         }
       }
@@ -707,7 +651,7 @@ void ReSyncMaster::pump() {
     const std::vector<EntryPdu> pdus = to_pdus(batch);
     count_pdus(traffic_, pdus);
     session->last_active = clock_.now();
-    if (sink_) sink_(session->current_cookie, pdus);
+    if (sink_) sink_(make_cookie(session->id, session->next_seq), pdus);
   }
   // Poll sessions kept accumulating: re-check the global budget.
   enforce_global_history();
@@ -717,18 +661,9 @@ void ReSyncMaster::tick(std::uint64_t delta) {
   clock_.advance(delta);
   const std::uint64_t limit = governor_.effective_deadline(time_limit_);
   if (limit == 0) return;
-  // Reconciliation walks whose round 2 never arrived (or whose replay window
-  // lapsed) are dropped; the walk cookie goes stale like a session cookie.
-  for (auto it = pending_reconciles_.begin();
-       it != pending_reconciles_.end();) {
-    if (clock_.now() - it->second.last_active > limit) {
-      it = pending_reconciles_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   // (v) Expire idle poll sessions past the admin time limit (or the
-  // governor's tighter slow-poller deadline). Each shard's expiry queue is
+  // governor's tighter slow-poller deadline), and walks whose round 2 never
+  // arrived, whatever their mode. Each shard's expiry queue is
   // ordered by last_active-at-insertion with lazy deletion: only the stalest
   // sessions are examined, instead of scanning all of them.
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -741,7 +676,7 @@ void ReSyncMaster::tick(std::uint64_t delta) {
         continue;
       }
       Session& session = it->second;
-      if (session.mode != Mode::Poll) {
+      if (session.mode != Mode::Poll && !session.walking()) {
         // Persist sessions hold an open connection and are not expired here;
         // requeue at the current time so they are revisited, not rescanned.
         const std::string id = front->second;
@@ -758,7 +693,8 @@ void ReSyncMaster::tick(std::uint64_t delta) {
         continue;
       }
       const std::uint64_t deadline = governor_.limits().poll_deadline_ticks;
-      if (deadline != 0 && clock_.now() - front->first > deadline) {
+      if (deadline != 0 && clock_.now() - front->first > deadline &&
+          !session.walking()) {
         ++governor_.stats().sessions_evicted;  // governor-caused, not admin
       }
       drop_session(*shard, it);
@@ -770,7 +706,9 @@ void ReSyncMaster::tick(std::uint64_t delta) {
 void ReSyncMaster::drop_session(Shard& shard,
                                 std::map<std::string, Session>::iterator it) {
   Session& session = it->second;
-  if (session.route != sync::ChangeRouter::kInvalidHandle) {
+  if (session.walking()) {
+    --walking_;
+  } else {
     for (const auto& [key, entry] : session.session->tracker().content()) {
       shard.router.note_leave(session.route, key);
     }
@@ -791,7 +729,7 @@ void ReSyncMaster::reset() {
     shard->dirty.clear();
     shard->delta = GovernorStats{};
   }
-  pending_reconciles_.clear();
+  walking_ = 0;
   // The restarted master resumes journal consumption at the tail: sessions
   // created after the restart take their baseline from initial() anyway.
   pumped_.advance(master_->journal().last_seq());
@@ -816,14 +754,14 @@ std::size_t ReSyncMaster::session_count() const noexcept {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     count += shard->sessions.size();
   }
-  return count;
+  return count - walking_;
 }
 
 std::size_t ReSyncMaster::open_connections() const {
   std::size_t count = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     for (const auto& [cookie, session] : shard->sessions) {
-      if (session.mode == Mode::Persist) ++count;
+      if (session.mode == Mode::Persist && !session.walking()) ++count;
     }
   }
   return count;

@@ -42,6 +42,14 @@ namespace fbdr::resync {
 /// idempotently; an out-of-sequence poll is rejected. reset() models a
 /// master restart that loses all session state (§5.2).
 ///
+/// A digest walk (DESIGN.md §12) is a session too. Round 1 inserts it into
+/// its shard's table under an ordinary cookie, holding the divergent bucket
+/// list; round 2 is a poll on that cookie, so the sequence check, replay
+/// cache, sync_end and expiry above serve walks unchanged. Until round 2
+/// registers it, a walking session is invisible to the pump, the router,
+/// the sink and the session/history/connection accounting; it counts in
+/// pending_reconciles() and expires at the admin limit whatever its mode.
+///
 /// Scaling (DESIGN.md §13): sessions are partitioned into N shards by a hash
 /// of the session id. Each shard owns its sessions, its own ChangeRouter
 /// indexes, normalized-value cache, expiry queue and dirty-session list —
@@ -71,9 +79,9 @@ class ReSyncMaster : public ReSyncEndpoint {
 
   /// Partitions sessions into `shards` hash partitions, each with its own
   /// router indexes, caches, expiry queue and dirty list (DESIGN.md §13).
-  /// Must be called while no sessions are live (typically right after
-  /// construction or a reset()); throws std::logic_error otherwise — live
-  /// router registrations cannot be rehashed in place. shards=1 (the
+  /// Must be called while no sessions or walks are live (typically right
+  /// after construction or a reset()); throws std::logic_error otherwise —
+  /// live router registrations cannot be rehashed in place. shards=1 (the
   /// default) is the exact serial master.
   void set_pump_shards(std::size_t shards);
   std::size_t pump_shards() const noexcept { return shards_.size(); }
@@ -101,7 +109,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   }
 
   /// In-flight reconciliation walks (round 1 answered, round 2 pending).
-  std::size_t pending_reconciles() const;
+  std::size_t pending_reconciles() const noexcept { return walking_; }
 
   /// Admin time limit for idle poll sessions, in logical ticks: a session
   /// whose last activity is more than `ticks` ticks ago is dropped by
@@ -139,7 +147,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// per-shard route invocations (shards x records).
   sync::ChangeRouter::Stats routing_stats() const;
 
-  /// Advances the logical clock and expires idle poll sessions.
+  /// Advances the logical clock and expires idle poll sessions and walks.
   void tick(std::uint64_t delta = 1) override;
 
   /// Current logical time at the master.
@@ -193,7 +201,8 @@ class ReSyncMaster : public ReSyncEndpoint {
     ReSyncResponse last_response;  // replay cache for last_seq
     std::size_t replay_bytes = 0;  // entry-body bytes held by the cache
     bool replay_stripped = false;  // bodies dropped: replays re-enumerate
-    std::string current_cookie;    // most recently issued cookie
+    /// Router handle; invalid until register_session(), i.e. while the
+    /// session is a digest walk between its rounds.
     sync::ChangeRouter::Handle route = sync::ChangeRouter::kInvalidHandle;
     /// Journal seq the session's content reflects: pump() never applies a
     /// record at or below it (the initial content already holds it).
@@ -207,6 +216,12 @@ class ReSyncMaster : public ReSyncEndpoint {
     std::size_t overflow_pos = 0;
     bool overflow_enum = false;    // completeness flags of the paged batch
     bool overflow_reload = false;
+    /// Divergent buckets named in round 1 of a walk, diffed in round 2.
+    std::vector<std::uint32_t> need_buckets;
+
+    bool walking() const noexcept {
+      return route == sync::ChangeRouter::kInvalidHandle;
+    }
   };
 
   /// One session-hash partition. Everything a pump worker touches while
@@ -236,24 +251,6 @@ class ReSyncMaster : public ReSyncEndpoint {
     explicit Shard(const ldap::Schema& schema) : router(schema) {}
   };
 
-  /// One in-flight reconciliation walk: round 1 answered with the divergent
-  /// bucket list, round 2 (fingerprints -> diff) pending. The provisional
-  /// QuerySession is promoted to a real session when the walk completes.
-  /// Walk cookies ("rc-<n>#<seq>") follow the same replay discipline as
-  /// session cookies: a duplicated round-2 request is re-answered from
-  /// last_response without re-running the diff.
-  struct PendingReconcile {
-    std::unique_ptr<sync::QuerySession> session;
-    std::uint64_t baseline = 0;  // journal seq the prepared content reflects
-    Mode mode = Mode::Poll;
-    std::vector<std::uint32_t> need_buckets;
-    std::uint64_t last_active = 0;
-    std::uint64_t expected_seq = 2;
-    std::uint64_t last_seq = 0;
-    ReSyncResponse last_response;  // replay cache for last_seq
-    bool completed = false;        // session promoted; only replays remain
-  };
-
   /// Splits "rs-<id>#<seq>" into the session id and sequence number.
   /// Cookies without a '#' are pre-sequence-number legacy cookies; the poll
   /// path rejects them as stale rather than misreading them as seq 0.
@@ -265,7 +262,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   static CookieParts parse_cookie(const std::string& cookie);
   static std::string make_cookie(const std::string& id, std::uint64_t seq);
 
-  std::string new_session_id();
   /// The shard owning session id `id` (stable FNV-1a hash partition).
   Shard& shard_for(const std::string& id);
   /// Locates a live session by id; iterator is end() of its shard's map
@@ -310,15 +306,18 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// Unregisters the session from its shard's router (releasing holder
   /// entries) and erases it. Used by sync_end, abandon and expiry.
   void drop_session(Shard& shard, std::map<std::string, Session>::iterator it);
-  /// Installs an initialized QuerySession as a live session under `id` in
-  /// its hash shard: registers the router route, seeds the holder mirror
-  /// from the tracked content and queues the expiry node. `baseline` is the
-  /// journal seq its content was computed at; a session prepared before the
-  /// last pump (a reconciliation walk) first catches up by a rebase from
-  /// the DIT.
-  Session& adopt_session(const std::string& id,
-                         std::unique_ptr<sync::QuerySession> query_session,
-                         Mode mode, std::uint64_t baseline);
+  /// Puts a QuerySession into the table of its hash shard under a fresh id
+  /// and queues its expiry node. Every session enters here: initial,
+  /// in-sync, fallback and walk. `baseline` is the journal seq its content
+  /// was computed at. Until register_session() it is a walk: unrouted and
+  /// unaccounted.
+  Session& insert_session(std::unique_ptr<sync::QuerySession> query_session,
+                          Mode mode, std::uint64_t baseline);
+  /// Makes an inserted session live: registers its router route, seeds the
+  /// holder mirror from the tracked content and lowers the route floor. A
+  /// session prepared before the last pump (round 1 of a walk) first
+  /// catches up by a rebase from the DIT.
+  void register_session(Session& session);
   /// Seq of the newest journal record, i.e. what content computed from the
   /// DIT right now reflects.
   std::uint64_t journal_head() const { return master_->journal().last_seq(); }
@@ -330,10 +329,10 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// in_sync / need_buckets / fallback (DESIGN.md §12).
   ReSyncResponse handle_reconcile_round1(const ldap::Query& query,
                                          const ReSyncControl& control);
-  /// Round 2: fingerprints -> exact diff; promotes the provisional session.
-  ReSyncResponse handle_reconcile_round2(PendingReconcile& pending,
-                                         const CookieParts& parts,
-                                         const ReSyncControl& control);
+  /// Round 2, a poll on the walk's cookie: fingerprints -> exact diff, and
+  /// the walking session is registered.
+  void handle_reconcile_round2(Session& session, const ReconcileRequest& upload,
+                               ReSyncResponse& response);
   /// Ships the full content instead of walking (cap hit or diverged too far).
   ReSyncResponse reconcile_fallback(std::unique_ptr<sync::QuerySession> qs,
                                     std::uint64_t baseline,
@@ -343,7 +342,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// Session-hash partitions; unique_ptr keeps shard addresses stable for
   /// Session::shard back-pointers. Always at least one shard.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::map<std::string, PendingReconcile> pending_reconciles_;
   std::unique_ptr<PumpPool> pool_;
   NotificationSink sink_;
   net::LogicalClock clock_;
@@ -359,7 +357,8 @@ class ReSyncMaster : public ReSyncEndpoint {
   std::uint64_t route_floor_ = 0;
   std::uint64_t time_limit_ = 0;
   std::uint64_t cookie_counter_ = 0;
-  std::uint64_t reconcile_counter_ = 0;
+  /// Sessions inserted but not registered: digest walks between rounds.
+  std::size_t walking_ = 0;
   std::uint64_t replays_ = 0;
   std::size_t pump_threads_ = 0;
   bool reconcile_enabled_ = true;

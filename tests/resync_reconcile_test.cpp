@@ -284,7 +284,6 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
   const ReSyncResponse walk = resync.handle(kQuery, round1);
   ASSERT_NE(walk.reconcile, nullptr);
   ASSERT_FALSE(walk.reconcile->need_buckets.empty());
-  ASSERT_EQ(walk.cookie.rfind("rc-", 0), 0u) << walk.cookie;
   EXPECT_EQ(resync.pending_reconciles(), 1u);
 
   // Round 2: fingerprints for the flagged buckets -> the one-entry diff.
@@ -298,6 +297,9 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
   ASSERT_EQ(diff.pdus.size(), 1u);
   EXPECT_EQ(diff.pdus[0].dn.to_string(), "cn=E2,o=xyz");
   EXPECT_EQ(diff.cookie.rfind("rs-", 0), 0u) << diff.cookie;
+  EXPECT_EQ(walk.cookie.substr(0, walk.cookie.find('#')),
+            diff.cookie.substr(0, diff.cookie.find('#')))
+      << "the walk and its diff must name one session";
   EXPECT_EQ(resync.pending_reconciles(), 0u) << "walk must be promoted";
 
   // The duplicated round-2 request replays identically: same diff, same
@@ -412,6 +414,80 @@ TEST(ReSyncReconcile, AbandonedWalkExpiresLikeASession) {
   resync.handle(kQuery, {Mode::SyncEnd, walk2.cookie});
   EXPECT_EQ(resync.pending_reconciles(), 0u);
   EXPECT_EQ(resync.session_count(), 0u);
+}
+
+// A persist-mode walk whose round 2 never comes expires at the admin limit
+// exactly like a poll-mode one: no open connection holds it, and it is not
+// counted as a governor eviction.
+TEST(ReSyncReconcile, AbandonedPersistWalkExpiresAtTheDeadline) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  resync.set_session_time_limit(5);
+
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Poll);
+  resync.reset();
+  master->modify(Dn::parse("cn=E2,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"chief"}}});
+
+  ReSyncControl round1{Mode::Persist, ""};
+  round1.reconcile = round1_offer(replica.content());
+  const ReSyncResponse walk = resync.handle(kQuery, round1);
+  ASSERT_NE(walk.reconcile, nullptr);
+  ASSERT_FALSE(walk.reconcile->need_buckets.empty());
+  EXPECT_EQ(resync.pending_reconciles(), 1u);
+  EXPECT_EQ(resync.session_count(), 0u);
+  EXPECT_EQ(resync.open_connections(), 0u);
+
+  resync.tick(5);  // at the limit, not past it
+  EXPECT_EQ(resync.pending_reconciles(), 1u);
+  resync.tick(1);
+  EXPECT_EQ(resync.pending_reconciles(), 0u);
+  EXPECT_EQ(resync.governor_stats().sessions_evicted, 0u);
+  auto upload = std::make_shared<ReconcileRequest>();
+  upload->round = 2;
+  ReSyncControl late{Mode::Persist, walk.cookie};
+  late.reconcile = upload;
+  EXPECT_THROW(resync.handle(kQuery, late), ldap::StaleCookieError);
+}
+
+// With no idle limit nothing expires, so a completed walk must leave no
+// state behind once its session ends: the round-2 answer is not replayable
+// after sync_end, and no walk or replay cache outlives the session.
+TEST(ReSyncReconcile, CompletedWalkLeavesNoStateBehind) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Poll);
+  resync.reset();
+  master->modify(Dn::parse("cn=E2,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"chief"}}});
+
+  ReSyncControl round1;
+  round1.reconcile = round1_offer(replica.content());
+  const ReSyncResponse walk = resync.handle(kQuery, round1);
+  ASSERT_NE(walk.reconcile, nullptr);
+  ASSERT_FALSE(walk.reconcile->need_buckets.empty());
+
+  auto upload = std::make_shared<ReconcileRequest>();
+  upload->round = 2;
+  upload->fingerprints =
+      fingerprints_for(replica.content(), walk.reconcile->need_buckets);
+  ReSyncControl round2{Mode::Poll, walk.cookie};
+  round2.reconcile = upload;
+  const ReSyncResponse diff = resync.handle(kQuery, round2);
+  ASSERT_EQ(diff.pdus.size(), 1u);
+  EXPECT_EQ(resync.session_count(), 1u);
+
+  const ReSyncResponse next = resync.handle(kQuery, {Mode::Poll, diff.cookie});
+  EXPECT_TRUE(next.pdus.empty());
+  resync.handle(kQuery, {Mode::SyncEnd, next.cookie});
+  EXPECT_EQ(resync.session_count(), 0u);
+  EXPECT_EQ(resync.pending_reconciles(), 0u);
+  EXPECT_EQ(resync.replay_cache_bytes(), 0u);
+
+  EXPECT_THROW(resync.handle(kQuery, round2), ldap::StaleCookieError);
 }
 
 TEST(ReSyncReconcile, GovernedMasterBouncesAndCapsWalks) {

@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "select/evolution.h"
+#include "evolution.h"
 
 namespace fbdr::select {
 namespace {
