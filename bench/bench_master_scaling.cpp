@@ -5,9 +5,9 @@
 // Evaluation modes over the same update mix and session population:
 //   compiled  — exhaustive per-record x per-session fan-out, compiled filter
 //               programs (change routing disabled),
-//   routed    — ChangeRouter candidate pruning + compiled programs + shared
-//               normalized-value cache (the default configuration), swept
-//               across --shards= x --threads= pump configurations.
+//   routed    — ChangeRouter candidate pruning + compiled programs (the
+//               default configuration), swept across --shards= x
+//               --threads= pump configurations.
 //
 // The exhaustive mode is O(records x sessions) by construction, so it
 // only runs at session counts up to --exhaustive-cap (default 1000); the

@@ -4,44 +4,6 @@
 
 namespace fbdr::ldap {
 
-namespace {
-
-const std::vector<std::string> kNoValues;
-
-}  // namespace
-
-const std::vector<std::string>& NormalizedValueCache::get(
-    const EntryPtr& entry, const std::string& attr, const Schema& schema) {
-  return get(entry, FilterInterner::for_schema(schema).attrs().intern(attr),
-             FilterInterner::for_schema(schema).attrs());
-}
-
-const std::vector<std::string>& NormalizedValueCache::get(
-    const EntryPtr& entry, AttrId attr, const AttrInterner& attrs) {
-  if (entries_.size() >= capacity_ &&
-      entries_.find(entry.get()) == entries_.end()) {
-    clear();
-  }
-  PerEntry& slot = entries_[entry.get()];
-  if (!slot.pin) slot.pin = entry;
-  const auto it = slot.attrs.find(attr);
-  if (it != slot.attrs.end()) {
-    ++hits_;
-    return it->second;
-  }
-  std::vector<std::string>& normalized = slot.attrs[attr];
-  const std::string& name = attrs.name(attr);
-  if (const std::vector<std::string>* raw = entry->get(name)) {
-    normalized.reserve(raw->size());
-    for (const std::string& value : *raw) {
-      normalized.push_back(attrs.schema().normalize(name, value));
-    }
-  }
-  return normalized;
-}
-
-void NormalizedValueCache::clear() { entries_.clear(); }
-
 CompiledFilter CompiledFilter::compile(const FilterPtr& filter,
                                        const Schema& schema) {
   FilterInterner& interner = FilterInterner::for_schema(schema);
@@ -57,7 +19,6 @@ CompiledFilter CompiledFilter::compile(const Filter& filter,
 CompiledFilter CompiledFilter::compile(const FilterIrPtr& ir,
                                        const FilterInterner& interner) {
   CompiledFilter compiled;
-  compiled.schema_ = &interner.schema();
   compiled.interner_ = &interner.attrs();
   compiled.ir_ = ir;
   if (!ir) return compiled;  // match-everything program
@@ -86,6 +47,7 @@ std::uint32_t CompiledFilter::emit(const FilterIr& ir) {
     // Assertion values were normalized once when the IR was interned; the
     // program copies them verbatim.
     nodes_[index].attr = intern_attr(ir.attr_id());
+    nodes_[index].syntax = interner_->syntax(ir.attr_id());
     nodes_[index].norm_value = ir.norm_value();
     nodes_[index].value_is_int = ir.value_is_int();
     nodes_[index].pattern = ir.pattern();
@@ -106,92 +68,59 @@ void CompiledFilter::collect_pins(const FilterIr& ir) {
 
 bool CompiledFilter::matches(const Entry& entry) const {
   if (nodes_.empty()) return true;
-  return eval(0, entry, nullptr, nullptr);
-}
-
-bool CompiledFilter::matches(const EntryPtr& entry,
-                             NormalizedValueCache* cache) const {
-  if (nodes_.empty()) return true;
-  return eval(0, *entry, &entry, cache);
+  std::string scratch;
+  return eval(0, entry, scratch);
 }
 
 bool CompiledFilter::eval(std::size_t index, const Entry& entry,
-                          const EntryPtr* pinned,
-                          NormalizedValueCache* cache) const {
+                          std::string& scratch) const {
   const Node& node = nodes_[index];
   switch (node.kind) {
     case FilterKind::And:
       for (std::size_t child = index + 1; child < node.skip;
            child = nodes_[child].skip) {
-        if (!eval(child, entry, pinned, cache)) return false;
+        if (!eval(child, entry, scratch)) return false;
       }
       return true;
     case FilterKind::Or:
       for (std::size_t child = index + 1; child < node.skip;
            child = nodes_[child].skip) {
-        if (eval(child, entry, pinned, cache)) return true;
+        if (eval(child, entry, scratch)) return true;
       }
       return false;
     case FilterKind::Not:
-      return !eval(index + 1, entry, pinned, cache);
+      return !eval(index + 1, entry, scratch);
     default:
-      return eval_predicate(node, entry, pinned, cache);
+      return eval_predicate(node, entry, scratch);
   }
 }
 
 bool CompiledFilter::eval_predicate(const Node& node, const Entry& entry,
-                                    const EntryPtr* pinned,
-                                    NormalizedValueCache* cache) const {
-  const std::string& attr = attrs_[node.attr];
-  if (node.kind == FilterKind::Present) {
-    const std::vector<std::string>* values = entry.get(attr);
-    return values != nullptr && !values->empty();
-  }
+                                    std::string& scratch) const {
+  const std::vector<std::string>* values = entry.get(attrs_[node.attr]);
+  if (values == nullptr) return false;
+  if (node.kind == FilterKind::Present) return !values->empty();
 
-  // Entry-side normalized values: from the cache when available, inline
-  // otherwise. The inline path still benefits from the pre-normalized
-  // assertion (one normalization per entry value instead of two per
-  // comparison in the AST walker).
-  const std::vector<std::string>* normalized = nullptr;
-  std::vector<std::string> scratch;
-  if (cache && pinned) {
-    normalized = &cache->get(*pinned, attr_ids_[node.attr], *interner_);
-  } else if (const std::vector<std::string>* raw = entry.get(attr)) {
-    scratch.reserve(raw->size());
-    for (const std::string& value : *raw) {
-      scratch.push_back(schema_->normalize(attr, value));
-    }
-    normalized = &scratch;
-  } else {
-    normalized = &kNoValues;
-  }
-
-  switch (node.kind) {
-    case FilterKind::Equality:
-      return std::find(normalized->begin(), normalized->end(),
-                       node.norm_value) != normalized->end();
-    case FilterKind::GreaterEq:
-    case FilterKind::LessEq: {
-      for (const std::string& value : *normalized) {
-        int cmp;
-        if (node.value_is_int && is_canonical_integer(value)) {
-          cmp = compare_canonical_integers(value, node.norm_value);
-        } else {
-          cmp = value.compare(node.norm_value);
-        }
-        if (node.kind == FilterKind::GreaterEq ? cmp >= 0 : cmp <= 0) {
-          return true;
-        }
+  // The assertion side was normalized when the IR was interned; only the
+  // entry side is normalized here, one value at a time into `scratch`.
+  return std::any_of(values->begin(), values->end(), [&](const std::string& raw) {
+    Schema::normalize_into(node.syntax, raw, scratch);
+    switch (node.kind) {
+      case FilterKind::Equality:
+        return scratch == node.norm_value;
+      case FilterKind::GreaterEq:
+      case FilterKind::LessEq: {
+        const int cmp = node.value_is_int && is_canonical_integer(scratch)
+                            ? compare_canonical_integers(scratch, node.norm_value)
+                            : scratch.compare(node.norm_value);
+        return node.kind == FilterKind::GreaterEq ? cmp >= 0 : cmp <= 0;
       }
-      return false;
+      case FilterKind::Substring:
+        return node.pattern.matches(scratch);
+      default:
+        return false;  // unreachable: composites handled in eval()
     }
-    case FilterKind::Substring:
-      return std::any_of(
-          normalized->begin(), normalized->end(),
-          [&](const std::string& value) { return node.pattern.matches(value); });
-    default:
-      return false;  // unreachable: composites handled in eval()
-  }
+  });
 }
 
 }  // namespace fbdr::ldap

@@ -78,10 +78,7 @@ bool Entry::has_value(std::string_view attr, std::string_view value,
 }
 
 const std::vector<std::string>* Entry::get(std::string_view attr) const {
-  if (std::any_of(attr.begin(), attr.end(),
-                  [](char c) { return text::to_lower(c) != c; })) {
-    return get(text::lower(attr));
-  }
+  if (text::has_upper(attr)) return get(text::lower(attr));
   const auto it = slot(attrs_, attr);
   return it == attrs_.end() || it->first != attr ? nullptr : &it->second;
 }

@@ -1,5 +1,7 @@
 #include "ldap/schema.h"
 
+#include <algorithm>
+
 #include "ldap/text.h"
 
 namespace fbdr::ldap {
@@ -18,23 +20,37 @@ std::string to_string(Syntax syntax) {
   return "unknown";
 }
 
-std::optional<std::string> canonical_integer(std::string_view value) {
+namespace {
+
+/// Writes the canonical integer form of `value` into `out`; false (and
+/// `out` untouched) when `value` is not an integer literal.
+bool canonical_integer_into(std::string_view value, std::string& out) {
   std::string_view s = text::trim(value);
-  if (s.empty()) return std::nullopt;
+  if (s.empty()) return false;
   bool negative = false;
   if (s.front() == '-' || s.front() == '+') {
     negative = s.front() == '-';
     s.remove_prefix(1);
-    if (s.empty()) return std::nullopt;
+    if (s.empty()) return false;
   }
   for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
+    if (c < '0' || c > '9') return false;
   }
   std::size_t first = 0;
   while (first + 1 < s.size() && s[first] == '0') ++first;
-  std::string digits(s.substr(first));
-  if (digits == "0") return std::string("0");
-  return negative ? "-" + digits : digits;
+  const std::string_view digits = s.substr(first);
+  out.clear();
+  if (negative && digits != "0") out.push_back('-');
+  out.append(digits);
+  return true;
+}
+
+}  // namespace
+
+std::optional<std::string> canonical_integer(std::string_view value) {
+  std::string canon;
+  if (!canonical_integer_into(value, canon)) return std::nullopt;
+  return canon;
 }
 
 int compare_canonical_integers(std::string_view a, std::string_view b) {
@@ -101,7 +117,8 @@ void Schema::add(AttributeType type) {
 }
 
 const AttributeType* Schema::find(std::string_view name) const {
-  const auto it = types_.find(text::lower(name));
+  if (text::has_upper(name)) return find(text::lower(name));
+  const auto it = types_.find(name);
   return it == types_.end() ? nullptr : &it->second;
 }
 
@@ -111,19 +128,28 @@ Syntax Schema::syntax_of(std::string_view attr) const {
 }
 
 std::string Schema::normalize(std::string_view attr, std::string_view value) const {
-  switch (syntax_of(attr)) {
+  std::string out;
+  normalize_into(syntax_of(attr), value, out);
+  return out;
+}
+
+void Schema::normalize_into(Syntax syntax, std::string_view value,
+                            std::string& out) {
+  switch (syntax) {
     case Syntax::CaseExactString:
-      return std::string(text::trim(value));
-    case Syntax::Integer: {
-      if (auto canon = canonical_integer(value)) return *canon;
+      out.assign(text::trim(value));
+      return;
+    case Syntax::Integer:
+      if (canonical_integer_into(value, out)) return;
       // Not a number: fall back to case-ignore string matching.
-      return text::lower(text::trim(value));
-    }
+      break;
     case Syntax::CaseIgnoreString:
     case Syntax::DnString:
-      return text::lower(text::trim(value));
+      break;
   }
-  return std::string(value);
+  const std::string_view trimmed = text::trim(value);
+  out.resize(trimmed.size());
+  std::transform(trimmed.begin(), trimmed.end(), out.begin(), text::to_lower);
 }
 
 int Schema::compare(std::string_view attr, std::string_view a,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,6 +60,13 @@ class Schema {
   /// rule (lowercasing for case-ignore, canonical integer form for integers).
   std::string normalize(std::string_view attr, std::string_view value) const;
 
+  /// The one normalization primitive: writes `value` normalized under
+  /// `syntax` into `out`, replacing its contents. Filter evaluation resolves
+  /// the syntax once and reuses one `out` across values, so the hot path
+  /// allocates only when a value outgrows the buffer.
+  static void normalize_into(Syntax syntax, std::string_view value,
+                             std::string& out);
+
   /// Three-way comparison of two values under the attribute's ordering rule.
   /// Returns <0, 0 or >0. Integer syntax compares numerically; strings
   /// compare lexicographically after normalization.
@@ -75,7 +83,16 @@ class Schema {
   std::uint64_t revision() const noexcept { return revision_; }
 
  private:
-  std::unordered_map<std::string, AttributeType> types_;
+  /// Lets find() look a name up by string_view without building a key.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  std::unordered_map<std::string, AttributeType, NameHash, std::equal_to<>>
+      types_;
   std::uint64_t revision_ = 0;
 };
 

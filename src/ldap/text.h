@@ -16,6 +16,14 @@ inline char to_lower(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
+/// True when `s` has a byte lower() would change.
+inline bool has_upper(std::string_view s) {
+  for (char c : s) {
+    if (to_lower(c) != c) return true;
+  }
+  return false;
+}
+
 inline std::string lower(std::string_view s) {
   std::string out;
   out.reserve(s.size());

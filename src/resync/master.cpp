@@ -476,10 +476,9 @@ void ReSyncMaster::set_resource_limits(const ResourceLimits& limits) {
 }
 
 void ReSyncMaster::apply_change(Shard& shard, Session& session,
-                                const server::ChangeRecord& record,
-                                ldap::NormalizedValueCache* cache) {
+                                const server::ChangeRecord& record) {
   if (record.seq <= session.baseline) return;  // the content already holds it
-  absorb_events(shard, session, session.session->on_change(record, cache));
+  absorb_events(shard, session, session.session->on_change(record));
 }
 
 void ReSyncMaster::absorb_events(Shard& shard, Session& session,
@@ -582,7 +581,7 @@ void ReSyncMaster::pump() {
   if (!gap) records = pumped_.pending();
 
   // Parallel phase: every shard consumes the (shared, read-only) journal
-  // batch through its own router, cache and sessions — or, after a
+  // batch through its own router and sessions — or, after a
   // compaction gap, rebases its sessions from the DIT. No state outside the
   // shard is written; governor counters accumulate in the shard delta.
   run_on_shards([&](Shard& shard) {
@@ -601,10 +600,9 @@ void ReSyncMaster::pump() {
       if (record->seq <= route_floor_) continue;
       if (change_routing_) {
         candidates.clear();
-        shard.router.route(*record, candidates, &shard.cache);
+        shard.router.route(*record, candidates);
         for (const sync::ChangeRouter::Handle handle : candidates) {
-          apply_change(shard, *shard.by_handle.at(handle), *record,
-                       &shard.cache);
+          apply_change(shard, *shard.by_handle.at(handle), *record);
         }
       } else {
         // Exhaustive fan-out (benchmark baseline / equivalence oracle). The
@@ -612,7 +610,7 @@ void ReSyncMaster::pump() {
         // routing can be switched back on afterwards.
         for (auto& [id, session] : shard.sessions) {
           if (session.walking()) continue;
-          apply_change(shard, session, *record, nullptr);
+          apply_change(shard, session, *record);
         }
       }
     }
@@ -725,7 +723,6 @@ void ReSyncMaster::reset() {
     shard->router.clear();
     shard->by_handle.clear();
     shard->expiry.clear();
-    shard->cache.clear();
     shard->dirty.clear();
     shard->delta = GovernorStats{};
   }

@@ -52,9 +52,11 @@ namespace fbdr::resync {
 ///
 /// Scaling (DESIGN.md §13): sessions are partitioned into N shards by a hash
 /// of the session id. Each shard owns its sessions, its own ChangeRouter
-/// indexes, normalized-value cache, expiry queue and dirty-session list —
-/// pump() routes the journal batch through every shard independently, so the
-/// shards can run on a thread pool without any cross-shard locking.
+/// indexes, expiry queue and dirty-session list — pump() routes the journal
+/// batch through every shard independently, so the shards can run on a
+/// thread pool without any cross-shard locking. Filter evaluation holds no
+/// shard state: each evaluation normalizes entry values into a buffer of
+/// its own.
 /// Governor accounting from the parallel phase lands in per-shard counter
 /// deltas folded at the pump barrier. The default (shards=1, threads=0) is
 /// the bit-identical serial master; any shard/thread combination produces
@@ -78,7 +80,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   }
 
   /// Partitions sessions into `shards` hash partitions, each with its own
-  /// router indexes, caches, expiry queue and dirty list (DESIGN.md §13).
+  /// router indexes, expiry queue and dirty list (DESIGN.md §13).
   /// Must be called while no sessions or walks are live (typically right
   /// after construction or a reset()); throws std::logic_error otherwise —
   /// live router registrations cannot be rehashed in place. shards=1 (the
@@ -233,7 +235,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   struct Shard {
     std::map<std::string, Session> sessions;
     sync::ChangeRouter router;
-    ldap::NormalizedValueCache cache;
     /// Router handle -> session (map nodes are pointer-stable).
     std::unordered_map<sync::ChangeRouter::Handle, Session*> by_handle;
     /// last_active at insertion -> session id, with lazy deletion: a node
@@ -276,8 +277,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// index. Parallel-phase safe: all
   /// mutated state is shard-local; governor counters go to `delta`.
   void apply_change(Shard& shard, Session& session,
-                    const server::ChangeRecord& record,
-                    ldap::NormalizedValueCache* cache);
+                    const server::ChangeRecord& record);
   /// Takes a session's content events: dirty-list entry, holder mirror and
   /// the per-session history budget.
   void absorb_events(Shard& shard, Session& session,

@@ -139,23 +139,20 @@ bool ChangeRouter::region_covers(const SessionInfo& info, const Dn& dn) const {
 
 bool ChangeRouter::pins_satisfied(const SessionInfo& info,
                                   const EntryPtr& after,
-                                  ldap::NormalizedValueCache* cache) const {
+                                  std::string& scratch) const {
   if (!info.compiled || !after) return true;
   // Only indexed sessions reach this check, so the pins' attribute ids are
   // guaranteed to come from the router's interner.
   for (const ldap::CompiledFilter::EqPin& pin : info.compiled->eq_pins()) {
-    bool found = false;
-    if (cache) {
-      const std::vector<std::string>& values =
-          cache->get(after, pin.attr_id, interner_->attrs());
-      found = std::find(values.begin(), values.end(), pin.norm_value) !=
-              values.end();
-    } else if (const std::vector<std::string>* raw = after->get(pin.attr)) {
-      found = std::any_of(raw->begin(), raw->end(), [&](const std::string& v) {
-        return schema_->normalize(pin.attr, v) == pin.norm_value;
-      });
+    const ldap::Syntax syntax = interner_->attrs().syntax(pin.attr_id);
+    const std::vector<std::string>* values = after->get(pin.attr);
+    if (!values ||
+        std::none_of(values->begin(), values->end(), [&](const std::string& v) {
+          ldap::Schema::normalize_into(syntax, v, scratch);
+          return scratch == pin.norm_value;
+        })) {
+      return false;
     }
-    if (!found) return false;
   }
   return true;
 }
@@ -178,7 +175,7 @@ void ChangeRouter::add_holders(const std::string& norm_key,
 
 void ChangeRouter::add_enter_candidates(const Dn& dn, const EntryPtr& after,
                                         std::vector<Handle>& out,
-                                        ldap::NormalizedValueCache* cache) {
+                                        std::string& scratch) {
   // Unpinned sessions, by region. Bucket membership already implies the
   // region covers `dn`, so no per-candidate recheck is needed here.
   if (!region_subtree_.empty()) {
@@ -216,44 +213,35 @@ void ChangeRouter::add_enter_candidates(const Dn& dn, const EntryPtr& after,
   // Pinned sessions, by the new snapshot's values for each pinned attribute.
   if (!after) return;
   for (const auto& [attr_id, value_map] : by_pin_) {
-    const std::vector<std::string>* values = nullptr;
-    std::vector<std::string> scratch;
-    const std::string& attr = interner_->attrs().name(attr_id);
-    if (cache) {
-      values = &cache->get(after, attr_id, interner_->attrs());
-    } else if (const std::vector<std::string>* raw = after->get(attr)) {
-      scratch.reserve(raw->size());
-      for (const std::string& value : *raw) {
-        scratch.push_back(schema_->normalize(attr, value));
-      }
-      values = &scratch;
-    } else {
-      continue;
-    }
+    const std::vector<std::string>* values =
+        after->get(interner_->attrs().name(attr_id));
+    if (!values) continue;
+    const ldap::Syntax syntax = interner_->attrs().syntax(attr_id);
     for (const std::string& value : *values) {
-      const auto it = value_map.find(value);
+      ldap::Schema::normalize_into(syntax, value, scratch);
+      const auto it = value_map.find(scratch);
       if (it == value_map.end()) continue;
       for (Handle handle : it->second) {
         const SessionInfo& info = sessions_[handle];
         if (!info.alive || info.stamp == generation_) continue;
         if (!region_covers(info, dn)) continue;
-        if (!pins_satisfied(info, after, cache)) continue;
+        if (!pins_satisfied(info, after, scratch)) continue;
         emit(handle, out);
       }
     }
   }
 }
 
-void ChangeRouter::route(const ChangeRecord& record, std::vector<Handle>& out,
-                         ldap::NormalizedValueCache* cache) {
+void ChangeRouter::route(const ChangeRecord& record, std::vector<Handle>& out) {
   ++generation_;
   ++stats_.routed_changes;
   stats_.exhaustive += live_count_;
   const std::size_t before_count = out.size();
+  std::string scratch;  // pin checks normalize the after-entry's values here
 
   switch (record.type) {
     case ChangeType::Add:
-      add_enter_candidates(record.dn, record.after, out, cache);
+      add_enter_candidates(record.dn, record.after, out, scratch);
       break;
     case ChangeType::Delete:
       // Only sessions holding the entry can be affected; the holder index
@@ -284,7 +272,7 @@ void ChangeRouter::route(const ChangeRecord& record, std::vector<Handle>& out,
           const SessionInfo& info = sessions_[handle];
           if (!info.alive || info.stamp == generation_) continue;
           if (!region_covers(info, record.dn)) continue;
-          if (!pins_satisfied(info, record.after, cache)) continue;
+          if (!pins_satisfied(info, record.after, scratch)) continue;
           emit(handle, out);
         }
       };
@@ -314,7 +302,7 @@ void ChangeRouter::route(const ChangeRecord& record, std::vector<Handle>& out,
     }
     case ChangeType::ModifyDn:
       add_holders(record.dn.norm_key(), out);
-      add_enter_candidates(record.new_dn, record.after, out, cache);
+      add_enter_candidates(record.new_dn, record.after, out, scratch);
       break;
   }
   stats_.candidates += out.size() - before_count;

@@ -60,8 +60,7 @@ class ChangeRouter {
 
   explicit ChangeRouter(
       const ldap::Schema& schema = ldap::Schema::default_instance())
-      : schema_(&schema),
-        interner_(&ldap::FilterInterner::for_schema(schema)) {}
+      : interner_(&ldap::FilterInterner::for_schema(schema)) {}
 
   /// Registers a session. `compiled` supplies the referenced attribute ids
   /// and equality pins; it must outlive the registration (the master's
@@ -84,10 +83,7 @@ class ChangeRouter {
   void note_leave(Handle handle, const std::string& norm_key);
 
   /// Appends the deduplicated candidate handles for `record` to `out`.
-  /// `cache` (optional) memoizes the after-entry's normalized values for
-  /// pin verification.
-  void route(const server::ChangeRecord& record, std::vector<Handle>& out,
-             ldap::NormalizedValueCache* cache = nullptr);
+  void route(const server::ChangeRecord& record, std::vector<Handle>& out);
 
   std::size_t session_count() const noexcept { return live_count_; }
 
@@ -122,19 +118,19 @@ class ChangeRouter {
   };
 
   bool region_covers(const SessionInfo& info, const ldap::Dn& dn) const;
+  /// True when `after` holds every pin of `info`'s filter; after's values
+  /// are normalized into `scratch`.
   bool pins_satisfied(const SessionInfo& info, const ldap::EntryPtr& after,
-                      ldap::NormalizedValueCache* cache) const;
+                      std::string& scratch) const;
   void emit(Handle handle, std::vector<Handle>& out, bool via_fallback = false);
   void add_holders(const std::string& norm_key, std::vector<Handle>& out);
   /// Candidates that may *enter* content at `dn` with snapshot `after`:
   /// region buckets for unpinned sessions, pin buckets for pinned ones.
   void add_enter_candidates(const ldap::Dn& dn, const ldap::EntryPtr& after,
-                            std::vector<Handle>& out,
-                            ldap::NormalizedValueCache* cache);
+                            std::vector<Handle>& out, std::string& scratch);
   static void bucket_insert(std::vector<Handle>& bucket, Handle handle);
   static void bucket_erase(std::vector<Handle>& bucket, Handle handle);
 
-  const ldap::Schema* schema_;
   ldap::FilterInterner* interner_;
   std::vector<SessionInfo> sessions_;
   std::size_t live_count_ = 0;

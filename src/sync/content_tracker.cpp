@@ -44,12 +44,6 @@ bool ContentTracker::matches_query(const Entry& entry) const {
   return compiled_.matches(entry);
 }
 
-bool ContentTracker::matches_query(const EntryPtr& entry,
-                                   ldap::NormalizedValueCache* cache) const {
-  if (!in_region(entry->dn())) return false;
-  return compiled_.matches(entry, cache);
-}
-
 void ContentTracker::initialize(const server::Dit& dit) {
   content_.clear();
   digest_.clear();
@@ -73,12 +67,11 @@ std::vector<std::string> ContentTracker::content_keys() const {
   return keys;
 }
 
-std::vector<ContentEvent> ContentTracker::on_change(
-    const ChangeRecord& record, ldap::NormalizedValueCache* cache) {
+std::vector<ContentEvent> ContentTracker::on_change(const ChangeRecord& record) {
   std::vector<ContentEvent> events;
   switch (record.type) {
     case ChangeType::Add: {
-      if (record.after && matches_query(record.after, cache)) {
+      if (record.after && matches_query(*record.after)) {
         const std::string key = record.dn.norm_key();
         content_[key] = record.after;
         digest_.upsert(key, *record.after);
@@ -96,7 +89,7 @@ std::vector<ContentEvent> ContentTracker::on_change(
     }
     case ChangeType::Modify: {
       const bool was_in = in_content(record.dn);
-      const bool now_in = record.after && matches_query(record.after, cache);
+      const bool now_in = record.after && matches_query(*record.after);
       const std::string key = record.dn.norm_key();
       if (was_in && now_in) {
         content_[key] = record.after;
@@ -115,7 +108,7 @@ std::vector<ContentEvent> ContentTracker::on_change(
     }
     case ChangeType::ModifyDn: {
       const bool was_in = in_content(record.dn);
-      const bool now_in = record.after && matches_query(record.after, cache);
+      const bool now_in = record.after && matches_query(*record.after);
       if (was_in) {
         const std::string key = record.dn.norm_key();
         content_.erase(key);

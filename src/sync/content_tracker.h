@@ -44,8 +44,8 @@ struct ContentEvent {
 /// worker — on_change() mutates the tracked content and is never called
 /// concurrently on one tracker. Its shared inputs are safe by immutability:
 /// ChangeRecord snapshots, EntryPtr bodies, the Schema and the compiled
-/// filter are all read-only during a pump, and the optional
-/// NormalizedValueCache passed in is the shard's own.
+/// filter are all read-only during a pump (filter evaluation keeps its
+/// normalization buffer on the stack).
 class ContentTracker {
  public:
   explicit ContentTracker(ldap::Query query,
@@ -58,11 +58,8 @@ class ContentTracker {
   void initialize(const server::Dit& dit);
 
   /// Classifies one change; updates the tracked content; returns the events
-  /// (0, 1, or 2 — a rename can produce Leave+Enter). `cache` (optional)
-  /// shares entry-side normalized values across trackers evaluating the
-  /// same change.
-  std::vector<ContentEvent> on_change(const server::ChangeRecord& record,
-                                      ldap::NormalizedValueCache* cache = nullptr);
+  /// (0, 1, or 2 — a rename can produce Leave+Enter).
+  std::vector<ContentEvent> on_change(const server::ChangeRecord& record);
 
   bool in_content(const ldap::Dn& dn) const;
   std::size_t content_size() const noexcept { return content_.size(); }
@@ -83,10 +80,6 @@ class ContentTracker {
 
   /// True when `entry` satisfies the query (region + filter).
   bool matches_query(const ldap::Entry& entry) const;
-
-  /// Cache-assisted variant used by the master's pump hot path.
-  bool matches_query(const ldap::EntryPtr& entry,
-                     ldap::NormalizedValueCache* cache) const;
 
   /// The filter compiled once at construction; the ChangeRouter indexes
   /// sessions by its referenced attribute ids and equality pins.

@@ -74,8 +74,8 @@ UpdateBatch QuerySession::diff_batch(
 }
 
 std::vector<ContentEvent> QuerySession::on_change(
-    const server::ChangeRecord& record, ldap::NormalizedValueCache* cache) {
-  std::vector<ContentEvent> events = tracker_.on_change(record, cache);
+    const server::ChangeRecord& record) {
+  std::vector<ContentEvent> events = tracker_.on_change(record);
   note_events(events);
   return events;
 }

@@ -54,10 +54,8 @@ class QuerySession {
 
   /// Feeds one journaled master change into the session history. Returns the
   /// content events the change produced (the master's ChangeRouter mirrors
-  /// its holder index from them). `cache` (optional) shares entry-side
-  /// normalized values across sessions evaluating the same change.
-  std::vector<ContentEvent> on_change(const server::ChangeRecord& record,
-                                      ldap::NormalizedValueCache* cache = nullptr);
+  /// its holder index from them).
+  std::vector<ContentEvent> on_change(const server::ChangeRecord& record);
 
   /// Minimal updates since the last poll (equation (2)); requires the
   /// session history fed via on_change.

@@ -3,15 +3,17 @@
 // every consumer that switched onto it.
 //
 //  1. Evaluation: CompiledFilter programs compiled from IR match the raw
-//     AST walker on random filters x generated entries.
+//     AST walker on random filters x generated entries, and on hand-built
+//     entries whose values are not in normal form.
 //  2. Canonicalization: interning is idempotent (intern of the canonical
 //     rewrite is pointer-identical), hash-consing makes structural equality
 //     pointer equality, and interning subsumes ldap::simplify.
 //  3. Containment: the IR-based Proposition 1 decision agrees with the
 //     preserved pre-IR expansion (filter_contained_legacy) on random pairs.
-//  4. NormalizedValueCache: keyed by entry snapshot identity, so a modify
-//     or modify-DN (which build new immutable snapshots) can never be
-//     served stale values memoized for the old snapshot.
+//  4. Routing on a normalized pin: an Add, Modify or ModifyDn whose new
+//     snapshot holds a pinned value in another spelling (dept: D42 against
+//     (dept=d42)) reaches the pinned session and enters its content, while
+//     the before-snapshot's verdict stays what it was.
 //
 // Runs under ASan/UBSan in tier 1 alongside routing_equivalence_test.
 
@@ -19,6 +21,7 @@
 
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,9 +29,12 @@
 #include "ldap/compiled_filter.h"
 #include "ldap/filter_ir.h"
 #include "ldap/filter_parser.h"
+#include "sync/change_router.h"
+#include "sync/content_tracker.h"
 #include "workload/directory_gen.h"
 
 #include "filter_eval.h"
+#include "filter_normalization_cases.h"
 #include "filter_simplify.h"
 #include "legacy_containment.h"
 
@@ -139,10 +145,14 @@ TEST(FilterIrEquivalence, IrCompiledEvalMatchesAstWalker) {
   std::vector<EntryPtr> entries;
   dir.master->dit().for_each(
       [&](const EntryPtr& entry) { entries.push_back(entry); });
+  const std::vector<EntryPtr> awkward = normalization_cases::entries();
+  entries.insert(entries.end(), awkward.begin(), awkward.end());
 
-  ldap::NormalizedValueCache cache;
-  for (int round = 0; round < 60; ++round) {
-    const std::string text = gen.filter();
+  std::vector<std::string> texts = normalization_cases::filters();
+  for (int round = 0; round < 60; ++round) texts.push_back(gen.filter());
+
+  std::set<const ldap::Entry*> awkward_matched;
+  for (const std::string& text : texts) {
     const FilterPtr filter = ldap::parse_filter(text);
     const FilterIrPtr ir = interner.intern(filter);
     const ldap::CompiledFilter compiled =
@@ -151,11 +161,14 @@ TEST(FilterIrEquivalence, IrCompiledEvalMatchesAstWalker) {
       const bool expected = ldap::matches(*filter, *entry, schema);
       ASSERT_EQ(compiled.matches(*entry), expected)
           << text << " on " << entry->dn().to_string();
-      ASSERT_EQ(compiled.matches(entry, &cache), expected)
-          << text << " (cached) on " << entry->dn().to_string();
+      if (expected) awkward_matched.insert(entry.get());
     }
   }
-  EXPECT_GT(cache.hits(), 0u);
+  // Every hand-built entry is matched by some filter, so each unnormalized
+  // spelling was compared, not just skipped.
+  for (const EntryPtr& entry : awkward) {
+    EXPECT_EQ(awkward_matched.count(entry.get()), 1u) << entry->dn().to_string();
+  }
 }
 
 TEST(FilterIrEquivalence, InterningIsIdempotentAndSubsumesSimplify) {
@@ -217,44 +230,67 @@ TEST(FilterIrEquivalence, ContainmentVerdictsMatchLegacyOracle) {
   EXPECT_LT(contained, 380);
 }
 
-TEST(FilterIrEquivalence, NormalizedValueCacheKeyedByEntrySnapshot) {
+TEST(FilterIrEquivalence, RouterNormalizesPinnedValuesOfNewSnapshots) {
   const ldap::Schema& schema = ldap::Schema::default_instance();
-  FilterInterner& interner = FilterInterner::for_schema(schema);
-  ldap::NormalizedValueCache cache;
+  sync::ChangeRouter router(schema);
+  sync::ContentTracker tracker(
+      ldap::Query::parse("o=ibm", ldap::Scope::Subtree, "(dept=d42)"), schema);
+  const sync::ChangeRouter::Handle handle =
+      router.add_session(tracker.query(), &tracker.compiled_filter());
 
   const EntryPtr before = ldap::make_entry(
-      "cn=pat,o=ibm", {{"objectclass", "person"}, {"buildingname", "Alpha"}});
-  const ldap::AttrId building = interner.attrs().intern("buildingname");
+      "cn=pat,o=ibm", {{"objectclass", "person"}, {"dept", "17"}});
+  ldap::Entry pinned = *before;
+  pinned.set_values("dept", {"D42"});
+  const EntryPtr after = std::make_shared<const ldap::Entry>(pinned);
+  pinned.set_dn(ldap::Dn::parse("cn=pat,ou=research,o=ibm"));
+  const EntryPtr moved = std::make_shared<const ldap::Entry>(std::move(pinned));
 
-  // Memoize the before-snapshot's values (twice, to exercise the hit path).
-  ASSERT_EQ(cache.get(before, building, interner.attrs()),
-            std::vector<std::string>{"alpha"});
-  ASSERT_EQ(cache.get(before, building, interner.attrs()),
-            std::vector<std::string>{"alpha"});
-  EXPECT_GT(cache.hits(), 0u);
+  server::ChangeRecord add;
+  add.seq = 1;
+  add.type = server::ChangeType::Add;
+  add.dn = after->dn();
+  add.after = after;
 
-  // A modify builds a *new* immutable snapshot; the memo for the old one
-  // must not be served for it (entry-identity keying, not DN keying).
-  ldap::Entry modified = *before;
-  modified.set_values("buildingname", {"Beta"});
-  const EntryPtr after = std::make_shared<const ldap::Entry>(std::move(modified));
-  EXPECT_EQ(cache.get(after, building, interner.attrs()),
-            std::vector<std::string>{"beta"});
-  // The old snapshot's memo stays intact (journal replay reads both sides).
-  EXPECT_EQ(cache.get(before, building, interner.attrs()),
-            std::vector<std::string>{"alpha"});
+  server::ChangeRecord modify;
+  modify.seq = 2;
+  modify.type = server::ChangeType::Modify;
+  modify.dn = before->dn();
+  modify.before = before;
+  modify.after = after;
 
-  // Modify-DN: same attribute values under a new DN is again a new snapshot;
-  // a DN-keyed cache would alias the old entry at the old DN.
-  ldap::Entry renamed = *after;
-  renamed.set_dn(ldap::Dn::parse("cn=pat,ou=research,o=ibm"));
-  const EntryPtr moved = std::make_shared<const ldap::Entry>(std::move(renamed));
-  EXPECT_EQ(cache.get(moved, building, interner.attrs()),
-            std::vector<std::string>{"beta"});
+  server::ChangeRecord rename;
+  rename.seq = 3;
+  rename.type = server::ChangeType::ModifyDn;
+  rename.dn = before->dn();
+  rename.new_dn = moved->dn();
+  rename.before = before;
+  rename.after = moved;
 
-  // The string-attribute overload shares the same memo slots.
-  EXPECT_EQ(cache.get(after, "BuildingName", schema),
-            std::vector<std::string>{"beta"});
+  for (const server::ChangeRecord* record : {&add, &modify, &rename}) {
+    SCOPED_TRACE(server::to_string(record->type));
+    std::vector<sync::ChangeRouter::Handle> candidates;
+    router.route(*record, candidates);
+    ASSERT_EQ(candidates, std::vector<sync::ChangeRouter::Handle>{handle});
+
+    // Each record starts from empty content, outside which the
+    // before-snapshot was and still is once the new snapshot has entered.
+    sync::ContentTracker fresh(tracker.query(), schema);
+    const std::vector<sync::ContentEvent> events = fresh.on_change(*record);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].transition, sync::Transition::Enter);
+    EXPECT_EQ(events[0].entry, record->after);
+    EXPECT_TRUE(fresh.in_content(record->after->dn()));
+    EXPECT_FALSE(fresh.matches_query(*before));
+  }
+
+  // An Add without the pinned value routes nowhere.
+  std::vector<sync::ChangeRouter::Handle> candidates;
+  server::ChangeRecord unpinned = add;
+  unpinned.after = before;
+  unpinned.dn = before->dn();
+  router.route(unpinned, candidates);
+  EXPECT_TRUE(candidates.empty());
 }
 
 }  // namespace
