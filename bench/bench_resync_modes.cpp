@@ -53,7 +53,7 @@ int main() {
     // Eight replicated filters, as a replica holding several blocks would.
     std::vector<std::unique_ptr<net::FramedChannel>> links;
     std::vector<std::unique_ptr<resync::ReSyncReplica>> replicas;
-    std::map<std::string, resync::ReSyncReplica*> by_cookie;
+    std::map<std::uint64_t, resync::ReSyncReplica*> by_link;
     for (int block = 0; block < 8; ++block) {
       const std::string prefix = "0" + std::to_string(block);
       links.push_back(std::make_unique<net::FramedChannel>(master));
@@ -61,17 +61,19 @@ int main() {
           *links.back(), ldap::Query::parse("", ldap::Scope::Subtree,
                                             "(serialnumber=" + prefix + "*)"));
       replica->start(which == 2 ? resync::Mode::Persist : resync::Mode::Poll);
-      by_cookie[replica->cookie()] = replica.get();
+      // Bound as a push transport binds a persist session (poll sessions
+      // stay unbound).
+      const auto link = static_cast<std::uint64_t>(block) + 1;
+      master.bind(replica->cookie(), link);
+      by_link[link] = replica.get();
       replicas.push_back(std::move(replica));
     }
 
     Result result;
     master.set_notification_sink(
-        [&](const std::string& cookie,
-            const std::vector<resync::EntryPdu>& pdus) {
-          result.bytes += bench::push_frame(cookie, pdus).size();
-          const auto it = by_cookie.find(cookie);
-          if (it != by_cookie.end()) it->second->deliver(pdus);
+        [&](std::uint64_t link, const resync::ReSyncResponse& push) {
+          result.bytes += bench::push_frame(push).size();
+          by_link.at(link)->deliver(push);
         });
     // Measure steady state, not the initial fill.
     master.reset_traffic();

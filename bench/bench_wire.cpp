@@ -264,26 +264,26 @@ Run run_persist(const Options& options, bool framed) {
       framed ? static_cast<net::Channel&>(framed_channel) : direct_channel;
   resync::ReSyncReplica replica(channel, query);
   replica.start(resync::Mode::Persist);
+  master.bind(replica.cookie(), 1);
 
   Run run;
   double push_ns = 0.0;
-  master.set_notification_sink([&](const std::string& cookie,
-                                   const std::vector<resync::EntryPdu>& pdus) {
-    if (cookie != replica.cookie()) return;
+  master.set_notification_sink([&](std::uint64_t,
+                                   const resync::ReSyncResponse& push) {
     ++run.operations;
     if (framed) {
       const auto start = Clock::now();
-      const wire::Bytes frame = bench::push_frame(cookie, pdus);
+      const wire::Bytes frame = bench::push_frame(push);
       const resync::ReSyncResponse decoded =
-          wire::Codec::decode_response(wire::Codec::payload_of(frame));
+          wire::Codec::decode_push(wire::Codec::payload_of(frame));
       push_ns += ns_since(start);
       run.bytes += frame.size();
       ++run.frames;
       run.entries += decoded.entries_sent();
-      replica.deliver(decoded.pdus);
+      replica.deliver(decoded);
     } else {
       const auto start = Clock::now();
-      replica.deliver(pdus);
+      replica.deliver(push);
       push_ns += ns_since(start);
     }
   });
@@ -375,16 +375,18 @@ CodecMicro run_codec_micro(std::size_t batch = 64, std::size_t reps = 400) {
   }
 
   CodecMicro micro;
-  wire::Bytes payload;
+  wire::Bytes frame;
   auto start = Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    payload = wire::Codec::encode_response(response);
+    frame.clear();
+    wire::Codec::frame_response(frame, response);
   }
   micro.encode_ns = ns_since(start) / static_cast<double>(reps);
-  micro.payload_bytes = payload.size();
+  micro.payload_bytes = frame.size() - wire::Codec::kFrameHeaderBytes;
   start = Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
-    const resync::ReSyncResponse decoded = wire::Codec::decode_response(payload);
+    const resync::ReSyncResponse decoded =
+        wire::Codec::decode_response(wire::Codec::payload_of(frame));
     if (decoded.pdus.size() != batch) std::abort();
   }
   micro.decode_ns = ns_since(start) / static_cast<double>(reps);

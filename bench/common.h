@@ -124,16 +124,11 @@ T gate_flag(const char* flag, const char* text) {
   std::exit(2);
 }
 
-/// The Response frame a persist push of `pdus` on session `cookie` travels
-/// in: how benches count push bytes on a link that has no request for it.
-inline wire::Bytes push_frame(const std::string& cookie,
-                              const std::vector<resync::EntryPdu>& pdus) {
-  resync::ReSyncResponse push;
-  push.pdus = pdus;
-  push.cookie = cookie;
-  push.persistent = true;
+/// The Push frame a persist push travels in: how benches count push bytes
+/// on an in-process link, which carries the push as a struct.
+inline wire::Bytes push_frame(const resync::ReSyncResponse& push) {
   wire::Bytes frame;
-  wire::Codec::frame_response(frame, push);
+  wire::Codec::frame_push(frame, push);
   return frame;
 }
 

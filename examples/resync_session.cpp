@@ -52,10 +52,10 @@ int main() {
 
   resync::ReSyncMaster resync(*master);
   resync.set_notification_sink(
-      [](const std::string& cookie, const std::vector<resync::EntryPdu>& pdus) {
-        for (const resync::EntryPdu& pdu : pdus) {
-          std::printf("  master ~> client (notification on %s): %s\n",
-                      cookie.c_str(), pdu.to_string().c_str());
+      [](std::uint64_t, const resync::ReSyncResponse& push) {
+        for (const resync::EntryPdu& pdu : push.pdus) {
+          std::printf("  master ~> client (notification, cookie %s): %s\n",
+                      push.cookie.c_str(), pdu.to_string().c_str());
         }
       });
 
@@ -90,6 +90,8 @@ int main() {
   // Each poll returned a fresh resumption cookie (Fig. 3's cookie1).
   const auto third = resync.handle(s, {resync::Mode::Persist, second.cookie});
   print_response("S, (persist, cookie1)", third);
+  // The connection that carried the request now carries the pushes.
+  resync.bind(third.cookie, 1);
 
   // --- a pushed notification on the persistent connection ---
   std::printf("\n[master: modify E5]\n\n");

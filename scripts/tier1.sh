@@ -20,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + ctest =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DFBDR_WERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
@@ -29,7 +29,7 @@ scripts/lint.sh || echo "lint: reported issues (non-fatal)"
 
 # The suites of the two timed socket stages below. The untimed ASan stage
 # runs every other suite, so each suite runs under ASan exactly once.
-socket_suites='SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
+socket_suites='SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketPersist|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ControlPlane|ProcessTopology|TreeBackend.*/Process'
 socket_chaos_suites='FaultScheduleTest|ChaosProxyTest|ChaosSoak|ChaosSupervision'
 
 echo "== tier 1: every non-socket suite (ASan + UBSan) =="
@@ -71,7 +71,7 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # under endpoint_mutex() while the test thread mutates the endpoint and
 # reads the server's counters.
 timeout 600 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ChaosProxyTest'
+      -R 'SocketTwin|SocketErrors|ServeFrameTwin|SocketConcurrency|SocketRecovery|SocketPersist|SocketTcp|SocketBackpressure|SocketHardening|SocketPipelining|ChaosProxyTest'
 
 echo "== tier 1: bench smoke (routed pump >=2x exhaustive; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2

@@ -71,7 +71,8 @@ void FilterReplicationService::install(const Query& query, SyncPolicy policy) {
   // and is accounted as fetch/update traffic by the master. A filter must
   // never start serving before it has content, so anything but a synced
   // session withdraws the query and throws.
-  const Outcome outcome = installed.session.establish(link(), false);
+  const Outcome outcome =
+      installed.session.establish(link(), false, resync::Mode::Poll);
   if (outcome != Outcome::Synced) {
     replica_.remove_query(installed.session.slot());
     resync::throw_unless_synced(outcome, installed.session, "install");

@@ -28,10 +28,10 @@ void Entry::add_value(std::string_view attr, std::string_view value,
     it = attrs_.emplace(it, std::move(key), std::vector<std::string>{});
   }
   std::vector<std::string>& values = it->second;
-  const bool present = std::any_of(values.begin(), values.end(),
-                                   [&](const std::string& v) {
-                                     return schema.equals(it->first, v, value);
-                                   });
+  Schema::ValueProbe probe(schema, it->first, value);
+  const bool present = std::any_of(
+      values.begin(), values.end(),
+      [&](const std::string& v) { return probe.equals(v); });
   if (!present) values.emplace_back(value);
 }
 
@@ -53,10 +53,10 @@ bool Entry::remove_value(std::string_view attr, std::string_view value,
   const auto it = slot(attrs_, key);
   if (it == attrs_.end() || it->first != key) return false;
   auto& values = it->second;
-  const auto pos = std::find_if(values.begin(), values.end(),
-                                [&](const std::string& v) {
-                                  return schema.equals(it->first, v, value);
-                                });
+  Schema::ValueProbe probe(schema, it->first, value);
+  const auto pos = std::find_if(
+      values.begin(), values.end(),
+      [&](const std::string& v) { return probe.equals(v); });
   if (pos == values.end()) return false;
   values.erase(pos);
   if (values.empty()) attrs_.erase(it);
@@ -72,9 +72,9 @@ bool Entry::has_value(std::string_view attr, std::string_view value,
                       const Schema& schema) const {
   const std::vector<std::string>* values = get(attr);
   if (!values) return false;
-  return std::any_of(values->begin(), values->end(), [&](const std::string& v) {
-    return schema.equals(attr, v, value);
-  });
+  Schema::ValueProbe probe(schema, attr, value);
+  return std::any_of(values->begin(), values->end(),
+                     [&](const std::string& v) { return probe.equals(v); });
 }
 
 const std::vector<std::string>* Entry::get(std::string_view attr) const {

@@ -154,15 +154,25 @@ void Schema::normalize_into(Syntax syntax, std::string_view value,
 
 int Schema::compare(std::string_view attr, std::string_view a,
                     std::string_view b) const {
-  if (syntax_of(attr) == Syntax::Integer) {
-    const auto ca = canonical_integer(a);
-    const auto cb = canonical_integer(b);
-    if (ca && cb) return compare_canonical_integers(*ca, *cb);
+  thread_local ValueProbe probe;
+  probe.reset(syntax_of(attr), b);
+  return probe.compare(a);
+}
+
+void Schema::ValueProbe::reset(Syntax syntax, std::string_view probe) {
+  syntax_ = syntax;
+  integer_ = syntax == Syntax::Integer && canonical_integer_into(probe, probe_);
+  if (!integer_) normalize_into(syntax, probe, probe_);
+}
+
+int Schema::ValueProbe::compare(std::string_view value) {
+  // Two integers compare numerically; anything else by normalized spelling.
+  if (integer_ && canonical_integer_into(value, scratch_)) {
+    return compare_canonical_integers(scratch_, probe_);
   }
-  const std::string na = normalize(attr, a);
-  const std::string nb = normalize(attr, b);
-  if (na == nb) return 0;
-  return na < nb ? -1 : 1;
+  normalize_into(syntax_, value, scratch_);
+  const int order = scratch_.compare(probe_);
+  return order == 0 ? 0 : (order < 0 ? -1 : 1);
 }
 
 }  // namespace fbdr::ldap

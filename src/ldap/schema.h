@@ -69,8 +69,32 @@ class Schema {
 
   /// Three-way comparison of two values under the attribute's ordering rule.
   /// Returns <0, 0 or >0. Integer syntax compares numerically; strings
-  /// compare lexicographically after normalization.
+  /// compare lexicographically after normalization. Both are normalized
+  /// into buffers the calling thread reuses, so a call allocates only while
+  /// a buffer grows.
   int compare(std::string_view attr, std::string_view a, std::string_view b) const;
+
+  /// Compares many values against one probe value, normalized once:
+  /// compare(v) is Schema::compare(attr, v, probe). Each value is
+  /// normalized into one reused buffer.
+  class ValueProbe {
+   public:
+    ValueProbe() = default;
+    ValueProbe(const Schema& schema, std::string_view attr,
+               std::string_view probe) {
+      reset(schema.syntax_of(attr), probe);
+    }
+    /// Takes a new probe value; the buffers keep their capacity.
+    void reset(Syntax syntax, std::string_view probe);
+    int compare(std::string_view value);
+    bool equals(std::string_view value) { return compare(value) == 0; }
+
+   private:
+    Syntax syntax_ = Syntax::CaseIgnoreString;
+    bool integer_ = false;  // the probe is an integer under Integer syntax
+    std::string probe_;     // the probe, normalized
+    std::string scratch_;   // the value being compared, normalized
+  };
 
   bool equals(std::string_view attr, std::string_view a, std::string_view b) const {
     return compare(attr, a, b) == 0;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ldap/query.h"
 #include "resync/protocol.h"
@@ -75,6 +76,21 @@ class Channel {
   /// the master clock so session admin limits keep running while a client
   /// backs off.
   virtual void elapse(std::uint64_t ticks) = 0;
+
+  /// Persist push (DESIGN.md §12). True for a channel that can carry frames
+  /// the server sends unasked (a FramedChannel over a SocketPipe); sessions
+  /// over it persist, sessions over any other channel poll.
+  virtual bool pushes() const { return false; }
+
+  /// The connection pushes arrive on now: a new value after every
+  /// reconnect and 0 while the link is closed, so a session bound on an
+  /// earlier value knows its pushes may have been lost since.
+  virtual std::uint64_t push_stream() const { return 0; }
+
+  /// Appends the pushes received so far, in arrival order, without
+  /// blocking: those that arrived while an exchange waited for its reply
+  /// and those waiting on the link now.
+  virtual void take_pushes(std::vector<resync::ReSyncResponse>& /*pushes*/) {}
 };
 
 /// The in-process channel: requests reach the endpoint unconditionally, in

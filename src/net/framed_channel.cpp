@@ -6,7 +6,7 @@
 namespace fbdr::net {
 
 ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint, wire::ByteSpan frame,
-                        wire::Bytes& reply) {
+                        wire::Bytes& reply, std::uint64_t link) {
   using Outcome = ServedFrame::Outcome;
   wire::ByteSpan payload;
   wire::FrameKind kind;
@@ -37,8 +37,13 @@ ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint, wire::ByteSpan frame,
   // must ship as their own kinds so the client-side rethrow is type-exact.
   wire::ErrorFrame error;
   try {
-    wire::Codec::frame_response(
-        reply, endpoint.handle(request.query, request.control));
+    const resync::ReSyncResponse response =
+        endpoint.handle(request.query, request.control);
+    wire::Codec::frame_response(reply, response);
+    if (link != 0 && request.control.mode == resync::Mode::Persist &&
+        !response.more) {
+      endpoint.bind(response.cookie, link);
+    }
     return {Outcome::Reply, {}};
   } catch (const ldap::StaleCookieError& e) {
     error = {wire::ErrorFrame::Kind::StaleCookie, 0, e.what()};
@@ -161,5 +166,19 @@ void FramedChannel::abandon(const std::string& cookie) {
 }
 
 void FramedChannel::elapse(std::uint64_t ticks) { pipe_->elapse(ticks); }
+
+void FramedChannel::take_pushes(std::vector<resync::ReSyncResponse>& pushes) {
+  push_payloads_.clear();
+  pipe_->take_pushes(push_payloads_);
+  for (const wire::Bytes& payload : push_payloads_) {
+    traffic_.count_frame(wire::Codec::kFrameHeaderBytes + payload.size());
+    try {
+      pushes.push_back(wire::Codec::decode_push(payload));
+    } catch (const wire::CodecError&) {
+      continue;
+    }
+    resync::count_pdus(traffic_, pushes.back().pdus);
+  }
+}
 
 }  // namespace fbdr::net

@@ -50,6 +50,16 @@ class BytePipe {
 
   /// Logical time passing on the link (client backoff).
   virtual void elapse(std::uint64_t ticks) = 0;
+
+  /// Persist push: a pipe that can carry Push frames the server sends
+  /// unasked returns true, and sets aside those that arrive while it waits
+  /// for a reply. See Channel::pushes and Channel::push_stream.
+  virtual bool pushes() const { return false; }
+  virtual std::uint64_t push_stream() const { return 0; }
+  /// Appends the payloads (validated, header stripped) of the Push frames
+  /// set aside and of those readable now, in arrival order, without
+  /// blocking.
+  virtual void take_pushes(std::vector<wire::Bytes>& /*payloads*/) {}
 };
 
 /// What serve_frame did with one inbound frame.
@@ -67,14 +77,17 @@ struct ServedFrame {
 /// The server end of every framed link, in-process or socket: validates
 /// `frame` and decodes it in place, checks its kind, and dispatches a
 /// request to handle() or an abandon to abandon(). A request's reply frame
-/// is encoded straight onto the end of `reply`. Protocol rejections (stale
+/// is encoded straight onto the end of `reply`. A transport that delivers
+/// pushes passes the connection as `link`: a Persist request answered in
+/// full (no page to follow) then binds its session to it
+/// (ReSyncEndpoint::bind). Protocol rejections (stale
 /// cookie, busy, operation/protocol errors) cross back as typed error
 /// frames, so the client rethrows exactly what a direct link would have
 /// thrown. A one-way abandon never reports back: a garbled payload or an
 /// endpoint error drops it. What a Garbled frame means is the transport's
 /// call.
 ServedFrame serve_frame(resync::ReSyncEndpoint& endpoint, wire::ByteSpan frame,
-                        wire::Bytes& reply);
+                        wire::Bytes& reply, std::uint64_t link = 0);
 
 /// The server end of a framed link, terminating at an in-process
 /// ReSyncEndpoint through serve_frame. A garbled request is dropped by the
@@ -116,6 +129,11 @@ class FramedChannel final : public Channel {
   void exchange_all(std::span<ExchangeItem> items) override;
   void abandon(const std::string& cookie) override;
   void elapse(std::uint64_t ticks) override;
+  bool pushes() const override { return pipe_->pushes(); }
+  std::uint64_t push_stream() const override { return pipe_->push_stream(); }
+  /// Decodes the pipe's pushes. One that does not decode is dropped, as a
+  /// lost push: its session finds the gap on the next push or round.
+  void take_pushes(std::vector<resync::ReSyncResponse>& pushes) override;
 
   /// Exact frame-level traffic: bytes are encoded frame sizes (headers
   /// included), pdus/entries/dns/referrals counted from decoded responses.
@@ -135,6 +153,7 @@ class FramedChannel final : public Channel {
   // their capacity, so a steady-state exchange allocates nothing to send.
   wire::Bytes request_;
   std::vector<wire::Bytes> batch_;
+  std::vector<wire::Bytes> push_payloads_;
 };
 
 }  // namespace fbdr::net

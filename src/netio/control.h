@@ -37,6 +37,8 @@ namespace fbdr::netio {
 ///   install <base>|<scope>|<filter>   (relay) declare a replicated query
 ///   installall                        (relay) install_all(); payload "1"/"0"
 ///   sync                              (relay) one upstream sync round
+///   take                              (relay) apply and forward the pushes
+///                                            waiting on the upstream link
 ///   pump                              (root)  route journal into sessions
 ///   tick [<n>]                               advance the logical clock n
 ///                                            ticks (default 1; n is one

@@ -10,8 +10,20 @@
 #include <stdexcept>
 
 #include "net/framed_channel.h"
+#include "resync/endpoint.h"
 
 namespace fbdr::netio {
+
+namespace {
+
+/// Links are unique across every server of the process, so a session bound
+/// by one server is never mistaken for a connection of another.
+std::uint64_t next_link() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+}  // namespace
 
 EpollServer::EpollServer(resync::ReSyncEndpoint& endpoint, Options options)
     : endpoint_(&endpoint), options_(options) {
@@ -26,10 +38,19 @@ EpollServer::EpollServer(resync::ReSyncEndpoint& endpoint, Options options)
     throw std::runtime_error(std::string("eventfd: ") + std::strerror(errno));
   }
   watch(wake_fd_);
+  endpoint_->set_notification_sink(
+      [this](std::uint64_t link, const resync::ReSyncResponse& push) {
+        queue_push(link, push);
+      });
 }
 
 EpollServer::~EpollServer() {
   stop();
+  {
+    std::lock_guard<std::mutex> lock(endpoint_mutex_);
+    endpoint_->set_notification_sink({});
+    for (const auto& [link, conn] : links_) endpoint_->unbind(link);
+  }
   for (auto& [fd, conn] : connections_) {
     (void)conn;
     ::close(fd);
@@ -80,6 +101,7 @@ void EpollServer::stop() {
 }
 
 void EpollServer::run() {
+  loop_thread_.store(std::this_thread::get_id());
   while (poll_once(200)) {
   }
 }
@@ -132,6 +154,8 @@ bool EpollServer::poll_once(int timeout_ms) {
     if (conn.fd >= 0 && (mask & EPOLLIN)) read_ready(conn);
   }
 
+  // Pushes made on another thread (the wake-up) or by this batch.
+  send_pushes();
   if (options_.idle_timeout_ms > 0) reap_idle();
 
   for (const int fd : doomed_) connections_.erase(fd);
@@ -183,10 +207,14 @@ void EpollServer::accept_ready(int listen_fd, Role role) {
     conn->fd = fd;
     conn->role = role;
     conn->last_activity = std::chrono::steady_clock::now();
+    if (role == Role::FrameData) {
+      conn->link = next_link();
+      links_[conn->link] = conn.get();
+      open_connections_.fetch_add(1);
+    }
     watch(fd);
     connections_[fd] = std::move(conn);
     accepted_.fetch_add(1);
-    if (role == Role::FrameData) open_connections_.fetch_add(1);
   }
 }
 
@@ -268,7 +296,7 @@ void EpollServer::dispatch_frame(Connection& conn, wire::ByteSpan frame) {
     // Counted under the lock: whoever sees an abandon land sees it counted.
     std::lock_guard<std::mutex> lock(endpoint_mutex_);
     // The reply is encoded straight onto the connection's out queue.
-    served = net::serve_frame(*endpoint_, frame, out_queue(conn));
+    served = net::serve_frame(*endpoint_, frame, out_queue(conn), conn.link);
     if (served.outcome == Outcome::Abandoned) abandons_.fetch_add(1);
   }
   if (served.outcome == Outcome::Garbled) {
@@ -284,6 +312,8 @@ void EpollServer::dispatch_control(Connection& conn, const std::string& line) {
   control_lines_.fetch_add(1);
   if (!control_handler_) return;
   const std::string reply = control_handler_(line);
+  // A pump or tick pushes before its reply leaves.
+  send_pushes();
   std::vector<std::uint8_t>& out = out_queue(conn);
   out.insert(out.end(), reply.begin(), reply.end());
 }
@@ -295,6 +325,38 @@ std::vector<std::uint8_t>& EpollServer::out_queue(Connection& conn) {
     conn.out_offset = 0;
   }
   return conn.out;
+}
+
+void EpollServer::queue_push(std::uint64_t link,
+                             const resync::ReSyncResponse& push) {
+  {
+    std::lock_guard<std::mutex> lock(outbox_mutex_);
+    wire::Codec::frame_push(outbox_[link], push);
+  }
+  outbox_ready_.store(true);
+  if (std::this_thread::get_id() != loop_thread_.load()) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  }
+}
+
+void EpollServer::send_pushes() {
+  if (!outbox_ready_.exchange(false)) return;
+  std::map<std::uint64_t, wire::Bytes> batch;
+  {
+    std::lock_guard<std::mutex> lock(outbox_mutex_);
+    batch.swap(outbox_);
+  }
+  for (const auto& [link, frames] : batch) {
+    // A closed connection's sessions were unbound when it closed.
+    const auto it = links_.find(link);
+    if (it == links_.end()) continue;
+    Connection& conn = *it->second;
+    std::vector<std::uint8_t>& out = out_queue(conn);
+    out.insert(out.end(), frames.begin(), frames.end());
+    conn.last_activity = std::chrono::steady_clock::now();
+    flush(conn);
+  }
 }
 
 void EpollServer::write_ready(Connection& conn) {
@@ -357,7 +419,12 @@ void EpollServer::close_connection(Connection& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   closed_.fetch_add(1);
-  if (conn.role == Role::FrameData) open_connections_.fetch_sub(1);
+  if (conn.role == Role::FrameData) {
+    open_connections_.fetch_sub(1);
+    links_.erase(conn.link);
+    std::lock_guard<std::mutex> lock(endpoint_mutex_);
+    endpoint_->unbind(conn.link);
+  }
   doomed_.push_back(conn.fd);
   conn.fd = -1;
 }

@@ -16,6 +16,7 @@
 
 namespace fbdr::resync {
 class ReSyncEndpoint;
+struct ReSyncResponse;
 }
 
 namespace fbdr::netio {
@@ -49,9 +50,16 @@ namespace fbdr::netio {
 /// reply bytes out. Both listeners share the one loop, so a single-threaded
 /// fbdr_node process never races control commands against frame dispatch.
 ///
+/// Persist push (DESIGN.md §15): the server installs itself as the
+/// endpoint's notification sink. A Persist request answered on a
+/// connection binds its session to that connection, and the close of the
+/// connection unbinds it. Pushes are encoded as Push frames; all the
+/// pushes one pump or tick makes for one connection go out in one send.
+///
 /// Endpoint dispatch happens on the loop thread under endpoint_mutex();
 /// tests and hosts that mutate the endpoint from another thread (pumping
 /// the master, applying writes) take the same mutex via with_endpoint().
+/// Pushes made on another thread are handed to the loop, which sends them.
 class EpollServer {
  public:
   struct Options {
@@ -135,6 +143,7 @@ class EpollServer {
   struct Connection {
     int fd = -1;
     Role role = Role::FrameData;
+    std::uint64_t link = 0;         // FrameData: what sessions bind to
     FrameReassembler reassembler;   // FrameData
     std::string line_buffer;        // Control
     std::vector<std::uint8_t> out;  // queued unsent bytes
@@ -168,6 +177,10 @@ class EpollServer {
   /// Counts a garbled frame, flushes the replies already queued, closes.
   void close_garbled(Connection& conn);
   void reap_idle();
+  /// The sink: encodes `push` onto the outbox of `link`.
+  void queue_push(std::uint64_t link, const resync::ReSyncResponse& push);
+  /// Moves the outbox onto the connections' queues, one send each.
+  void send_pushes();
 
   resync::ReSyncEndpoint* endpoint_;
   Options options_;
@@ -180,6 +193,16 @@ class EpollServer {
   ControlHandler control_handler_;
 
   std::map<int, std::unique_ptr<Connection>> connections_;
+  std::map<std::uint64_t, Connection*> links_;  // open frame connections
+
+  /// Push frames per link not yet moved to a connection's queue. The sink
+  /// may run on any thread holding the endpoint mutex; outbox_mutex_ guards
+  /// the hand-off to the loop thread.
+  std::mutex outbox_mutex_;
+  std::map<std::uint64_t, wire::Bytes> outbox_;
+  std::atomic<bool> outbox_ready_{false};
+  std::atomic<std::thread::id> loop_thread_{};
+
   std::vector<int> doomed_;  // fds to close after the event batch
   std::string line_;         // the control line being dispatched
 

@@ -265,6 +265,13 @@ std::string NodeHost::handle_control(const std::string& line) {
       return ok();
     }
 
+    if (command == "take") {
+      if (!relay_) return err("take: not a relay");
+      std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
+      relay_->take_pushes();
+      return ok();
+    }
+
     if (command == "pump") {
       if (!master_) return err("pump: not the root");
       std::lock_guard<std::mutex> lock(server_->endpoint_mutex());

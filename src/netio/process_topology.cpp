@@ -39,6 +39,8 @@ class ProcessTopology::Node final : public topology::NodeHandle {
   bool up() const override { return pid > 0 && client; }
   void begin_sync() override { client->send(round); }
   void end_sync() override { client->finish(); }
+  void begin_take() override { client->send({"take"}); }
+  void end_take() override { client->finish(); }
   void crash() override {
     if (pid <= 0) return;
     owner_.reap(*this, /*politely=*/false);

@@ -53,10 +53,48 @@ std::chrono::steady_clock::time_point SocketPipe::io_deadline() const {
          std::chrono::milliseconds(options_.io_timeout_ms);
 }
 
+bool SocketPipe::feed(const std::uint8_t* data, std::size_t n) {
+  try {
+    reassembler_.feed(data, n);
+    return true;
+  } catch (const wire::CodecError&) {
+    return false;
+  }
+}
+
+SocketPipe::Frame SocketPipe::classify(wire::ByteSpan frame) {
+  // The reassembler checked the header; a reply's checksum is the
+  // decoder's to check, so only a push is validated here.
+  if (frame.size() <= wire::Codec::kFrameHeaderBytes ||
+      frame[wire::Codec::kFrameHeaderBytes] !=
+          static_cast<std::uint8_t>(wire::FrameKind::Push)) {
+    return Frame::Other;
+  }
+  wire::ByteSpan payload;
+  try {
+    payload = wire::Codec::payload_of(frame);
+  } catch (const wire::CodecError&) {
+    return Frame::Garbled;
+  }
+  pushes_.emplace_back(payload.begin(), payload.end());
+  return Frame::Push;
+}
+
 wire::ByteSpan SocketPipe::read_frame(
     std::chrono::steady_clock::time_point deadline) {
   std::uint8_t chunk[4096];
-  while (!reassembler_.has_frame()) {
+  for (;;) {
+    while (reassembler_.has_frame()) {
+      const wire::ByteSpan frame = reassembler_.next();
+      switch (classify(frame)) {
+        case Frame::Push:
+          continue;
+        case Frame::Other:
+          return frame;
+        case Frame::Garbled:
+          fail("garbled frame in the response stream");
+      }
+    }
     const int ready = poll_until(fd_, POLLIN, deadline);
     if (ready == 0) fail("response timed out");
     if (ready < 0) fail(std::string("poll failed: ") + std::strerror(errno));
@@ -67,14 +105,31 @@ wire::ByteSpan SocketPipe::read_frame(
       if (errno == EINTR) continue;
       fail(std::string("recv failed: ") + std::strerror(errno));
     }
-    try {
-      reassembler_.feed(chunk, static_cast<std::size_t>(n));
-    } catch (const wire::CodecError& e) {
-      // The response stream lost its framing — unrecoverable connection.
-      fail(std::string("garbled response stream: ") + e.what());
+    // The response stream lost its framing — unrecoverable connection.
+    if (!feed(chunk, static_cast<std::size_t>(n))) {
+      fail("garbled response stream");
     }
   }
-  return reassembler_.next();
+}
+
+void SocketPipe::take_pushes(std::vector<wire::Bytes>& payloads) {
+  std::uint8_t chunk[4096];
+  while (fd_ >= 0) {
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // A closed or failed stream, lost framing, a garbled frame or an unasked
+    // reply: the pushes after it are lost, and push_stream() changes.
+    if (n <= 0 || !feed(chunk, static_cast<std::size_t>(n))) {
+      close();
+      break;
+    }
+    while (fd_ >= 0 && reassembler_.has_frame()) {
+      if (classify(reassembler_.next()) != Frame::Push) close();
+    }
+  }
+  for (wire::Bytes& payload : pushes_) payloads.push_back(std::move(payload));
+  pushes_.clear();
 }
 
 wire::Bytes SocketPipe::transfer(const wire::Bytes& frame) {

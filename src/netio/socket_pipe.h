@@ -39,6 +39,15 @@ namespace fbdr::netio {
 /// order under one deadline (pipelining; the server answers frames on a
 /// connection strictly in order). Concurrency comes from many pipes (one
 /// per replica session), multiplexed server-side by epoll.
+///
+/// Persist push: the server may also send Push frames unasked on a
+/// connection that opened a Persist session. The kind byte of each frame
+/// read tells a push from a reply: a push that arrives while the pipe waits
+/// for a reply is checksummed and set aside (a reply is left to its
+/// decoder), and take_pushes() hands the set-aside pushes over in arrival
+/// order, then those readable without blocking. A garbled push or an
+/// unasked frame that is not a push breaks the stream: the connection
+/// closes, and push_stream() says so.
 class SocketPipe final : public net::BytePipe {
  public:
   struct Options {
@@ -64,6 +73,10 @@ class SocketPipe final : public net::BytePipe {
                     const ReplySink& on_reply) override;
   void send(const wire::Bytes& frame) override;
   void elapse(std::uint64_t ticks) override;
+  bool pushes() const override { return true; }
+  /// connects() while connected, 0 while closed.
+  std::uint64_t push_stream() const override { return fd_ >= 0 ? connects_ : 0; }
+  void take_pushes(std::vector<wire::Bytes>& payloads) override;
 
   bool connected() const noexcept { return fd_ >= 0; }
   /// Successful (re)connects so far — 1 after the first exchange, +1 per
@@ -76,8 +89,15 @@ class SocketPipe final : public net::BytePipe {
   void ensure_connected();
   void write_all(std::span<iovec> parts);
   void write_all(const wire::Bytes& frame);
-  /// The next reply, a span into the reassembler valid until the next read.
+  /// The next reply, a span into the reassembler valid until the next read;
+  /// pushes read on the way are set aside.
   wire::ByteSpan read_frame(std::chrono::steady_clock::time_point deadline);
+  /// Feeds `n` received bytes to the reassembler; false when the stream
+  /// lost its framing.
+  bool feed(const std::uint8_t* data, std::size_t n);
+  enum class Frame { Push, Other, Garbled };
+  /// Sets `frame` aside, checksummed, when it is a push.
+  Frame classify(wire::ByteSpan frame);
   std::chrono::steady_clock::time_point io_deadline() const;
   [[noreturn]] void fail(const std::string& what);
 
@@ -86,6 +106,7 @@ class SocketPipe final : public net::BytePipe {
   FrameReassembler reassembler_;
   std::vector<iovec> parts_;  // the frames of a batch, for one sendmsg
   std::uint64_t connects_ = 0;
+  std::vector<wire::Bytes> pushes_;  // payloads set aside, arrival order
 };
 
 }  // namespace fbdr::netio

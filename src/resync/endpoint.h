@@ -1,12 +1,20 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "ldap/query.h"
 #include "resync/protocol.h"
 
 namespace fbdr::resync {
+
+/// Receives the persist pushes of an endpoint (DESIGN.md §15): `link` is the
+/// connection the pushed session is bound to, `push` carries the session's
+/// new cookie, the origin time and the PDUs. A push without PDUs is a
+/// heartbeat: it moves the origin time and leaves the cookie as it is.
+using NotificationSink =
+    std::function<void(std::uint64_t link, const ReSyncResponse& push)>;
 
 /// Anything a replica can run a ReSync update session against: the
 /// enterprise master (ReSyncMaster over a DirectoryServer) or a relay
@@ -37,6 +45,16 @@ class ReSyncEndpoint {
   /// Address of this endpoint ("ldap://master", "relay://site-3"), used as
   /// the referral target when a downstream query is not admitted.
   virtual const std::string& url() const = 0;
+
+  /// Persist push (§5.2 (iii)), for a transport that can carry frames the
+  /// client did not ask for. The transport installs the sink, binds each
+  /// persist session it served to the connection (`link`, never 0) that
+  /// will carry its pushes, and unbinds the connection when it closes. Only
+  /// bound sessions are pushed to; an endpoint that cannot push ignores all
+  /// three, and its persist sessions behave as poll sessions.
+  virtual void set_notification_sink(NotificationSink /*sink*/) {}
+  virtual void bind(const std::string& /*cookie*/, std::uint64_t /*link*/) {}
+  virtual void unbind(std::uint64_t /*link*/) {}
 };
 
 }  // namespace fbdr::resync

@@ -203,6 +203,14 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
       cache_response(*session, fresh2);
       return fresh2;
     }
+    if (session->mode == Mode::Persist && parts.seq < session->last_seq) {
+      // Pushes answered this seq and at least one after it, and none of them
+      // reached the replica: the replay cache holds only the last. The
+      // session cannot be resumed; the replica recovers by a walk.
+      drop_session(*shard, it);
+      throw ldap::StaleCookieError("resync cookie '" + control.cookie +
+                                   "' missed more than the last push");
+    }
     if (parts.seq != session->next_seq) {
       throw ProtocolError("out-of-sequence resync cookie '" + control.cookie +
                           "' (expected seq " + std::to_string(session->next_seq) +
@@ -214,6 +222,7 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
                           "' requires round-2 fingerprints");
     }
     session->mode = control.mode;
+    if (control.mode != Mode::Persist && session->bound()) unbind(*session);
     if (session->walking()) {
       handle_reconcile_round2(*session, *control.reconcile, response);
     } else if (session->overflow_pos < session->overflow.size()) {
@@ -448,6 +457,63 @@ void ReSyncMaster::serve_overflow(Session& session, ReSyncResponse& response) {
   ++governor_.stats().pages_served;
 }
 
+void ReSyncMaster::push(Session& session, std::vector<EntryPdu> pdus) {
+  ReSyncResponse push;
+  push.pdus = std::move(pdus);
+  push.persistent = true;
+  push.origin_time = clock_.now();
+  session.last_seq = session.next_seq++;
+  push.cookie = make_cookie(session.id, session.next_seq);
+  session.last_active = clock_.now();
+  count_pdus(traffic_, push.pdus);
+  // A replica that misses only this push gets it back by polling the seq it
+  // answered.
+  cache_response(session, push);
+  if (sink_) sink_(session.link, push);
+}
+
+void ReSyncMaster::heartbeat() {
+  if (!sink_) return;
+  for (const auto& [id, session] : bound_) {
+    // A session with changes not pushed yet is not current as of now.
+    if (session->paging() || session->session->history_units() != 0) continue;
+    ReSyncResponse beat;
+    beat.persistent = true;
+    beat.origin_time = clock_.now();
+    beat.cookie = make_cookie(id, session->next_seq);
+    sink_(session->link, beat);
+  }
+}
+
+void ReSyncMaster::bind(const std::string& cookie, std::uint64_t link) {
+  // Never throws: a transport binds after the reply is already encoded.
+  const std::optional<resync::CookieParts> parts = split_cookie(cookie);
+  if (!parts || link == 0) return;
+  Shard* shard = nullptr;
+  const auto it = find_session(std::string(parts->session), shard);
+  if (it == shard->sessions.end()) return;
+  Session& session = it->second;
+  if (session.mode != Mode::Persist || session.walking() ||
+      session.session->degraded() || session.paging()) {
+    return;
+  }
+  session.link = link;
+  bound_[session.id] = &session;
+}
+
+void ReSyncMaster::unbind(std::uint64_t link) {
+  for (auto it = bound_.begin(); it != bound_.end();) {
+    Session& session = *(it++)->second;
+    if (session.link == link) unbind(session);
+  }
+}
+
+void ReSyncMaster::unbind(Session& session) {
+  session.link = 0;
+  session.last_active = clock_.now();
+  bound_.erase(session.id);
+}
+
 void ReSyncMaster::cache_response(Session& session,
                                   const ReSyncResponse& response) {
   session.last_response = response;
@@ -511,11 +577,11 @@ void ReSyncMaster::mirror_events(Shard& shard, Session& session,
 
 void ReSyncMaster::enforce_session_history(Session& session,
                                            GovernorStats& stats) {
-  // Persist sessions drain their history on every pump; only poll-session
-  // histories accumulate, so only they are degraded. (The push sink also has
-  // no complete-enumeration channel, so a degraded persist session could not
-  // be answered exactly.)
-  if (session.mode != Mode::Poll) return;
+  // Bound persist sessions drain their history on every pump; only the
+  // histories of the others accumulate, so only they are degraded. (A push
+  // also has no complete-enumeration form, so a degraded session could not
+  // be pushed exactly.)
+  if (session.bound()) return;
   if (!governor_.over_session_history(session.session->history_units())) return;
   if (!session.session->degraded()) {
     session.session->degrade();
@@ -536,7 +602,7 @@ void ReSyncMaster::enforce_global_history() {
   std::vector<Session*> victims;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     for (auto& [id, session] : shard->sessions) {
-      if (session.mode == Mode::Poll && session.session->history_units() > 0) {
+      if (!session.bound() && session.session->history_units() > 0) {
         victims.push_back(&session);
       }
     }
@@ -641,25 +707,25 @@ void ReSyncMaster::pump() {
             [](Session* a, Session* b) { return a->id < b->id; });
   for (Session* session : dirty) {
     session->dirty = false;
-    if (session->mode != Mode::Persist || !session->session->initialized()) {
+    // A session mid-pagination keeps its changes until its pages drained.
+    if (!session->bound() || !session->session->initialized() ||
+        session->paging()) {
       continue;
     }
     const sync::UpdateBatch batch = session->session->poll();
-    if (batch.empty()) continue;
-    const std::vector<EntryPdu> pdus = to_pdus(batch);
-    count_pdus(traffic_, pdus);
-    session->last_active = clock_.now();
-    if (sink_) sink_(make_cookie(session->id, session->next_seq), pdus);
+    if (!batch.empty()) push(*session, to_pdus(batch));
   }
-  // Poll sessions kept accumulating: re-check the global budget.
+  // Unbound sessions kept accumulating: re-check the global budget.
   enforce_global_history();
 }
 
 void ReSyncMaster::tick(std::uint64_t delta) {
   clock_.advance(delta);
+  // Without it a replica that stopped polling could not see time pass.
+  if (delta != 0) heartbeat();
   const std::uint64_t limit = governor_.effective_deadline(time_limit_);
   if (limit == 0) return;
-  // (v) Expire idle poll sessions past the admin time limit (or the
+  // (v) Expire idle unbound sessions past the admin time limit (or the
   // governor's tighter slow-poller deadline), and walks whose round 2 never
   // arrived, whatever their mode. Each shard's expiry queue is
   // ordered by last_active-at-insertion with lazy deletion: only the stalest
@@ -674,9 +740,9 @@ void ReSyncMaster::tick(std::uint64_t delta) {
         continue;
       }
       Session& session = it->second;
-      if (session.mode != Mode::Poll && !session.walking()) {
-        // Persist sessions hold an open connection and are not expired here;
-        // requeue at the current time so they are revisited, not rescanned.
+      if (session.bound()) {
+        // A bound session holds an open connection and is not expired here;
+        // requeue at the current time so it is revisited, not rescanned.
         const std::string id = front->second;
         shard->expiry.erase(front);
         shard->expiry.emplace(clock_.now(), id);
@@ -713,6 +779,7 @@ void ReSyncMaster::drop_session(Shard& shard,
     shard.router.remove_session(session.route);
     shard.by_handle.erase(session.route);
   }
+  bound_.erase(session.id);
   shard.sessions.erase(it);
   // Any expiry node for the session is discarded lazily by tick().
 }
@@ -726,6 +793,7 @@ void ReSyncMaster::reset() {
     shard->dirty.clear();
     shard->delta = GovernorStats{};
   }
+  bound_.clear();
   walking_ = 0;
   // The restarted master resumes journal consumption at the tail: sessions
   // created after the restart take their baseline from initial() anyway.

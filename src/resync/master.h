@@ -26,7 +26,7 @@ namespace fbdr::resync {
 ///  (ii)  otherwise the cookie identifies the session and accumulated
 ///        content updates (session history) are sent;
 ///  (iii) mode "persist": the connection is kept open and further change
-///        notifications are pushed;
+///        notifications are pushed over it (see "Persist push" below);
 ///  (iv)  mode "poll": a cookie to resume the session is returned;
 ///  (v)   mode "sync_end" (or abandoning a persistent search) ends the
 ///        session; idle sessions time out after an admin limit.
@@ -34,6 +34,15 @@ namespace fbdr::resync {
 /// Drive it with handle() for requests, pump() after applying master updates
 /// (delivers persist notifications), and tick()/expire_sessions() for the
 /// admin time limit.
+///
+/// Persist push (DESIGN.md §15): a persist session is pushed to only while
+/// a transport has bound it to a live connection (bind()). Each pump()
+/// sends a bound session the changes it accumulated as one push, which
+/// answers the session's next sequence number exactly as a poll would: it
+/// enters the replay cache and carries the advanced cookie. tick() sends
+/// every bound session an empty push (a heartbeat) carrying the new origin
+/// time. An unbound persist session — never bound, or its connection
+/// closed — keeps its history and expires like a poll session.
 ///
 /// Cookies are replay-safe: each poll cookie embeds a per-session monotonic
 /// sequence number ("rs-<id>#<seq>"). A duplicated or retried poll (same
@@ -63,10 +72,6 @@ namespace fbdr::resync {
 /// the same per-session behavior (see tests/resync_shard_equivalence_test).
 class ReSyncMaster : public ReSyncEndpoint {
  public:
-  /// Sink receiving pushed notifications for persist-mode sessions.
-  using NotificationSink =
-      std::function<void(const std::string& cookie, const std::vector<EntryPdu>&)>;
-
   explicit ReSyncMaster(server::DirectoryServer& master);
 
   /// Installs the resource budgets (see ResourceLimits; all-zero = the
@@ -120,7 +125,28 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// and are only removed by sync_end, abandon or reset().
   void set_session_time_limit(std::uint64_t ticks) { time_limit_ = ticks; }
 
-  void set_notification_sink(NotificationSink sink) { sink_ = std::move(sink); }
+  /// Receives the pushes of bound persist sessions: pump() calls it for
+  /// each session with accumulated changes, in session-id order, and tick()
+  /// once per bound session with a heartbeat.
+  void set_notification_sink(NotificationSink sink) override {
+    sink_ = std::move(sink);
+  }
+
+  /// Binds the persist session `cookie` names to `link`: pump() and tick()
+  /// push to it from now on. A poll session, a walk between its rounds, a
+  /// degraded session (a push has no complete-enumeration form) and a
+  /// session mid-pagination stay unbound, as does an unknown cookie.
+  void bind(const std::string& cookie, std::uint64_t link) override;
+
+  /// Unbinds every session bound to `link` (its connection closed). Their
+  /// admin time limit runs from now.
+  void unbind(std::uint64_t link) override;
+
+  /// Sends every bound session with nothing left to push a heartbeat: an
+  /// empty push carrying the current origin time and its current cookie.
+  /// tick() calls it after advancing the clock; a relay calls it when the
+  /// root time it forwards advances.
+  void heartbeat();
 
   /// Handles one resync search request.
   ReSyncResponse handle(const ldap::Query& query,
@@ -134,8 +160,8 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// journal seq its initial content was computed at, DESIGN.md §7). The
   /// journal batch is read once; every shard routes it through its own
   /// indexes (in parallel when pump threads are configured), then a serial
-  /// phase pushes persist notifications in global session-id order and
-  /// re-checks the global history budget.
+  /// phase pushes the changes of bound persist sessions to the sink in
+  /// global session-id order and re-checks the global history budget.
   void pump();
 
   /// Disables change routing: every record fans out to every session, as the
@@ -149,7 +175,8 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// per-shard route invocations (shards x records).
   sync::ChangeRouter::Stats routing_stats() const;
 
-  /// Advances the logical clock and expires idle poll sessions and walks.
+  /// Advances the logical clock, sends heartbeats (when it moved) and
+  /// expires idle unbound sessions and walks.
   void tick(std::uint64_t delta = 1) override;
 
   /// Current logical time at the master.
@@ -170,9 +197,13 @@ class ReSyncMaster : public ReSyncEndpoint {
 
   std::size_t session_count() const noexcept;
 
-  /// Open persist connections — the scaling concern that motivates polling
-  /// ("persistent search requires a TCP connection per replicated filter").
+  /// Persist-mode sessions, each the open connection persist search asks
+  /// for — the scaling concern that motivates polling ("persistent search
+  /// requires a TCP connection per replicated filter").
   std::size_t open_connections() const;
+
+  /// Persist sessions currently bound to a connection.
+  std::size_t bound_sessions() const noexcept { return bound_.size(); }
 
   /// Total pending history events held across sessions.
   std::size_t history_size() const;
@@ -220,10 +251,14 @@ class ReSyncMaster : public ReSyncEndpoint {
     bool overflow_reload = false;
     /// Divergent buckets named in round 1 of a walk, diffed in round 2.
     std::vector<std::uint32_t> need_buckets;
+    /// The connection carrying this persist session's pushes; 0 = unbound.
+    std::uint64_t link = 0;
 
     bool walking() const noexcept {
       return route == sync::ChangeRouter::kInvalidHandle;
     }
+    bool bound() const noexcept { return link != 0; }
+    bool paging() const noexcept { return overflow_pos < overflow.size(); }
   };
 
   /// One session-hash partition. Everything a pump worker touches while
@@ -300,6 +335,11 @@ class ReSyncMaster : public ReSyncEndpoint {
                 bool complete_enumeration, ReSyncResponse& response);
   /// Serves the next continuation page from the overflow queue.
   void serve_overflow(Session& session, ReSyncResponse& response);
+  /// Pushes `pdus` to a bound session as the answer to its next sequence
+  /// number: cookie advanced, replay cache filled, traffic counted.
+  void push(Session& session, std::vector<EntryPdu> pdus);
+  /// Forgets the session's connection.
+  void unbind(Session& session);
   /// Caches the response for replays, accounting (and if over budget
   /// stripping) its entry bodies.
   void cache_response(Session& session, const ReSyncResponse& response);
@@ -344,6 +384,8 @@ class ReSyncMaster : public ReSyncEndpoint {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<PumpPool> pool_;
   NotificationSink sink_;
+  /// Bound persist sessions by id: heartbeats and unbind() visit these only.
+  std::map<std::string, Session*> bound_;
   net::LogicalClock clock_;
   net::TrafficStats traffic_;
   ResourceGovernor governor_;

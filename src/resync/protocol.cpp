@@ -1,5 +1,7 @@
 #include "resync/protocol.h"
 
+#include "ldap/text.h"
+
 namespace fbdr::resync {
 
 std::string to_string(Mode mode) {
@@ -19,6 +21,15 @@ std::string ReSyncControl::to_string() const {
          (cookie.empty() ? "null" : cookie) +
          (reconcile ? ", reconcile r" + std::to_string(reconcile->round) : "") +
          ")";
+}
+
+std::optional<CookieParts> split_cookie(std::string_view cookie) {
+  const std::size_t hash = cookie.rfind('#');
+  if (hash == std::string_view::npos) return std::nullopt;
+  const std::optional<std::uint64_t> seq =
+      ldap::text::parse_u64(cookie.substr(hash + 1));
+  if (!seq) return std::nullopt;
+  return CookieParts{cookie.substr(0, hash), *seq};
 }
 
 std::string to_string(Action action) {

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ldap/dn.h"
@@ -126,6 +128,19 @@ struct ReSyncResponse {
   std::size_t entries_sent() const;
   std::size_t dns_sent() const;
 };
+
+/// A session cookie is "<session>#<seq>": the part before the last '#'
+/// names the session at the server that issued it (a relay prefixes its
+/// epoch), and seq is the sequence number the session's next poll carries.
+/// A persist push carries the cookie that follows it, so a consumer routes
+/// a push by its session part and orders pushes by seq.
+struct CookieParts {
+  std::string_view session;
+  std::uint64_t seq = 0;
+};
+
+/// Splits `cookie`; nullopt when it has no '#' or seq is not a number.
+std::optional<CookieParts> split_cookie(std::string_view cookie);
 
 /// Converts a sync::UpdateBatch into the wire PDUs.
 std::vector<EntryPdu> to_pdus(const sync::UpdateBatch& batch);

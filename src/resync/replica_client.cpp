@@ -74,18 +74,20 @@ void ReSyncReplica::poll() {
   if (!session_.steady()) {
     // The link failed past the retry budget on an earlier poll: end that
     // session and heal by walk or reload, as the service and relays do.
-    settle(session_.establish(link(), true), /*recovery=*/true, Mode::Poll);
+    settle(session_.establish(link(), true, session_.mode()),
+           /*recovery=*/true, session_.mode());
     return;
   }
   // The item is unsent, so finish_poll runs the whole retry policy. Without
   // auto-recover a lost session is the caller's to handle: the poll runs
   // over the guard.
-  net::ExchangeItem item(session_.query(), {Mode::Poll, session_.cookie()});
+  net::ExchangeItem item(session_.query(),
+                         {session_.mode(), session_.cookie()});
   StaleGuard guard(*channel_);
   net::Channel& channel = auto_recover_ ? *channel_ : guard;
   try {
     settle(session_.finish_poll({channel, retry_, *this}, item),
-           /*recovery=*/true, Mode::Poll);
+           /*recovery=*/true, session_.mode());
   } catch (const SessionLost& lost) {
     std::rethrow_exception(lost.error);
   }
@@ -104,9 +106,8 @@ void ReSyncReplica::abandon() {
   active_ = false;
 }
 
-void ReSyncReplica::deliver(const std::vector<EntryPdu>& pdus) {
-  content_.apply(from_pdus(pdus, /*full_reload=*/false,
-                           /*complete_enumeration=*/false));
+void ReSyncReplica::deliver(const ReSyncResponse& push) {
+  session_.accept_push(link(), push);
 }
 
 std::map<std::string, ldap::EntryPtr> ReSyncReplica::snapshot(
@@ -128,15 +129,18 @@ void ReSyncReplica::adopt_full(std::size_t /*slot*/,
 }
 
 void NotificationRouter::attach(ReSyncMaster& master) {
+  master_ = &master;
   master.set_notification_sink(
-      [this](const std::string& cookie, const std::vector<EntryPdu>& pdus) {
-        const auto it = by_cookie_.find(cookie);
-        if (it != by_cookie_.end()) it->second->deliver(pdus);
+      [this](std::uint64_t link, const ReSyncResponse& push) {
+        const auto it = by_link_.find(link);
+        if (it != by_link_.end()) it->second->deliver(push);
       });
 }
 
 void NotificationRouter::subscribe(ReSyncReplica& replica) {
-  by_cookie_[replica.cookie()] = &replica;
+  const std::uint64_t link = by_link_.size() + 1;
+  by_link_[link] = &replica;
+  master_->bind(replica.cookie(), link);
 }
 
 }  // namespace fbdr::resync

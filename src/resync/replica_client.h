@@ -95,9 +95,10 @@ class ReSyncReplica : private SessionStore {
   /// forgets its cookie.
   void abandon();
 
-  /// Delivers pushed notifications (persist mode); normally invoked via a
+  /// Takes one push of the session (persist mode; see
+  /// UpstreamSession::accept_push); normally invoked via a
   /// NotificationRouter installed as the master's sink.
-  void deliver(const std::vector<EntryPdu>& pdus);
+  void deliver(const ReSyncResponse& push);
 
   const sync::ReplicaContent& content() const noexcept { return content_; }
   const std::string& cookie() const noexcept { return session_.cookie(); }
@@ -127,15 +128,18 @@ class ReSyncReplica : private SessionStore {
   bool reconcile_ = true;
 };
 
-/// Routes persist-mode notifications from one master to the replicas that
-/// own the corresponding sessions. Install via master.set_notification_sink.
+/// The in-process stand-in for a push transport: installs itself as one
+/// master's sink, binds each subscribed replica's persist session to a link
+/// of its own and delivers that link's pushes to the replica.
 class NotificationRouter {
  public:
   void attach(ReSyncMaster& master);
+  /// Binds the replica's session; call after replica.start(Mode::Persist).
   void subscribe(ReSyncReplica& replica);
 
  private:
-  std::map<std::string, ReSyncReplica*> by_cookie_;
+  ReSyncMaster* master_ = nullptr;
+  std::map<std::uint64_t, ReSyncReplica*> by_link_;
 };
 
 }  // namespace fbdr::resync

@@ -53,13 +53,56 @@ void UpstreamSession::synced(const UpstreamLink& link,
   last_synced_ = link.store.now();
 }
 
+void UpstreamSession::bound_on(const UpstreamLink& link) {
+  stream_ = mode_ == Mode::Persist ? link.channel.push_stream() : 0;
+  heard_ = false;
+  push_gap_ = false;
+}
+
+bool UpstreamSession::owns(const ReSyncResponse& push) const {
+  const std::optional<CookieParts> mine = split_cookie(cookie_);
+  const std::optional<CookieParts> theirs = split_cookie(push.cookie);
+  return mine && theirs && mine->session == theirs->session;
+}
+
+void UpstreamSession::accept_push(const UpstreamLink& link,
+                                  const ReSyncResponse& push) {
+  if (!steady()) return;
+  const std::optional<CookieParts> held = split_cookie(cookie_);
+  const std::optional<CookieParts> got = split_cookie(push.cookie);
+  if (!held || !got) return;
+  // A heartbeat carries the cookie as it stands, a push the one after the
+  // seq it answers.
+  const std::uint64_t next = push.pdus.empty() ? held->seq : held->seq + 1;
+  if (got->seq < next) return;  // already held
+  if (got->seq > next) {
+    push_gap_ = true;
+    return;
+  }
+  if (!push.pdus.empty()) {
+    cookie_ = push.cookie;
+    link.store.apply_delta(slot_, push);
+  }
+  synced(link, push.origin_time);
+  heard_ = true;
+}
+
+bool UpstreamSession::take_heard(const net::Channel& channel) {
+  const bool heard = steady() && heard_ && !push_gap_ && stream_ != 0 &&
+                     stream_ == channel.push_stream();
+  heard_ = false;
+  return heard;
+}
+
 UpstreamSession::Outcome UpstreamSession::establish(const UpstreamLink& link,
                                                     bool recovery, Mode mode) {
+  mode_ = mode;
   const Outcome outcome = release(link.channel, link.retry)
                               ? open(link, recovery, mode)
                               : Outcome::Failed;
   if (outcome == Outcome::Synced) {
     health_.degraded = false;
+    bound_on(link);
   } else if (outcome != Outcome::Referred) {
     // Stay degraded, serving the local content, and try again on a later
     // round — once the link returns or another session has drained.
@@ -176,12 +219,13 @@ UpstreamSession::Outcome UpstreamSession::finish_poll(const UpstreamLink& link,
     if (response.complete_enumeration) ++health_.degraded_polls;
     synced(link, response.origin_time);
     link.store.apply_delta(slot_, response);
+    bound_on(link);
     return Outcome::Synced;
   } catch (const ldap::StaleCookieError&) {
-    // The upstream expired or lost the session (restart, relay epoch bump):
-    // there is nothing left to end.
+    // The upstream expired or lost the session (restart, relay epoch bump,
+    // pushes missed): there is nothing left to end.
     cookie_.clear();
-    return establish(link, /*recovery=*/true);
+    return establish(link, /*recovery=*/true, mode_);
   } catch (const net::TransportError&) {
     // Retry budget exhausted: degrade; the local content keeps serving.
     ++health_.failed_syncs;
@@ -215,6 +259,7 @@ void UpstreamSession::end(net::Channel& channel) {
 void UpstreamSession::forget() {
   cookie_.clear();
   health_.degraded = false;
+  stream_ = 0;
 }
 
 void throw_unless_synced(UpstreamSession::Outcome outcome,
@@ -246,22 +291,37 @@ PollRound poll_round(std::span<UpstreamSession* const> sessions,
       round.answered = true;
     }
   };
+  // A push that reached a session since the last round answered it.
+  std::vector<bool> heard(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    heard[i] = sessions[i]->take_heard(link.channel);
+  }
   std::vector<net::ExchangeItem> run;
   for (std::size_t i = 0; i < sessions.size() && round.referral.empty();) {
     UpstreamSession& session = *sessions[i];
     if (!session.steady()) {
       // Never established (a restart or re-wire dropped it) or down past the
-      // retry budget: re-establish.
-      note(session, session.establish(link, /*recovery=*/session.degraded()));
+      // retry budget: re-establish, in persist over a channel that carries
+      // pushes.
+      const Mode mode =
+          link.channel.pushes() ? Mode::Persist : session.mode();
+      note(session,
+           session.establish(link, /*recovery=*/session.degraded(), mode));
+      ++i;
+      continue;
+    }
+    if (heard[i]) {
+      note(session, UpstreamSession::Outcome::Synced);
       ++i;
       continue;
     }
     // Pipeline the polls of this run of steady sessions: one batch per link
     // per round, finished in order.
     run.clear();
-    for (std::size_t j = i; j < sessions.size() && sessions[j]->steady(); ++j) {
+    for (std::size_t j = i;
+         j < sessions.size() && sessions[j]->steady() && !heard[j]; ++j) {
       run.emplace_back(sessions[j]->query(),
-                       ReSyncControl{Mode::Poll, sessions[j]->cookie()});
+                       ReSyncControl{sessions[j]->mode(), sessions[j]->cookie()});
     }
     link.channel.exchange_all(run);
     for (net::ExchangeItem& item : run) {

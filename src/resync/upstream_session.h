@@ -62,6 +62,15 @@ struct UpstreamLink {
 ///    full reload when there is nothing to offer, the upstream refuses the
 ///    walk, or the walk expires — and the session is steady again.
 ///
+/// Persist (§5.2 (iii)): established in Mode::Persist over a channel that
+/// carries pushes, the session takes each push as it arrives
+/// (accept_push) — applied as one delta, its cookie and origin time
+/// adopted — and a round polls it only when no push or heartbeat that
+/// follows its cookie reached it since the previous round, or when the
+/// stream it was bound on broke. A missed last push comes back from the
+/// upstream's replay cache on that poll; more than one missed turns the
+/// poll stale, and the session recovers as above.
+///
 /// A busy upstream or a dead link leaves the session degraded (the local
 /// content keeps serving); a referral is reported to the site, which
 /// re-wires. Counters live in one net::FilterHealth; full_reloads and
@@ -81,6 +90,9 @@ class UpstreamSession {
   const ldap::Query& query() const noexcept { return query_; }
   std::size_t slot() const noexcept { return slot_; }
   const std::string& cookie() const noexcept { return cookie_; }
+  /// The mode of the last establish(): every request of the session
+  /// carries it.
+  Mode mode() const noexcept { return mode_; }
   bool degraded() const noexcept { return health_.degraded; }
   /// A cookie is held and the link is up: the next round is a plain poll.
   bool steady() const noexcept { return !cookie_.empty() && !health_.degraded; }
@@ -102,14 +114,29 @@ class UpstreamSession {
   /// is carried by every request of the establishment: the initial request,
   /// its continuation pages and a walk's round 2. Busy and Failed degrade
   /// the session.
-  Outcome establish(const UpstreamLink& link, bool recovery,
-                    Mode mode = Mode::Poll);
+  Outcome establish(const UpstreamLink& link, bool recovery, Mode mode);
 
   /// Finishes this session's poll from an exchange_all batch: a
   /// TransportError in the batch is the first attempt of the retry policy;
   /// the reply is paged out and applied; a stale cookie re-establishes the
   /// session as a recovery.
   Outcome finish_poll(const UpstreamLink& link, net::ExchangeItem& item);
+
+  /// True when `push` names this session (its cookie's session part).
+  bool owns(const ReSyncResponse& push) const;
+
+  /// Takes one push of this session. One that answers the held cookie is
+  /// applied through SessionStore::apply_delta, and its cookie and origin
+  /// time adopted; a heartbeat for the held cookie moves the origin time.
+  /// A push the session already holds (a replay brought it back) is
+  /// ignored; one that skips ahead of the cookie, pushes having been lost,
+  /// is not applied, and the next round polls.
+  void accept_push(const UpstreamLink& link, const ReSyncResponse& push);
+
+  /// Whether the round may skip this session's poll: it is steady, it took
+  /// a push or heartbeat that followed its cookie since the last call, and
+  /// the stream it was bound on is still `channel`'s. Consumes the push.
+  bool take_heard(const net::Channel& channel);
 
   /// Ends the session at the upstream (best effort: an orphaned session
   /// expires under the upstream's admin limit), then forgets it.
@@ -129,6 +156,9 @@ class UpstreamSession {
   void collect_pages(const UpstreamLink& link, Mode mode, ReSyncResponse& first);
   /// Records a successful sync at the store clock.
   void synced(const UpstreamLink& link, std::uint64_t origin_time);
+  /// After an answered exchange: a persist session is bound on the link's
+  /// current stream, and owes no poll for pushes heard before it.
+  void bound_on(const UpstreamLink& link);
   /// Sends SyncEnd for the held cookie, if any, under `retry`, and drops
   /// the cookie. False when the link failed past the retry budget: the
   /// cookie is kept, so the session is ended on a later attempt instead of
@@ -152,6 +182,11 @@ class UpstreamSession {
   std::string referral_;
   std::uint64_t origin_time_ = 0;
   std::uint64_t last_synced_ = 0;
+  Mode mode_ = Mode::Poll;
+  /// The push stream the session was last bound on (0 = none).
+  std::uint64_t stream_ = 0;
+  bool heard_ = false;     // a push that followed the cookie since the round
+  bool push_gap_ = false;  // a push skipped ahead: pushes were lost
   net::FilterHealth health_;  // ticks_behind is filled in by health()
 };
 
@@ -169,10 +204,12 @@ struct PollRound {
   std::string referral;   // set when a session was referred; the round stopped
 };
 
-/// One sync round over `sessions`, in order: each run of consecutive steady
-/// sessions goes upstream as one Channel::exchange_all batch and is finished
-/// session by session; every other session is re-established (as a recovery
-/// when it was degraded). A referral stops the round.
+/// One sync round over `sessions`, in order: a steady session that heard a
+/// push since the last round is done; each run of consecutive steady
+/// sessions that did not goes upstream as one Channel::exchange_all batch
+/// and is finished session by session; every other session is
+/// re-established in its mode (as a recovery when it was degraded). A
+/// referral stops the round.
 PollRound poll_round(std::span<UpstreamSession* const> sessions,
                      const UpstreamLink& link);
 

@@ -23,6 +23,16 @@ RelayNode::RelayNode(Config config, const ldap::Schema& schema,
   mirror_.add_context({config_.suffix, {}});
   downstream_.set_session_time_limit(config_.session_time_limit);
   downstream_.set_resource_limits(config_.downstream_limits);
+  downstream_.set_notification_sink(
+      [this](std::uint64_t link, const resync::ReSyncResponse& push) {
+        // The downstream clock means nothing to descendants: a heartbeat
+        // goes out only when the root time the relay forwards advanced.
+        if (!sink_ || (push.pdus.empty() && !forwarding_beat_)) return;
+        resync::ReSyncResponse out = push;
+        out.cookie = wrap_cookie(push.cookie);
+        out.origin_time = root_time_;
+        sink_(link, out);
+      });
 }
 
 void RelayNode::connect(std::shared_ptr<net::Channel> channel,
@@ -44,13 +54,17 @@ resync::UpstreamLink RelayNode::link() {
   return {*channel_, config_.retry, *this};
 }
 
+resync::Mode RelayNode::upstream_mode() const {
+  return channel_->pushes() ? resync::Mode::Persist : resync::Mode::Poll;
+}
+
 bool RelayNode::install_all() {
   if (down_ || channel_ == nullptr) return false;
   bool all = true;
   for (UpstreamFilter& filter : filters_) {
     if (!filter.session.cookie().empty()) continue;
     const resync::UpstreamSession::Outcome outcome =
-        filter.session.establish(link(), /*recovery=*/false);
+        filter.session.establish(link(), /*recovery=*/false, upstream_mode());
     if (outcome == resync::UpstreamSession::Outcome::Referred) {
       referred_to_ = filter.session.referral();  // runtime must re-target first
       return false;
@@ -66,6 +80,7 @@ void RelayNode::sync() {
   epoch_bumped_this_round_ = false;
   // Stop pumping a parent that refused us until the runtime re-targets.
   if (channel_ != nullptr && referred_to_.empty() && !filters_.empty()) {
+    apply_pushes();
     std::vector<resync::UpstreamSession*> sessions;
     sessions.reserve(filters_.size());
     for (UpstreamFilter& filter : filters_) sessions.push_back(&filter.session);
@@ -73,18 +88,49 @@ void RelayNode::sync() {
     referred_to_ = round.referral;
     failed_streak_ = round.answered ? 0 : failed_streak_ + 1;
   }
-
-  // The relay's content is only as fresh as its stalest session.
-  if (!filters_.empty()) {
-    std::uint64_t oldest = filters_.front().session.origin_time();
-    for (const UpstreamFilter& filter : filters_) {
-      oldest = std::min(oldest, filter.session.origin_time());
-    }
-    root_time_ = oldest;
-  }
-
+  refresh_root_time();
   downstream_.pump();
+  forward_heartbeat();
   downstream_.tick(1);
+}
+
+void RelayNode::take_pushes() {
+  if (down_ || channel_ == nullptr || !apply_pushes()) return;
+  refresh_root_time();
+  downstream_.pump();
+  forward_heartbeat();
+}
+
+void RelayNode::forward_heartbeat() {
+  if (root_time_ == beat_time_) return;
+  beat_time_ = root_time_;
+  forwarding_beat_ = true;
+  downstream_.heartbeat();
+  forwarding_beat_ = false;
+}
+
+bool RelayNode::apply_pushes() {
+  pushes_.clear();
+  channel_->take_pushes(pushes_);
+  for (const resync::ReSyncResponse& push : pushes_) {
+    for (UpstreamFilter& filter : filters_) {
+      if (filter.session.owns(push)) {
+        filter.session.accept_push(link(), push);
+        break;
+      }
+    }
+  }
+  return !pushes_.empty();
+}
+
+void RelayNode::refresh_root_time() {
+  // The relay's content is only as fresh as its stalest session.
+  if (filters_.empty()) return;
+  std::uint64_t oldest = filters_.front().session.origin_time();
+  for (const UpstreamFilter& filter : filters_) {
+    oldest = std::min(oldest, filter.session.origin_time());
+  }
+  root_time_ = oldest;
 }
 
 std::map<std::string, EntryPtr> RelayNode::snapshot(std::size_t slot) {
@@ -323,6 +369,14 @@ resync::ReSyncResponse RelayNode::handle(const Query& query,
   response.cookie = wrap_cookie(response.cookie);
   response.origin_time = root_time_;
   return response;
+}
+
+void RelayNode::bind(const std::string& cookie, std::uint64_t link) {
+  try {
+    downstream_.bind(unwrap_cookie(cookie), link);
+  } catch (const ldap::ProtocolError&) {
+    // A cookie of an earlier epoch names no session any more.
+  }
 }
 
 void RelayNode::abandon(const std::string& cookie) {

@@ -46,6 +46,14 @@ namespace fbdr::topology {
 /// Upstream sessions are resync::UpstreamSession; the relay is their store
 /// (the mirror plus per-filter membership sets) and adds the degrade-on-
 /// failure install policy, referral re-wiring and the epoch bump.
+///
+/// Persist: over a channel that carries pushes (Channel::pushes(), a
+/// socket) the upstream sessions are established in Mode::Persist; over
+/// any other they poll. take_pushes() applies the pushes that arrived and
+/// pumps the downstream master at once, so a change moves on to the
+/// relay's own persist sessions in the event that brought it. The relay's
+/// pushes carry its root_time(), as its poll answers do, and its
+/// heartbeats go out only when root_time() advanced.
 class RelayNode final : public resync::ReSyncEndpoint,
                         public server::SearchEndpoint,
                         private resync::SessionStore {
@@ -101,6 +109,13 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// clock by one tick.
   void sync();
 
+  /// Applies the pushes waiting on the upstream link, then pumps the
+  /// downstream sessions, and sends them a heartbeat when root_time()
+  /// advanced. An event loop runs it whenever the link turns readable, and
+  /// a tree round ends with it (TreeDriver's closing pass); sync() takes
+  /// the waiting pushes first too.
+  void take_pushes();
+
   /// Re-targets the upstream link (referral chase or re-parenting after
   /// sustained parent failure). Every session is rebuilt from scratch at
   /// the new parent on the next install_all()/sync(); the epoch advances so
@@ -130,6 +145,13 @@ class RelayNode final : public resync::ReSyncEndpoint,
   /// crash()+restart() back to back — state wiped, epoch bumped, serving.
   void reset() override;
   const std::string& url() const override { return url_; }
+  /// Push plumbing of the downstream master: cookies carry the epoch, and
+  /// pushes the relay's root time.
+  void set_notification_sink(resync::NotificationSink sink) override {
+    sink_ = std::move(sink);
+  }
+  void bind(const std::string& cookie, std::uint64_t link) override;
+  void unbind(std::uint64_t link) override { downstream_.unbind(link); }
 
   // --- server::SearchEndpoint (client-facing, referral plumbing reuse) ---
 
@@ -209,6 +231,16 @@ class RelayNode final : public resync::ReSyncEndpoint,
   bool admit(const ldap::Query& query);
 
   resync::UpstreamLink link();
+  /// Persist over a channel that carries pushes, poll over any other.
+  resync::Mode upstream_mode() const;
+  /// Hands each push waiting on the upstream link to its session; false
+  /// when none was waiting.
+  bool apply_pushes();
+  /// Recomputes root_time() from the sessions.
+  void refresh_root_time();
+  /// Sends the downstream sessions a heartbeat when root_time() moved
+  /// since the last one.
+  void forward_heartbeat();
 
   // resync::SessionStore over the mirror and the membership sets.
   std::map<std::string, ldap::EntryPtr> snapshot(std::size_t slot) override;
@@ -245,11 +277,15 @@ class RelayNode final : public resync::ReSyncEndpoint,
   server::DirectoryServer mirror_;   // replicated content, journaled
   resync::ReSyncMaster downstream_;  // serves descendant sessions
   std::shared_ptr<net::Channel> channel_;
+  resync::NotificationSink sink_;
+  std::vector<resync::ReSyncResponse> pushes_;  // reused by apply_pushes()
   std::string parent_url_;
   std::vector<UpstreamFilter> filters_;
   std::string referred_to_;
   std::uint64_t epoch_ = 0;
   std::uint64_t root_time_ = 0;
+  std::uint64_t beat_time_ = 0;   // root_time_ of the last heartbeat sent
+  bool forwarding_beat_ = false;  // heartbeats pass the sink only then
   std::uint64_t failed_streak_ = 0;
   std::uint64_t admission_rejects_ = 0;
   std::uint64_t reparents_ = 0;

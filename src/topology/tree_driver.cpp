@@ -42,15 +42,26 @@ void TreeDriver::tick(bool lose_failed_rounds) {
       return false;
     }
   };
-  for (const std::vector<std::string>& level : levels()) {
+  // One level at once: every begin half before any end half.
+  const auto run_level = [&](const std::vector<std::string>& level,
+                             void (NodeHandle::*begin)(),
+                             void (NodeHandle::*end)()) {
     std::vector<NodeHandle*> begun;
     for (const std::string& name : level) {
       NodeHandle* node = &handle(name);
       if (!node->up()) continue;  // down: degrades, later heals
-      if (guarded([node] { node->begin_sync(); })) begun.push_back(node);
+      if (guarded([&] { (node->*begin)(); })) begun.push_back(node);
     }
-    for (NodeHandle* node : begun) guarded([node] { node->end_sync(); });
+    for (NodeHandle* node : begun) guarded([&] { (node->*end)(); });
     if (failure && !lose_failed_rounds) std::rethrow_exception(failure);
+  };
+  const std::vector<std::vector<std::string>> order = levels();
+  for (const std::vector<std::string>& level : order) {
+    run_level(level, &NodeHandle::begin_sync, &NodeHandle::end_sync);
+  }
+  // The root's level comes last in `order`.
+  for (auto level = order.rbegin() + 1; level < order.rend(); ++level) {
+    run_level(*level, &NodeHandle::begin_take, &NodeHandle::end_take);
   }
 }
 

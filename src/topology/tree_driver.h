@@ -24,6 +24,13 @@ class NodeHandle {
   virtual void begin_sync() = 0;
   virtual void end_sync() = 0;
 
+  /// The node's part of the round's closing pass, in the same two halves:
+  /// a relay takes the pushes waiting on its upstream link and forwards
+  /// them downstream at once. A node whose upstream link polls has none to
+  /// take, hence the no-op default; the root has no upstream link.
+  virtual void begin_take() {}
+  virtual void end_take() {}
+
   virtual void crash() = 0;
   virtual void restart() = 0;
 };
@@ -42,11 +49,14 @@ class TreeDriver {
 
   /// One round: levels() in order, deepest first and the root last, so each
   /// node pulls what its parent held after the previous round before the
-  /// parent refreshes (content is one tick staler per hop). A node that
-  /// throws does not stop its level: the end_sync() of every node whose
-  /// begin_sync() succeeded still runs, so no reply a node owes is left
-  /// unread. Then the first failure is rethrown, unless
-  /// `lose_failed_rounds`: a failed node then only loses its round.
+  /// parent refreshes (over polled links content is one tick staler per
+  /// hop). Then the levels below the root take their pushes, shallowest
+  /// first, so over pushing links a change the root's pump routed reaches
+  /// every depth within the round. A node that throws does not stop its
+  /// level: the end half of every node whose begin half succeeded still
+  /// runs, so no reply a node owes is left unread. Then the first failure
+  /// is rethrown, unless `lose_failed_rounds`: a failed node then only
+  /// loses its round.
   void tick(bool lose_failed_rounds = false);
 
   void crash(const std::string& name);

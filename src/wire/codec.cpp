@@ -165,13 +165,6 @@ std::uint8_t* append(Bytes& out, std::size_t header, Put&& put) {
   return out.data() + at;
 }
 
-template <typename Put>
-Bytes encode_payload(Put&& put) {
-  Bytes out;
-  append(out, 0, put);
-  return out;
-}
-
 void write_header(std::uint8_t* frame, std::size_t payload_size) {
   frame[0] = static_cast<std::uint8_t>(Codec::kMagic >> 8);
   frame[1] = static_cast<std::uint8_t>(Codec::kMagic);
@@ -696,6 +689,21 @@ void put_response(W& w, const resync::ReSyncResponse& response) {
   }
 }
 
+/// A push reuses the Response tags for the three fields it carries.
+template <typename W>
+void put_push(W& w, const resync::ReSyncResponse& push) {
+  w.u8(static_cast<std::uint8_t>(FrameKind::Push));
+  for (const resync::EntryPdu& pdu : push.pdus) {
+    w.tlv(kRspPdu, [&](auto& f) { put_pdu(f, pdu); });
+  }
+  if (!push.cookie.empty()) {
+    w.tlv(kRspCookie, [&](auto& f) { f.str(push.cookie); });
+  }
+  if (push.origin_time != 0) {
+    w.tlv(kRspOriginTime, [&](auto& f) { f.u64(push.origin_time); });
+  }
+}
+
 template <typename W>
 void put_abandon(W& w, const std::string& cookie) {
   w.u8(static_cast<std::uint8_t>(FrameKind::Abandon));
@@ -740,21 +748,8 @@ void Codec::frame_error(Bytes& out, const ErrorFrame& error) {
   append_frame(out, [&](auto& w) { put_error(w, error); });
 }
 
-Bytes Codec::encode_request(const ldap::Query& query,
-                            const resync::ReSyncControl& control) {
-  return encode_payload([&](auto& w) { put_request(w, query, control); });
-}
-
-Bytes Codec::encode_response(const resync::ReSyncResponse& response) {
-  return encode_payload([&](auto& w) { put_response(w, response); });
-}
-
-Bytes Codec::encode_abandon(const std::string& cookie) {
-  return encode_payload([&](auto& w) { put_abandon(w, cookie); });
-}
-
-Bytes Codec::encode_error(const ErrorFrame& error) {
-  return encode_payload([&](auto& w) { put_error(w, error); });
+void Codec::frame_push(Bytes& out, const resync::ReSyncResponse& push) {
+  append_frame(out, [&](auto& w) { put_push(w, push); });
 }
 
 // --- payload decode ------------------------------------------------------
@@ -765,7 +760,7 @@ FrameKind Codec::kind_of(ByteSpan payload) {
   }
   const std::uint8_t kind = payload.front();
   if (kind < static_cast<std::uint8_t>(FrameKind::Request) ||
-      kind > static_cast<std::uint8_t>(FrameKind::Error)) {
+      kind > static_cast<std::uint8_t>(FrameKind::Push)) {
     throw CodecError("unknown frame kind " + std::to_string(kind));
   }
   return static_cast<FrameKind>(kind);
@@ -799,9 +794,14 @@ RequestFrame Codec::decode_request(ByteSpan payload) {
   }
 }
 
-resync::ReSyncResponse Codec::decode_response(ByteSpan payload) {
-  if (kind_of(payload) != FrameKind::Response) {
-    throw CodecError("payload is not a response frame");
+namespace {
+
+/// The Response fields of a Response or Push payload of kind `kind`.
+resync::ReSyncResponse decode_response_fields(ByteSpan payload, FrameKind kind) {
+  if (Codec::kind_of(payload) != kind) {
+    throw CodecError(kind == FrameKind::Push
+                         ? "payload is not a push frame"
+                         : "payload is not a response frame");
   }
   try {
     Reader r(payload.subspan(1));
@@ -844,6 +844,16 @@ resync::ReSyncResponse Codec::decode_response(ByteSpan payload) {
   } catch (const ldap::ParseError& e) {
     throw CodecError(std::string("malformed dn in response: ") + e.what());
   }
+}
+
+}  // namespace
+
+resync::ReSyncResponse Codec::decode_response(ByteSpan payload) {
+  return decode_response_fields(payload, FrameKind::Response);
+}
+
+resync::ReSyncResponse Codec::decode_push(ByteSpan payload) {
+  return decode_response_fields(payload, FrameKind::Push);
 }
 
 std::string Codec::decode_abandon(ByteSpan payload) {
@@ -903,17 +913,6 @@ std::uint64_t Codec::checksum(const std::uint8_t* data, std::size_t size) {
   return hash;
 }
 
-Bytes Codec::frame(ByteSpan payload) {
-  if (payload.size() > kMaxPayloadBytes) {
-    throw CodecError("payload exceeds frame size limit");
-  }
-  Bytes out(kFrameHeaderBytes + payload.size());
-  std::copy(payload.begin(), payload.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes));
-  write_header(out.data(), payload.size());
-  return out;
-}
-
 std::size_t Codec::validate_header(const std::uint8_t* header) {
   const std::uint16_t magic = static_cast<std::uint16_t>(
       (static_cast<std::uint16_t>(header[0]) << 8) | header[1]);
@@ -950,11 +949,6 @@ ByteSpan Codec::payload_of(ByteSpan frame) {
     throw CodecError("frame checksum mismatch");
   }
   return payload;
-}
-
-Bytes Codec::deframe(ByteSpan frame) {
-  const ByteSpan payload = payload_of(frame);
-  return Bytes(payload.begin(), payload.end());
 }
 
 void Codec::throw_error(const ErrorFrame& error) {

@@ -36,6 +36,9 @@ enum class FrameKind : std::uint8_t {
   Response = 2,  // ReSyncResponse
   Abandon = 3,   // one-way cookie abandon
   Error = 4,     // typed protocol rejection crossing the wire
+  Push = 5,      // server-initiated persist notification (cookie, origin
+                 // time, PDUs); sent only on a connection that opened a
+                 // Persist session
 };
 
 /// A decoded request: the two arguments of ReSyncEndpoint::handle. A Poll
@@ -108,13 +111,8 @@ class Codec {
                              const resync::ReSyncResponse& response);
   static void frame_abandon(Bytes& out, const std::string& cookie);
   static void frame_error(Bytes& out, const ErrorFrame& error);
-
-  // --- payload encode: the same payload bytes without a header ---
-  static Bytes encode_request(const ldap::Query& query,
-                              const resync::ReSyncControl& control);
-  static Bytes encode_response(const resync::ReSyncResponse& response);
-  static Bytes encode_abandon(const std::string& cookie);
-  static Bytes encode_error(const ErrorFrame& error);
+  /// A persist push: only the push's cookie, origin time and PDUs travel.
+  static void frame_push(Bytes& out, const resync::ReSyncResponse& push);
 
   // --- payload decode (throws CodecError); reads the span in place ---
   static FrameKind kind_of(ByteSpan payload);
@@ -122,20 +120,18 @@ class Codec {
   static resync::ReSyncResponse decode_response(ByteSpan payload);
   static std::string decode_abandon(ByteSpan payload);
   static ErrorFrame decode_error(ByteSpan payload);
+  /// A Push payload as a response holding cookie, origin time and PDUs.
+  static resync::ReSyncResponse decode_push(ByteSpan payload);
 
   // --- framing ---
   /// Validates a whole frame — header, length, checksum — and returns its
   /// payload: a span into `frame`, nothing copied. Throws CodecError.
   static ByteSpan payload_of(ByteSpan frame);
-  /// payload_of, copied out.
-  static Bytes deframe(ByteSpan frame);
-  /// Header + a copy of `payload`.
-  static Bytes frame(ByteSpan payload);
 
   /// Validates the fixed-size header of a (possibly still incomplete) frame
   /// — magic, codec version, payload length bound — and returns the payload
   /// length it declares. `header` must point at kFrameHeaderBytes bytes.
-  /// This is the shared first line of defence of deframe() and the socket
+  /// This is the shared first line of defence of payload_of() and the socket
   /// transports' stream reassembly: everything that can be rejected before
   /// buffering a payload is rejected here, with a typed CodecError.
   static std::size_t validate_header(const std::uint8_t* header);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace fbdr::ldap {
 namespace {
 
@@ -93,6 +96,41 @@ TEST(Schema, SerialNumberOrdersLikeFixedWidthNumbers) {
   const Schema& schema = Schema::default_instance();
   EXPECT_LT(schema.compare("serialnumber", "041234", "052000"), 0);
   EXPECT_LT(schema.compare("serialnumber", "049999", "050000"), 0);
+}
+
+int sign(int value) { return value == 0 ? 0 : (value < 0 ? -1 : 1); }
+
+// compare() orders by normalized spelling, and numerically when both
+// values are integers under Integer syntax; a ValueProbe of the second
+// value orders exactly as compare() does. Checked over every pair of
+// mixed-case, spaced, signed, zero-padded and non-numeric values, under
+// every syntax.
+TEST(Schema, CompareAgreesWithNormalizedOrderUnderEverySyntax) {
+  Schema schema;
+  schema.add({"exactattr", Syntax::CaseExactString, true});
+  const std::vector<std::string> values = {
+      "Alpha", "alpha", " ALPHA ", "beta", "Beta  ", "a b", "A  B", "", " ",
+      "007",   "7",     "+7",      "-0",   "0",      "-05", "-5",  " 42 ",
+      "10",    "9",     "Twelve",  "twelve", "12a",  "1.5", "-",   "+"};
+  for (const char* attr : {"cn", "age", "manager", "exactattr"}) {
+    const bool integer = schema.syntax_of(attr) == Syntax::Integer;
+    for (const std::string& a : values) {
+      Schema::ValueProbe probe(schema, attr, a);
+      for (const std::string& b : values) {
+        const std::string na = schema.normalize(attr, a);
+        const std::string nb = schema.normalize(attr, b);
+        const int expected =
+            integer && is_canonical_integer(na) && is_canonical_integer(nb)
+                ? sign(compare_canonical_integers(na, nb))
+                : sign(na.compare(nb));
+        const std::string at = std::string(attr) + ": '" + a + "' vs '" + b + "'";
+        EXPECT_EQ(schema.compare(attr, a, b), expected) << at;
+        EXPECT_EQ(schema.equals(attr, a, b), na == nb) << at;
+        EXPECT_EQ(Schema::ValueProbe(schema, attr, b).compare(a), expected) << at;
+        EXPECT_EQ(probe.compare(b), -expected) << at;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -376,6 +376,19 @@ bool quietly_converged(ProcessTopology& procs, RuntimeTwin& twin) {
   return true;
 }
 
+/// The polled twin is a hop per round behind the pushed process tree, so
+/// it may still be catching up when the processes have converged.
+bool twin_converged(RuntimeTwin& twin) {
+  for (const testutil::RelaySpec& n : testutil::kChain) {
+    const ldap::Query query = serial_query(n.prefix);
+    if (testutil::mirror_keys(twin.runtime.node(n.name), query) !=
+        master_truth(*twin.master, query)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool all_running(const ProcessTopology& procs) {
   for (const char* name : {"root", "d1", "d2", "leaf"}) {
     if (!procs.running(name)) return false;
@@ -458,7 +471,10 @@ void run_chaos_soak(const net::FaultSchedule& schedule, std::uint64_t seed,
   for (int extra = 0; extra < 30; ++extra) {
     procs.tick();
     twin.runtime.tick();
-    if (all_running(procs) && quietly_converged(procs, twin)) break;
+    if (all_running(procs) && quietly_converged(procs, twin) &&
+        twin_converged(twin)) {
+      break;
+    }
   }
 
   assert_converged(procs, twin, "schedule " + schedule.name);

@@ -182,8 +182,8 @@ const Row kRows[] = {
      "now 7\n"
      "journal_records 0\n"
      "journal_trimmed_up_to 8\n"
-     "frames_in 4\n"
-     "frames_out 4\n"
+     "frames_in 2\n"
+     "frames_out 2\n"
      "connections 1\n"
      "garbled_closes 0\n"
      "backpressure 0\n"

@@ -13,6 +13,7 @@
 #include "ldap/entry.h"
 #include "net/framed_channel.h"
 #include "netio/frame_reassembler.h"
+#include "reference_codec.h"
 #include "resync/master.h"
 #include "resync/replica_client.h"
 #include "server/change.h"
@@ -51,8 +52,8 @@ std::unique_ptr<server::DirectoryServer> make_master() {
 }
 
 wire::Bytes sample_frame(int tag) {
-  return wire::Codec::frame(
-      wire::Codec::encode_abandon("rs-" + std::to_string(tag) + "#1"));
+  return wire::ReferenceCodec::frame(
+      wire::ReferenceCodec::encode_abandon("rs-" + std::to_string(tag) + "#1"));
 }
 
 // --- FrameReassembler ---------------------------------------------------
@@ -138,15 +139,17 @@ wire::Bytes decoded_as(wire::ByteSpan payload) {
   switch (wire::Codec::kind_of(payload)) {
     case wire::FrameKind::Request: {
       const wire::RequestFrame request = wire::Codec::decode_request(payload);
-      return wire::Codec::encode_request(request.query, request.control);
+      return wire::ReferenceCodec::encode_request(request.query, request.control);
     }
     case wire::FrameKind::Response:
-      return wire::Codec::encode_response(
+      return wire::ReferenceCodec::encode_response(
           wire::Codec::decode_response(payload));
     case wire::FrameKind::Abandon:
-      return wire::Codec::encode_abandon(wire::Codec::decode_abandon(payload));
+      return wire::ReferenceCodec::encode_abandon(wire::Codec::decode_abandon(payload));
     case wire::FrameKind::Error:
-      return wire::Codec::encode_error(wire::Codec::decode_error(payload));
+      return wire::ReferenceCodec::encode_error(wire::Codec::decode_error(payload));
+    case wire::FrameKind::Push:
+      return wire::ReferenceCodec::encode_push(wire::Codec::decode_push(payload));
   }
   return {};
 }
@@ -166,18 +169,18 @@ TEST(FrameReassembler, InPlaceDecodeMatchesCopiedDecodeAtEverySplit) {
     response.pdus.push_back(std::move(pdu));
   }
   const std::vector<wire::Bytes> frames = {
-      wire::Codec::frame(wire::Codec::encode_request(
+      wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_request(
           Query::parse("o=xyz", Scope::Subtree, "(dept=7)"), {Mode::Poll, ""})),
-      wire::Codec::frame(wire::Codec::encode_response(response)),
+      wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_response(response)),
       sample_frame(3),
-      wire::Codec::frame(wire::Codec::encode_error(
+      wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_error(
           {wire::ErrorFrame::Kind::Busy, 0, "busy"})),
   };
   wire::Bytes stream;
   std::vector<wire::Bytes> expected;
   for (const wire::Bytes& frame : frames) {
     stream.insert(stream.end(), frame.begin(), frame.end());
-    expected.push_back(decoded_as(wire::Codec::deframe(frame)));
+    expected.push_back(decoded_as(wire::ReferenceCodec::deframe(frame)));
   }
 
   for (std::size_t split = 0; split <= stream.size(); ++split) {
@@ -238,8 +241,8 @@ TEST(ChunkedPipe, EveryBoundaryOfASingleResponseReassemblesIdentically) {
   const Query query = Query::parse("o=xyz", Scope::Subtree, "(dept=42)");
 
   net::EndpointPipe direct(resync);
-  const wire::Bytes request = wire::Codec::frame(
-      wire::Codec::encode_request(query, {Mode::Poll, ""}));
+  const wire::Bytes request = wire::ReferenceCodec::frame(
+      wire::ReferenceCodec::encode_request(query, {Mode::Poll, ""}));
   const wire::Bytes expected = direct.transfer(request);
   const std::size_t frame_size = expected.size();
 
@@ -303,7 +306,7 @@ TEST(FramedChannelAccounting, AbandonCountsFrameAndBytesButNoRoundTrip) {
 
   const std::string cookie = response.cookie;
   const std::size_t abandon_size =
-      wire::Codec::frame(wire::Codec::encode_abandon(cookie)).size();
+      wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_abandon(cookie)).size();
   channel.abandon(cookie);
 
   const net::TrafficStats after_abandon = channel.traffic();

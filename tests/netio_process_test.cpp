@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -247,8 +248,10 @@ TEST(ProcessTopologyTest, NodeDyingAtStartupFailsStartAtOnce) {
 // root -> relay "r" -> three sibling leaves, in processes and as an
 // in-process TopologyRuntime twin. tick() syncs the siblings as one fan-out
 // (every "sync" line sent before any reply is read); the twin syncs them one
-// after another. Siblings only read from their parent, whose content holds
-// still until its own level syncs, so the two must agree after every round.
+// after another. The processes hold their sessions in persist mode and end
+// each round taking their pushes, so after every round every node holds the
+// master truth; the polled twin reaches the same content a hop per round
+// later, and the two must agree once the writes stop.
 const char* const kSiblings[] = {"a", "b", "c"};
 
 // r and c replicate the same filter.
@@ -296,6 +299,22 @@ class SeededStream {
   int next_rank_ = 4;  // MutationStream::seed() adds ranks 0..3
 };
 
+const std::vector<std::string> kFanNodes = {"r", "a", "b", "c"};
+
+/// Every fan node's content after a round: the master truth.
+void expect_fan_truth(ProcessTopology& procs, RuntimeTwin& twin,
+                      const std::string& note) {
+  ASSERT_TRUE(testutil::pushes_arrived(procs, kFanNodes)) << note;
+  for (const std::string& name : kFanNodes) {
+    const ldap::Query query = serial_query(sibling_prefix(name));
+    const std::vector<std::string> keys =
+        procs.keys(name, serial_spec(sibling_prefix(name)));
+    EXPECT_EQ(keys, master_truth(*twin.master, query))
+        << name << " diverged from master truth (" << note << ")";
+    EXPECT_FALSE(keys.empty()) << name << " holds nothing (" << note << ")";
+  }
+}
+
 void expect_fan_matches(ProcessTopology& procs, RuntimeTwin& twin,
                         const std::string& note) {
   for (const char* name : {"r", "a", "b", "c"}) {
@@ -331,18 +350,18 @@ TEST(ProcessTopologyFanOut, SiblingsMatchRuntimeTwinEveryRound) {
     for (int op = 0; op < 3; ++op) seeded.step();
     procs.tick();
     twin.runtime.tick();
-    expect_fan_matches(procs, twin, "round " + std::to_string(round));
+    expect_fan_truth(procs, twin, "round " + std::to_string(round));
     if (::testing::Test::HasFailure()) break;
   }
   for (int round = 0; round < 3; ++round) {
     procs.tick();
     twin.runtime.tick();
   }
-  for (const char* name : {"r", "a", "b", "c"}) {
-    const ldap::Query query = serial_query(sibling_prefix(name));
-    EXPECT_EQ(procs.keys(name, serial_spec(sibling_prefix(name))),
-              master_truth(*twin.master, query))
-        << name << " diverged from master truth";
+  expect_fan_matches(procs, twin, "quiescent");
+  expect_fan_truth(procs, twin, "quiescent");
+  // No push path fell back to a recovery.
+  for (const std::string& name : kFanNodes) {
+    EXPECT_EQ(procs.health(name).at("recoveries"), "0") << name;
   }
   procs.stop();
 }
@@ -377,6 +396,13 @@ TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
     procs.tick();
     twin.runtime.tick();
   }
+  // The siblings' content before the hand-driven level: the writes below
+  // stay at the root, which does not pump until the next tick.
+  ASSERT_TRUE(testutil::pushes_arrived(procs, kFanNodes));
+  std::map<std::string, std::vector<std::string>> held;
+  for (const char* leaf : {"a", "c"}) {
+    held[leaf] = master_truth(*twin.master, serial_query(sibling_prefix(leaf)));
+  }
 
   // The leaf level of one round, by hand: every sibling gets its line, then
   // "b" dies before any reply is read.
@@ -391,11 +417,10 @@ TEST(ProcessTopologyFanOut, SiblingKilledMidFanOutKeepsStreamsInStep) {
   }
   for (const char* leaf : kSiblings) twin.runtime.node(leaf).sync();
   for (const char* leaf : {"a", "c"}) {
-    const ldap::Query query = serial_query(sibling_prefix(leaf));
     EXPECT_EQ(procs.control(leaf).request("ping"), std::vector<std::string>{});
     const std::vector<std::string> keys =
         procs.keys(leaf, serial_spec(sibling_prefix(leaf)));
-    EXPECT_EQ(keys, mirror_keys(twin.runtime.node(leaf), query)) << leaf;
+    EXPECT_EQ(keys, held[leaf]) << leaf;
     EXPECT_FALSE(keys.empty()) << leaf;
   }
 

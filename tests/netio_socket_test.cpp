@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <typeindex>
 #include <typeinfo>
 #include <vector>
@@ -32,10 +34,12 @@
 #include "netio/frame_reassembler.h"
 #include "netio/socket_addr.h"
 #include "netio/socket_pipe.h"
+#include "reference_codec.h"
 #include "resync/master.h"
 #include "resync/replica_client.h"
 #include "server/change.h"
 #include "server/directory_server.h"
+#include "topology/relay_node.h"
 #include "wire/codec.h"
 
 namespace fbdr::netio {
@@ -116,7 +120,7 @@ class RecordingChannel final : public net::Channel {
   ReSyncResponse exchange(const Query& query,
                           const ReSyncControl& control) override {
     ReSyncResponse response = inner_->exchange(query, control);
-    log_.push_back(wire::Codec::encode_response(response));
+    log_.push_back(wire::ReferenceCodec::encode_response(response));
     return response;
   }
   void abandon(const std::string& cookie) override { inner_->abandon(cookie); }
@@ -323,8 +327,8 @@ TEST(SocketErrors, GarbledFrameClosesConnectionAndReconnectHeals) {
 
   // A frame whose header is intact but whose checksum lies: the server
   // must deframe-fail and close.
-  wire::Bytes corrupt = wire::Codec::frame(
-      wire::Codec::encode_request(kQueries[0], {Mode::Poll, ""}));
+  wire::Bytes corrupt = wire::ReferenceCodec::frame(
+      wire::ReferenceCodec::encode_request(kQueries[0], {Mode::Poll, ""}));
   corrupt.back() ^= 0x01;
   EXPECT_THROW(pipe->transfer(corrupt), net::TransportError);
 
@@ -682,7 +686,7 @@ struct RawFrameClient {
 
   void send_request(const Query& query) {
     const wire::Bytes frame =
-        wire::Codec::frame(wire::Codec::encode_request(query, {Mode::Poll, ""}));
+        wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_request(query, {Mode::Poll, ""}));
     std::size_t sent = 0;
     while (sent < frame.size()) {
       const ssize_t n =
@@ -704,7 +708,7 @@ struct RawFrameClient {
       }
       reassembler.feed(chunk, static_cast<std::size_t>(n));
     }
-    return wire::Codec::deframe(reassembler.next_frame());
+    return wire::ReferenceCodec::deframe(reassembler.next_frame());
   }
 };
 
@@ -829,8 +833,8 @@ TEST(SocketHardening, AcceptsBeyondTheConnectionCapAreShed) {
   // next recv sees EOF/reset — never a response.
   for (int extra = 0; extra < 2; ++extra) {
     RawFrameClient shed(addr);
-    const wire::Bytes frame = wire::Codec::frame(
-        wire::Codec::encode_request(kQueries[0], {Mode::Poll, ""}));
+    const wire::Bytes frame = wire::ReferenceCodec::frame(
+        wire::ReferenceCodec::encode_request(kQueries[0], {Mode::Poll, ""}));
     (void)::send(shed.fd, frame.data(), frame.size(), MSG_NOSIGNAL);
     std::uint8_t byte = 0;
     ssize_t n;
@@ -863,7 +867,7 @@ TEST(SocketHardening, AcceptsBeyondTheConnectionCapAreShed) {
 std::vector<wire::Bytes> poll_frames(const std::vector<std::string>& cookies) {
   std::vector<wire::Bytes> frames;
   for (std::size_t i = 0; i < cookies.size(); ++i) {
-    frames.push_back(wire::Codec::frame(wire::Codec::encode_request(
+    frames.push_back(wire::ReferenceCodec::frame(wire::ReferenceCodec::encode_request(
         kQueries[i % kQueries.size()], {Mode::Poll, cookies[i]})));
   }
   return frames;
@@ -925,7 +929,7 @@ TEST(SocketPipelining, BatchedPollsMatchSingleTransfersOnTwin) {
       EXPECT_EQ(batched[i], twin_pipe.transfer(frames[i]))
           << "reply " << i << " of round " << round;
       const ReSyncResponse response =
-          wire::Codec::decode_response(wire::Codec::deframe(batched[i]));
+          wire::Codec::decode_response(wire::ReferenceCodec::deframe(batched[i]));
       cookies[i] = response.cookie;
     }
   }
@@ -963,8 +967,8 @@ TEST(SocketPipelining, BatchLargerThanOneReadIsServedWhole) {
     const Query query = Query::parse(
         "o=xyz", Scope::Subtree,
         "(|(dept=7)(description=" + padding + std::to_string(i) + "))");
-    frames.push_back(wire::Codec::frame(
-        wire::Codec::encode_request(query, {Mode::Poll, ""})));
+    frames.push_back(wire::ReferenceCodec::frame(
+        wire::ReferenceCodec::encode_request(query, {Mode::Poll, ""})));
     batch_bytes += frames.back().size();
   }
   ASSERT_GT(batch_bytes, 16384u);
@@ -1186,6 +1190,152 @@ TEST(SocketPipelining, HalfClosedPeerStillReadsItsReplies) {
   ::close(fd);
   EXPECT_EQ(replies, "ok 1\nkeys\nerr boom\n");
   server.stop();
+}
+
+// --- persist push --------------------------------------------------------
+
+/// A relay replicating (dept=7) from a master served over a Unix socket:
+/// the relay's upstream session persists, since its channel carries pushes.
+class PersistLink {
+ public:
+  PersistLink() : master_(make_master()), resync_(*master_) {
+    start_server();
+    SocketPipe::Options pipe_options;
+    pipe_options.addr = addr_;
+    pipe_options.connect_timeout_ms = 300;
+    pipe_ = std::make_shared<SocketPipe>(pipe_options);
+    channel_ = std::make_shared<net::FramedChannel>(pipe_);
+    topology::RelayNode::Config config;
+    config.name = "relay";
+    config.suffix = Dn::parse("o=xyz");
+    relay_ = std::make_unique<topology::RelayNode>(config);
+    relay_->connect(channel_, "ldap://master");
+    relay_->add_filter(kQueries[0]);
+  }
+  ~PersistLink() { server_->stop(); }
+
+  /// Replaces the server with a new one on the same address: every
+  /// connection of the old one closes.
+  void start_server() {
+    server_.reset();
+    server_ = std::make_unique<EpollServer>(resync_);
+    addr_ = server_->listen(dir_.addr("master.sock"));
+    server_->start();
+  }
+
+  /// Adds a (dept=7) entry at the master and pumps it into the sessions.
+  void commit(const std::string& cn) {
+    std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
+    master_->add(make_entry("cn=" + cn + ",o=xyz",
+                            {{"objectclass", "person"}, {"dept", "7"}}));
+    resync_.pump();
+  }
+
+  bool relay_holds(const std::string& cn) const {
+    return relay_->mirror().dit().contains(Dn::parse("cn=" + cn + ",o=xyz"));
+  }
+
+  /// Takes pushes until `cn` arrived, or five seconds passed.
+  bool take_until(const std::string& cn) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!relay_holds(cn) && std::chrono::steady_clock::now() < deadline) {
+      relay_->take_pushes();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return relay_holds(cn);
+  }
+
+  std::size_t bound_sessions() {
+    std::lock_guard<std::mutex> lock(server_->endpoint_mutex());
+    return resync_.bound_sessions();
+  }
+
+  std::uint64_t frames_in() const { return server_->stats().frames_in; }
+
+  std::unique_ptr<server::DirectoryServer> master_;
+  ReSyncMaster resync_;
+  SocketDir dir_;
+  SocketAddr addr_;
+  std::unique_ptr<EpollServer> server_;
+  std::shared_ptr<SocketPipe> pipe_;
+  std::shared_ptr<net::FramedChannel> channel_;
+  std::unique_ptr<topology::RelayNode> relay_;
+};
+
+TEST(SocketPersist, SessionReceivesPushesWithoutPolling) {
+  SKIP_WITHOUT_SOCKETS();
+  PersistLink link;
+  ASSERT_TRUE(link.relay_->install_all());
+  EXPECT_EQ(link.bound_sessions(), 1u);
+  const std::uint64_t frames = link.frames_in();
+
+  link.commit("P1");
+  ASSERT_TRUE(link.take_until("P1"));
+  link.commit("P2");
+  ASSERT_TRUE(link.take_until("P2"));
+  // A round after pushes reached the session sends nothing upstream.
+  link.relay_->sync();
+  EXPECT_EQ(link.frames_in(), frames);
+  EXPECT_EQ(link.relay_->upstream_total().recoveries, 0u);
+}
+
+TEST(SocketPersist, LostLastPushHealsInOnePoll) {
+  SKIP_WITHOUT_SOCKETS();
+  PersistLink link;
+  ASSERT_TRUE(link.relay_->install_all());
+  const std::uint64_t frames = link.frames_in();
+
+  // The push for P1 is read off the link and dropped: the relay never
+  // sees it.
+  link.commit("P1");
+  std::vector<ReSyncResponse> lost;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (lost.empty() && std::chrono::steady_clock::now() < deadline) {
+    link.channel_->take_pushes(lost);
+  }
+  ASSERT_EQ(lost.size(), 1u);
+  ASSERT_FALSE(lost.front().pdus.empty());
+  EXPECT_FALSE(link.relay_holds("P1"));
+
+  // Nothing reached the session since the last round, so the round polls
+  // with the cookie the lost push answered: the replay cache sends it back.
+  link.relay_->sync();
+  EXPECT_TRUE(link.relay_holds("P1"));
+  EXPECT_EQ(link.frames_in(), frames + 1);
+  EXPECT_EQ(link.relay_->upstream_total().recoveries, 0u);
+
+  // Still bound: the next change is pushed again.
+  link.commit("P2");
+  ASSERT_TRUE(link.take_until("P2"));
+  EXPECT_EQ(link.frames_in(), frames + 1);
+}
+
+TEST(SocketPersist, BrokenStreamFallsBackToPollingAndConverges) {
+  SKIP_WITHOUT_SOCKETS();
+  PersistLink link;
+  ASSERT_TRUE(link.relay_->install_all());
+  EXPECT_EQ(link.bound_sessions(), 1u);
+
+  // The server goes away with the connection; its session is unbound and
+  // keeps the next change as history instead of pushing it.
+  link.start_server();
+  EXPECT_EQ(link.bound_sessions(), 0u);
+  link.commit("P1");
+  link.relay_->take_pushes();  // reads the end of the stream
+  EXPECT_FALSE(link.relay_holds("P1"));
+  EXPECT_FALSE(link.pipe_->connected());
+
+  // The round polls on a new connection, which binds the session again.
+  link.relay_->sync();
+  EXPECT_TRUE(link.relay_holds("P1"));
+  EXPECT_EQ(link.bound_sessions(), 1u);
+  EXPECT_EQ(link.pipe_->connects(), 2u);
+  link.commit("P2");
+  ASSERT_TRUE(link.take_until("P2"));
+  EXPECT_EQ(link.relay_->upstream_total().recoveries, 0u);
+  EXPECT_FALSE(link.relay_->upstream_total().degraded);
 }
 
 }  // namespace

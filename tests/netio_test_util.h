@@ -204,6 +204,20 @@ inline void build_tree(ProcessTopology& procs,
   }
 }
 
+/// Relays hold their upstream sessions in persist mode over sockets, and a
+/// round ends with every relay taking its pushes, shallowest first. So
+/// once tick() returns, every node of `nodes` reports a root_time that
+/// reached the root's clock: everything committed before the tick has
+/// arrived everywhere.
+inline bool pushes_arrived(ProcessTopology& procs,
+                           const std::vector<std::string>& nodes) {
+  const std::uint64_t now = std::stoull(procs.health("root").at("now"));
+  for (const std::string& node : nodes) {
+    if (std::stoull(procs.health(node).at("root_time")) < now) return false;
+  }
+  return true;
+}
+
 inline void assert_converged(ProcessTopology& procs, RuntimeTwin& twin,
                              const std::string& note) {
   for (const RelaySpec& n : kChain) {

@@ -22,6 +22,7 @@
 #include "net/fault_injector.h"
 #include "net/framed_channel.h"
 #include "wire/codec.h"
+#include "reference_codec.h"
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
 #include "sync/content_tracker.h"
@@ -303,7 +304,7 @@ class RecordingChannel final : public net::Channel {
   ReSyncResponse exchange(const ldap::Query& query,
                           const ReSyncControl& control) override {
     ReSyncResponse response = inner_->exchange(query, control);
-    log_.push_back(wire::Codec::encode_response(response));
+    log_.push_back(wire::ReferenceCodec::encode_response(response));
     return response;
   }
   void abandon(const std::string& cookie) override { inner_->abandon(cookie); }

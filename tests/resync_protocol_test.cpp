@@ -180,27 +180,74 @@ TEST(ReSyncMaster, PersistModePushesNotifications) {
   master->load(person("E1", "42"));
   ReSyncMaster resync(*master);
 
-  std::vector<std::pair<std::string, std::vector<EntryPdu>>> pushed;
+  std::vector<std::pair<std::uint64_t, ReSyncResponse>> pushed;
   resync.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<EntryPdu>& pdus) {
-        pushed.emplace_back(cookie, pdus);
+      [&](std::uint64_t link, const ReSyncResponse& push) {
+        pushed.emplace_back(link, push);
       });
 
   const ReSyncResponse response = resync.handle(kQuery, {Mode::Persist, ""});
   EXPECT_TRUE(response.persistent);
   EXPECT_EQ(resync.open_connections(), 1u);
 
+  // Unbound, the session keeps its history like a poll session.
+  master->add(person("E3", "42"));
+  resync.pump();
+  EXPECT_TRUE(pushed.empty());
+  const ReSyncResponse polled =
+      resync.handle(kQuery, {Mode::Persist, response.cookie});
+  ASSERT_EQ(polled.pdus.size(), 1u);
+
+  resync.bind(polled.cookie, 7);
+  EXPECT_EQ(resync.bound_sessions(), 1u);
   master->add(person("E2", "42"));
   master->remove(Dn::parse("cn=E1,o=xyz"));
   resync.pump();
 
   ASSERT_EQ(pushed.size(), 1u);
-  EXPECT_EQ(pushed[0].first, response.cookie);
-  ASSERT_EQ(pushed[0].second.size(), 2u);
+  EXPECT_EQ(pushed[0].first, 7u);
+  // The push answers the held seq and carries the cookie after it.
+  EXPECT_EQ(split_cookie(pushed[0].second.cookie)->seq,
+            split_cookie(polled.cookie)->seq + 1);
+  ASSERT_EQ(pushed[0].second.pdus.size(), 2u);
 
-  // Quiet pump pushes nothing.
+  // Quiet pump pushes nothing; a tick sends a heartbeat.
   resync.pump();
   EXPECT_EQ(pushed.size(), 1u);
+  resync.tick();
+  ASSERT_EQ(pushed.size(), 2u);
+  EXPECT_TRUE(pushed[1].second.pdus.empty());
+  EXPECT_EQ(pushed[1].second.cookie, pushed[0].second.cookie);
+  EXPECT_EQ(pushed[1].second.origin_time, resync.now());
+
+  // A lost push comes back from the replay cache.
+  const ReSyncResponse replay =
+      resync.handle(kQuery, {Mode::Persist, polled.cookie});
+  EXPECT_EQ(replay.cookie, pushed[0].second.cookie);
+  EXPECT_EQ(replay.pdus.size(), 2u);
+
+  // Unbound again, the session is not pushed to.
+  resync.unbind(7);
+  EXPECT_EQ(resync.bound_sessions(), 0u);
+  master->add(person("E4", "42"));
+  resync.pump();
+  resync.tick();
+  EXPECT_EQ(pushed.size(), 2u);
+}
+
+TEST(ReSyncMaster, PollBehindMoreThanOnePushIsStale) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  resync.set_notification_sink([](std::uint64_t, const ReSyncResponse&) {});
+  const ReSyncResponse response = resync.handle(kQuery, {Mode::Persist, ""});
+  resync.bind(response.cookie, 1);
+  master->add(person("E1", "42"));
+  resync.pump();
+  master->add(person("E2", "42"));
+  resync.pump();
+  EXPECT_THROW(resync.handle(kQuery, {Mode::Persist, response.cookie}),
+               ldap::StaleCookieError);
+  EXPECT_EQ(resync.session_count(), 0u);
 }
 
 TEST(ReSyncMaster, AbandonClosesPersistentSearch) {
@@ -218,11 +265,12 @@ TEST(ReSyncMaster, IdlePollSessionsTimeOut) {
   ReSyncMaster resync(*master);
   resync.set_session_time_limit(10);
   const std::string poll_cookie = resync.handle(kQuery, {Mode::Poll, ""}).cookie;
-  resync.handle(kQuery, {Mode::Persist, ""});
-  EXPECT_EQ(resync.session_count(), 2u);
+  resync.bind(resync.handle(kQuery, {Mode::Persist, ""}).cookie, 1);
+  resync.handle(kQuery, {Mode::Persist, ""});  // never bound
+  EXPECT_EQ(resync.session_count(), 3u);
 
   resync.tick(11);
-  EXPECT_EQ(resync.session_count(), 1u);  // persist session survives
+  EXPECT_EQ(resync.session_count(), 1u);  // the bound persist session survives
   EXPECT_THROW(resync.handle(kQuery, {Mode::Poll, poll_cookie}),
                ldap::ProtocolError);
 }

@@ -203,7 +203,7 @@ TEST(ReSyncRecovery, StaleAnswerToARetriedPollReachesTheCaller) {
 // a fresh ReSyncMaster over the same directory behind the same link.
 class SwitchableChannel final : public net::Channel {
  public:
-  explicit SwitchableChannel(ReSyncMaster& master) : master(&master) {}
+  explicit SwitchableChannel(ReSyncMaster& upstream) : master(&upstream) {}
   resync::ReSyncResponse exchange(const ldap::Query& query,
                                   const ReSyncControl& control) override {
     if (down) throw net::TransportError("link down");

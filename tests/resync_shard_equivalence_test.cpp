@@ -156,17 +156,18 @@ TEST_P(ShardEquivalence, ThreadedPumpMatchesSerialTwin) {
   // Persist pushes must arrive in the identical global order.
   std::vector<std::string> pushes_a;
   std::vector<std::string> pushes_b;
+  const auto push_line = [](std::uint64_t link, const ReSyncResponse& push) {
+    std::string line = std::to_string(link) + " " + push.cookie;
+    for (const EntryPdu& pdu : push.pdus) line += "|" + pdu.to_string();
+    return line;
+  };
   serial.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<EntryPdu>& pdus) {
-        std::string line = cookie;
-        for (const EntryPdu& pdu : pdus) line += "|" + pdu.to_string();
-        pushes_a.push_back(std::move(line));
+      [&](std::uint64_t link, const ReSyncResponse& push) {
+        pushes_a.push_back(push_line(link, push));
       });
   sharded.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<EntryPdu>& pdus) {
-        std::string line = cookie;
-        for (const EntryPdu& pdu : pdus) line += "|" + pdu.to_string();
-        pushes_b.push_back(std::move(line));
+      [&](std::uint64_t link, const ReSyncResponse& push) {
+        pushes_b.push_back(push_line(link, push));
       });
 
   std::vector<SessionSlot> slots(10);
@@ -217,6 +218,11 @@ TEST_P(ShardEquivalence, ThreadedPumpMatchesSerialTwin) {
       slot.cookie_a = ra.cookie;
       slot.cookie_b = rb.cookie;
     }
+    // A persist session is bound, as a push transport would bind it (a
+    // drained one became a poll session, which bind() leaves alone).
+    const auto link = static_cast<std::uint64_t>(&slot - slots.data()) + 1;
+    serial.bind(slot.cookie_a, link);
+    sharded.bind(slot.cookie_b, link);
   };
 
   const auto poll_slot = [&](SessionSlot& slot) {
@@ -301,7 +307,7 @@ TEST_P(ShardEquivalence, ThreadedPumpMatchesSerialTwin) {
 
     // Occasional client-side teardown exercises drop paths on both.
     if (step % 37 == 17) {
-      SessionSlot& slot = slots[step % slots.size()];
+      SessionSlot& slot = slots[static_cast<std::size_t>(step) % slots.size()];
       if (slot.alive) {
         serial.abandon(slot.cookie_a);
         sharded.abandon(slot.cookie_b);
@@ -338,10 +344,11 @@ std::vector<ShardSchedule> schedules() {
 
 INSTANTIATE_TEST_SUITE_P(
     SeededTwins, ShardEquivalence, ::testing::ValuesIn(schedules()),
-    [](const ::testing::TestParamInfo<ShardSchedule>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_shards" +
-             std::to_string(info.param.shards) +
-             (info.param.governed ? "_governed" : "_reset");
+    [](const ::testing::TestParamInfo<ShardSchedule>& param_info) {
+      const ShardSchedule& schedule = param_info.param;
+      return "seed" + std::to_string(schedule.seed) + "_shards" +
+             std::to_string(schedule.shards) +
+             (schedule.governed ? "_governed" : "_reset");
     });
 
 // Repartitioning with live sessions must be refused: router registrations

@@ -321,13 +321,21 @@ TEST(RoutingEquivalence, RoutedMasterMatchesExhaustiveMasterEndToEnd) {
 
   std::vector<std::string> routed_pushed, exhaustive_pushed;
   routed.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<resync::EntryPdu>& pdus) {
-        routed_pushed.push_back(cookie + "\n" + pdu_signature(pdus));
+      [&](std::uint64_t, const resync::ReSyncResponse& push) {
+        routed_pushed.push_back(push.cookie + "\n" + pdu_signature(push.pdus));
       });
   exhaustive.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<resync::EntryPdu>& pdus) {
-        exhaustive_pushed.push_back(cookie + "\n" + pdu_signature(pdus));
+      [&](std::uint64_t, const resync::ReSyncResponse& push) {
+        exhaustive_pushed.push_back(push.cookie + "\n" +
+                                    pdu_signature(push.pdus));
       });
+  // Every persist session is bound, as a push transport would bind it.
+  std::uint64_t links = 0;
+  const auto bind_both = [&](const std::string& r, const std::string& e) {
+    ++links;
+    routed.bind(r, links);
+    exhaustive.bind(e, links);
+  };
 
   // Alternate persist and poll sessions; track the poll cookies pairwise.
   std::vector<std::pair<std::string, std::string>> poll_cookies;
@@ -341,6 +349,7 @@ TEST(RoutingEquivalence, RoutedMasterMatchesExhaustiveMasterEndToEnd) {
     ASSERT_EQ(r.cookie, e.cookie);
     (mode == resync::Mode::Poll ? poll_cookies : persist_cookies)
         .emplace_back(r.cookie, e.cookie);
+    if (mode == resync::Mode::Persist) bind_both(r.cookie, e.cookie);
   }
 
   workload::UpdateConfig update_config;
@@ -376,6 +385,7 @@ TEST(RoutingEquivalence, RoutedMasterMatchesExhaustiveMasterEndToEnd) {
       const auto e = exhaustive.handle(fresh, {resync::Mode::Persist, ""});
       ASSERT_EQ(pdu_signature(r.pdus), pdu_signature(e.pdus));
       persist_cookies.emplace_back(r.cookie, e.cookie);
+      bind_both(r.cookie, e.cookie);
     }
   }
   ASSERT_EQ(routed.session_count(), exhaustive.session_count());

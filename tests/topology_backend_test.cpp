@@ -1,10 +1,13 @@
 // One set of tree scenarios, run on both TreeDriver backends from one spec:
 // in-process (TopologyRuntime over RelayNodes) and in processes
 // (ProcessTopology over fork/exec'd fbdr_node binaries and Unix sockets).
-// The two share the round order, so the same assertions hold both ways:
-// content moves one tick per hop, a mid-chain crash and restart heals
-// through the recovery path, and sibling leaves that sync as one level
-// each hold exactly the master content of `depth` rounds before.
+// The two share the round order. In-process links poll, so content moves
+// one tick per hop; the processes hold persist sessions over their
+// sockets, so a change reaches every depth in the tick whose pump routed
+// it. With that one difference (Tree::lag) the same assertions hold both
+// ways: a write reaches depth d on tick lag(d) + 1, a mid-chain crash and
+// restart heals through the recovery path, and sibling leaves that sync as
+// one level each hold exactly the master content of lag(d) rounds before.
 //
 // The process backend skips loudly when the sandbox forbids sockets.
 
@@ -52,6 +55,10 @@ class Tree {
   /// The master content every node converges to.
   virtual const server::DirectoryServer& truth() = 0;
 
+  /// Rounds a node at `depth` trails the root by: one per hop when links
+  /// poll, none when every hop pushes.
+  virtual std::size_t lag(std::size_t depth) const = 0;
+
   const std::vector<RelaySpec>& spec() const { return spec_; }
 
   std::size_t depth(const std::string& name) const {
@@ -74,6 +81,7 @@ class InProcessTree final : public Tree {
   }
 
   void tick() override { twin_.runtime.tick(); }
+  std::size_t lag(std::size_t depth) const override { return depth; }
   void crash(const std::string& name) override { twin_.runtime.crash_node(name); }
   void restart(const std::string& name) override {
     twin_.runtime.restart_node(name);
@@ -115,7 +123,17 @@ class ProcessTree final : public Tree {
     std::system(("rm -rf " + workdir_).c_str());
   }
 
-  void tick() override { procs_.tick(); }
+  /// One round; its closing pass has carried the round's pushes to every
+  /// node whose path from the root is up.
+  void tick() override {
+    procs_.tick();
+    std::vector<std::string> nodes;
+    for (const RelaySpec& relay : spec()) {
+      if (reachable(relay)) nodes.push_back(relay.name);
+    }
+    EXPECT_TRUE(netio::testutil::pushes_arrived(procs_, nodes));
+  }
+  std::size_t lag(std::size_t /*depth*/) const override { return 0; }
   void crash(const std::string& name) override { procs_.crash(name); }
   void restart(const std::string& name) override { procs_.respawn(name); }
   std::vector<std::string> keys(const RelaySpec& relay) override {
@@ -128,6 +146,14 @@ class ProcessTree final : public Tree {
   const server::DirectoryServer& truth() override { return *master_; }
 
  private:
+  bool reachable(const RelaySpec& relay) const {
+    if (!procs_.running(relay.name)) return false;
+    for (const RelaySpec& parent : spec()) {
+      if (parent.name == std::string(relay.parent)) return reachable(parent);
+    }
+    return true;  // hangs off the root
+  }
+
   std::string workdir_;
   netio::ProcessTopology procs_;
   std::shared_ptr<server::DirectoryServer> master_;
@@ -176,15 +202,16 @@ TEST_P(TreeBackend, ChainReachesMasterTruthOneTickPerHop) {
   for (int round = 0; round < 2; ++round) tree->tick();
   expect_master_truth(*tree, "installed");
 
-  // A write inside every chain filter reaches depth d on tick d + 1: the
-  // root routes it into sessions at the end of the first tick, and each
-  // hop below takes one more.
+  // A write inside every chain filter reaches depth d on tick lag(d) + 1:
+  // the root routes it into sessions at the end of the first tick, and each
+  // polled hop below takes one more.
   tree->writes().add(0, 50);
   const std::string key = "cn=e" + serial_of(0, 50) + ",o=xyz";
   for (std::size_t ticks = 1; ticks <= 4; ++ticks) {
     tree->tick();
     for (const RelaySpec& relay : kChain) {
-      EXPECT_EQ(holds(tree->keys(relay), key), ticks >= tree->depth(relay.name) + 1)
+      EXPECT_EQ(holds(tree->keys(relay), key),
+                ticks >= tree->lag(tree->depth(relay.name)) + 1)
           << relay.name << " after " << ticks << " ticks";
     }
   }
@@ -225,7 +252,7 @@ TEST_P(TreeBackend, SiblingLeavesHoldTheMasterTruthOfTwoRoundsBefore) {
   tree->tick();
 
   // before[i]: each node's master truth just before tick i. After tick i a
-  // node at depth d holds before[i - d].
+  // node at depth d holds before[i - lag(d)].
   std::vector<std::map<std::string, std::vector<std::string>>> before;
   for (int round = 0; round < 16; ++round) {
     tree->writes().add(round % 8, 10 + round);  // groups 4-7: outside r
@@ -236,9 +263,9 @@ TEST_P(TreeBackend, SiblingLeavesHoldTheMasterTruthOfTwoRoundsBefore) {
     }
     tree->tick();
     for (const RelaySpec& relay : fan) {
-      const std::size_t depth = tree->depth(relay.name);
-      if (before.size() <= depth) continue;
-      EXPECT_EQ(tree->keys(relay), before[before.size() - 1 - depth][relay.name])
+      const std::size_t lag = tree->lag(tree->depth(relay.name));
+      if (before.size() <= lag) continue;
+      EXPECT_EQ(tree->keys(relay), before[before.size() - 1 - lag][relay.name])
           << relay.name << " after round " << round;
     }
     if (::testing::Test::HasFailure()) break;

@@ -1,7 +1,8 @@
 // TreeDriver's contract, pinned over fake handles that record every call:
 // levels run deepest-first, every begin_sync() of a level comes before any
 // end_sync(), down nodes are skipped, the root's round (its pump and clock
-// tick) comes last, and a failure is rethrown only after every end_sync()
+// tick) comes last, then the levels below the root take their pushes
+// shallowest first, and a failure is rethrown only after every end_sync()
 // still owed has run (or, when failed rounds may be lost, not at all).
 
 #include <gtest/gtest.h>
@@ -20,12 +21,18 @@ using Calls = std::vector<std::string>;
 
 class FakeHandle final : public NodeHandle {
  public:
-  FakeHandle(std::string name, Calls& calls)
-      : name_(std::move(name)), calls_(calls) {}
+  FakeHandle(std::string name, Calls& calls, bool takes)
+      : name_(std::move(name)), calls_(calls), takes_(takes) {}
 
   bool up() const override { return up_; }
   void begin_sync() override { record("begin", fail_begin); }
   void end_sync() override { record("end", fail_end); }
+  void begin_take() override {
+    if (takes_) record("take", false);
+  }
+  void end_take() override {
+    if (takes_) record("taken", false);
+  }
   void crash() override {
     record("crash", false);
     up_ = false;
@@ -46,13 +53,14 @@ class FakeHandle final : public NodeHandle {
 
   std::string name_;
   Calls& calls_;
+  bool takes_;  // records the take pass too
   bool up_ = true;
 };
 
 /// root -> {a, b}, a -> {a1, a2}, b -> b1, a1 -> a11, declared out of
 /// depth order so the grouping has to sort.
 struct FakeTree {
-  FakeTree() {
+  explicit FakeTree(bool record_takes = false) : takes(record_takes) {
     driver.add_root("root", handle("root"));
     add("a", "root");
     add("b", "root");
@@ -63,7 +71,7 @@ struct FakeTree {
   }
 
   std::unique_ptr<FakeHandle> handle(const std::string& name) {
-    return std::make_unique<FakeHandle>(name, calls);
+    return std::make_unique<FakeHandle>(name, calls, takes);
   }
   void add(const std::string& name, const std::string& parent) {
     driver.add(name, parent, handle(name));
@@ -72,6 +80,7 @@ struct FakeTree {
     return static_cast<FakeHandle&>(driver.handle(name));
   }
 
+  bool takes;
   Calls calls;
   TreeDriver driver;
 };
@@ -91,6 +100,20 @@ TEST(TreeDriver, LevelsRunDeepestFirstAndTheRootLast) {
                                "a1:end", "b1:end", "a2:end",          //
                                "a:begin", "b:begin", "a:end", "b:end",  //
                                "root:begin", "root:end"}));
+}
+
+TEST(TreeDriver, TakePassRunsBelowTheRootShallowestFirst) {
+  FakeTree tree(/*record_takes=*/true);
+  tree.driver.crash("b1");
+  tree.calls.clear();
+  tree.driver.tick();
+  EXPECT_EQ(tree.calls, (Calls{"a11:begin", "a11:end",                    //
+                               "a1:begin", "a2:begin", "a1:end", "a2:end",  //
+                               "a:begin", "b:begin", "a:end", "b:end",      //
+                               "root:begin", "root:end",                    //
+                               "a:take", "b:take", "a:taken", "b:taken",    //
+                               "a1:take", "a2:take", "a1:taken", "a2:taken",
+                               "a11:take", "a11:taken"}));
 }
 
 TEST(TreeDriver, DownNodesAreSkippedAndARootDownHoldsTheClock) {

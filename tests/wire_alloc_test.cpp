@@ -4,6 +4,8 @@
 // reply are encoded into buffers that keep their capacity and decoded in
 // place, so what it allocates is the reply buffer and the endpoint's own
 // work. A decoded Add PDU costs what its entry and DNs hold and no more.
+// Value comparison, which every entry build and modify runs once per held
+// value, allocates nothing once its buffers have grown.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 
 #include "ldap/entry.h"
 #include "net/framed_channel.h"
+#include "reference_codec.h"
 #include "resync/master.h"
 #include "server/directory_server.h"
 #include "wire/codec.h"
@@ -127,8 +130,8 @@ TEST(WireAllocations, DecodedAddPduStaysWithinBound) {
   none.cookie = "rs-1#42";
   ReSyncResponse one = none;
   one.pdus.push_back(add_pdu(7));
-  const long per_pdu = decode_allocations(Codec::encode_response(one)) -
-                       decode_allocations(Codec::encode_response(none));
+  const long per_pdu = decode_allocations(ReferenceCodec::encode_response(one)) -
+                       decode_allocations(ReferenceCodec::encode_response(none));
   EXPECT_LE(per_pdu, 12);
 }
 
@@ -137,13 +140,46 @@ TEST(WireAllocations, DecodedEntrySharesThePduDn) {
   response.cookie = "rs-1#42";
   response.pdus.push_back(add_pdu(7));
   const ReSyncResponse decoded =
-      Codec::decode_response(Codec::encode_response(response));
+      Codec::decode_response(ReferenceCodec::encode_response(response));
   ASSERT_EQ(decoded.pdus.size(), 1u);
   const resync::EntryPdu& pdu = decoded.pdus.front();
   ASSERT_NE(pdu.entry, nullptr);
   EXPECT_EQ(pdu.dn, response.pdus.front().dn);
   EXPECT_EQ(&pdu.entry->dn().to_string(), &pdu.dn.to_string());
   EXPECT_EQ(*pdu.entry, *response.pdus.front().entry);
+}
+
+TEST(WireAllocations, ValueComparisonAllocatesNothingOnceWarm) {
+  const ldap::Schema& schema = ldap::Schema::default_instance();
+  // Longer than any short-string buffer, so a copy would allocate.
+  const std::string a = "  Mixed Case Value With Trailing Spaces Here   ";
+  const std::string b = "mixed case value with trailing spaces there";
+  const std::string n1 = "   -000000000000000000000000000000000123456789 ";
+  const std::string n2 = "+00000000000000000000000000000000000123456789";
+  EXPECT_NE(schema.compare("cn", a, b), 0);  // warms the buffers
+  EXPECT_NE(schema.compare("age", n1, n2), 0);
+  long before = allocations();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NE(schema.compare("cn", a, b), 0);
+    EXPECT_NE(schema.compare("age", n1, n2), 0);
+    EXPECT_EQ(schema.compare("age", n2, n2), 0);
+  }
+  EXPECT_EQ(allocations() - before, 0);
+
+  // A duplicate check normalizes the probe once and reuses one buffer for
+  // the held values, so what it allocates does not grow with their count.
+  const auto lookup_allocations = [&](int held) {
+    ldap::Entry entry(Dn::parse("cn=probe,o=xyz"));
+    for (int i = 0; i < held; ++i) {
+      entry.add_value("description", a + std::to_string(i), schema);
+    }
+    const std::string probe = a + std::to_string(held - 1);
+    const long start = allocations();
+    EXPECT_TRUE(entry.has_value("description", probe, schema));
+    return allocations() - start;
+  };
+  EXPECT_EQ(lookup_allocations(64), lookup_allocations(16));
+  EXPECT_LE(lookup_allocations(64), 4);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ldap/entry.h"
+#include "reference_codec.h"
 #include "wire/codec.h"
 
 namespace fbdr::wire {
@@ -37,6 +38,7 @@ void decode_any_payload(const Bytes& payload) {
   must_not_crash([&] { Codec::decode_response(payload); });
   must_not_crash([&] { Codec::decode_abandon(payload); });
   must_not_crash([&] { Codec::decode_error(payload); });
+  must_not_crash([&] { Codec::decode_push(payload); });
 }
 
 Bytes sample_request() {
@@ -46,7 +48,7 @@ Bytes sample_request() {
   reconcile->root_digest = 0x1234;
   reconcile->buckets = {{4, 99, 2}, {200, 1, 1}};
   control.reconcile = reconcile;
-  return Codec::encode_request(
+  return ReferenceCodec::encode_request(
       ldap::Query::parse("ou=research,o=xyz", ldap::Scope::Subtree,
                          "(&(dept=42)(|(sn=smi*)(!(age>=65))))"),
       control);
@@ -69,7 +71,15 @@ Bytes sample_response() {
     }
     response.pdus.push_back(std::move(pdu));
   }
-  return Codec::encode_response(response);
+  return ReferenceCodec::encode_response(response);
+}
+
+// A persist push: the response's cookie, origin time and PDUs.
+Bytes sample_push() {
+  ReSyncResponse push = Codec::decode_response(sample_response());
+  push.complete_enumeration = false;
+  push.persistent = true;
+  return ReferenceCodec::encode_push(push);
 }
 
 // --- frame-level mutations: the checksum must catch nearly all of these,
@@ -77,9 +87,10 @@ Bytes sample_response() {
 
 TEST(WireFuzz, BitFlippedFramesNeverCrash) {
   std::mt19937 rng(20050501);
-  const std::vector<Bytes> seeds = {Codec::frame(sample_request()),
-                                    Codec::frame(sample_response()),
-                                    Codec::frame(Codec::encode_abandon("rs-1#1"))};
+  const std::vector<Bytes> seeds = {ReferenceCodec::frame(sample_request()),
+                                    ReferenceCodec::frame(sample_response()),
+                                    ReferenceCodec::frame(ReferenceCodec::encode_abandon("rs-1#1")),
+                                    ReferenceCodec::frame(sample_push())};
   for (int i = 0; i < 4000; ++i) {
     Bytes frame = seeds[static_cast<std::size_t>(i) % seeds.size()];
     const int flips = 1 + static_cast<int>(rng() % 4);
@@ -87,19 +98,20 @@ TEST(WireFuzz, BitFlippedFramesNeverCrash) {
       frame[rng() % frame.size()] ^=
           static_cast<std::uint8_t>(1u << (rng() % 8));
     }
-    must_not_crash([&] { decode_any_payload(Codec::deframe(frame)); });
+    must_not_crash([&] { decode_any_payload(ReferenceCodec::deframe(frame)); });
   }
 }
 
 TEST(WireFuzz, TruncatedFramesNeverCrash) {
-  const std::vector<Bytes> seeds = {Codec::frame(sample_request()),
-                                    Codec::frame(sample_response())};
+  const std::vector<Bytes> seeds = {ReferenceCodec::frame(sample_request()),
+                                    ReferenceCodec::frame(sample_response()),
+                                    ReferenceCodec::frame(sample_push())};
   for (const Bytes& whole : seeds) {
     for (std::size_t len = 0; len < whole.size(); ++len) {
       Bytes cut(whole.begin(), whole.begin() + static_cast<long>(len));
       // A strict prefix can never carry a valid checksum over the declared
       // length, so deframe must throw — decode never even runs.
-      EXPECT_THROW(Codec::deframe(cut), CodecError) << "at length " << len;
+      EXPECT_THROW(ReferenceCodec::deframe(cut), CodecError) << "at length " << len;
     }
   }
 }
@@ -110,9 +122,10 @@ TEST(WireFuzz, TruncatedFramesNeverCrash) {
 TEST(WireFuzz, BitFlippedPayloadsNeverCrash) {
   std::mt19937 rng(31337);
   const std::vector<Bytes> seeds = {sample_request(), sample_response(),
-                                    Codec::encode_abandon("rs-9#4"),
-                                    Codec::encode_error(
-                                        {ErrorFrame::Kind::Busy, 0, "busy"})};
+                                    ReferenceCodec::encode_abandon("rs-9#4"),
+                                    ReferenceCodec::encode_error(
+                                        {ErrorFrame::Kind::Busy, 0, "busy"}),
+                                    sample_push()};
   for (int i = 0; i < 6000; ++i) {
     Bytes payload = seeds[static_cast<std::size_t>(i) % seeds.size()];
     const int flips = 1 + static_cast<int>(rng() % 6);
@@ -125,7 +138,8 @@ TEST(WireFuzz, BitFlippedPayloadsNeverCrash) {
 }
 
 TEST(WireFuzz, TruncatedPayloadsNeverCrash) {
-  const std::vector<Bytes> seeds = {sample_request(), sample_response()};
+  const std::vector<Bytes> seeds = {sample_request(), sample_response(),
+                                    sample_push()};
   for (const Bytes& whole : seeds) {
     for (std::size_t len = 0; len <= whole.size(); ++len) {
       decode_any_payload(Bytes(whole.begin(), whole.begin() + static_cast<long>(len)));
@@ -141,10 +155,10 @@ TEST(WireFuzz, RandomGarbagePayloadsNeverCrash) {
     // Half the time, make the first byte a valid frame kind so the fuzz
     // reaches past the kind check into the TLV loop.
     if (!payload.empty() && i % 2 == 0) {
-      payload[0] = static_cast<std::uint8_t>(1 + rng() % 4);
+      payload[0] = static_cast<std::uint8_t>(1 + rng() % 5);
     }
     decode_any_payload(payload);
-    must_not_crash([&] { Codec::deframe(payload); });
+    must_not_crash([&] { ReferenceCodec::deframe(payload); });
   }
 }
 
@@ -162,11 +176,12 @@ std::string decode_outcomes(ByteSpan payload) {
   };
   note([&] {
     const RequestFrame request = Codec::decode_request(payload);
-    return Codec::encode_request(request.query, request.control);
+    return ReferenceCodec::encode_request(request.query, request.control);
   });
-  note([&] { return Codec::encode_response(Codec::decode_response(payload)); });
-  note([&] { return Codec::encode_abandon(Codec::decode_abandon(payload)); });
-  note([&] { return Codec::encode_error(Codec::decode_error(payload)); });
+  note([&] { return ReferenceCodec::encode_response(Codec::decode_response(payload)); });
+  note([&] { return ReferenceCodec::encode_abandon(Codec::decode_abandon(payload)); });
+  note([&] { return ReferenceCodec::encode_error(Codec::decode_error(payload)); });
+  note([&] { return ReferenceCodec::encode_push(Codec::decode_push(payload)); });
   return out;
 }
 
@@ -178,9 +193,10 @@ std::string decode_outcomes(ByteSpan payload) {
 TEST(WireFuzz, SpanDecodeInsideAStreamMatchesCopiedDecode) {
   std::mt19937 rng(4242);
   const std::vector<Bytes> seeds = {sample_request(), sample_response(),
-                                    Codec::encode_abandon("rs-9#4"),
-                                    Codec::encode_error(
-                                        {ErrorFrame::Kind::Busy, 0, "busy"})};
+                                    ReferenceCodec::encode_abandon("rs-9#4"),
+                                    ReferenceCodec::encode_error(
+                                        {ErrorFrame::Kind::Busy, 0, "busy"}),
+                                    sample_push()};
   for (int i = 0; i < 3000; ++i) {
     Bytes payload = seeds[static_cast<std::size_t>(i) % seeds.size()];
     const int flips = 1 + static_cast<int>(rng() % 6);
@@ -199,9 +215,9 @@ TEST(WireFuzz, SpanDecodeInsideAStreamMatchesCopiedDecode) {
 
     // The same payload framed, then validated in place ahead of the next
     // frame of the stream.
-    Bytes frames = Codec::frame(payload);
+    Bytes frames = ReferenceCodec::frame(payload);
     const std::size_t frame_size = frames.size();
-    const Bytes next = Codec::frame(seeds[rng() % seeds.size()]);
+    const Bytes next = ReferenceCodec::frame(seeds[rng() % seeds.size()]);
     frames.insert(frames.end(), next.begin(), next.end());
     const ByteSpan in_place =
         Codec::payload_of(ByteSpan(frames.data(), frame_size));
@@ -226,7 +242,7 @@ TEST(WireFuzz, HostileLengthFieldsAreRejectedBeforeAllocation) {
                  0xff, 0xff, 0xff, 0xff,
                  0, 0, 0, 0, 0, 0, 0, 0};
   EXPECT_THROW(Codec::validate_header(frame.data()), CodecError);
-  EXPECT_THROW(Codec::deframe(frame), CodecError);
+  EXPECT_THROW(ReferenceCodec::deframe(frame), CodecError);
 
   // Abandon whose cookie string declares 2^32-1 bytes in a 6-byte payload.
   Bytes abandon = {static_cast<std::uint8_t>(FrameKind::Abandon),
@@ -238,7 +254,7 @@ TEST(WireFuzz, HostileLengthFieldsAreRejectedBeforeAllocation) {
 // of the typed validations (magic, version, length, checksum): no mutated
 // header may ever reach the payload decoders with damaged framing intact.
 TEST(WireFuzz, EveryHeaderByteMutationIsRejected) {
-  const Bytes whole = Codec::frame(sample_request());
+  const Bytes whole = ReferenceCodec::frame(sample_request());
   for (std::size_t byte = 0; byte < Codec::kFrameHeaderBytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes frame = whole;
@@ -246,9 +262,9 @@ TEST(WireFuzz, EveryHeaderByteMutationIsRejected) {
       if (byte == 3) {
         // The reserved byte is ignored on receive (forward compatibility):
         // the frame still deframes to the original payload.
-        EXPECT_EQ(Codec::deframe(frame), sample_request());
+        EXPECT_EQ(ReferenceCodec::deframe(frame), sample_request());
       } else {
-        EXPECT_THROW(Codec::deframe(frame), CodecError)
+        EXPECT_THROW(ReferenceCodec::deframe(frame), CodecError)
             << "header byte " << byte << " bit " << bit;
       }
     }
@@ -264,7 +280,7 @@ TEST(WireFuzz, FilterNestingBeyondLimitIsRejected) {
   ldap::Query query;
   query.base = ldap::Dn::parse("o=xyz");
   query.filter = filter;
-  const Bytes payload = Codec::encode_request(query, ReSyncControl{});
+  const Bytes payload = ReferenceCodec::encode_request(query, ReSyncControl{});
   EXPECT_THROW(Codec::decode_request(payload), CodecError);
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ldap/error.h"
+#include "reference_codec.h"
 #include "wire/codec.h"
 
 namespace fbdr::wire {
@@ -281,7 +282,7 @@ TEST(WireRoundtrip, RequestsSurviveEncodeDecode) {
   for (int i = 0; i < 300; ++i) {
     const ldap::Query query = rand_query(rng);
     const ReSyncControl control = rand_control(rng);
-    const Bytes payload = Codec::encode_request(query, control);
+    const Bytes payload = ReferenceCodec::encode_request(query, control);
     ASSERT_EQ(Codec::kind_of(payload), FrameKind::Request);
     const RequestFrame decoded = Codec::decode_request(payload);
     if (control.initial() || control.mode == Mode::SyncEnd) {
@@ -295,7 +296,7 @@ TEST(WireRoundtrip, RequestsSurviveEncodeDecode) {
     }
     expect_control_eq(control, decoded.control);
     // The full frame path (length + checksum) is lossless too.
-    EXPECT_EQ(Codec::deframe(Codec::frame(payload)), payload);
+    EXPECT_EQ(ReferenceCodec::deframe(ReferenceCodec::frame(payload)), payload);
   }
   EXPECT_GT(with_query, 0);
   EXPECT_GT(cookie_only, 0);
@@ -312,8 +313,8 @@ TEST(WireRoundtrip, ContinuationsDecodeWithoutQuery) {
     for (const bool reconcile : {false, true}) {
       ReSyncControl control(mode, "rc-4#2");
       if (reconcile) control.reconcile = round2;
-      const Bytes payload = Codec::encode_request(rand_query(rng), control);
-      EXPECT_EQ(payload, Codec::encode_request(ldap::Query{}, control))
+      const Bytes payload = ReferenceCodec::encode_request(rand_query(rng), control);
+      EXPECT_EQ(payload, ReferenceCodec::encode_request(ldap::Query{}, control))
           << "the query leaked into a continuation";
       const RequestFrame decoded = Codec::decode_request(payload);
       EXPECT_EQ(decoded.query.filter, nullptr);
@@ -326,7 +327,7 @@ TEST(WireRoundtrip, ContinuationsDecodeWithoutQuery) {
        {ReSyncControl(Mode::Poll, ""), ReSyncControl(Mode::Persist, ""),
         ReSyncControl(Mode::SyncEnd, "rs-1#3")}) {
     expect_query_eq(query,
-                    Codec::decode_request(Codec::encode_request(query, control))
+                    Codec::decode_request(ReferenceCodec::encode_request(query, control))
                         .query);
   }
 }
@@ -342,7 +343,7 @@ TEST(WireRoundtrip, ContinuationCarryingAQueryStillDecodes) {
     if (control.initial()) control.cookie = "rs-9#" + std::to_string(i);
     if (control.mode == Mode::SyncEnd) control.mode = Mode::Persist;
 
-    const Bytes initial = Codec::encode_request(query, {control.mode, ""});
+    const Bytes initial = ReferenceCodec::encode_request(query, {control.mode, ""});
     const auto tlv_size = [](const Bytes& payload, std::size_t at) {
       return std::size_t{5} + (std::size_t{payload[at + 1]} << 24 |
                                std::size_t{payload[at + 2]} << 16 |
@@ -350,7 +351,7 @@ TEST(WireRoundtrip, ContinuationCarryingAQueryStillDecodes) {
                                std::size_t{payload[at + 4]});
     };
     ASSERT_EQ(initial[1], 0x01) << "query TLV leads an initial request";
-    const Bytes continuation = Codec::encode_request(query, control);
+    const Bytes continuation = ReferenceCodec::encode_request(query, control);
     Bytes old_style;
     old_style.reserve(initial.size() + continuation.size());
     old_style.push_back(continuation.front());
@@ -371,10 +372,33 @@ TEST(WireRoundtrip, ResponsesSurviveEncodeDecode) {
   Rng rng(31337);
   for (int i = 0; i < 300; ++i) {
     const ReSyncResponse response = rand_response(rng);
-    const Bytes payload = Codec::encode_response(response);
+    const Bytes payload = ReferenceCodec::encode_response(response);
     ASSERT_EQ(Codec::kind_of(payload), FrameKind::Response);
     expect_response_eq(response, Codec::decode_response(payload));
-    EXPECT_EQ(Codec::deframe(Codec::frame(payload)), payload);
+    EXPECT_EQ(ReferenceCodec::deframe(ReferenceCodec::frame(payload)), payload);
+  }
+}
+
+// A push carries a response's cookie, origin time and PDUs, and nothing
+// else; a Push payload is not a response, nor a response a push.
+TEST(WireRoundtrip, PushesCarryCookieOriginTimeAndPdus) {
+  Rng rng(4533);
+  for (int i = 0; i < 300; ++i) {
+    const ReSyncResponse response = rand_response(rng);
+    Bytes frame;
+    Codec::frame_push(frame, response);
+    const ByteSpan payload = Codec::payload_of(frame);
+    ASSERT_EQ(Codec::kind_of(payload), FrameKind::Push);
+    EXPECT_EQ(ReferenceCodec::encode_push(response),
+              Bytes(payload.begin(), payload.end()));
+    ReSyncResponse expected;
+    expected.pdus = response.pdus;
+    expected.cookie = response.cookie;
+    expected.origin_time = response.origin_time;
+    expect_response_eq(expected, Codec::decode_push(payload));
+    EXPECT_THROW(Codec::decode_response(payload), CodecError);
+    EXPECT_THROW(Codec::decode_push(ReferenceCodec::encode_response(response)),
+                 CodecError);
   }
 }
 
@@ -390,7 +414,7 @@ TEST(WireRoundtrip, AllResponseFlagCombinations) {
     response.more = (bits & 16) != 0;
     response.continued = (bits & 32) != 0;
     expect_response_eq(response,
-                       Codec::decode_response(Codec::encode_response(response)));
+                       Codec::decode_response(ReferenceCodec::encode_response(response)));
   }
 }
 
@@ -412,7 +436,7 @@ TEST(WireRoundtrip, ReconcileRequestsBothRounds) {
     ReSyncControl control(Mode::Poll, "rs-1#9");
     control.reconcile = req;
     const RequestFrame decoded =
-        Codec::decode_request(Codec::encode_request(rand_query(rng), control));
+        Codec::decode_request(ReferenceCodec::encode_request(rand_query(rng), control));
     ASSERT_NE(decoded.control.reconcile, nullptr);
     expect_reconcile_request_eq(*req, *decoded.control.reconcile);
   }
@@ -420,7 +444,7 @@ TEST(WireRoundtrip, ReconcileRequestsBothRounds) {
 
 TEST(WireRoundtrip, AbandonSurvivesEncodeDecode) {
   for (const std::string cookie : {"", "rs-3#12", "e2!rs-9#1"}) {
-    const Bytes payload = Codec::encode_abandon(cookie);
+    const Bytes payload = ReferenceCodec::encode_abandon(cookie);
     ASSERT_EQ(Codec::kind_of(payload), FrameKind::Abandon);
     EXPECT_EQ(Codec::decode_abandon(payload), cookie);
   }
@@ -430,22 +454,22 @@ TEST(WireRoundtrip, ErrorFramesSurviveAndRethrowTyped) {
   ErrorFrame error;
   error.kind = ErrorFrame::Kind::StaleCookie;
   error.message = "session rs-4 expired";
-  ErrorFrame decoded = Codec::decode_error(Codec::encode_error(error));
+  ErrorFrame decoded = Codec::decode_error(ReferenceCodec::encode_error(error));
   EXPECT_EQ(decoded.kind, error.kind);
   EXPECT_EQ(decoded.message, error.message);
   EXPECT_THROW(Codec::throw_error(decoded), ldap::StaleCookieError);
 
   error.kind = ErrorFrame::Kind::Busy;
-  EXPECT_THROW(Codec::throw_error(Codec::decode_error(Codec::encode_error(error))),
+  EXPECT_THROW(Codec::throw_error(Codec::decode_error(ReferenceCodec::encode_error(error))),
                ldap::BusyError);
 
   error.kind = ErrorFrame::Kind::Protocol;
-  EXPECT_THROW(Codec::throw_error(Codec::decode_error(Codec::encode_error(error))),
+  EXPECT_THROW(Codec::throw_error(Codec::decode_error(ReferenceCodec::encode_error(error))),
                ldap::ProtocolError);
 
   error.kind = ErrorFrame::Kind::Operation;
   error.result_code = static_cast<std::int32_t>(ldap::ResultCode::NoSuchObject);
-  decoded = Codec::decode_error(Codec::encode_error(error));
+  decoded = Codec::decode_error(ReferenceCodec::encode_error(error));
   EXPECT_EQ(decoded.result_code, error.result_code);
   try {
     Codec::throw_error(decoded);
@@ -462,39 +486,43 @@ TEST(WireRoundtrip, ErrorFramesSurviveAndRethrowTyped) {
 // real process boundary (DESIGN.md §15). Both are validated before any
 // payload byte is interpreted, with a typed CodecError on mismatch.
 TEST(WireRoundtrip, FrameHeaderCarriesMagicAndVersion) {
-  const Bytes payload = Codec::encode_abandon("rs-1#1");
-  const Bytes framed = Codec::frame(payload);
+  // The header the production encoders write (they share one writer).
+  Bytes framed;
+  Codec::frame_abandon(framed, "rs-1#1");
+  const Bytes payload = ReferenceCodec::encode_abandon("rs-1#1");
   ASSERT_GE(framed.size(), Codec::kFrameHeaderBytes);
   EXPECT_EQ(framed[0], static_cast<std::uint8_t>(Codec::kMagic >> 8));
   EXPECT_EQ(framed[1], static_cast<std::uint8_t>(Codec::kMagic & 0xff));
   EXPECT_EQ(framed[2], Codec::kCodecVersion);
   EXPECT_EQ(framed[3], 0);  // reserved byte ships as zero
   EXPECT_EQ(Codec::validate_header(framed.data()), payload.size());
-  EXPECT_EQ(Codec::deframe(framed), payload);
+  EXPECT_EQ(ReferenceCodec::deframe(framed), payload);
+  const ByteSpan shipped = Codec::payload_of(framed);
+  EXPECT_EQ(Bytes(shipped.begin(), shipped.end()), payload);
 }
 
 TEST(WireRoundtrip, WrongMagicIsRejected) {
-  Bytes framed = Codec::frame(Codec::encode_abandon("rs-1#1"));
+  Bytes framed = ReferenceCodec::frame(ReferenceCodec::encode_abandon("rs-1#1"));
   for (const std::size_t byte : {std::size_t{0}, std::size_t{1}}) {
     Bytes bad = framed;
     bad[byte] ^= 0xff;
     EXPECT_THROW(Codec::validate_header(bad.data()), CodecError);
-    EXPECT_THROW(Codec::deframe(bad), CodecError);
+    EXPECT_THROW(ReferenceCodec::deframe(bad), CodecError);
   }
   // An HTTP-ish stray connection: printable garbage in magic position.
   Bytes http = framed;
   http[0] = 'G';
   http[1] = 'E';
-  EXPECT_THROW(Codec::deframe(http), CodecError);
+  EXPECT_THROW(ReferenceCodec::deframe(http), CodecError);
 }
 
 TEST(WireRoundtrip, UnsupportedCodecVersionIsRejected) {
-  Bytes framed = Codec::frame(Codec::encode_abandon("rs-1#1"));
+  Bytes framed = ReferenceCodec::frame(ReferenceCodec::encode_abandon("rs-1#1"));
   framed[2] = Codec::kCodecVersion + 1;
   EXPECT_THROW(Codec::validate_header(framed.data()), CodecError);
-  EXPECT_THROW(Codec::deframe(framed), CodecError);
+  EXPECT_THROW(ReferenceCodec::deframe(framed), CodecError);
   framed[2] = 0;
-  EXPECT_THROW(Codec::deframe(framed), CodecError);
+  EXPECT_THROW(ReferenceCodec::deframe(framed), CodecError);
 }
 
 // A decoder must skip tags it does not know — the forward-compatibility
@@ -503,7 +531,7 @@ TEST(WireRoundtrip, UnknownTagsAreSkippedNotRejected) {
   Rng rng(424242);
   const ldap::Query query = rand_query(rng);
   const ReSyncControl control = rand_control(rng);
-  Bytes payload = Codec::encode_request(query, control);
+  Bytes payload = ReferenceCodec::encode_request(query, control);
 
   // Append an unknown top-level TLV: tag 0x7e, length 5, arbitrary bytes.
   payload.push_back(0x7e);
@@ -518,7 +546,7 @@ TEST(WireRoundtrip, UnknownTagsAreSkippedNotRejected) {
   expect_query_eq(query, decoded.query);
   expect_control_eq(control, decoded.control);
   // And the frame layer checksums the extended payload like any other.
-  EXPECT_EQ(Codec::deframe(Codec::frame(payload)), payload);
+  EXPECT_EQ(ReferenceCodec::deframe(ReferenceCodec::frame(payload)), payload);
 }
 
 }  // namespace
